@@ -5,9 +5,9 @@
 //! cross-product.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use morpheus_chunked::{ChunkedMatrix, ChunkedNormalizedMatrix};
+use morpheus_chunked::{ChunkedMatrix, PlannedChunkedMatrix};
 use morpheus_core::cost::{estimate_dmm, estimate_op, OpKind};
-use morpheus_core::{MachineProfile, Matrix, NormalizedMatrix};
+use morpheus_core::{MachineProfile, Matrix, NormalizedMatrix, Strategy};
 use morpheus_data::synth::PkFkSpec;
 use morpheus_dense::DenseMatrix;
 use morpheus_ml::logreg::LogisticRegressionGd;
@@ -34,7 +34,7 @@ fn benches(c: &mut Criterion) {
     // Chunked backend overhead: same logistic-regression step, in-memory vs
     // chunked, factorized vs materialized.
     let trainer = LogisticRegressionGd::new(1e-3, 1);
-    let cf = ChunkedNormalizedMatrix::new(&tn, 512);
+    let cf = PlannedChunkedMatrix::with_strategy(tn.clone(), 512, Strategy::AlwaysFactorize);
     let cm = ChunkedMatrix::new(&tn.materialize(), 512);
     g.bench_function("chunked/logreg-step/F", |b| {
         b.iter(|| {

@@ -6,8 +6,9 @@
 //! PK-FK join, Table 10 sweeps the join-attribute domain size of an M:N
 //! join. Here the same experiment runs on `morpheus-chunked`: the
 //! materialized side is a [`ChunkedMatrix`] (the `ore.frame` analog), the
-//! factorized side a [`ChunkedNormalizedMatrix`] — both driven by the
-//! *identical* `LogisticRegressionGd::step` code.
+//! factorized side the `NormalizedMatrix` itself — the rewrites need no
+//! chunked re-implementation, which is the paper's point — both driven by
+//! the *identical* `LogisticRegressionGd::step` code.
 //!
 //! [`out_of_core`] goes one step further than the paper's setup: the
 //! table genuinely exceeds the resident budget, chunks spill to
@@ -17,7 +18,7 @@
 
 use super::{print_rows, Row};
 use crate::timing::time_median;
-use morpheus_chunked::{spill, ChunkedMatrix, ChunkedNormalizedMatrix, PlannedChunkedMatrix};
+use morpheus_chunked::{spill, ChunkedMatrix, PlannedChunkedMatrix};
 use morpheus_core::cost::ChunkedCostCtx;
 use morpheus_core::LinearOperand;
 use morpheus_data::synth::{MnJoinSpec, PkFkSpec};
@@ -68,9 +69,8 @@ pub fn table9(quick: bool) -> Vec<Row> {
         }
         .generate();
         let labels = ds.labels();
-        let tf = ChunkedNormalizedMatrix::new(&ds.tn, chunk);
         let tm = ChunkedMatrix::new(&ds.tn.materialize(), chunk);
-        let (t_m, t_f) = per_iteration_times(&tm, &tf, &labels, reps);
+        let (t_m, t_f) = per_iteration_times(&tm, &ds.tn, &labels, reps);
         rows.push(Row::new(
             format!("FR={fr}"),
             vec![
@@ -109,9 +109,8 @@ pub fn table10(quick: bool) -> Vec<Row> {
         }
         .generate();
         let labels = ds.labels();
-        let tf = ChunkedNormalizedMatrix::new(&ds.tn, chunk);
         let tm = ChunkedMatrix::new(&ds.tn.materialize(), chunk);
-        let (t_m, t_f) = per_iteration_times(&tm, &tf, &labels, reps);
+        let (t_m, t_f) = per_iteration_times(&tm, &ds.tn, &labels, reps);
         rows.push(Row::new(
             format!("nU={n_u} (deg={:.3})", n_u as f64 / n_s as f64),
             vec![
@@ -270,10 +269,9 @@ mod tests {
         }
         .generate();
         let labels = ds.labels();
-        let tf = ChunkedNormalizedMatrix::new(&ds.tn, 128);
         let tm = ChunkedMatrix::new(&ds.tn.materialize(), 128);
         let trainer = LogisticRegressionGd::new(1e-3, 4);
-        let wf = trainer.fit(&tf, &labels);
+        let wf = trainer.fit(&ds.tn, &labels);
         let wm = trainer.fit(&tm, &labels);
         assert!(wf.w.approx_eq(&wm.w, 1e-9));
     }

@@ -3,25 +3,32 @@
 //!
 //! The in-memory [`morpheus_core::PlannedMatrix`] compares calibrated
 //! time estimates of the factorized and materialized routes. Out of core
-//! the same comparison holds, but the prices change: both routes flatten
-//! to the profile's DRAM tier (chunked working sets never fit a cache
-//! tier across chunks), both pay a per-chunk dispatch overhead, and the
-//! materialized route additionally pays spill I/O — writing the
-//! materialized join's chunks past the resident budget once, and reading
-//! them back on every pass — while the factorized route keeps only the
-//! base tables resident and pays no spill traffic at all. That asymmetry
-//! is the ORE argument of the paper in cost-model form, priced by
-//! [`estimate_op_chunked`] with rates calibrated against the actual
-//! spill directory ([`spill::io_rates`]).
+//! the same comparison holds, but the materialized route's price changes:
+//! it flattens to the profile's DRAM tier (a chunked working set never
+//! stays in a cache tier across chunks), pays a per-chunk dispatch
+//! overhead, and pays spill I/O — writing the materialized join's chunks
+//! past the resident budget once, and reading them back on every pass.
+//! The factorized route is the in-memory route, at the in-memory price:
+//! it runs the [`NormalizedMatrix`] rewrites directly on the base tables,
+//! because the rewrites close over plain LA operators and need no second
+//! implementation to run beside a chunked backend — the ORE argument of
+//! the paper. [`estimate_op_chunked`] prices both, with spill rates
+//! calibrated against the actual spill directory ([`spill::io_rates`]).
+//!
+//! Residency: the factorized route keeps **all** base tables resident —
+//! the entity table included — and outside `MORPHEUS_CHUNK_BYTES`. Only
+//! the materialized route's chunks are admitted against that budget and
+//! spill. Streaming the entity table `S` by chunk is not implemented.
 //!
 //! Routing reuses the exact decision core of the in-memory planner
 //! ([`plan_with`]): the strategies, the tie-break, the memoized-join
 //! discount, and the [`DecisionHook`] observer all behave identically —
 //! only the estimates differ. Whichever route is chosen, execution is
-//! delegated verbatim to [`ChunkedNormalizedMatrix`] or
-//! [`ChunkedMatrix`], so planning affects scheduling, never numerics.
+//! delegated verbatim to [`NormalizedMatrix`] or [`ChunkedMatrix`], so
+//! planning affects scheduling, never numerics: a factorized verdict is
+//! bit-identical to the in-memory planner's, at any budget.
 
-use crate::{spill, ChunkedMatrix, ChunkedNormalizedMatrix};
+use crate::{spill, ChunkedMatrix};
 use morpheus_core::cost::{estimate_op_chunked, ChunkedCostCtx, OpKind};
 use morpheus_core::{
     plan_with, Decision, DecisionHook, LinearOperand, MachineProfile, Matrix, NormalizedMatrix,
@@ -33,9 +40,8 @@ use std::sync::{Arc, OnceLock};
 /// Which concrete chunked representation the planned matrix carries.
 #[derive(Debug, Clone)]
 enum Repr {
-    /// The chunked normalized form plus its source (kept for costing and
-    /// the heuristic rule); operators may still go either way.
-    Factorized(Box<NormalizedMatrix>, ChunkedNormalizedMatrix),
+    /// The normalized form; operators may still go either way.
+    Factorized(NormalizedMatrix),
     /// Output of a closure operator routed materialized: the
     /// factorization opportunity is spent.
     Materialized(ChunkedMatrix),
@@ -99,9 +105,16 @@ impl PlannedChunkedMatrix {
 
     /// [`PlannedChunkedMatrix::new`] with an explicit strategy.
     pub fn with_strategy(t: NormalizedMatrix, chunk_rows: usize, strategy: Strategy) -> Self {
-        let fact = ChunkedNormalizedMatrix::new(&t, chunk_rows);
+        assert!(
+            chunk_rows > 0,
+            "PlannedChunkedMatrix: chunk_rows must be positive"
+        );
+        assert!(
+            !t.is_transposed(),
+            "PlannedChunkedMatrix: chunk the untransposed matrix"
+        );
         PlannedChunkedMatrix {
-            repr: Repr::Factorized(Box::new(t), fact),
+            repr: Repr::Factorized(t),
             chunk_rows,
             strategy,
             profile: ProfileSource::Global,
@@ -163,7 +176,7 @@ impl PlannedChunkedMatrix {
     /// representation is already materialized.
     pub fn plan(&self, op: OpKind) -> Option<Decision> {
         match &self.repr {
-            Repr::Factorized(t, _) => Some(self.plan_for(t, op)),
+            Repr::Factorized(t) => Some(self.plan_for(t, op)),
             Repr::Materialized(_) => None,
         }
     }
@@ -216,14 +229,14 @@ impl PlannedChunkedMatrix {
     fn run<R>(
         &self,
         op: OpKind,
-        fact: impl FnOnce(&ChunkedNormalizedMatrix) -> R,
+        fact: impl FnOnce(&NormalizedMatrix) -> R,
         mat: impl FnOnce(&ChunkedMatrix) -> R,
     ) -> R {
         match &self.repr {
             Repr::Materialized(m) => mat(m),
-            Repr::Factorized(t, f) => {
+            Repr::Factorized(t) => {
                 if self.decide(t, op) {
-                    fact(f)
+                    fact(t)
                 } else {
                     mat(self.memo_ref(t))
                 }
@@ -231,21 +244,20 @@ impl PlannedChunkedMatrix {
         }
     }
 
-    /// Routes a closure operator. A factorized verdict keeps the chunked
+    /// Routes a closure operator. A factorized verdict keeps the
     /// normalized form alive (fresh memo); a materialized verdict spends
     /// the factorization opportunity.
     fn run_closure(
         &self,
         op: OpKind,
-        fact_src: impl FnOnce(&NormalizedMatrix) -> NormalizedMatrix,
-        fact: impl FnOnce(&ChunkedNormalizedMatrix) -> ChunkedNormalizedMatrix,
+        fact: impl FnOnce(&NormalizedMatrix) -> NormalizedMatrix,
         mat: impl FnOnce(&ChunkedMatrix) -> ChunkedMatrix,
     ) -> PlannedChunkedMatrix {
         match &self.repr {
             Repr::Materialized(m) => self.derive(Repr::Materialized(mat(m))),
-            Repr::Factorized(t, f) => {
+            Repr::Factorized(t) => {
                 if self.decide(t, op) {
-                    self.derive(Repr::Factorized(Box::new(fact_src(t)), fact(f)))
+                    self.derive(Repr::Factorized(fact(t)))
                 } else {
                     self.derive(Repr::Materialized(mat(self.memo_ref(t))))
                 }
@@ -269,72 +281,62 @@ impl PlannedChunkedMatrix {
 impl LinearOperand for PlannedChunkedMatrix {
     fn nrows(&self) -> usize {
         match &self.repr {
-            Repr::Factorized(t, _) => t.rows(),
+            Repr::Factorized(t) => t.rows(),
             Repr::Materialized(m) => m.nrows(),
         }
     }
 
     fn ncols(&self) -> usize {
         match &self.repr {
-            Repr::Factorized(t, _) => t.cols(),
+            Repr::Factorized(t) => t.cols(),
             Repr::Materialized(m) => m.ncols(),
         }
     }
 
     fn lmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(OpKind::Lmm { m: x.cols() }, |f| f.lmm(x), |m| m.lmm(x))
+        self.run(OpKind::Lmm { m: x.cols() }, |t| t.lmm(x), |m| m.lmm(x))
     }
 
     fn t_lmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(OpKind::TLmm { m: x.cols() }, |f| f.t_lmm(x), |m| m.t_lmm(x))
+        self.run(OpKind::TLmm { m: x.cols() }, |t| t.t_lmm(x), |m| m.t_lmm(x))
     }
 
     fn rmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(OpKind::Rmm { m: x.rows() }, |f| f.rmm(x), |m| m.rmm(x))
+        self.run(OpKind::Rmm { m: x.rows() }, |t| t.rmm(x), |m| m.rmm(x))
     }
 
     fn crossprod(&self) -> DenseMatrix {
-        self.run(OpKind::Crossprod, |f| f.crossprod(), |m| m.crossprod())
+        self.run(OpKind::Crossprod, |t| t.crossprod(), |m| m.crossprod())
     }
 
     fn row_sums(&self) -> DenseMatrix {
-        self.run(OpKind::RowSums, |f| f.row_sums(), |m| m.row_sums())
+        self.run(OpKind::RowSums, |t| t.row_sums(), |m| m.row_sums())
     }
 
     fn col_sums(&self) -> DenseMatrix {
-        self.run(OpKind::ColSums, |f| f.col_sums(), |m| m.col_sums())
+        self.run(OpKind::ColSums, |t| t.col_sums(), |m| m.col_sums())
     }
 
     fn sum(&self) -> f64 {
-        self.run(OpKind::Sum, |f| f.sum(), |m| m.sum())
+        self.run(OpKind::Sum, |t| t.sum(), |m| m.sum())
     }
 
     fn scale(&self, x: f64) -> Self {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_mul(x),
-            |f| f.scale(x),
-            |m| m.scale(x),
-        )
+        self.run_closure(OpKind::Elementwise, |t| t.scalar_mul(x), |m| m.scale(x))
     }
 
     fn squared(&self) -> Self {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_pow(2.0),
-            |f| f.squared(),
-            |m| m.squared(),
-        )
+        self.run_closure(OpKind::Elementwise, |t| t.scalar_pow(2.0), |m| m.squared())
     }
 
     fn ginv(&self) -> DenseMatrix {
-        self.run(OpKind::Ginv, |f| f.ginv(), |m| m.ginv())
+        self.run(OpKind::Ginv, |t| t.ginv(), |m| m.ginv())
     }
 
     fn materialize(&self) -> Matrix {
         match &self.repr {
             Repr::Materialized(m) => m.materialize(),
-            Repr::Factorized(t, _) => self.memo_ref(t).materialize(),
+            Repr::Factorized(t) => self.memo_ref(t).materialize(),
         }
     }
 }

@@ -80,15 +80,17 @@ fn main() {
         time_m / time_f
     );
 
-    // The same data through the chunked (ORE-analog) backend; chunk-level
-    // parallelism comes from the shared Runtime budget.
-    let cn = morpheus::chunked::ChunkedNormalizedMatrix::new(&tn, 16_384);
+    // The same data through the planner over the chunked (ORE-analog)
+    // backend: a materialized verdict would stream row chunks of the join
+    // (spilling past MORPHEUS_CHUNK_BYTES); a factorized verdict runs the
+    // rewrites above on the resident base tables.
+    let chunk_rows = 16_384;
+    let planned = morpheus::chunked::PlannedChunkedMatrix::new(tn, chunk_rows);
     let t3 = Instant::now();
-    let w_c = solver.fit(&cn, &y);
+    let w_c = solver.fit(&planned, &y);
     let time_c = t3.elapsed().as_secs_f64();
     assert!(w_c.approx_eq(&w_f, 1e-6));
     println!(
-        "  chunked backend ({} chunks): {time_c:.3}s — same model, no code changes",
-        cn.n_chunks()
+        "  chunked planner ({chunk_rows}-row chunks): {time_c:.3}s — same model, no code changes"
     );
 }

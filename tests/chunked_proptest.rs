@@ -1,13 +1,13 @@
-//! Property-based validation of the chunked (ORE-analog) backends: for
-//! random join shapes, chunk sizes, and worker counts, every operator must
-//! agree with the in-memory normalized/materialized result — chunking and
-//! parallelism are pure execution details. The planner-routed and
+//! Property-based validation of the chunked (ORE-analog) backend: for
+//! random shapes, chunk sizes, and worker counts, every operator must
+//! agree with the in-memory result — chunking and parallelism are pure
+//! execution details. The planner-routed and
 //! spill-backed paths are held to a harder bar: spilled execution must be
 //! *bit-identical* to fully-resident chunked execution at any worker
 //! count, and injected spill-I/O faults must degrade chunks to resident —
 //! counted, never corrupting results.
 
-use morpheus::chunked::{ChunkedMatrix, ChunkedNormalizedMatrix, Executor, PlannedChunkedMatrix};
+use morpheus::chunked::{ChunkedMatrix, Executor, PlannedChunkedMatrix};
 use morpheus::core::cost::ChunkedCostCtx;
 use morpheus::core::LinearOperand;
 use morpheus::core::Strategy as Route;
@@ -36,38 +36,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn chunked_normalized_agrees_with_in_memory(
-        n_s in 3usize..40,
-        d_s in 1usize..4,
-        n_r in 1usize..6,
-        d_r in 1usize..4,
-        chunk in 1usize..16,
-        threads in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let tn = pkfk(n_s, d_s, n_r, d_r, seed);
-        // Raw-executor path: the property quantifies over worker counts,
-        // which the Runtime-budget default deliberately hides.
-        #[allow(deprecated)]
-        let c = ChunkedNormalizedMatrix::from_normalized(&tn, chunk, Executor::new(threads));
-        prop_assert_eq!(c.nrows(), tn.rows());
-        prop_assert_eq!(c.ncols(), tn.cols());
-
-        let x = mat(tn.cols(), 2, seed ^ 0x11);
-        prop_assert!(c.lmm(&x).approx_eq(&tn.lmm(&x), 1e-10));
-        let y = mat(tn.rows(), 2, seed ^ 0x22);
-        prop_assert!(c.t_lmm(&y).approx_eq(&tn.t_lmm(&y), 1e-10));
-        let z = mat(2, tn.rows(), seed ^ 0x33);
-        prop_assert!(c.rmm(&z).approx_eq(&tn.rmm(&z), 1e-10));
-        prop_assert!(LinearOperand::crossprod(&c).approx_eq(&tn.crossprod(), 1e-9));
-        prop_assert!(LinearOperand::row_sums(&c).approx_eq(&tn.row_sums(), 1e-10));
-        prop_assert!(LinearOperand::col_sums(&c).approx_eq(&tn.col_sums(), 1e-10));
-        let (cs, ts) = (LinearOperand::sum(&c), tn.sum());
-        prop_assert!((cs - ts).abs() <= 1e-9 * ts.abs().max(1.0));
-        prop_assert!(c.materialize().approx_eq(&tn.materialize(), 1e-12));
-    }
-
-    #[test]
     fn chunked_matrix_agrees_with_dense(
         rows in 1usize..40,
         cols in 1usize..6,
@@ -88,27 +56,6 @@ proptest! {
         prop_assert!(LinearOperand::crossprod(&c).approx_eq(&d.crossprod(), 1e-9));
         prop_assert!(c.scale(2.5).materialize().approx_eq(&m.scalar_mul(2.5), 1e-12));
         prop_assert!(c.squared().materialize().approx_eq(&m.scalar_pow(2.0), 1e-12));
-    }
-
-    #[test]
-    fn training_is_chunk_invariant(
-        chunk_a in 1usize..8,
-        chunk_b in 9usize..32,
-        seed in any::<u64>(),
-    ) {
-        // The fitted model must not depend on the chunking or thread count.
-        let tn = pkfk(30, 2, 4, 3, seed);
-        let y = mat(30, 1, seed ^ 0x66).map(|v| if v >= 0.0 { 1.0 } else { -1.0 });
-        let trainer = LogisticRegressionGd::new(1e-2, 4);
-        #[allow(deprecated)]
-        let a = ChunkedNormalizedMatrix::from_normalized(&tn, chunk_a, Executor::new(1));
-        #[allow(deprecated)]
-        let b = ChunkedNormalizedMatrix::from_normalized(&tn, chunk_b, Executor::new(3));
-        let w_a = trainer.fit(&a, &y).w;
-        let w_b = trainer.fit(&b, &y).w;
-        let w_ref = trainer.fit(&tn, &y).w;
-        prop_assert!(w_a.approx_eq(&w_ref, 1e-10));
-        prop_assert!(w_b.approx_eq(&w_ref, 1e-10));
     }
 
     #[test]

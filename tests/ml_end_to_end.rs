@@ -3,7 +3,7 @@
 //! `NormalizedMatrix`, the per-operator `PlannedMatrix`, and the chunked
 //! (ORE-analog) backends — across all four paper algorithms.
 
-use morpheus::chunked::{ChunkedMatrix, ChunkedNormalizedMatrix};
+use morpheus::chunked::{ChunkedMatrix, PlannedChunkedMatrix};
 use morpheus::data::synth::{MnJoinSpec, PkFkSpec, StarSpec};
 use morpheus::ml::gnmf::Gnmf;
 use morpheus::ml::kmeans::KMeans;
@@ -19,16 +19,9 @@ fn planned(tn: &NormalizedMatrix) -> PlannedMatrix {
         .with_profile(MachineProfile::REFERENCE)
 }
 
-fn backends(
-    tn: &NormalizedMatrix,
-) -> (
-    Matrix,
-    PlannedMatrix,
-    ChunkedNormalizedMatrix,
-    ChunkedMatrix,
-) {
+fn backends(tn: &NormalizedMatrix) -> (Matrix, PlannedMatrix, PlannedChunkedMatrix, ChunkedMatrix) {
     let tm = tn.materialize();
-    let cn = ChunkedNormalizedMatrix::new(tn, 64);
+    let cn = PlannedChunkedMatrix::with_strategy(tn.clone(), 64, Strategy::AlwaysFactorize);
     let cm = ChunkedMatrix::new(&tm, 64);
     (tm, planned(tn), cn, cm)
 }
