@@ -636,55 +636,6 @@ pub fn estimate_op(profile: &MachineProfile, t: &NormalizedMatrix, op: OpKind) -
     }
 }
 
-/// Estimates the wall-clock ns of scoring a micro-batch of `batch`
-/// logical rows of `t` against a dense `d x m` parameter — the row-slice
-/// counterpart of [`estimate_op`], used by the scoring service to pick
-/// its resident serving mode once at startup.
-///
-/// The **factorized** route builds the slice directly on the normalized
-/// representation (`NormalizedMatrix::select_rows`): per part, a
-/// composed-assignment gather of at most `batch` referenced base rows,
-/// the small `B'ᵢ Xᵢ` product, and the gather-add back into the batch
-/// output. The **materialized** route gathers `batch` rows of a resident
-/// join output and runs one dense product over the full width;
-/// `materialize_ns` prices building that resident `T` — paid once per
-/// service lifetime, so a long-lived server treats it as sunk and
-/// compares the steady-state per-batch terms.
-pub fn estimate_row_slice(
-    profile: &MachineProfile,
-    t: &NormalizedMatrix,
-    batch: usize,
-    m: usize,
-) -> PlanEstimate {
-    let s = Shape::of(t);
-    let b = (batch as f64).max(1.0);
-    let mf = (m as f64).max(1.0);
-    let factorized_ns = s
-        .parts
-        .iter()
-        .map(|part| {
-            // The slice's base table holds only referenced rows — at most
-            // the batch, at most the table.
-            let referenced = b.min(part.rows);
-            let assemble = apply_ns(profile, b, part.entries_per_row);
-            let product = if part.dense {
-                dense_mm_ns(profile, referenced, part.cols, mf)
-            } else {
-                referenced * part.entries_per_row * mf * profile.sparse_ns
-            };
-            let scatter = apply_ns(profile, b, mf);
-            assemble + product + scatter
-        })
-        .sum();
-    let materialized_op_ns =
-        apply_ns(profile, b, s.entries_per_row) + dense_mm_ns(profile, b, s.d, mf);
-    PlanEstimate {
-        factorized_ns,
-        materialized_op_ns,
-        materialize_ns: s.materialize_ns(profile),
-    }
-}
-
 /// Script-level look-ahead totals for a *sequence* of operator uses of
 /// one normalized operand — the whole-script counterpart of
 /// [`PlanEstimate`], produced by [`estimate_script`].
@@ -1117,32 +1068,6 @@ mod tests {
             n_r,
             d_r: fr * d_s,
         }
-    }
-
-    #[test]
-    fn row_slice_estimates_are_sane() {
-        use morpheus_dense::DenseMatrix;
-        let p = MachineProfile::REFERENCE;
-        // High-redundancy PK-FK: 10_000 entity rows over 100 wide
-        // attribute rows.
-        let s = DenseMatrix::zeros(10_000, 4);
-        let r = DenseMatrix::zeros(100, 40);
-        let fk: Vec<usize> = (0..10_000).map(|i| i % 100).collect();
-        let tn = NormalizedMatrix::pk_fk(s.into(), &fk, r.into());
-
-        let small = estimate_row_slice(&p, &tn, 16, 1);
-        let big = estimate_row_slice(&p, &tn, 1024, 1);
-        for e in [&small, &big] {
-            assert!(e.factorized_ns.is_finite() && e.factorized_ns > 0.0);
-            assert!(e.materialized_op_ns.is_finite() && e.materialized_op_ns > 0.0);
-            assert!(e.materialize_ns > 0.0);
-        }
-        // Bigger batches cost more on either route.
-        assert!(big.factorized_ns > small.factorized_ns);
-        assert!(big.materialized_op_ns > small.materialized_op_ns);
-        // A cold start (join not yet built) must never favor the resident
-        // route for one small batch: the join alone dwarfs the slice.
-        assert!(small.factorized_ns < small.materialized_total_ns(false));
     }
 
     #[test]

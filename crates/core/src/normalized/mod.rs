@@ -94,27 +94,7 @@ impl Indicator {
             }
             Indicator::Rows(k) => {
                 debug_assert_eq!(k.rows(), out_rows);
-                if m == 1 {
-                    // Vector fast path: one fused gather-add per logical row.
-                    let xs = x.as_slice();
-                    for (i, o) in out.iter_mut().enumerate() {
-                        let (cols, vals) = k.row(i);
-                        for (&c, &v) in cols.iter().zip(vals) {
-                            *o += v * xs[c];
-                        }
-                    }
-                    return;
-                }
-                for i in 0..k.rows() {
-                    let (cols, vals) = k.row(i);
-                    let orow = &mut out[i * m..(i + 1) * m];
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        let xrow = x.row(c);
-                        for (o, &xv) in orow.iter_mut().zip(xrow) {
-                            *o += v * xv;
-                        }
-                    }
-                }
+                gather_add(k, x, 0..k.rows(), out);
             }
         }
     }
@@ -174,6 +154,38 @@ impl Indicator {
                 Matrix::Dense(d) => Matrix::Dense(k.t_spmm_dense(d)),
                 Matrix::Sparse(s) => Matrix::Sparse(k.transpose().spgemm(s)),
             },
+        }
+    }
+}
+
+/// `out[j, :] += K[ids[j], :] * x` for each `j` — the fused gather-add of
+/// the LMM rewrite, over any selection of indicator rows. The expression
+/// per output element does not depend on which other rows are selected,
+/// so a row scored alone and the same row inside a full-table pass agree
+/// bit for bit. `out` is row-major, one `x.cols()`-wide row per id.
+fn gather_add(k: &CsrMatrix, x: &DenseMatrix, ids: impl Iterator<Item = usize>, out: &mut [f64]) {
+    let m = x.cols();
+    if m == 1 {
+        // Vector fast path: one fused gather-add per logical row.
+        let xs = x.as_slice();
+        for (o, i) in out.iter_mut().zip(ids) {
+            let (cols, vals) = k.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                *o += v * xs[c];
+            }
+        }
+        return;
+    }
+    if m == 0 {
+        return;
+    }
+    for (orow, i) in out.chunks_exact_mut(m).zip(ids) {
+        let (cols, vals) = k.row(i);
+        for (&c, &v) in cols.iter().zip(vals) {
+            let xrow = x.row(c);
+            for (o, &xv) in orow.iter_mut().zip(xrow) {
+                *o += v * xv;
+            }
         }
     }
 }
@@ -646,8 +658,8 @@ impl NormalizedMatrix {
     }
 
     /// Selects logical rows (with repetition, in the given order) directly
-    /// on the factorized representation — the row-slice a batched scoring
-    /// request evaluates, built **without** materializing the join.
+    /// on the factorized representation — a row slice of the join, itself
+    /// a normalized matrix, built **without** materializing the join.
     ///
     /// Per part: the indicator assignment is composed with `rows`, the
     /// base table keeps only the referenced attribute rows (in first-use

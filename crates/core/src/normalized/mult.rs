@@ -13,6 +13,12 @@
 //! join and costs `O(n dᵢ m)`. [`NormalizedMatrix::lmm_materialized_order`]
 //! keeps the bad order around for the ablation benchmark.
 //!
+//! For a fixed `X` (a loaded model) the inner products `Bᵢ Xᵢ` are also
+//! what a request for *some* rows of `T X` shares with every other
+//! request: [`NormalizedMatrix::lmm_partials`] computes them once and
+//! [`NormalizedMatrix::lmm_rows_from_partials`] finishes any row selection
+//! with the same per-element expression sequence as the full rewrite.
+//!
 //! Transposed forms (appendix A): `Tᵀ X → (Xᵀ T)ᵀ` and `X Tᵀ → (T Xᵀ)ᵀ`,
 //! which dispatch back onto the untransposed rewrites.
 //!
@@ -23,7 +29,8 @@
 //! Partials are always combined in part order, so results are identical to
 //! the sequential rewrite.
 
-use super::NormalizedMatrix;
+use super::{gather_add, Indicator, NormalizedMatrix};
+use crate::Matrix;
 use morpheus_dense::DenseMatrix;
 use morpheus_runtime::Runtime;
 
@@ -109,10 +116,10 @@ impl NormalizedMatrix {
     }
 
     /// `T X` written into a caller-provided buffer (row-major,
-    /// `rows() * x.cols()` slots) instead of allocating the output — the
-    /// batch-scoring hot path, where the same buffer is reused across
-    /// micro-batches. Bit-identical to [`NormalizedMatrix::lmm`] by
-    /// construction: both run [`NormalizedMatrix::lmm_accumulate`].
+    /// `rows() * x.cols()` slots) instead of allocating the output, so a
+    /// caller scoring the whole operand repeatedly reuses one buffer.
+    /// Bit-identical to [`NormalizedMatrix::lmm`] by construction: both
+    /// run [`NormalizedMatrix::lmm_accumulate`].
     ///
     /// Transposed views take the allocating dispatch and copy (their
     /// result is assembled by vertical stacking, not accumulation).
@@ -168,6 +175,102 @@ impl NormalizedMatrix {
         }
     }
 
+    /// The row-independent half of `T X` for a **fixed** `X`, one entry
+    /// per part: `Bᵢ Xᵢ` (`n_Rᵢ x m`, shared by every logical row that
+    /// references it) for a part with an explicit indicator, and the bare
+    /// slice `Xᵢ` (`dᵢ x m`) for an identity part, whose product has one
+    /// row per logical row and is left to
+    /// [`NormalizedMatrix::lmm_rows_from_partials`]. Computed with the
+    /// call [`NormalizedMatrix::lmm`] makes, so a model loaded once can
+    /// answer row requests without repeating any `Bᵢ Xᵢ` — memory is
+    /// `Σ n_Rᵢ m` floats, independent of the entity-table height.
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != self.cols()` or if the matrix is transposed
+    /// (rows of a transposed view are columns of the join).
+    pub fn lmm_partials(&self, x: &DenseMatrix) -> Vec<DenseMatrix> {
+        assert!(
+            !self.transposed,
+            "lmm_partials: transposed views are unsupported"
+        );
+        assert_eq!(
+            x.rows(),
+            self.cols(),
+            "lmm_partials: X has {} rows for a {}x{} normalized matrix",
+            x.rows(),
+            self.rows(),
+            self.cols()
+        );
+        let offsets = self.col_offsets();
+        Runtime::executor().map(self.parts.len(), |i| {
+            let xi = x.slice_rows(offsets[i]..offsets[i + 1]);
+            match self.parts[i].indicator {
+                Indicator::Identity => xi,
+                Indicator::Rows(_) => self.parts[i].table.matmul_dense(&xi),
+            }
+        })
+    }
+
+    /// Rows `rows` of `T X` (repeats and any order allowed) from
+    /// `partials = self.lmm_partials(X)`, written row-major into `out`
+    /// (`rows.len() * m` slots). Per element this is the expression
+    /// sequence of the full rewrite — zero, then one add per part in part
+    /// order, an identity part's term coming from the same product kernel
+    /// run on its gathered rows — so every value is bit-identical to the
+    /// matching row of [`NormalizedMatrix::lmm`], whatever else is in
+    /// `rows`.
+    ///
+    /// # Panics
+    /// Panics if the matrix is transposed, if `partials` was not built by
+    /// [`NormalizedMatrix::lmm_partials`] on this matrix, if any index is
+    /// `>= self.rows()`, or if `out.len() != rows.len() * m`.
+    pub fn lmm_rows_from_partials(
+        &self,
+        partials: &[DenseMatrix],
+        rows: &[usize],
+        out: &mut [f64],
+    ) {
+        assert!(
+            !self.transposed,
+            "lmm_rows_from_partials: transposed views are unsupported"
+        );
+        assert_eq!(
+            partials.len(),
+            self.parts.len(),
+            "lmm_rows_from_partials: one partial per part"
+        );
+        let m = partials[0].cols();
+        assert_eq!(
+            out.len(),
+            rows.len() * m,
+            "lmm_rows_from_partials: out has {} slots for a {} x {m} result",
+            out.len(),
+            rows.len()
+        );
+        let n = self.n_rows;
+        if let Some(&bad) = rows.iter().find(|&&r| r >= n) {
+            panic!("lmm_rows_from_partials: row {bad} out of range for {n} logical rows");
+        }
+        out.fill(0.0);
+        for (p, partial) in self.parts.iter().zip(partials) {
+            assert_eq!(partial.cols(), m, "lmm_rows_from_partials: ragged partials");
+            match &p.indicator {
+                Indicator::Identity => {
+                    let product = selected_rows_product(&p.table, rows, partial);
+                    p.indicator.apply_add_into(&product, out, rows.len());
+                }
+                Indicator::Rows(k) => {
+                    assert_eq!(
+                        partial.rows(),
+                        p.table.rows(),
+                        "lmm_rows_from_partials: partial does not match its base table"
+                    );
+                    gather_add(k, partial, rows.iter().copied(), out);
+                }
+            }
+        }
+    }
+
     pub(crate) fn t_lmm_raw(&self, x: &DenseMatrix) -> DenseMatrix {
         // Tᵀ X = [B₀ᵀ(I₀ᵀX); …; B_qᵀ(I_qᵀX)] stacked vertically; each
         // block is independent.
@@ -193,10 +296,30 @@ impl NormalizedMatrix {
     }
 }
 
+/// `table[rows, :] * x`, bit-identical per row to `table * x`: the product
+/// kernels accumulate each output row on its own, except that a dense
+/// product with a single output row and `x.cols() > 1` takes an unfused
+/// streaming path while taller ones take the FMA microkernel. The row
+/// count handed to the kernel therefore stays on the full table's side of
+/// that split.
+fn selected_rows_product(table: &Matrix, rows: &[usize], x: &DenseMatrix) -> DenseMatrix {
+    if table.rows() == 1 {
+        // Every requested row is row 0: one product, repeated.
+        let one = table.matmul_dense(x);
+        return DenseMatrix::from_fn(rows.len(), x.cols(), |_, j| one.get(0, j));
+    }
+    if let [r] = *rows {
+        return table.gather_rows(&[r, r]).matmul_dense(x).slice_rows(0..1);
+    }
+    table.gather_rows(rows).matmul_dense(x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::test_fixtures::*;
+    use super::NormalizedMatrix;
     use morpheus_dense::DenseMatrix;
+    use morpheus_runtime::Runtime;
 
     fn param(rows: usize, cols: usize) -> DenseMatrix {
         DenseMatrix::from_fn(rows, cols, |i, j| ((i * 7 + j * 3) % 5) as f64 - 2.0)
@@ -283,6 +406,96 @@ mod tests {
             let x = param(tn.cols(), 2);
             assert!(tn.lmm_materialized_order(&x).approx_eq(&tn.lmm(&x), 1e-12));
         }
+    }
+
+    #[test]
+    fn rows_from_partials_are_bitwise_rows_of_lmm() {
+        let irrational = |rows, cols, seed: f64| {
+            DenseMatrix::from_fn(rows, cols, |i, j| {
+                ((i * cols + j) as f64 * 0.37 + seed).sin()
+            })
+        };
+        // Beyond the shared fixtures: inexact products (FMA and unfused
+        // kernels round them differently), an entity table without
+        // features, and a one-row entity table.
+        let inexact = NormalizedMatrix::pk_fk(
+            irrational(7, 3, 0.1).into(),
+            &[2, 0, 1, 1, 2, 0, 2],
+            irrational(3, 2, 0.2).into(),
+        );
+        let featureless = NormalizedMatrix::pk_fk(
+            DenseMatrix::zeros(4, 0).into(),
+            &[1, 0, 1, 1],
+            irrational(2, 2, 0.3).into(),
+        );
+        let one_row = NormalizedMatrix::pk_fk(
+            irrational(1, 3, 0.4).into(),
+            &[0],
+            irrational(1, 2, 0.5).into(),
+        );
+        let special = [-0.0, f64::INFINITY, 1.5, f64::NEG_INFINITY, f64::NAN, -2.25];
+        // Worker count and threshold change scheduling only, never bits.
+        Runtime::set_par_threshold(1);
+        let configured = Runtime::threads();
+        for threads in [1usize, 8] {
+            Runtime::set_threads(threads);
+            for tn in [
+                figure2(),
+                star2(),
+                mn(),
+                sparse_pkfk(),
+                inexact.clone(),
+                featureless.clone(),
+                one_row.clone(),
+            ] {
+                let (n, d) = tn.shape();
+                for m in [1usize, 3] {
+                    for x in [
+                        irrational(d, m, 0.6),
+                        DenseMatrix::from_fn(d, m, |i, j| special[(i * m + j) % special.len()]),
+                        DenseMatrix::from_fn(d, m, |_, _| -0.0),
+                    ] {
+                        let full = tn.lmm(&x);
+                        let partials = tn.lmm_partials(&x);
+                        for rows in [
+                            vec![],
+                            vec![0],
+                            vec![n - 1],
+                            vec![n - 1, 0, n - 1],
+                            (0..n).rev().collect::<Vec<_>>(),
+                            vec![1 % n, 1 % n, 0, n - 1],
+                        ] {
+                            let mut out = vec![f64::NAN; rows.len() * m];
+                            tn.lmm_rows_from_partials(&partials, &rows, &mut out);
+                            for (orow, &r) in out.chunks(m).zip(&rows) {
+                                for (got, want) in orow.iter().zip(full.row(r)) {
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "row {r} of {rows:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Runtime::set_threads(configured);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 5 out of range")]
+    fn rows_from_partials_rejects_out_of_range() {
+        let tn = figure2();
+        let partials = tn.lmm_partials(&param(4, 1));
+        tn.lmm_rows_from_partials(&partials, &[0, 5], &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "transposed")]
+    fn partials_reject_transposed() {
+        figure2().transpose().lmm_partials(&param(5, 1));
     }
 
     #[test]

@@ -32,12 +32,14 @@ pub trait LinearOperand {
     fn lmm(&self, x: &DenseMatrix) -> DenseMatrix;
 
     /// Left matrix multiplication `T X` written into a caller-provided
-    /// row-major buffer of `nrows() * x.cols()` slots, so a scoring hot
-    /// path can reuse one allocation across calls. Every implementation
-    /// is bit-identical to its [`LinearOperand::lmm`]: the default
-    /// delegates to `lmm` and copies; representations with a native
-    /// into-kernel (the normalized rewrite's accumulator) override it to
-    /// skip the output allocation.
+    /// row-major buffer of `nrows() * x.cols()` slots, so repeated
+    /// whole-operand scoring can reuse one allocation across calls. (The
+    /// scoring service wants *some* rows of a normalized `T X` and calls
+    /// `NormalizedMatrix::lmm_rows_from_partials` instead.) Every
+    /// implementation is bit-identical to its [`LinearOperand::lmm`]: the
+    /// default delegates to `lmm` and copies; representations with a
+    /// native into-kernel (the normalized rewrite's accumulator) override
+    /// it to skip the output allocation.
     ///
     /// # Panics
     /// Panics if `out.len() != self.nrows() * x.cols()`.

@@ -146,7 +146,13 @@ pub fn predict_proba<M: LinearOperand>(t: &M, w: &DenseMatrix) -> DenseMatrix {
 pub fn predict_proba_into<M: LinearOperand>(t: &M, w: &DenseMatrix, out: &mut [f64]) {
     assert_eq!(w.cols(), 1, "predict_proba_into: w must be d x 1");
     t.lmm_into(w, out);
-    for v in out.iter_mut() {
+    sigmoid_in_place(out);
+}
+
+/// The logistic link over a slice of margins, in place — the expression
+/// `DenseMatrix::sigmoid` applies, for callers that already hold `T w`.
+pub fn sigmoid_in_place(margins: &mut [f64]) {
+    for v in margins.iter_mut() {
         *v = 1.0 / (1.0 + (-*v).exp());
     }
 }

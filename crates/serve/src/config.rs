@@ -1,13 +1,13 @@
 //! Service tuning knobs and their `MORPHEUS_*` environment variables.
 
-use morpheus_core::{MachineProfile, Strategy};
+use morpheus_core::Strategy;
 use std::time::Duration;
 
 /// Environment variable holding the micro-batch latency budget in
 /// microseconds: how long a scorer waits for more requests to coalesce
 /// after the first one arrives (default
-/// [`ServeConfig::DEFAULT_BATCH_WINDOW_US`]). `0` disables waiting —
-/// every batch is whatever is already queued.
+/// [`ServeConfig::DEFAULT_BATCH_WINDOW_US`]). `0`, the default, disables
+/// waiting — every batch is whatever is already queued.
 pub const BATCH_WINDOW_ENV: &str = "MORPHEUS_BATCH_WINDOW_US";
 
 /// Environment variable holding the maximum number of entity rows
@@ -40,18 +40,18 @@ pub struct ServeConfig {
     /// [`morpheus_runtime::Runtime::with_pool_share`].
     pub scorers: usize,
     /// Routing policy mapped to the service's scoring mode once at
-    /// startup (per-batch re-routing would change floating-point
-    /// summation order between batch sizes and break the bit-identity
-    /// guarantee).
+    /// startup: [`Strategy::AlwaysMaterialize`] serves from a resident
+    /// join, every other strategy from the factorized form (per-batch
+    /// re-routing would change floating-point summation order between
+    /// batch sizes and break the bit-identity guarantee).
     pub strategy: Strategy,
-    /// Machine profile for the cost-based mode decision; `None` uses the
-    /// shared calibrated [`MachineProfile::global`].
-    pub profile: Option<MachineProfile>,
 }
 
 impl ServeConfig {
-    /// Default coalescing window, in microseconds.
-    pub const DEFAULT_BATCH_WINDOW_US: u64 = 200;
+    /// Default coalescing window, in microseconds. Zero: a batch's fixed
+    /// cost is about a microsecond, so there is nothing for a timed wait
+    /// to amortize, and under load batches fill from the queue anyway.
+    pub const DEFAULT_BATCH_WINDOW_US: u64 = 0;
     /// Default maximum rows per batch.
     pub const DEFAULT_BATCH_MAX: usize = 256;
     /// Default queue capacity (requests) before shedding.
@@ -102,14 +102,6 @@ impl ServeConfig {
         self.strategy = strategy;
         self
     }
-
-    /// Returns the config with an explicit machine profile for the mode
-    /// decision (builder style) — tests use
-    /// [`MachineProfile::REFERENCE`] for reproducibility.
-    pub fn with_profile(mut self, profile: MachineProfile) -> ServeConfig {
-        self.profile = Some(profile);
-        self
-    }
 }
 
 impl Default for ServeConfig {
@@ -120,7 +112,6 @@ impl Default for ServeConfig {
             queue_cap: Self::DEFAULT_BATCH_QUEUE,
             scorers: 1,
             strategy: Strategy::from_env(),
-            profile: None,
         }
     }
 }

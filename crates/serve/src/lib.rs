@@ -7,15 +7,19 @@
 //! **once**, then serves concurrent scoring requests — each a set of
 //! entity row ids — without ever materializing the join per request.
 //!
-//! The performance core is a **micro-batcher**: requests arriving within
-//! a latency budget (`MORPHEUS_BATCH_WINDOW_US`) are coalesced, up to
-//! `MORPHEUS_BATCH_MAX` rows, into a single row slice of the factorized
-//! representation ([`morpheus_core::NormalizedMatrix::select_rows`]) and
-//! scored with one evaluation over the shared calibrated machine
-//! profile and resident worker pool. Because every scoring kernel is
-//! row-independent, a coalesced request's answers are **bit-identical**
-//! to scoring it alone — batching is invisible to clients except in
-//! latency and throughput.
+//! The performance core is the paper's multiplication order applied to a
+//! fixed model: of `T w = S w_S + Σᵢ Kᵢ (Rᵢ wᵢ)` the inner `Rᵢ wᵢ` does
+//! not depend on the request, so it is computed **once at load**
+//! ([`morpheus_core::NormalizedMatrix::lmm_partials`]) and a requested row
+//! costs one entity-feature dot plus one gathered partial per attribute
+//! table ([`morpheus_core::NormalizedMatrix::lmm_rows_from_partials`]).
+//! Around it sits a **micro-batcher**: requests already queued (or
+//! arriving within `MORPHEUS_BATCH_WINDOW_US`, zero by default) are
+//! coalesced, up to `MORPHEUS_BATCH_MAX` rows, into one such call on the
+//! shared resident worker pool. Batched ≡ unbatched ≡ full-table
+//! `predict` on the factorized operand, **bit for bit**, under
+//! `lmm_accumulate`'s association — batching is invisible to clients
+//! except in latency and throughput.
 //!
 //! Operational behavior:
 //!

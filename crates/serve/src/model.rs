@@ -25,6 +25,15 @@ impl ScoringModel {
         }
     }
 
+    /// Turns linear margins `T w` into this model's scores, in place — the
+    /// step [`ScoringModel::score_into`] applies after its product.
+    pub(crate) fn link(&self, margins: &mut [f64]) {
+        match self {
+            ScoringModel::Linear(_) => {}
+            ScoringModel::Logistic(_) => morpheus_ml::logreg::sigmoid_in_place(margins),
+        }
+    }
+
     /// Scores `t` into `out` (one value per row of `t`). Bit-identical
     /// regardless of which rows accompany a given row in `t` — the
     /// invariant that lets the service coalesce requests freely.

@@ -1,16 +1,21 @@
 //! The micro-batching scoring service.
 //!
-//! One scorer loop: pop the oldest request, keep coalescing queued
-//! requests **in FIFO order** into the batch until the row budget is
-//! full or the latency window since the batch opened has elapsed, then
-//! score the union as a *single* row slice of the factorized
-//! representation with one planned evaluation. The per-request answers
-//! are carved back out of the batch output by offset — valid because
-//! every scoring kernel underneath is row-independent, so a row's score
-//! is bit-identical no matter which other rows ride along.
+//! At load, the model's share of the LMM rewrite that does not depend on
+//! the request — one partial score per attribute-table row, `Bᵢ wᵢ` — is
+//! computed once ([`NormalizedMatrix::lmm_partials`]). One scorer loop
+//! then pops the oldest request, keeps coalescing queued requests **in
+//! FIFO order** into the batch until the row budget is full or the
+//! latency window since the batch opened has elapsed, and finishes the
+//! union of their rows from those partials in one call
+//! ([`NormalizedMatrix::lmm_rows_from_partials`]): an entity-feature dot
+//! plus one gathered partial per attribute table per row. The
+//! per-request answers are carved back out of the batch output by offset
+//! — valid because that call is row-independent, so a row's score is
+//! bit-identical no matter which other rows ride along.
 
 use crate::{ScoringModel, ServeConfig, ServeStats};
-use morpheus_core::{cost, MachineProfile, Matrix, NormalizedMatrix, Strategy};
+use morpheus_core::{Matrix, NormalizedMatrix, Strategy};
+use morpheus_dense::DenseMatrix;
 use morpheus_runtime::faults::{self, Degradation};
 use morpheus_runtime::Runtime;
 use std::collections::VecDeque;
@@ -63,17 +68,21 @@ impl std::error::Error for ServeError {}
 
 /// The scoring representation the service locked in at startup.
 ///
-/// Decided **once**, from [`ServeConfig::strategy`] — never per batch:
+/// Fixed **once**, from [`ServeConfig::strategy`] — never per batch:
 /// factorized partial sums and a materialized row dot product accumulate
-/// in different orders, so re-deciding per batch would let two batch
+/// in different orders, so switching per batch would let two batch
 /// sizes return bitwise-different scores for the same row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Batches are row slices of the factorized representation; the join
-    /// is never materialized.
+    /// Rows are scored from per-table partial scores computed at load;
+    /// the join is never materialized. Every strategy but
+    /// [`Strategy::AlwaysMaterialize`] serves this way — it does less
+    /// work per row than the resident join on every schema.
     Factorized,
     /// The join was materialized once at startup; batches gather rows
-    /// from the resident join output.
+    /// from the resident join output. Only
+    /// [`Strategy::AlwaysMaterialize`] asks for it: the materialized
+    /// oracle the equivalence tests compare against.
     Resident,
 }
 
@@ -150,12 +159,15 @@ impl Ticket {
     }
 }
 
-/// The data representation batches are sliced from.
+/// The data representation batches are scored from.
 enum Backing {
-    /// Row slices of the factorized representation
-    /// ([`NormalizedMatrix::select_rows`]) — the join is never
+    /// The normalized data plus the model's
+    /// [`NormalizedMatrix::lmm_partials`] — the join is never
     /// materialized, per request or otherwise.
-    Factorized(NormalizedMatrix),
+    Factorized {
+        tn: NormalizedMatrix,
+        partials: Vec<DenseMatrix>,
+    },
     /// Rows gathered from the join output, materialized once at startup
     /// (the long-lived analog of the planner's join memo).
     Resident(Matrix),
@@ -214,16 +226,17 @@ impl ScoringService {
     /// Loads `model` over the normalized data `tn` and starts
     /// `config.scorers` scorer threads.
     ///
-    /// The scoring mode (factorized slicing vs. resident materialized
-    /// gathering) is decided here, once, from `config.strategy` — see
-    /// [`ServeMode`] for why it must not vary per batch. With
-    /// [`Strategy::AlwaysMaterialize`] (or a cost/heuristic verdict for
-    /// it) the join is materialized now, so steady-state batches only
-    /// pay a row gather.
+    /// The scoring mode is fixed here, once, from `config.strategy` — see
+    /// [`ServeMode`] for why it must not vary per batch. The factorized
+    /// mode computes the model's per-table partial scores now; with
+    /// [`Strategy::AlwaysMaterialize`] the join is materialized now
+    /// instead, and batches gather its rows.
     ///
     /// # Panics
-    /// Panics if the model weight vector is not `d x 1` for `tn`'s `d`,
-    /// or if a scorer thread cannot be spawned.
+    /// Panics if `tn` is a transposed view (its rows are features, not
+    /// entities, so no request could be answered), if the model weight
+    /// vector is not `d x 1` for `tn`'s `d`, or if a scorer thread cannot
+    /// be spawned.
     pub fn new(tn: NormalizedMatrix, model: ScoringModel, config: ServeConfig) -> ScoringService {
         let cfg = ServeConfig {
             batch_max: config.batch_max.max(1),
@@ -231,6 +244,10 @@ impl ScoringService {
             scorers: config.scorers.max(1),
             ..config
         };
+        assert!(
+            !tn.is_transposed(),
+            "serve: a transposed view has no entity rows to score"
+        );
         assert_eq!(
             model.weights().shape(),
             (tn.cols(), 1),
@@ -238,9 +255,12 @@ impl ScoringService {
             tn.cols()
         );
         let n_rows = tn.rows();
-        let mode = decide_mode(&tn, &cfg);
+        let mode = decide_mode(cfg.strategy);
         let backing = match mode {
-            ServeMode::Factorized => Backing::Factorized(tn),
+            ServeMode::Factorized => Backing::Factorized {
+                partials: tn.lmm_partials(model.weights()),
+                tn,
+            },
             ServeMode::Resident => Backing::Resident(tn.materialize()),
         };
         let inner = Arc::new(Inner {
@@ -373,33 +393,13 @@ impl Drop for ScoringService {
     }
 }
 
-/// Maps the routing strategy to a scoring mode, once.
-fn decide_mode(tn: &NormalizedMatrix, cfg: &ServeConfig) -> ServeMode {
-    match cfg.strategy {
-        Strategy::AlwaysFactorize => ServeMode::Factorized,
+/// Maps the routing strategy to a scoring mode, once. Scoring from
+/// precomputed partials is less work per row than gathering the resident
+/// join on every schema, so there is no verdict to weigh.
+fn decide_mode(strategy: Strategy) -> ServeMode {
+    match strategy {
         Strategy::AlwaysMaterialize => ServeMode::Resident,
-        Strategy::Heuristic(rule) => {
-            if rule.should_factorize(tn) {
-                ServeMode::Factorized
-            } else {
-                ServeMode::Resident
-            }
-        }
-        Strategy::CostBased => {
-            // Steady-state comparison at the configured batch size: the
-            // one-off join materialization is sunk cost for a long-lived
-            // server, so only the per-batch rates compete. Ties go to
-            // factorized — it never pays the join.
-            let est = match &cfg.profile {
-                Some(p) => cost::estimate_row_slice(p, tn, cfg.batch_max, 1),
-                None => cost::estimate_row_slice(MachineProfile::global(), tn, cfg.batch_max, 1),
-            };
-            if est.factorized_ns <= est.materialized_op_ns {
-                ServeMode::Factorized
-            } else {
-                ServeMode::Resident
-            }
-        }
+        _ => ServeMode::Factorized,
     }
 }
 
@@ -496,7 +496,10 @@ fn run_batch(inner: &Inner, batch: &[Pending], rows: &mut Vec<usize>, out: &mut 
         // Concurrent scorers split the one resident worker pool instead
         // of oversubscribing it.
         Runtime::with_pool_share(inner.cfg.scorers, || match &inner.backing {
-            Backing::Factorized(tn) => inner.model.score_into(&tn.select_rows(rows), out),
+            Backing::Factorized { tn, partials } => {
+                tn.lmm_rows_from_partials(partials, rows, out);
+                inner.model.link(out);
+            }
             Backing::Resident(m) => inner.model.score_into(&m.gather_rows(rows), out),
         });
     }));
@@ -597,38 +600,38 @@ mod tests {
 
     #[test]
     fn mode_decision_follows_strategy() {
-        let (tn, _) = fixture(200, 4, 1);
-        let base = quick_config();
-        // High tuple ratio (200/4) and feature ratio (4/3 > 1): the
-        // heuristic rule favors factorized.
-        let cfg = base
-            .clone()
-            .with_strategy(Strategy::Heuristic(DecisionRule::default()));
-        assert_eq!(decide_mode(&tn, &cfg), ServeMode::Factorized);
         assert_eq!(
-            decide_mode(&tn, &base.clone().with_strategy(Strategy::AlwaysFactorize)),
-            ServeMode::Factorized
+            decide_mode(Strategy::AlwaysMaterialize),
+            ServeMode::Resident
         );
-        let cfg = base.clone().with_strategy(Strategy::AlwaysMaterialize);
-        assert_eq!(decide_mode(&tn, &cfg), ServeMode::Resident);
-        // Cost-based: with a wide attribute table the factorized slice
-        // replaces a 62-feature dense product by two tiny ones, beating
-        // the resident gather; the narrow 7-feature fixture's slicing
-        // overhead dominates instead, flipping the verdict to resident.
-        let s = DenseMatrix::from_fn(500, 2, |i, j| (i + j) as f64 * 0.01);
-        let r = DenseMatrix::from_fn(10, 60, |i, j| (i * 60 + j) as f64 * 0.001);
-        let fk: Vec<usize> = (0..500).map(|i| i % 10).collect();
-        let wide = NormalizedMatrix::pk_fk(s.into(), &fk, r.into());
-        let cost_cfg = base
-            .clone()
-            .with_strategy(Strategy::CostBased)
-            .with_profile(MachineProfile::REFERENCE);
-        assert_eq!(decide_mode(&wide, &cost_cfg), ServeMode::Factorized);
-        assert_eq!(decide_mode(&tn, &cost_cfg), ServeMode::Resident);
-        // A redundancy-free join (tuple ratio 1) fails the heuristic.
-        let (flat, _) = fixture(4, 4, 1);
-        let cfg = base.with_strategy(Strategy::Heuristic(DecisionRule::default()));
-        assert_eq!(decide_mode(&flat, &cfg), ServeMode::Resident);
+        for strategy in [
+            Strategy::AlwaysFactorize,
+            Strategy::Heuristic(DecisionRule::default()),
+            Strategy::CostBased,
+        ] {
+            assert_eq!(decide_mode(strategy), ServeMode::Factorized);
+        }
+    }
+
+    #[test]
+    fn default_config_serves_factorized_without_a_window() {
+        // Pinned to the strategy an unset MORPHEUS_STRATEGY gives.
+        let cfg = ServeConfig::default().with_strategy(Strategy::CostBased);
+        assert_eq!(cfg.batch_window, Duration::ZERO);
+        // A redundancy-free join, which every per-operator rule would
+        // materialize, is still served from partials.
+        let (flat, w) = fixture(4, 4, 1);
+        let svc = ScoringService::new(flat, ScoringModel::Linear(w), cfg);
+        assert_eq!(svc.mode(), ServeMode::Factorized);
+    }
+
+    #[test]
+    #[should_panic(expected = "transposed view")]
+    fn transposed_data_is_rejected_at_load() {
+        let (tn, _) = fixture(10, 4, 5);
+        let tt = tn.transpose();
+        let w = DenseMatrix::zeros(tt.cols(), 1);
+        ScoringService::new(tt, ScoringModel::Linear(w), quick_config());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use morpheus::prelude::*;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Serializes cases: the pool and its configured size are process-global.
@@ -27,12 +27,14 @@ proptest! {
         let _serial = THREADS_LOCK.lock().unwrap();
         let configured = Runtime::threads();
         let stop = Arc::new(AtomicBool::new(false));
+        let rounds = Arc::new(AtomicU64::new(0));
 
         // Load generator: runs parallel sections back to back, checking
         // each against its closed form. Any lost stride or torn result
         // shows up as a wrong element here.
         let worker = {
             let stop = Arc::clone(&stop);
+            let done = Arc::clone(&rounds);
             std::thread::spawn(move || {
                 let ex = Executor::new(4);
                 let mut rounds = 0u64;
@@ -44,8 +46,8 @@ proptest! {
                     let total = ex.map_reduce(n, |i| i as u64, 0, |a, b| a + b);
                     assert_eq!(total, (n as u64) * (n as u64 - 1) / 2, "round {rounds}: bad reduction");
                     rounds += 1;
+                    done.store(rounds, Ordering::Relaxed);
                 }
-                rounds
             })
         };
 
@@ -61,9 +63,18 @@ proptest! {
             std::thread::yield_now();
         }
 
+        // A short storm can finish before the generator thread has been
+        // scheduled at all; hold the stop flag until it has overlapped at
+        // least one whole round (or died, which `join` reports).
+        while rounds.load(Ordering::Relaxed) == 0 && !worker.is_finished() {
+            std::thread::yield_now();
+        }
         stop.store(true, Ordering::Relaxed);
-        let rounds = worker.join().expect("load generator must not panic");
+        worker.join().expect("load generator must not panic");
         Runtime::set_threads(configured);
-        prop_assert!(rounds > 0, "the load generator must have completed at least one round");
+        prop_assert!(
+            rounds.load(Ordering::Relaxed) > 0,
+            "the load generator must have completed at least one round"
+        );
     }
 }

@@ -1,11 +1,13 @@
 //! Property suite for the micro-batched scoring service: coalescing must
 //! be *invisible* except in throughput.
 //!
-//! 1. **Batching equivalence** — for random PK-FK schemas, models, and
-//!    request mixes, scores from a micro-batched service are bit-identical
-//!    to batch-size-1 scoring and to one full-table scoring pass, across
-//!    scorer thread counts {1, 8} and routing strategies
-//!    {heuristic, cost-based}.
+//! 1. **Batching equivalence** — for random schemas (dense PK-FK, a star
+//!    with a sparse attribute table, an M:N join), models, and request
+//!    mixes, scores from a micro-batched service are bit-identical to
+//!    batch-size-1 scoring and to one full-table scoring pass, across
+//!    scorer thread counts {1, 8}, coalescing windows {0, 500 µs} and
+//!    every routing strategy (always-materialize keeps the resident
+//!    oracle covered).
 //! 2. **Chaos** — with a seeded `serve.batch` panic schedule injected,
 //!    every request either returns those same bit-identical scores or the
 //!    structured [`ServeError::BatchAborted`] — never a partial or wrong
@@ -19,6 +21,7 @@ use morpheus::core::Strategy; // disambiguate from proptest's Strategy trait
 use morpheus::prelude::*;
 use morpheus::runtime::faults;
 use morpheus::serve::{ScoringModel, ScoringService, ServeConfig, ServeError, ServeMode};
+use morpheus::sparse::CsrMatrix;
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 use std::time::Duration;
@@ -38,8 +41,9 @@ fn arb_scenario() -> impl PropStrategy<Value = Scenario> {
         1usize..24,
         any::<u64>(),
         any::<bool>(),
+        0usize..3,
     )
-        .prop_map(|(n_s, n_r, n_req, seed, logistic)| {
+        .prop_map(|(n_s, n_r, n_req, seed, logistic, schema)| {
             let mut state = seed;
             let mut next = move || {
                 state = state
@@ -49,10 +53,30 @@ fn arb_scenario() -> impl PropStrategy<Value = Scenario> {
             };
             let s = DenseMatrix::from_fn(n_s, 3, |_, _| next());
             let r = DenseMatrix::from_fn(n_r, 5, |_, _| next());
-            let fk: Vec<usize> = (0..n_s)
-                .map(|i| ((next().abs() * n_r as f64) as usize + i) % n_r)
-                .collect();
-            let tn = NormalizedMatrix::pk_fk(s.into(), &fk, r.into());
+            let mut keys = |len: usize, into: usize| -> Vec<usize> {
+                (0..len)
+                    .map(|i| ((next().abs() * into as f64) as usize + i) % into)
+                    .collect()
+            };
+            let tn = match schema {
+                0 => NormalizedMatrix::pk_fk(s.into(), &keys(n_s, n_r), r.into()),
+                1 => {
+                    // Star: a dense and a sparse (one entry per row)
+                    // attribute table.
+                    let n_r2 = n_r + 2;
+                    let triplets: Vec<_> = (0..n_r2).map(|i| (i, (i * 3) % 4, 1.5)).collect();
+                    let r2 = CsrMatrix::from_triplets(n_r2, 4, &triplets).unwrap();
+                    let (fk1, fk2) = (keys(n_s, n_r), keys(n_s, n_r2));
+                    NormalizedMatrix::star(s.into(), vec![(fk1, r.into()), (fk2, r2.into())])
+                }
+                _ => {
+                    // M:N: no identity part, both tables behind indicators.
+                    let n_t = n_s + n_r;
+                    let (is, ir) = (keys(n_t, n_s), keys(n_t, n_r));
+                    NormalizedMatrix::mn_join(s.into(), &is, r.into(), &ir)
+                }
+            };
+            let n = tn.rows();
             let w = DenseMatrix::from_fn(tn.cols(), 1, |_, _| next());
             let model = if logistic {
                 ScoringModel::Logistic(w)
@@ -63,7 +87,7 @@ fn arb_scenario() -> impl PropStrategy<Value = Scenario> {
                 .map(|_| {
                     let len = 1 + (next().abs() * 6.0) as usize;
                     (0..len)
-                        .map(|_| (next().abs() * n_s as f64) as usize % n_s)
+                        .map(|_| (next().abs() * n as f64) as usize % n)
                         .collect()
                 })
                 .collect();
@@ -121,13 +145,17 @@ fn check_bitwise(rows: &[usize], got: &[f64], truth: &DenseMatrix) {
     }
 }
 
-fn serve_config(strategy: Strategy, scorers: usize, batch_max: usize) -> ServeConfig {
+fn serve_config(
+    strategy: Strategy,
+    scorers: usize,
+    batch_max: usize,
+    window_us: u64,
+) -> ServeConfig {
     ServeConfig::default()
         .with_strategy(strategy)
-        .with_profile(MachineProfile::REFERENCE)
         .with_scorers(scorers)
         .with_batch_max(batch_max)
-        .with_batch_window(Duration::from_micros(500))
+        .with_batch_window(Duration::from_micros(window_us))
 }
 
 proptest! {
@@ -136,33 +164,41 @@ proptest! {
     #[test]
     fn batched_scoring_is_bit_identical_to_per_request(sc in arb_scenario()) {
         let _guard = faults::exclusive();
-        for strategy in [Strategy::Heuristic(DecisionRule::default()), Strategy::CostBased] {
-            for scorers in [1usize, 8] {
+        for strategy in [
+            Strategy::AlwaysFactorize,
+            Strategy::Heuristic(DecisionRule::default()),
+            Strategy::CostBased,
+            Strategy::AlwaysMaterialize,
+        ] {
+            for (scorers, window_us) in [(1usize, 0u64), (1, 500), (8, 0), (8, 500)] {
                 let batched = ScoringService::new(
                     sc.tn.clone(),
                     sc.model.clone(),
-                    serve_config(strategy, scorers, 32),
+                    serve_config(strategy, scorers, 32, window_us),
                 );
                 let single = ScoringService::new(
                     sc.tn.clone(),
                     sc.model.clone(),
-                    serve_config(strategy, scorers, 1),
+                    serve_config(strategy, scorers, 1, window_us),
                 );
-                let truth_b = ground_truth(&sc, batched.mode());
-                let truth_s = ground_truth(&sc, single.mode());
+                // The mode follows the strategy alone, never the data.
+                let mode = if strategy == Strategy::AlwaysMaterialize {
+                    ServeMode::Resident
+                } else {
+                    ServeMode::Factorized
+                };
+                prop_assert_eq!(batched.mode(), mode);
+                prop_assert_eq!(single.mode(), mode);
+                let truth = ground_truth(&sc, mode);
                 let got_b = drive(&batched, &sc.requests);
                 let got_s = drive(&single, &sc.requests);
                 for (rows, (b, s)) in sc.requests.iter().zip(got_b.iter().zip(&got_s)) {
                     let b = b.as_ref().expect("no faults configured");
                     let s = s.as_ref().expect("no faults configured");
-                    check_bitwise(rows, b, &truth_b);
-                    check_bitwise(rows, s, &truth_s);
-                    if batched.mode() == single.mode() {
-                        // The headline property: coalescing is invisible.
-                        for (x, y) in b.iter().zip(s) {
-                            prop_assert_eq!(x.to_bits(), y.to_bits());
-                        }
-                    }
+                    // The headline property: coalescing is invisible —
+                    // batched ≡ unbatched ≡ the full-table pass.
+                    check_bitwise(rows, b, &truth);
+                    check_bitwise(rows, s, &truth);
                 }
                 // Batch-size-1 must not coalesce; the batched side never
                 // sheds (queue cap far above the request count).
@@ -182,7 +218,7 @@ proptest! {
         let svc = ScoringService::new(
             sc.tn.clone(),
             sc.model.clone(),
-            serve_config(Strategy::Heuristic(DecisionRule::default()), 2, 16),
+            serve_config(Strategy::Heuristic(DecisionRule::default()), 2, 16, 500),
         );
         let truth = ground_truth(&sc, svc.mode());
         let outcomes = drive(&svc, &sc.requests);
