@@ -10,10 +10,11 @@
 //! `fig5b`, `fig5c`, `fig5d`, `table6`, `table7`, `table8`, `table9`,
 //! `table10`, `table12`, `fig6`, `fig7`, `fig8`, `fig9`, `fig10`, `fig11`,
 //! `fig12`, `ablation-crossprod`, `ablation-order`, `ablation-decision`,
-//! plus the serving benchmark `serve` (not from the paper: micro-batched
-//! vs per-request scoring throughput/latency).
+//! plus `ablation-crossover`, the cost model's predicted-vs-measured
+//! crossover per operator, which exits non-zero when the two disagree by
+//! more than 2x.
 
-use morpheus_bench::experiments::{ablation, algorithms, mn, operators, ore, serve, tables};
+use morpheus_bench::experiments::{ablation, algorithms, mn, operators, ore, tables};
 use std::time::Instant;
 
 const ALL: &[&str] = &[
@@ -36,12 +37,11 @@ const ALL: &[&str] = &[
     "table8",
     "table9",
     "table10",
-    "out-of-core",
     "table12",
     "ablation-crossprod",
     "ablation-order",
     "ablation-decision",
-    "serve",
+    "ablation-crossover",
 ];
 
 fn run(name: &str, quick: bool) -> bool {
@@ -123,17 +123,6 @@ fn run(name: &str, quick: bool) -> bool {
             ore::table10(quick);
             true
         }
-        "out-of-core" => {
-            ore::out_of_core(quick);
-            true
-        }
-        // The whole chunked-backend suite under one name.
-        "ore" => {
-            ore::table9(quick);
-            ore::table10(quick);
-            ore::out_of_core(quick);
-            true
-        }
         "table12" => {
             tables::table12(quick);
             true
@@ -151,8 +140,8 @@ fn run(name: &str, quick: bool) -> bool {
             ablation::print_adaptive_demo();
             true
         }
-        "serve" => {
-            serve::throughput(quick);
+        "ablation-crossover" => {
+            ablation::ablation_crossover();
             true
         }
         _ => false,

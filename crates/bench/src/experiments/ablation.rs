@@ -6,10 +6,14 @@
 //!   (§3.3.3).
 //! * the heuristic decision rule: how often τ=5/ρ=1 gets the F-vs-M choice
 //!   right across the operator grid (§3.7, §5.1).
+//! * the calibrated cost model's predicted F/M crossover against the
+//!   measured one, for **every priced operator** (§3.4) — the one
+//!   experiment here that is also a check: it fails when the two disagree.
 
 use super::{print_rows, Row};
 use crate::timing::time_median;
-use morpheus_core::DecisionRule;
+use morpheus_core::cost::{estimate_dmm, estimate_op, OpKind};
+use morpheus_core::{DecisionRule, MachineProfile, Matrix, NormalizedMatrix};
 use morpheus_data::synth::PkFkSpec;
 use morpheus_dense::DenseMatrix;
 use std::hint::black_box;
@@ -130,8 +134,7 @@ pub fn ablation_decision(quick: bool) -> Vec<Row> {
 /// materialized execution (the old construction-time `AdaptiveMatrix`
 /// behavior, now one strategy of `PlannedMatrix`).
 pub fn adaptive_demo() -> (bool, bool) {
-    use morpheus_core::cost::OpKind;
-    use morpheus_core::{DecisionRule, PlannedMatrix, Strategy};
+    use morpheus_core::{PlannedMatrix, Strategy};
     let hot = PkFkSpec::from_ratios(20.0, 4.0, 200, 10, 1).generate();
     let cold = PkFkSpec::from_ratios(1.0, 0.25, 200, 12, 1).generate();
     let strategy = Strategy::Heuristic(DecisionRule::default());
@@ -146,6 +149,358 @@ pub fn adaptive_demo() -> (bool, bool) {
 pub fn print_adaptive_demo() {
     let (hot, cold) = adaptive_demo();
     println!("\nheuristic planner routing: TR=20/FR=4 -> factorized = {hot}; TR=1/FR=0.25 -> factorized = {cold}");
+}
+
+/// Largest factor by which an operator's predicted and measured
+/// crossovers may disagree in [`ablation_crossover`].
+const DISPARITY_BAR: f64 = 2.0;
+
+/// One operator's crossover sweep configuration. Sizes differ per
+/// operator so the F/M crossover (where one exists) lands inside the TR
+/// grid while the whole sweep stays fast: `tcrossprod` produces an
+/// `n x n` output, so it runs at a much smaller scale than the others.
+struct Sweep {
+    label: &'static str,
+    op: OpKind,
+    fr: f64,
+    n_r: usize,
+    d_s: usize,
+    /// Timing repetitions per sweep point — higher for the cheap
+    /// streaming operators, whose microsecond-scale kernels are the
+    /// noisiest to measure.
+    reps: usize,
+}
+
+const PARAM_WIDTH: usize = 4;
+const TRS: [f64; 7] = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0];
+
+fn sweeps() -> Vec<Sweep> {
+    let mm = |label, op| Sweep {
+        label,
+        op,
+        fr: 0.5,
+        n_r: 500,
+        d_s: 20,
+        reps: 7,
+    };
+    // The streaming operators run microsecond-scale kernels; a larger
+    // attribute table and more repetitions keep their medians stable.
+    let streaming = |label, op| Sweep {
+        label,
+        op,
+        fr: 0.5,
+        n_r: 1_250,
+        d_s: 20,
+        reps: 11,
+    };
+    vec![
+        mm("lmm", OpKind::Lmm { m: PARAM_WIDTH }),
+        mm("t_lmm", OpKind::TLmm { m: PARAM_WIDTH }),
+        mm("rmm", OpKind::Rmm { m: PARAM_WIDTH }),
+        Sweep {
+            reps: 5,
+            ..mm("crossprod", OpKind::Crossprod)
+        },
+        // n x n output: small scale, and a feature split that gives the
+        // per-part Gram terms real TR-dependence (see gram_f).
+        Sweep {
+            label: "tcrossprod",
+            op: OpKind::Tcrossprod,
+            fr: 4.0,
+            n_r: 60,
+            d_s: 8,
+            reps: 5,
+        },
+        Sweep {
+            label: "dmm",
+            op: OpKind::Dmm { m: 20 },
+            fr: 0.5,
+            n_r: 300,
+            d_s: 20,
+            reps: 5,
+        },
+        streaming("elementwise", OpKind::Elementwise),
+        Sweep {
+            fr: 1.0,
+            ..streaming("row_min", OpKind::RowMin)
+        },
+        streaming("row_sums", OpKind::RowSums),
+        streaming("col_sums", OpKind::ColSums),
+        streaming("sum", OpKind::Sum),
+    ]
+}
+
+/// A PK-FK right operand for the dmm sweep, conformable with `a`
+/// (`rows == a.cols()`), of width `d_b`.
+fn dmm_rhs(a: &NormalizedMatrix, d_b: usize) -> NormalizedMatrix {
+    let n_b = a.cols();
+    let n_rb = (n_b / 6).max(1);
+    let d_sb = d_b / 2;
+    let sb = DenseMatrix::from_fn(n_b, d_sb, |i, j| ((i * 3 + j) % 7) as f64 * 0.3 - 1.0);
+    let rb = DenseMatrix::from_fn(n_rb, d_b - d_sb, |i, j| ((i + j * 2) % 5) as f64 * 0.4);
+    let fk: Vec<usize> = (0..n_b).map(|i| i % n_rb).collect();
+    NormalizedMatrix::pk_fk(sb.into(), &fk, rb.into())
+}
+
+/// Measured `(factorized, materialized)` wall-clock seconds for one
+/// operator at one sweep point. The materialized side times the operator
+/// alone on a prebuilt `T` — the same comparison the predicted ratio
+/// makes (`materialized_op_ns`, join materialization excluded), matching
+/// the planner's steady state where the memo is already paid.
+fn measure(op: OpKind, tn: &NormalizedMatrix, tm: &Matrix, reps: usize) -> (f64, f64) {
+    match op {
+        OpKind::Lmm { m } => {
+            let x = DenseMatrix::from_fn(tn.cols(), m, |i, j| ((i + j) % 5) as f64 * 0.25);
+            let f = time_median(reps, || black_box(tn.lmm(&x))).0;
+            let mt = time_median(reps, || black_box(tm.matmul_dense(&x))).0;
+            (f, mt)
+        }
+        OpKind::TLmm { m } => {
+            let x = DenseMatrix::from_fn(tn.rows(), m, |i, j| ((i * 2 + j) % 7) as f64 * 0.2);
+            let f = time_median(reps, || black_box(tn.t_lmm(&x))).0;
+            let mt = time_median(reps, || black_box(tm.t_matmul_dense(&x))).0;
+            (f, mt)
+        }
+        OpKind::Rmm { m } => {
+            let x = DenseMatrix::from_fn(m, tn.rows(), |i, j| ((i + j * 3) % 6) as f64 * 0.15);
+            let f = time_median(reps, || black_box(tn.rmm(&x))).0;
+            let mt = time_median(reps, || black_box(tm.dense_matmul(&x))).0;
+            (f, mt)
+        }
+        OpKind::Crossprod => {
+            let f = time_median(reps, || black_box(tn.crossprod())).0;
+            let mt = time_median(reps, || black_box(tm.crossprod())).0;
+            (f, mt)
+        }
+        OpKind::Tcrossprod => {
+            let f = time_median(reps, || black_box(tn.tcrossprod())).0;
+            let mt = time_median(reps, || black_box(tm.tcrossprod())).0;
+            (f, mt)
+        }
+        OpKind::Dmm { m } => {
+            let b = dmm_rhs(tn, m);
+            let bm = b.materialize();
+            let f = time_median(reps, || black_box(tn.dmm(&b))).0;
+            let mt = time_median(reps, || black_box(tm.matmul(&bm))).0;
+            (f, mt)
+        }
+        OpKind::Elementwise => {
+            let f = time_median(reps, || black_box(tn.scalar_mul(1.0001))).0;
+            let mt = time_median(reps, || black_box(tm.scalar_mul(1.0001))).0;
+            (f, mt)
+        }
+        OpKind::RowMin => {
+            let f = time_median(reps, || black_box(tn.row_min())).0;
+            let mt = time_median(reps, || black_box(tm.row_min())).0;
+            (f, mt)
+        }
+        OpKind::RowSums => {
+            let f = time_median(reps, || black_box(tn.row_sums())).0;
+            let mt = time_median(reps, || black_box(tm.row_sums())).0;
+            (f, mt)
+        }
+        OpKind::ColSums => {
+            let f = time_median(reps, || black_box(tn.col_sums())).0;
+            let mt = time_median(reps, || black_box(tm.col_sums())).0;
+            (f, mt)
+        }
+        OpKind::Sum => {
+            let f = time_median(reps, || black_box(tn.sum())).0;
+            let mt = time_median(reps, || black_box(tm.sum())).0;
+            (f, mt)
+        }
+        OpKind::Ginv | OpKind::ElementwiseFallback => {
+            unreachable!("not part of the crossover sweep")
+        }
+    }
+}
+
+/// Predicted M/F time ratio at one sweep point (> 1 ⇒ factorized wins).
+fn predicted_ratio(profile: &MachineProfile, tn: &NormalizedMatrix, op: OpKind) -> f64 {
+    match op {
+        OpKind::Dmm { m } => {
+            let est = estimate_dmm(profile, tn, &dmm_rhs(tn, m));
+            est.materialized_op_ns / est.factorized_ns
+        }
+        _ => {
+            let est = estimate_op(profile, tn, op);
+            est.materialized_op_ns / est.factorized_ns
+        }
+    }
+}
+
+/// Where a ratio series crosses 1.0 within the TR grid — or on which side
+/// of the grid it stays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Crossover {
+    /// Interpolated TR of the first ratio=1 crossing.
+    At(f64),
+    /// Ratio > 1 across the grid: factorized wins everywhere, so the
+    /// crossover (if any) sits below the smallest TR.
+    BelowGrid,
+    /// Ratio < 1 across the grid: materialized wins everywhere.
+    AboveGrid,
+}
+
+fn crossover(points: &[(f64, f64)]) -> Crossover {
+    let hit = points.windows(2).find_map(|w| {
+        let ((tr0, r0), (tr1, r1)) = (w[0], w[1]);
+        ((r0 - 1.0) * (r1 - 1.0) <= 0.0 && r0 != r1)
+            .then(|| tr0 + (tr1 - tr0) * (1.0 - r0) / (r1 - r0))
+    });
+    match hit {
+        Some(tr) => Crossover::At(tr),
+        None if points.iter().all(|&(_, r)| r > 1.0) => Crossover::BelowGrid,
+        None => Crossover::AboveGrid,
+    }
+}
+
+/// Verdict for one operator: the factor by which predicted and measured
+/// crossovers disagree (clamping unbracketed crossovers to the nearest
+/// grid edge, which under-states the disparity — a conservative bound),
+/// or a hard mismatch when the two series sit on opposite sides of 1.0
+/// across the whole grid.
+fn disparity(measured: Crossover, predicted: Crossover) -> Result<Option<f64>, String> {
+    use Crossover::*;
+    let (lo, hi) = (TRS[0], TRS[TRS.len() - 1]);
+    let clamp = |x: Crossover| match x {
+        At(tr) => tr,
+        BelowGrid => lo,
+        AboveGrid => hi,
+    };
+    match (measured, predicted) {
+        (BelowGrid, BelowGrid) | (AboveGrid, AboveGrid) => Ok(None),
+        (BelowGrid, AboveGrid) | (AboveGrid, BelowGrid) => {
+            Err("measured and predicted sit on opposite sides of the crossover everywhere".into())
+        }
+        (m, p) => {
+            let (m, p) = (clamp(m), clamp(p));
+            Ok(Some(if m > p { m / p } else { p / m }))
+        }
+    }
+}
+
+fn fmt_crossover(x: Crossover) -> String {
+    match x {
+        Crossover::At(tr) => format!("TR {tr:.2}"),
+        Crossover::BelowGrid => format!("< TR {} (F all)", TRS[0]),
+        Crossover::AboveGrid => format!("> TR {} (M all)", TRS[TRS.len() - 1]),
+    }
+}
+
+/// Calibrated-model validation across **every priced operator**: sweep
+/// the tuple ratio per operator, compare the measured M/F speed ratio at
+/// each point against the calibrated model's prediction, locate both
+/// crossovers, and panic when an operator misses `DISPARITY_BAR` (2x). An
+/// operator passes when either the crossover positions are within the
+/// bar or the predicted ratio tracks the measured ratio within the bar at
+/// every grid point — the positional test alone is ill-conditioned for
+/// near-flat curves. The planner is only as good as this agreement: the
+/// sweep turns the cost model from a tuned heuristic into a tested
+/// contract. There is no quick size; the sweep is sized so every
+/// crossover lands inside its grid.
+pub fn ablation_crossover() {
+    let profile = *MachineProfile::global();
+    println!("\nablation/planner-crossover: predicted vs measured M/F ratio per operator");
+    println!(
+        "(ratio > 1 means the factorized rewrite wins; crossover is the TR where it reaches 1)"
+    );
+
+    let mut failures: Vec<String> = Vec::new();
+    let mut summary: Vec<String> = Vec::new();
+    for sweep in sweeps() {
+        let mut measured: Vec<(f64, f64)> = Vec::new();
+        let mut predicted: Vec<(f64, f64)> = Vec::new();
+        println!(
+            "\n  {} (FR = {}, n_R = {}, d_S = {}):",
+            sweep.label, sweep.fr, sweep.n_r, sweep.d_s
+        );
+        println!(
+            "  {:>5} {:>12} {:>12} {:>10} {:>10}",
+            "TR", "meas F (s)", "meas M (s)", "meas M/F", "pred M/F"
+        );
+        for &tr in &TRS {
+            let ds = PkFkSpec::from_ratios(tr, sweep.fr, sweep.n_r, sweep.d_s, 33).generate();
+            let tn = ds.tn;
+            let tm = tn.materialize();
+            let (t_f, t_m) = measure(sweep.op, &tn, &tm, sweep.reps);
+            let pred = predicted_ratio(&profile, &tn, sweep.op);
+            measured.push((tr, t_m / t_f));
+            predicted.push((tr, pred));
+            println!(
+                "  {:>5} {:>12.6} {:>12.6} {:>10.3} {:>10.3}",
+                tr,
+                t_f,
+                t_m,
+                t_m / t_f,
+                pred
+            );
+        }
+        let (xm, xp) = (crossover(&measured), crossover(&predicted));
+        // Crossover position is ill-conditioned when both curves hover near
+        // 1.0 (the interpolation point swings across the whole grid on
+        // measurement noise), so the positional bar is backed by a pointwise
+        // one: if the predicted M/F ratio tracks the measured ratio within
+        // the bar at *every* grid point, the operator passes regardless of
+        // where interpolation puts the crossing. This bounds planner regret
+        // by the same factor the positional bar intends — a wrong F/M pick
+        // at a point where the two straddle 1.0 within the bar costs at
+        // most the bar.
+        let pointwise = measured
+            .iter()
+            .zip(&predicted)
+            .map(|(&(_, m), &(_, p))| (m / p).max(p / m))
+            .fold(0.0_f64, f64::max);
+        let pointwise_ok = pointwise <= DISPARITY_BAR;
+        let verdict = match disparity(xm, xp) {
+            Ok(None) => "agree (same side everywhere)".to_string(),
+            Ok(Some(ratio)) => {
+                let ok = ratio <= DISPARITY_BAR || pointwise_ok;
+                if !ok {
+                    failures.push(format!(
+                        "{}: crossovers {ratio:.2}x apart (measured {}, predicted {}), \
+                         pointwise {pointwise:.2}x",
+                        sweep.label,
+                        fmt_crossover(xm),
+                        fmt_crossover(xp)
+                    ));
+                }
+                format!(
+                    "{ratio:.2}x apart, pointwise {pointwise:.2}x{}",
+                    if ok { "" } else { "  ** FAIL **" }
+                )
+            }
+            Err(msg) => {
+                if pointwise_ok {
+                    format!("sides differ, pointwise {pointwise:.2}x")
+                } else {
+                    failures.push(format!(
+                        "{}: {msg} (pointwise {pointwise:.2}x)",
+                        sweep.label
+                    ));
+                    format!("sides differ, pointwise {pointwise:.2}x  ** FAIL ** ({msg})")
+                }
+            }
+        };
+        summary.push(format!(
+            "  {:<12} measured {:<20} predicted {:<20} {}",
+            sweep.label,
+            fmt_crossover(xm),
+            fmt_crossover(xp),
+            verdict
+        ));
+    }
+
+    println!("\nper-operator crossover summary (bar: {DISPARITY_BAR}x):");
+    for line in &summary {
+        println!("{line}");
+    }
+    assert!(
+        failures.is_empty(),
+        "planner-crossover: {} operator(s) exceed the {DISPARITY_BAR}x bar:\n  {}",
+        failures.len(),
+        failures.join("\n  ")
+    );
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@ pub mod algorithms;
 pub mod mn;
 pub mod operators;
 pub mod ore;
-pub mod serve;
 pub mod tables;
 
 /// A single measured configuration: a label plus named numeric columns.

@@ -1,8 +1,9 @@
 //! Minimal wall-clock timing helpers for the reproduction harness.
 //!
-//! Criterion is used for the statistically careful micro-benches; the
-//! `repro` binary sweeps dozens of configurations and needs something
-//! cheaper — a warmup pass plus the median of a few repetitions.
+//! The `repro` binary sweeps dozens of configurations and needs something
+//! cheap — a warmup pass plus the median of a few repetitions, returning
+//! the last result so tables can check what they time. (Calibration's
+//! min-of-k nanosecond timer is `morpheus_runtime::timing`.)
 
 use std::time::Instant;
 

@@ -310,19 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_write_failure_degrades_and_leaves_no_file() {
-        let _g = faults::exclusive();
-        faults::configure("spill.write=io_error").unwrap();
-        let before = faults::stats().spill_fallbacks;
-        let d = DenseMatrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        assert!(try_spill(&d).is_none());
-        assert_eq!(faults::stats().spill_fallbacks, before + 1);
-        faults::clear();
-        // With the failpoint cleared the same chunk spills fine.
-        assert!(try_spill(&d).is_some());
-    }
-
-    #[test]
     fn io_rates_are_positive_and_finite() {
         let (r, w) = io_rates();
         assert!(r.is_finite() && r > 0.0);

@@ -87,14 +87,10 @@ pub enum GemmIsa {
 
 impl GemmIsa {
     /// The level the plain kernel entry points dispatch to right now:
-    /// a process-wide forced override when one is set (tests/benches),
-    /// else the best level the CPU supports — demoted to the scalar
+    /// the best level the CPU supports — demoted to the scalar
     /// microkernel when `MORPHEUS_SIMD` is off (see
     /// [`Runtime::simd_enabled`]).
     pub fn active() -> GemmIsa {
-        if let Some(forced) = forced_isa() {
-            return forced;
-        }
         #[cfg(target_arch = "x86_64")]
         {
             let fma = std::arch::is_x86_feature_detected!("fma");
@@ -125,32 +121,6 @@ fn avx2_detected() -> bool {
         return false;
     }
     std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Process-wide ISA override: `0` none, else `GemmIsa` discriminant + 1.
-static FORCED_ISA: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Forces every subsequent GEMM dispatch to one ISA level (`None` returns
-/// to automatic detection). For tests and benches that compare kernel
-/// paths; forcing a level the CPU lacks is the caller's bug (the AVX2
-/// kernel is still only entered behind its own feature check).
-pub fn force_isa(isa: Option<GemmIsa>) {
-    let v = match isa {
-        None => 0,
-        Some(GemmIsa::Avx2Fma) => 1,
-        Some(GemmIsa::ScalarFma) => 2,
-        Some(GemmIsa::Portable) => 3,
-    };
-    FORCED_ISA.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-fn forced_isa() -> Option<GemmIsa> {
-    match FORCED_ISA.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => Some(GemmIsa::Avx2Fma),
-        2 => Some(GemmIsa::ScalarFma),
-        3 => Some(GemmIsa::Portable),
-        _ => None,
-    }
 }
 
 /// A strided read-only view of a row-major buffer: logical element
@@ -785,39 +755,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn active_isa_is_consistent_with_forcing() {
-        let auto = GemmIsa::active();
-        force_isa(Some(GemmIsa::Portable));
-        assert_eq!(GemmIsa::active(), GemmIsa::Portable);
-        force_isa(None);
-        assert_eq!(GemmIsa::active(), auto);
-    }
-
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn injected_detect_failure_demotes_to_the_bit_identical_scalar_tier() {
-        use morpheus_runtime::faults;
-        let _guard = faults::exclusive();
-        let healthy = GemmIsa::active();
-        if healthy != GemmIsa::Avx2Fma {
-            return; // no AVX2 to lose on this host (or the SIMD gate is off)
-        }
-        let fallbacks_before = faults::stats().simd_fallbacks;
-        faults::configure("simd.detect=off").unwrap();
-        assert_eq!(
-            GemmIsa::active(),
-            GemmIsa::ScalarFma,
-            "a failed AVX2 probe must demote GEMM to the scalar-FMA tier"
-        );
-        // Reductions demote too, and stay bit-identical by construction.
-        let xs = series(257, 5);
-        let faulted_sum = sum(&xs);
-        faults::clear();
-        assert!(faults::stats().simd_fallbacks > fallbacks_before);
-        assert_eq!(faulted_sum, sum(&xs), "demotion must not change bits");
-        assert_eq!(GemmIsa::active(), healthy, "detection must recover");
     }
 }

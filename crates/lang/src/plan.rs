@@ -1685,6 +1685,9 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_and_keying() {
+        // Every cache access passes the `plan.cache.lookup` failpoint that
+        // `poisoned_cache_recovers_by_clearing` arms.
+        let _guard = morpheus_runtime::faults::exclusive();
         let cache = PlanCache::new();
         let src = "sum(t(T) %*% (T %*% w))";
         let program = parse(src).unwrap();
@@ -1772,6 +1775,7 @@ mod tests {
 
     #[test]
     fn plan_cache_capacity_clears_wholesale() {
+        let _guard = morpheus_runtime::faults::exclusive();
         let cache = PlanCache::new();
         let plan_of = |src: &str| lower(&optimize(&parse(src).unwrap()));
         for i in 0..PLAN_CACHE_CAPACITY + 1 {
@@ -1811,6 +1815,7 @@ mod tests {
 
     #[test]
     fn global_cache_round_trip_when_enabled() {
+        let _guard = morpheus_runtime::faults::exclusive();
         if !cache_enabled() {
             return; // CI runs a MORPHEUS_PLAN_CACHE=off mode.
         }

@@ -5,8 +5,8 @@
 //! injected on demand — a panic, a simulated I/O error, a feature probe
 //! reporting "unavailable", or an artificial delay. With no failpoints
 //! configured the registry is *disarmed* and every check is a single
-//! relaxed atomic load (measurably free on the hot paths it guards; the
-//! `kernels`/`pkfk_operators` bench gate enforces that). Configuration
+//! relaxed atomic load (measurably free on the hot paths it guards).
+//! Configuration
 //! comes from the `MORPHEUS_FAILPOINTS` environment variable (read once,
 //! at first check) or programmatically via [`configure`] / [`clear`] —
 //! the test hooks the chaos suite uses.
@@ -517,6 +517,15 @@ pub fn reset_stats() {
 /// registry and the counters are process-global, so concurrent `#[test]`s
 /// in one binary would otherwise reconfigure each other mid-run; every
 /// fault-injecting test holds this guard for its duration.
+///
+/// The guard only excludes tests that take it. An armed failpoint fires
+/// in whichever test reaches its site first, and a sibling that arms
+/// nothing but runs the same code path without the guard can take the
+/// fault meant for another test. Hence the rule: a test that arms a
+/// failpoint lives in an integration-test binary (`tests/*.rs`) in which
+/// every test holds this guard. A test that needs crate-private items
+/// stays in its crate's lib tests instead, and then every test in that
+/// binary that reaches the armed failpoint takes the guard too.
 pub fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|e| {

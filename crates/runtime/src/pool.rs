@@ -368,7 +368,6 @@ pub(crate) fn broadcast(workers: usize, body: &(dyn Fn(usize) + Sync)) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
 
     #[test]
     fn broadcast_runs_every_stride_once() {
@@ -415,87 +414,5 @@ mod tests {
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "stride failure");
-    }
-
-    #[test]
-    fn injected_dispatch_fault_degrades_to_inline_serial() {
-        let _guard = faults::exclusive();
-        let fallbacks_before = faults::stats().pool_serial_fallbacks;
-        faults::configure("pool.dispatch=error").unwrap();
-        let hits = AtomicUsize::new(0);
-        broadcast(6, &|stride| {
-            hits.fetch_add(stride + 1, Ordering::Relaxed);
-        });
-        faults::clear();
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            21,
-            "results must be identical"
-        );
-        assert!(faults::stats().pool_serial_fallbacks > fallbacks_before);
-    }
-
-    #[test]
-    fn injected_spawn_failure_leaves_a_working_degraded_pool() {
-        let _guard = faults::exclusive();
-        let before = crate::Runtime::threads();
-        resize(0);
-        let failures_before = faults::stats().pool_spawn_failures;
-        faults::configure("pool.spawn=error").unwrap();
-        resize(2); // every spawn fails: pool stays empty
-        faults::clear();
-        assert!(faults::stats().pool_spawn_failures > failures_before);
-        let hits = AtomicUsize::new(0);
-        broadcast(4, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            4,
-            "inline serial must still run"
-        );
-        resize(before.saturating_sub(1));
-    }
-
-    #[test]
-    fn dead_workers_heal_and_the_pool_keeps_working() {
-        let _guard = faults::exclusive();
-        let before = crate::Runtime::threads();
-        let deaths_before = faults::stats().worker_deaths;
-        faults::configure("pool.worker=panic(times=2)").unwrap();
-        // Workers race the submitter for jobs; strides sleep so helpers
-        // reliably claim some. Loop until the failpoint demonstrably
-        // fired (a concurrent test may transiently shrink the pool).
-        for _ in 0..200 {
-            resize(3);
-            let hits = AtomicUsize::new(0);
-            broadcast(4, &|_| {
-                std::thread::sleep(Duration::from_millis(1));
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 4, "no stride may be lost");
-            if faults::fired_count("pool.worker") >= 2 {
-                break;
-            }
-        }
-        let fired = faults::fired_count("pool.worker");
-        faults::clear();
-        assert_eq!(fired, 2, "worker-death failpoint must have fired");
-        let s = faults::stats();
-        assert!(
-            s.worker_deaths >= deaths_before + 2,
-            "deaths must be counted"
-        );
-        assert!(
-            s.worker_respawns >= s.worker_deaths - deaths_before,
-            "heals must be counted"
-        );
-        // The healed pool still produces correct results.
-        let hits = AtomicUsize::new(0);
-        broadcast(8, &|stride| {
-            hits.fetch_add(stride, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 28);
-        resize(before.saturating_sub(1));
     }
 }

@@ -17,8 +17,9 @@ static SIMD: AtomicUsize = AtomicUsize::new(0);
 
 /// Default work size (in flops / fused operations) below which kernels run
 /// inline on the caller. Dispatching onto the resident pool is a queue
-/// push plus a condvar wake — the `spawn_overhead` bench group measures
-/// ~0.4–1.2 µs per tiny section, vs ~52 µs for the scoped-spawn path the
+/// push plus a condvar wake — ~0.4–1.2 µs per tiny section (the
+/// standing benchmark reports it as `runtime.dispatch_us`), vs ~52 µs for
+/// the scoped-spawn path the
 /// pool replaced — so the crossover sits around the serial time of a few
 /// thousand flops (`1 << 14` flops ≈ 3 µs at measured kernel rates). The
 /// old executor needed `1 << 18` flops to amortize its spawn tax; the

@@ -669,52 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_overflow_sheds_and_is_counted() {
-        let _guard = faults::exclusive();
-        // First batch stalls 400 ms inside scoring (queue lock released),
-        // giving this thread time to overfill the 2-slot queue.
-        faults::configure("serve.batch=sleep(400,times=1)").unwrap();
-        let (tn, w) = fixture(16, 4, 11);
-        let mut cfg = quick_config().with_batch_max(1);
-        cfg.queue_cap = 2;
-        cfg.batch_window = Duration::ZERO;
-        let svc = ScoringService::new(tn, ScoringModel::Linear(w), cfg);
-        let t0 = svc.submit(vec![0]).unwrap();
-        std::thread::sleep(Duration::from_millis(100)); // scorer now stalled in batch 1
-        let t1 = svc.submit(vec![1]).unwrap();
-        let t2 = svc.submit(vec![2]).unwrap();
-        let shed = svc.submit(vec![3]);
-        faults::clear();
-        assert_eq!(shed.err(), Some(ServeError::Shed));
-        for t in [t0, t1, t2] {
-            assert!(t.wait().is_ok());
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.requests, 3);
-        assert!(stats.max_queue_depth >= 2);
-    }
-
-    #[test]
-    fn injected_batch_panic_becomes_structured_error_and_service_survives() {
-        let _guard = faults::exclusive();
-        faults::configure("serve.batch=panic(times=1)").unwrap();
-        let (tn, w) = fixture(20, 4, 13);
-        let expected = morpheus_ml::linreg::predict(&tn, &w);
-        let svc = ScoringService::new(tn, ScoringModel::Linear(w), quick_config());
-        let aborted = svc.score(vec![1, 2]);
-        faults::clear();
-        assert_eq!(aborted.err(), Some(ServeError::BatchAborted));
-        // The scorer healed: the next request is answered, correctly.
-        let got = svc.score(vec![3]).unwrap();
-        assert_eq!(got[0].to_bits(), expected.get(3, 0).to_bits());
-        let stats = svc.stats();
-        assert_eq!(stats.batch_aborts, 1);
-        assert!(stats.faults.serve_batch_aborts >= 1);
-        assert_eq!(stats.rows_scored, 1);
-    }
-
-    #[test]
     fn concurrent_clients_coalesce() {
         let (tn, w) = fixture(64, 8, 17);
         let expected = morpheus_ml::linreg::predict(&tn, &w);
@@ -745,24 +699,5 @@ mod tests {
         assert!(stats.batches <= stats.batched_requests);
         assert!(stats.coalesce_ratio >= 1.0);
         assert_eq!(stats.queue_depth, 0);
-    }
-
-    #[test]
-    fn drop_drains_pending_requests() {
-        let _guard = faults::exclusive();
-        faults::configure("serve.batch=sleep(100,times=1)").unwrap();
-        let (tn, w) = fixture(12, 4, 19);
-        let svc = ScoringService::new(
-            tn,
-            ScoringModel::Linear(w),
-            quick_config().with_batch_max(1),
-        );
-        let t0 = svc.submit(vec![0]).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let t1 = svc.submit(vec![1]).unwrap();
-        drop(svc);
-        faults::clear();
-        assert!(t0.wait().is_ok());
-        assert!(t1.wait().is_ok());
     }
 }

@@ -43,6 +43,8 @@ proptest! {
         threads in 1usize..4,
         seed in any::<u64>(),
     ) {
+        // Every test in this binary holds the guard (see `faults::exclusive`).
+        let _guard = faults::exclusive();
         let d = mat(rows, cols, seed);
         let m = Matrix::Dense(d.clone());
         #[allow(deprecated)]
@@ -138,6 +140,7 @@ proptest! {
         let x = mat(cols, 2, seed ^ 0x88);
         let clean_lmm = clean.lmm(&x);
         let clean_sum = LinearOperand::sum(&clean);
+        let clean_crossprod = LinearOperand::crossprod(&clean);
 
         let point = if write_fail { "spill.write=io_error" } else { "spill.map=error" };
         faults::configure(&format!("{point}(0.5,seed={})", seed | 1)).unwrap();
@@ -154,6 +157,8 @@ proptest! {
         let chaotic_lmm = chaotic.lmm(&x);
         prop_assert_eq!(chaotic_lmm.as_slice(), clean_lmm.as_slice());
         prop_assert_eq!(LinearOperand::sum(&chaotic).to_bits(), clean_sum.to_bits());
+        let chaotic_crossprod = LinearOperand::crossprod(&chaotic);
+        prop_assert_eq!(chaotic_crossprod.as_slice(), clean_crossprod.as_slice());
         prop_assert!(chaotic.materialize().approx_eq(&m, 0.0));
     }
 }

@@ -10,7 +10,9 @@
 //! the path is explicit. The crash-safety tests inject faults through
 //! `morpheus::runtime::faults` — persistence goes through a
 //! same-directory temp file and an atomic rename, so a failed or crashed
-//! write must always leave the previous file intact.
+//! write must always leave the previous file intact. Every test persists
+//! through the `profile.write` failpoint those tests arm, so every test
+//! holds the registry's exclusive guard.
 
 use morpheus::prelude::*;
 use morpheus::runtime::faults;
@@ -35,6 +37,7 @@ fn fresh_rates() -> MachineProfile {
 
 #[test]
 fn global_profile_round_trips_through_the_env_path() {
+    let _guard = faults::exclusive();
     let mut path = std::env::temp_dir();
     path.push(format!(
         "morpheus-global-profile-{}.txt",
@@ -90,6 +93,7 @@ fn tmp_droppings(path: &std::path::Path) -> Vec<std::path::PathBuf> {
 
 #[test]
 fn truncated_or_garbage_file_recalibrates_and_rewrites_atomically() {
+    let _guard = faults::exclusive();
     for (name, junk) in [
         ("garbage", "!!! not a profile at all !!!".to_string()),
         (
