@@ -30,6 +30,11 @@
 //! conservative τ/ρ rule. Double matrix multiplication gets its own
 //! two-operand estimate ([`estimate_dmm`]) following the appendix-C block
 //! form rather than a width-`m` LMM approximation.
+//!
+//! Every estimate prices one operator call. There are two entry points:
+//! [`estimate_op`] for in-memory operands and [`estimate_op_chunked`] for
+//! chunked ones. Nothing prices a sequence of calls; the join's one-time
+//! cost is amortized by the planner's memo, call by call.
 
 use crate::{MachineProfile, NormalizedMatrix};
 
@@ -259,15 +264,6 @@ impl OpKind {
         OpKind::ElementwiseFallback,
         OpKind::Dmm { m: 2 },
     ];
-
-    /// The appendix-A dual this operator dispatches to on a transposed
-    /// input (`crossprod(Tᵀ)` runs as `tcrossprod(T)`, …). Used by the
-    /// script planner to attribute uses of transposed views back to the
-    /// root operand; [`estimate_op`] applies the same mapping internally
-    /// when the matrix itself carries the transpose flag.
-    pub fn dual(self) -> OpKind {
-        dual(self)
-    }
 }
 
 /// Estimated wall-clock nanoseconds for one operator, both ways.
@@ -633,79 +629,6 @@ pub fn estimate_op(profile: &MachineProfile, t: &NormalizedMatrix, op: OpKind) -
         factorized_ns,
         materialized_op_ns,
         materialize_ns: materialize,
-    }
-}
-
-/// Script-level look-ahead totals for a *sequence* of operator uses of
-/// one normalized operand — the whole-script counterpart of
-/// [`PlanEstimate`], produced by [`estimate_script`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScriptEstimate {
-    /// Simulated total ns of the per-call greedy planner over the
-    /// sequence: each use takes the cheaper route at its own decision
-    /// point, with the join charged to (and memoized by) the first
-    /// materialized verdict, exactly as [`PlanEstimate::materialized_total_ns`]
-    /// plays out call by call.
-    pub greedy_ns: f64,
-    /// Total ns with the join materialized up front: one
-    /// [`materialize_ns`] plus, per use, the cheaper of the factorized
-    /// rewrite and the bare materialized operator.
-    pub lookahead_ns: f64,
-    /// The one-time join materialization cost both totals price.
-    pub materialize_ns: f64,
-}
-
-impl ScriptEstimate {
-    /// `true` when materializing the join up front beats letting the
-    /// greedy per-call planner discover it (strictly — ties keep the
-    /// greedy schedule, which defers the join until an operator wants it).
-    pub fn prefer_upfront_materialize(&self) -> bool {
-        self.lookahead_ns < self.greedy_ns
-    }
-}
-
-/// Estimates the whole-script cost of `uses` — every planned operator the
-/// script applies to `t`, in order, loop bodies repeated per trip — both
-/// as the greedy per-call planner would schedule it and with the join
-/// materialized up front.
-///
-/// The greedy simulation mirrors [`estimate_op`]'s per-call comparison
-/// including the memo dynamics: once any use takes the materialized
-/// route, the join is sunk cost for every later use. The look-ahead total
-/// instead charges [`materialize_ns`] once and gives every use the
-/// cheaper of its two routes. Since the factorized route stays available
-/// after materializing (the memo never spends the normalized form for
-/// read-only ops), `lookahead_ns` can only beat `greedy_ns` when the
-/// summed per-use materialized savings outweigh the join — exactly the
-/// look-ahead the per-call planner cannot see.
-///
-/// `uses` are interpreted against `t` as-is: callers tracking transposed
-/// views of `t` should map each use through [`OpKind::dual`] per
-/// transpose before recording it.
-pub fn estimate_script(
-    profile: &MachineProfile,
-    t: &NormalizedMatrix,
-    uses: &[OpKind],
-) -> ScriptEstimate {
-    let join_ns = materialize_ns(profile, t);
-    let mut greedy = 0.0;
-    let mut memoized = false;
-    let mut lookahead = join_ns;
-    for &op in uses {
-        let est = estimate_op(profile, t, op);
-        let mat_total = est.materialized_total_ns(memoized);
-        if est.factorized_ns < mat_total {
-            greedy += est.factorized_ns;
-        } else {
-            greedy += mat_total;
-            memoized = true;
-        }
-        lookahead += est.factorized_ns.min(est.materialized_op_ns);
-    }
-    ScriptEstimate {
-        greedy_ns: greedy,
-        lookahead_ns: lookahead,
-        materialize_ns: join_ns,
     }
 }
 
@@ -1385,92 +1308,6 @@ mod tests {
             ratio_high > ratio_low,
             "crossprod speedup should grow with TR: {ratio_low} vs {ratio_high}"
         );
-    }
-
-    #[test]
-    fn estimate_script_matches_per_call_simulation() {
-        // The greedy total must be exactly what replaying estimate_op
-        // call-by-call (with memo dynamics) produces.
-        let p = MachineProfile::REFERENCE;
-        let t = pkfk(400, 3, 40, 6);
-        let uses = [
-            OpKind::Elementwise,
-            OpKind::ElementwiseFallback,
-            OpKind::Lmm { m: 1 },
-            OpKind::Crossprod,
-            OpKind::ElementwiseFallback,
-        ];
-        let script = estimate_script(&p, &t, &uses);
-        let mut greedy = 0.0;
-        let mut memoized = false;
-        for &op in &uses {
-            let e = estimate_op(&p, &t, op);
-            let m = e.materialized_total_ns(memoized);
-            if e.factorized_ns < m {
-                greedy += e.factorized_ns;
-            } else {
-                greedy += m;
-                memoized = true;
-            }
-        }
-        assert_eq!(script.greedy_ns, greedy);
-        assert_eq!(script.materialize_ns, materialize_ns(&p, &t));
-    }
-
-    #[test]
-    fn lookahead_never_loses_by_more_than_one_join() {
-        // lookahead = join + Σ min(f, m_op) while greedy ≥ Σ min(f, m_op):
-        // the upfront schedule can lose at most the join it pre-pays, and
-        // wins exactly when deferred per-call materialized savings exist.
-        let p = MachineProfile::REFERENCE;
-        let t = pkfk(300, 4, 30, 4);
-        for uses in [
-            vec![OpKind::Elementwise; 3],
-            vec![OpKind::Crossprod, OpKind::Sum, OpKind::Lmm { m: 2 }],
-            vec![OpKind::ElementwiseFallback; 6],
-        ] {
-            let s = estimate_script(&p, &t, &uses);
-            assert!(s.lookahead_ns <= s.greedy_ns + s.materialize_ns + 1e-9);
-            assert!(s.greedy_ns >= s.lookahead_ns - s.materialize_ns - 1e-9);
-        }
-    }
-
-    #[test]
-    fn repeated_fallback_uses_flip_the_script_verdict() {
-        // One §3.3.7 fallback: the greedy planner already materializes
-        // (its factorized route materializes internally anyway), so
-        // look-ahead cannot help. Many fallback uses *after* factorized-
-        // looking elementwise ops: the greedy path still wins the same
-        // way. The interesting flip needs ops where greedy prefers the
-        // factorized route per call but the summed materialized savings
-        // exceed the join — construct it with a high-redundancy join
-        // whose elementwise ops are individually near break-even.
-        let p = MachineProfile::REFERENCE;
-        // TR = 1: no redundancy, so factorized row_min pays gathers the
-        // materialized scan avoids — per-call savings exist but each call
-        // alone cannot justify the join.
-        let t = pkfk(64, 2, 64, 32);
-        let one = estimate_script(&p, &t, &[OpKind::RowMin]);
-        // A single use never prefers up-front materialization when the
-        // greedy route factorizes it.
-        let e = estimate_op(&p, &t, OpKind::RowMin);
-        if e.factorized_ns < e.materialized_total_ns(false) {
-            assert!(!one.prefer_upfront_materialize());
-        }
-        // Stack enough uses and the verdict must eventually flip iff each
-        // use leaves per-call savings on the table while the greedy
-        // planner still factorizes it per call (f < m_op + join).
-        let gap = e.factorized_ns - e.materialized_op_ns;
-        if gap > 0.0 && e.factorized_ns < e.materialized_total_ns(false) {
-            let needed = (e.materialize_ns / gap).ceil() as usize + 1;
-            let many = estimate_script(&p, &t, &vec![OpKind::RowMin; needed.min(10_000)]);
-            if (needed as f64) < 10_000.0 {
-                assert!(
-                    many.prefer_upfront_materialize(),
-                    "{needed} uses at gap {gap} should justify the join: {many:?}"
-                );
-            }
-        }
     }
 
     #[test]

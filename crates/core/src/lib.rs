@@ -70,9 +70,7 @@ pub use error::{CoreError, CoreResult, MorpheusError, Result};
 pub use matrix::Matrix;
 pub use normalized::{AttributePart, Indicator, JoinStats, NormalizedMatrix};
 pub use ops_trait::LinearOperand;
-pub use planner::{
-    plan_with, Decision, DecisionHook, PlannedMatrix, ScriptDecision, Strategy, STRATEGY_ENV,
-};
+pub use planner::{plan_with, Decision, DecisionHook, PlannedMatrix, Strategy, STRATEGY_ENV};
 pub use profile::{
     CalibrationResult, DenseTier, MachineProfile, CALIBRATION_TIMEOUT_ENV,
     DEFAULT_CALIBRATION_TIMEOUT_MS, PROFILE_FORMAT_VERSION, PROFILE_PATH_ENV,

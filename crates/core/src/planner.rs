@@ -12,6 +12,10 @@
 //! [`OnceLock`] so one "materialize" verdict is paid once and amortizes
 //! across every later operator.
 //!
+//! This per-call decision is the only router. A script is routed the same
+//! way, one call at a time: the script planner removes repeated calls
+//! (CSE) and fuses chains, but never decides a route itself.
+//!
 //! Whichever route is chosen, the operator is delegated verbatim to the
 //! pure implementation ([`NormalizedMatrix`] or [`Matrix`]), so planned
 //! results are bit-for-bit identical to the corresponding pure path —
@@ -21,7 +25,7 @@
 //! selects the strategy process-wide, and a [`DecisionHook`] exposes every
 //! verdict for tests, logging, and the ablation benches.
 
-use crate::cost::{estimate_op, estimate_script, OpKind, PlanEstimate, ScriptEstimate};
+use crate::cost::{estimate_op, OpKind, PlanEstimate};
 use crate::{DecisionRule, JoinStats, LinearOperand, MachineProfile, Matrix, NormalizedMatrix};
 use morpheus_dense::DenseMatrix;
 use std::sync::{Arc, OnceLock};
@@ -149,20 +153,6 @@ pub fn plan_with(
             }
         }
     }
-}
-
-/// A whole-script routing verdict from [`PlannedMatrix::plan_script`]:
-/// whether materializing the join up front beats letting the greedy
-/// per-call planner schedule the given sequence of uses.
-#[derive(Debug, Clone, Copy)]
-pub struct ScriptDecision {
-    /// Simulated total ns of the greedy per-call schedule.
-    pub greedy_ns: f64,
-    /// Total ns with the join materialized up front.
-    pub lookahead_ns: f64,
-    /// `true` when the caller should [`PlannedMatrix::prematerialize`]
-    /// before evaluating the script.
-    pub materialize_upfront: bool,
 }
 
 /// Which concrete representation a planned matrix carries.
@@ -322,50 +312,6 @@ impl PlannedMatrix {
         match &self.repr {
             Repr::Factorized(t) => Some(self.plan_for(t, op)),
             Repr::Materialized(_) => None,
-        }
-    }
-
-    /// Whole-script look-ahead: given every operator the script will
-    /// apply to this matrix (in order, loop bodies repeated per trip),
-    /// decides whether to materialize the join **up front** — comparing
-    /// the one-time join cost against the *total* factorized-vs-
-    /// materialized delta across all uses, which the greedy per-call
-    /// planner cannot see ([`crate::cost::estimate_script`]).
-    ///
-    /// Only [`Strategy::CostBased`] plans scripts: the always-arms and
-    /// the paper's heuristic are routing policies the look-ahead must not
-    /// override (`AlwaysFactorize` in particular must never pay a join).
-    /// Returns `None` for them, for spent representations, and when the
-    /// join is already memoized (the decision is moot — pre-materializing
-    /// would be a no-op).
-    ///
-    /// Uses of transposed or element-wise-derived *views* of this matrix
-    /// should be attributed back to it by the caller, mapped through
-    /// [`OpKind::dual`] per transpose.
-    pub fn plan_script(&self, uses: &[OpKind]) -> Option<ScriptDecision> {
-        if !matches!(self.strategy, Strategy::CostBased) || self.is_memoized() {
-            return None;
-        }
-        let t = self.normalized()?;
-        let est: ScriptEstimate = estimate_script(self.profile.get(), t, uses);
-        Some(ScriptDecision {
-            greedy_ns: est.greedy_ns,
-            lookahead_ns: est.lookahead_ns,
-            materialize_upfront: est.prefer_upfront_materialize(),
-        })
-    }
-
-    /// Fills the materialization memo now, so every later per-call
-    /// decision sees the join as sunk cost ([`PlanEstimate::materialized_total_ns`]
-    /// with `memoized = true`) and routes by bare operator cost. Idempotent;
-    /// a no-op on spent representations. Numerics are unaffected — the
-    /// memoized join is exactly what any later materialized route would
-    /// have built.
-    ///
-    /// [`PlanEstimate::materialized_total_ns`]: crate::cost::PlanEstimate::materialized_total_ns
-    pub fn prematerialize(&self) {
-        if let Repr::Factorized(t) = &self.repr {
-            let _ = self.memo_ref(t);
         }
     }
 
@@ -985,82 +931,6 @@ mod tests {
         assert!(
             pa_mat.is_memoized(),
             "materialized dmm memoizes the left join"
-        );
-    }
-
-    #[test]
-    fn plan_script_only_cost_based_and_only_while_unmemoized() {
-        let tn = pkfk(120, 3, 12, 4);
-        let uses = [OpKind::Elementwise, OpKind::Crossprod, OpKind::Sum];
-        for strategy in [
-            Strategy::AlwaysFactorize,
-            Strategy::AlwaysMaterialize,
-            Strategy::Heuristic(DecisionRule::default()),
-        ] {
-            let p = PlannedMatrix::with_strategy(tn.clone(), strategy);
-            assert!(p.plan_script(&uses).is_none(), "{strategy:?} must not plan");
-        }
-        let p = PlannedMatrix::with_strategy(tn.clone(), Strategy::CostBased)
-            .with_profile(MachineProfile::REFERENCE);
-        let d = p.plan_script(&uses).expect("cost-based plans scripts");
-        assert!(d.greedy_ns.is_finite() && d.lookahead_ns.is_finite());
-        // Once the join is memoized the decision is moot.
-        p.prematerialize();
-        assert!(p.is_memoized());
-        assert!(p.plan_script(&uses).is_none());
-        // And on a spent representation there is nothing to plan.
-        let spent = PlannedMatrix::with_strategy(tn, Strategy::AlwaysMaterialize).scalar_mul(2.0);
-        assert!(spent.normalized().is_none());
-        assert!(spent.plan_script(&uses).is_none());
-    }
-
-    #[test]
-    fn plan_script_verdict_matches_the_cost_model() {
-        let tn = pkfk(200, 3, 20, 6);
-        let profile = MachineProfile::REFERENCE;
-        let p = PlannedMatrix::with_strategy(tn.clone(), Strategy::CostBased).with_profile(profile);
-        for uses in [
-            vec![OpKind::Crossprod],
-            vec![OpKind::ElementwiseFallback; 4],
-            vec![OpKind::RowMin; 12],
-            vec![OpKind::Lmm { m: 1 }, OpKind::TLmm { m: 1 }, OpKind::Sum],
-        ] {
-            let d = p.plan_script(&uses).unwrap();
-            let est = crate::cost::estimate_script(&profile, &tn, &uses);
-            assert_eq!(d.greedy_ns, est.greedy_ns);
-            assert_eq!(d.lookahead_ns, est.lookahead_ns);
-            assert_eq!(d.materialize_upfront, est.prefer_upfront_materialize());
-        }
-    }
-
-    #[test]
-    fn prematerialize_fills_the_memo_without_changing_results() {
-        let tn = pkfk(80, 2, 8, 4);
-        let cold = PlannedMatrix::with_strategy(tn.clone(), Strategy::CostBased)
-            .with_profile(MachineProfile::REFERENCE);
-        let warm = PlannedMatrix::with_strategy(tn.clone(), Strategy::CostBased)
-            .with_profile(MachineProfile::REFERENCE);
-        warm.prematerialize();
-        assert!(warm.is_memoized());
-        assert!(!cold.is_memoized());
-        // Idempotent.
-        warm.prematerialize();
-        // Routing may differ (the join is sunk for `warm`, so per-call
-        // decisions compare against the bare operator cost) — but each
-        // chosen route stays bit-identical to its pure path, and the two
-        // schedules agree numerically.
-        let cp = warm.crossprod();
-        let route = warm.plan(OpKind::Crossprod).expect("still factorized");
-        let pure = if route.factorized {
-            tn.crossprod()
-        } else {
-            tn.materialize().crossprod()
-        };
-        assert_eq!(cp, pure);
-        assert!(cp.approx_eq(&cold.crossprod(), 1e-9));
-        assert_eq!(
-            LinearOperand::materialize(&warm).to_dense(),
-            tn.materialize().to_dense()
         );
     }
 

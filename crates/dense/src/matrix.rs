@@ -21,7 +21,7 @@ impl DenseMatrix {
     ///
     /// Returns [`DenseError::BufferLen`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(DenseError::BufferLen {
                 rows,
                 cols,
@@ -63,20 +63,25 @@ impl DenseMatrix {
     }
 
     /// Creates an all-zero matrix.
+    ///
+    /// # Panics
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self::filled(rows, cols, 0.0)
     }
 
     /// Creates a matrix with every entry set to `value`.
+    ///
+    /// # Panics
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
+        let len = rows
+            .checked_mul(cols)
+            .unwrap_or_else(|| panic!("DenseMatrix: {rows} x {cols} elements overflow usize"));
         Self {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: vec![value; len],
         }
     }
 

@@ -174,15 +174,43 @@ pub fn eval_expr(expr: &Expr, env: &mut Env) -> Result<Value, LangError> {
             eval_call(*f, v)
         }
         Expr::Zeros(r, c) => {
-            let rows = expect_scalar(&eval_expr(r, env)?, "zeros rows")? as usize;
-            let cols = expect_scalar(&eval_expr(c, env)?, "zeros cols")? as usize;
-            Ok(Value::Dense(DenseMatrix::zeros(rows, cols)))
+            let (rv, cv) = (eval_expr(r, env)?, eval_expr(c, env)?);
+            constant_matrix("zeros", &rv, &cv, DenseMatrix::zeros)
         }
         Expr::Ones(r, c) => {
-            let rows = expect_scalar(&eval_expr(r, env)?, "ones rows")? as usize;
-            let cols = expect_scalar(&eval_expr(c, env)?, "ones cols")? as usize;
-            Ok(Value::Dense(DenseMatrix::ones(rows, cols)))
+            let (rv, cv) = (eval_expr(r, env)?, eval_expr(c, env)?);
+            constant_matrix("ones", &rv, &cv, DenseMatrix::ones)
         }
+    }
+}
+
+/// `zeros(r, c)` / `ones(r, c)`: `build(rows, cols)` on the evaluated
+/// dimensions. Fractional dimensions truncate toward zero, as in R. A
+/// non-finite or negative dimension is an error, and so is a shape whose
+/// element count no buffer can hold.
+pub(crate) fn constant_matrix(
+    name: &str,
+    rows: &Value,
+    cols: &Value,
+    build: fn(usize, usize) -> DenseMatrix,
+) -> Result<Value, LangError> {
+    let dim = |v: &Value, axis: &str| {
+        let x = expect_scalar(v, &format!("{name} {axis}"))?;
+        if x.is_finite() && x >= 0.0 {
+            Ok(x as usize)
+        } else {
+            Err(LangError::Shape(format!(
+                "{name}: {axis} must be finite and non-negative, got {x}"
+            )))
+        }
+    };
+    let (r, c) = (dim(rows, "rows")?, dim(cols, "cols")?);
+    let max_len = isize::MAX as usize / std::mem::size_of::<f64>();
+    match r.checked_mul(c) {
+        Some(len) if len <= max_len => Ok(Value::Dense(build(r, c))),
+        _ => Err(LangError::Shape(format!(
+            "{name}: {r} x {c} elements overflow"
+        ))),
     }
 }
 

@@ -72,6 +72,6 @@ pub use optimize::optimize;
 pub use parser::{parse, parse_expr};
 pub use plan::{
     eval_plan, plan_cache_reset, plan_cache_stats, plan_program, run_program, PlanCacheStats,
-    ScriptPlan, PLAN_CACHE_ENV,
+    ScriptPlan,
 };
 pub use token::LangError;

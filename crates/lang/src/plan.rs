@@ -1,15 +1,12 @@
 //! Holistic script-level planning: common-subexpression elimination,
-//! element-wise fusion, whole-script materialize verdicts, and a keyed
-//! plan cache.
+//! element-wise fusion, and a plan cache.
 //!
-//! The per-operator planner ([`morpheus_core::PlannedMatrix`]) is greedy:
-//! every call compares the factorized rewrite against the materialized
-//! route *in isolation*. A script sees more: the same subexpression may be
-//! evaluated many times (loop-invariant factors like `t(T)` in gradient
-//! descent), chains of scalar operators each allocate an intermediate, and
-//! a join that loses to every individual operator can still win once its
-//! one-time cost is compared against the *sum* of per-use deltas. This
-//! module plans at that level:
+//! The per-operator planner ([`morpheus_core::PlannedMatrix`]) decides
+//! every call on its own, and it stays the only router: nothing here picks
+//! a route. A script still sees more than one call: the same
+//! subexpression may be evaluated many times (loop-invariant factors like
+//! `t(T)` in gradient descent), and chains of scalar operators each
+//! allocate an intermediate. This module removes that work:
 //!
 //! 1. **CSE** — the optimized AST is hash-consed into a DAG
 //!    ([`plan_program`]); at evaluation time each distinct node is
@@ -23,51 +20,28 @@
 //!    values the chain replays through the per-operator planner link by
 //!    link, so routing decisions — and therefore numerics — are exactly
 //!    the interpreter's.
-//! 3. **Whole-script materialize verdicts** — every operator the script
-//!    will apply to a normalized free variable is collected (loop bodies
-//!    multiplied by their trip counts, transposed views mapped through
-//!    [`OpKind::dual`]) and handed to
-//!    [`morpheus_core::PlannedMatrix::plan_script`]; an up-front
-//!    materialize verdict is applied by [`eval_plan`] via
-//!    `prematerialize`, which affects scheduling only, never numerics.
-//! 4. **Plan cache** — plans are memoized process-wide under a key built
-//!    from the canonicalized program structure (source lines excluded),
-//!    the free variables' signatures (scalar value bits, matrix shapes,
-//!    normalized part shapes/sparsity/nnz and strategy), and the machine
-//!    profile's format version. `MORPHEUS_PLAN_CACHE=off` disables it;
+//! 3. **Plan cache** — a plan depends on the program alone, never on the
+//!    values it runs against, so plans are memoized process-wide under a
+//!    key of the parsed program (statement structure, names and literal
+//!    bits; source lines excluded). A hit skips optimizing and lowering;
 //!    [`plan_cache_stats`] exposes hit/miss counters.
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnaryFn};
-use crate::eval::{eval_bin, eval_call, expect_scalar, Env, Value};
+use crate::eval::{constant_matrix, eval_bin, eval_call, expect_scalar, Env, Value};
 use crate::optimize::optimize;
 use crate::token::LangError;
-use morpheus_core::cost::OpKind;
-use morpheus_core::{PlannedMatrix, ScriptDecision, Strategy, PROFILE_FORMAT_VERSION};
+use morpheus_core::PlannedMatrix;
 use morpheus_dense::DenseMatrix;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Environment variable gating the process-wide plan cache: set to `off`
-/// (also `0`, `false`, `no`; case-insensitive) to plan every script from
-/// scratch. Read once, at first use, like the other `MORPHEUS_*` knobs.
-pub const PLAN_CACHE_ENV: &str = "MORPHEUS_PLAN_CACHE";
 
 /// Entries kept in the process-wide plan cache before it is cleared
 /// wholesale (plans are small; whole-cache eviction keeps the bookkeeping
 /// trivial and bounds memory).
 const PLAN_CACHE_CAPACITY: usize = 1024;
-
-/// Loop trip counts beyond this are counted as this many repetitions when
-/// collecting per-variable operator uses (the verdict has long converged
-/// by then, and the greedy simulation in `estimate_script` is linear in
-/// the use count).
-const MAX_COUNTED_TRIPS: u64 = 64;
-
-/// Hard cap on the collected use list per normalized variable.
-const MAX_USES_PER_VAR: usize = 4096;
 
 // ---------------------------------------------------------------------
 // The plan IR: a hash-consed DAG with fused scalar chains
@@ -247,16 +221,14 @@ impl PStmt {
     }
 }
 
-/// A compiled script: the hash-consed DAG, the statement list over it,
-/// and the whole-script materialize verdicts for the environment it was
-/// planned against. Build one with [`plan_program`], run it with
-/// [`eval_plan`] (or both at once with [`run_program`]).
+/// A compiled script: the hash-consed DAG and the statement list over it.
+/// Build one with [`plan_program`], run it with [`eval_plan`] (or both at
+/// once with [`run_program`]).
 #[derive(Debug, Clone)]
 pub struct ScriptPlan {
     nodes: Vec<Node>,
     stmts: Vec<PStmt>,
     vars: Vec<String>,
-    premat: Vec<(String, ScriptDecision)>,
 }
 
 impl ScriptPlan {
@@ -271,14 +243,6 @@ impl ScriptPlan {
             .iter()
             .filter(|n| matches!(&n.kind, NodeKind::Fused(_, steps) if steps.len() >= 2))
             .count()
-    }
-
-    /// The whole-script verdicts reached for normalized free variables:
-    /// one entry per variable the cost-based planner was asked about.
-    /// Variables with `materialize_upfront` are pre-materialized by
-    /// [`eval_plan`].
-    pub fn premat_decisions(&self) -> &[(String, ScriptDecision)] {
-        &self.premat
     }
 }
 
@@ -451,8 +415,7 @@ impl Lowering {
     }
 }
 
-/// Lowers an (already optimized) program into a plan skeleton: DAG +
-/// statements, with the premat verdicts still empty.
+/// Lowers an (already optimized) program into a plan: DAG + statements.
 fn lower(program: &Program) -> ScriptPlan {
     let mut lowering = Lowering::default();
     let stmts = program
@@ -461,14 +424,13 @@ fn lower(program: &Program) -> ScriptPlan {
         .map(|s| lowering.lower_stmt(s))
         .collect();
     // Chain-building leaves prefix Fused nodes (`T^2` inside
-    // `T^2 / 3`) that nothing references; sweep them so node counts,
-    // chain counts, and cache keys reflect only live structure.
+    // `T^2 / 3`) that nothing references; sweep them so node and chain
+    // counts reflect only live structure.
     let (nodes, stmts) = sweep(lowering.nodes, stmts);
     ScriptPlan {
         nodes,
         stmts,
         vars: lowering.vars,
-        premat: Vec::new(),
     }
 }
 
@@ -560,460 +522,6 @@ fn sweep(nodes: Vec<Node>, stmts: Vec<PStmt>) -> (Vec<Node>, Vec<PStmt>) {
 }
 
 // ---------------------------------------------------------------------
-// Whole-script materialize verdicts
-// ---------------------------------------------------------------------
-
-/// Best-effort static shape of a node, given the planning environment.
-/// `View` tracks a normalized free variable through transposes and
-/// element-wise derivations, so operator uses can be attributed back to
-/// it (dualized per transpose).
-#[derive(Debug, Clone, Copy)]
-enum Shape {
-    /// A scalar with a known value (literal or unrebound env scalar).
-    Num(f64),
-    /// A scalar of unknown value.
-    Scalar,
-    /// A regular matrix of known dimensions.
-    Mat(usize, usize),
-    /// A (possibly transposed / element-wise-derived) view of a
-    /// normalized free variable, with effective dimensions.
-    View {
-        var: u32,
-        transposed: bool,
-        rows: usize,
-        cols: usize,
-    },
-    /// Anything the static pass cannot pin down.
-    Unknown,
-}
-
-impl Shape {
-    fn is_scalar(self) -> bool {
-        matches!(self, Shape::Num(_) | Shape::Scalar)
-    }
-
-    fn dims(self) -> Option<(usize, usize)> {
-        match self {
-            Shape::Mat(r, c)
-            | Shape::View {
-                rows: r, cols: c, ..
-            } => Some((r, c)),
-            _ => None,
-        }
-    }
-
-    fn rows(self) -> Option<usize> {
-        self.dims().map(|(r, _)| r)
-    }
-
-    fn cols(self) -> Option<usize> {
-        self.dims().map(|(_, c)| c)
-    }
-}
-
-/// Variables assigned anywhere in the program, split by how: `assigned`
-/// (targets of `=`, value statically unknown) and `loops` (loop
-/// variables, always scalar during evaluation). Planning-time env
-/// bindings describe neither.
-fn assigned_vars(stmts: &[PStmt], assigned: &mut HashSet<u32>, loops: &mut HashSet<u32>) {
-    for s in stmts {
-        match s {
-            PStmt::Assign { var, .. } => {
-                assigned.insert(*var);
-            }
-            PStmt::Expr { .. } => {}
-            PStmt::For { var, body, .. } => {
-                loops.insert(*var);
-                assigned_vars(body, assigned, loops);
-            }
-        }
-    }
-}
-
-/// One forward pass over the DAG (children always precede parents) that
-/// mirrors the interpreter's shape behavior.
-fn infer_shapes(
-    plan: &ScriptPlan,
-    env: &Env,
-    assigned: &HashSet<u32>,
-    loops: &HashSet<u32>,
-) -> Vec<Shape> {
-    let mut shapes: Vec<Shape> = Vec::with_capacity(plan.nodes.len());
-    for node in &plan.nodes {
-        let shape = match &node.kind {
-            NodeKind::Number(bits) => Shape::Num(f64::from_bits(*bits)),
-            NodeKind::Var(v) => {
-                if assigned.contains(v) {
-                    Shape::Unknown
-                } else if loops.contains(v) {
-                    Shape::Scalar
-                } else {
-                    match env.get(&plan.vars[*v as usize]) {
-                        Some(Value::Scalar(x)) => Shape::Num(*x),
-                        Some(Value::Dense(m)) => {
-                            let (r, c) = m.shape();
-                            Shape::Mat(r, c)
-                        }
-                        Some(Value::Normalized(p)) => {
-                            let (r, c) = p.shape();
-                            Shape::View {
-                                var: *v,
-                                transposed: false,
-                                rows: r,
-                                cols: c,
-                            }
-                        }
-                        None => Shape::Unknown,
-                    }
-                }
-            }
-            NodeKind::Fused(base, steps) => match shapes[*base] {
-                Shape::Num(x) => Shape::Num(steps.iter().fold(x, |acc, s| s.apply_scalar(acc))),
-                other => other,
-            },
-            NodeKind::Call(f, a) => {
-                let sa = shapes[*a];
-                match f {
-                    UnaryFn::Transpose => match sa {
-                        Shape::Mat(r, c) => Shape::Mat(c, r),
-                        Shape::View {
-                            var,
-                            transposed,
-                            rows,
-                            cols,
-                        } => Shape::View {
-                            var,
-                            transposed: !transposed,
-                            rows: cols,
-                            cols: rows,
-                        },
-                        s if s.is_scalar() => s,
-                        _ => Shape::Unknown,
-                    },
-                    UnaryFn::RowSums | UnaryFn::RowMin => {
-                        sa.rows().map_or(Shape::Unknown, |r| Shape::Mat(r, 1))
-                    }
-                    UnaryFn::ColSums => sa.cols().map_or(Shape::Unknown, |c| Shape::Mat(1, c)),
-                    UnaryFn::Sum => Shape::Scalar,
-                    UnaryFn::Crossprod => sa.cols().map_or(Shape::Unknown, |c| Shape::Mat(c, c)),
-                    UnaryFn::TCrossprod => sa.rows().map_or(Shape::Unknown, |r| Shape::Mat(r, r)),
-                    UnaryFn::Ginv => sa.dims().map_or(Shape::Unknown, |(r, c)| Shape::Mat(c, r)),
-                    UnaryFn::Materialize => {
-                        sa.dims().map_or(Shape::Unknown, |(r, c)| Shape::Mat(r, c))
-                    }
-                    // Lowering turns these into fused steps; keep the
-                    // shape-preserving behavior for completeness.
-                    UnaryFn::Exp | UnaryFn::Log | UnaryFn::Sigmoid => sa,
-                }
-            }
-            NodeKind::Bin(op, l, r) => {
-                let (a, b) = (shapes[*l], shapes[*r]);
-                match op {
-                    BinOp::MatMul => {
-                        if a.is_scalar() {
-                            b
-                        } else if b.is_scalar() {
-                            a
-                        } else {
-                            match (a.rows(), b.cols()) {
-                                (Some(r), Some(c)) => Shape::Mat(r, c),
-                                _ => Shape::Unknown,
-                            }
-                        }
-                    }
-                    // `==` yields a regular indicator matrix (or scalar).
-                    BinOp::Eq => match a.dims().or(b.dims()) {
-                        Some((r, c)) => Shape::Mat(r, c),
-                        None => Shape::Scalar,
-                    },
-                    _ => {
-                        if a.is_scalar() && b.is_scalar() {
-                            Shape::Scalar
-                        } else if a.is_scalar() {
-                            b
-                        } else if b.is_scalar() {
-                            a
-                        } else {
-                            // Matrix ∘ matrix leaves the normalized
-                            // representation (§3.3.7 fallback → dense).
-                            match a.dims().or(b.dims()) {
-                                Some((r, c)) => Shape::Mat(r, c),
-                                None => Shape::Unknown,
-                            }
-                        }
-                    }
-                }
-            }
-            NodeKind::Zeros(r, c) | NodeKind::Ones(r, c) => match (shapes[*r], shapes[*c]) {
-                (Shape::Num(rv), Shape::Num(cv)) => Shape::Mat(rv as usize, cv as usize),
-                _ => Shape::Unknown,
-            },
-        };
-        shapes.push(shape);
-    }
-    shapes
-}
-
-/// Simulates one evaluation of the program over the DAG — with the same
-/// once-per-epoch reuse the CSE evaluator applies — and collects, per
-/// normalized free variable, the ordered operator uses the per-operator
-/// planner will be asked to route.
-struct UseSim<'p> {
-    plan: &'p ScriptPlan,
-    shapes: &'p [Shape],
-    stamps: Vec<u64>,
-    node_stamp: Vec<Option<u64>>,
-    clock: u64,
-    uses: HashMap<u32, Vec<OpKind>>,
-}
-
-impl UseSim<'_> {
-    fn bump(&mut self, var: u32) {
-        self.clock += 1;
-        self.stamps[var as usize] = self.clock;
-    }
-
-    fn push(&mut self, var: u32, op: OpKind, transposed: bool, mult: u64) {
-        let op = if transposed { op.dual() } else { op };
-        let list = self.uses.entry(var).or_default();
-        let n = mult.min(MAX_COUNTED_TRIPS * MAX_COUNTED_TRIPS) as usize;
-        for _ in 0..n {
-            if list.len() >= MAX_USES_PER_VAR {
-                return;
-            }
-            list.push(op);
-        }
-    }
-
-    fn walk_stmts(&mut self, stmts: &[PStmt], mult: u64) {
-        for stmt in stmts {
-            match stmt {
-                PStmt::Assign { var, node, .. } => {
-                    self.visit(*node, mult);
-                    self.bump(*var);
-                }
-                PStmt::Expr { node, .. } => self.visit(*node, mult),
-                PStmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                    ..
-                } => {
-                    self.visit(*from, mult);
-                    self.visit(*to, mult);
-                    let trips = match (self.shapes[*from], self.shapes[*to]) {
-                        (Shape::Num(lo), Shape::Num(hi)) => {
-                            ((hi.round() as i64) - (lo.round() as i64) + 1).max(0) as u64
-                        }
-                        _ => 1,
-                    };
-                    // First trip: everything not yet computed runs once.
-                    // Remaining trips: only nodes invalidated by the loop
-                    // (depending on the loop variable or variables
-                    // assigned in the body) are recounted — exactly the
-                    // loop-invariant hoisting the evaluator performs.
-                    if trips >= 1 {
-                        self.bump(*var);
-                        self.walk_stmts(body, mult);
-                    }
-                    if trips >= 2 {
-                        self.bump(*var);
-                        let rest = (trips - 1).min(MAX_COUNTED_TRIPS);
-                        self.walk_stmts(body, mult.saturating_mul(rest));
-                    }
-                }
-            }
-        }
-    }
-
-    fn visit(&mut self, id: usize, mult: u64) {
-        if let Some(stamp) = self.node_stamp[id] {
-            let fresh = self.plan.nodes[id]
-                .deps
-                .iter()
-                .all(|&d| self.stamps[d as usize] <= stamp);
-            if fresh {
-                return;
-            }
-        }
-        match &self.plan.nodes[id].kind {
-            NodeKind::Number(_) | NodeKind::Var(_) => {}
-            NodeKind::Zeros(r, c) | NodeKind::Ones(r, c) => {
-                let (r, c) = (*r, *c);
-                self.visit(r, mult);
-                self.visit(c, mult);
-            }
-            NodeKind::Fused(base, steps) => {
-                let (base, links) = (*base, steps.len() as u64);
-                self.visit(base, mult);
-                if let Shape::View {
-                    var, transposed, ..
-                } = self.shapes[base]
-                {
-                    self.push(
-                        var,
-                        OpKind::Elementwise,
-                        transposed,
-                        mult.saturating_mul(links),
-                    );
-                }
-            }
-            NodeKind::Call(f, a) => {
-                let (f, a) = (*f, *a);
-                self.visit(a, mult);
-                self.attribute_call(f, self.shapes[a], mult);
-            }
-            NodeKind::Bin(op, l, r) => {
-                let (op, l, r) = (*op, *l, *r);
-                self.visit(l, mult);
-                self.visit(r, mult);
-                self.attribute_bin(op, self.shapes[l], self.shapes[r], mult);
-            }
-        }
-        self.node_stamp[id] = Some(self.clock);
-    }
-
-    fn attribute_call(&mut self, f: UnaryFn, a: Shape, mult: u64) {
-        let Shape::View {
-            var, transposed, ..
-        } = a
-        else {
-            return;
-        };
-        let op = match f {
-            UnaryFn::RowSums => OpKind::RowSums,
-            UnaryFn::ColSums => OpKind::ColSums,
-            UnaryFn::RowMin => OpKind::RowMin,
-            UnaryFn::Sum => OpKind::Sum,
-            UnaryFn::Crossprod => OpKind::Crossprod,
-            UnaryFn::TCrossprod => OpKind::Tcrossprod,
-            UnaryFn::Ginv => OpKind::Ginv,
-            // Transpose is a free flag flip; materialize is not a routing
-            // decision; the element-wise calls were lowered to steps.
-            UnaryFn::Transpose
-            | UnaryFn::Materialize
-            | UnaryFn::Exp
-            | UnaryFn::Log
-            | UnaryFn::Sigmoid => return,
-        };
-        self.push(var, op, transposed, mult);
-    }
-
-    fn attribute_bin(&mut self, op: BinOp, a: Shape, b: Shape, mult: u64) {
-        match op {
-            BinOp::MatMul => match (a, b) {
-                (
-                    Shape::View {
-                        var, transposed, ..
-                    },
-                    rhs,
-                ) if !rhs.is_scalar() => {
-                    let op = if matches!(rhs, Shape::View { .. }) {
-                        OpKind::Dmm {
-                            m: rhs.cols().unwrap_or(1),
-                        }
-                    } else {
-                        OpKind::Lmm {
-                            m: rhs.cols().unwrap_or(1),
-                        }
-                    };
-                    self.push(var, op, transposed, mult);
-                }
-                (
-                    lhs,
-                    Shape::View {
-                        var, transposed, ..
-                    },
-                ) if !lhs.is_scalar() => {
-                    let op = OpKind::Rmm {
-                        m: lhs.rows().unwrap_or(1),
-                    };
-                    self.push(var, op, transposed, mult);
-                }
-                (
-                    Shape::View {
-                        var, transposed, ..
-                    },
-                    _,
-                )
-                | (
-                    _,
-                    Shape::View {
-                        var, transposed, ..
-                    },
-                ) => {
-                    // Scalar recycling: `%*%` with a scalar is `*`.
-                    self.push(var, OpKind::Elementwise, transposed, mult);
-                }
-                _ => {}
-            },
-            // `==` with a normalized operand materializes directly — a
-            // forced route, not a planner decision.
-            BinOp::Eq => {}
-            _ => match (a, b) {
-                (
-                    Shape::View {
-                        var, transposed, ..
-                    },
-                    other,
-                )
-                | (
-                    other,
-                    Shape::View {
-                        var, transposed, ..
-                    },
-                ) => {
-                    let op = if other.is_scalar() {
-                        OpKind::Elementwise
-                    } else {
-                        OpKind::ElementwiseFallback
-                    };
-                    self.push(var, op, transposed, mult);
-                }
-                _ => {}
-            },
-        }
-    }
-}
-
-/// Collects per-variable uses and asks each normalized free variable's
-/// planner for a whole-script verdict ([`PlannedMatrix::plan_script`];
-/// `None` — the non-cost-based strategies, spent or memoized matrices —
-/// contributes no entry).
-fn collect_premat(plan: &ScriptPlan, env: &Env) -> Vec<(String, ScriptDecision)> {
-    let mut assigned = HashSet::new();
-    let mut loops = HashSet::new();
-    assigned_vars(&plan.stmts, &mut assigned, &mut loops);
-    let shapes = infer_shapes(plan, env, &assigned, &loops);
-    let mut sim = UseSim {
-        plan,
-        shapes: &shapes,
-        stamps: vec![0; plan.vars.len()],
-        node_stamp: vec![None; plan.nodes.len()],
-        clock: 0,
-        uses: HashMap::new(),
-    };
-    sim.walk_stmts(&plan.stmts, 1);
-    let mut vars_with_uses: Vec<u32> = sim.uses.keys().copied().collect();
-    vars_with_uses.sort_unstable();
-    let mut out = Vec::new();
-    for v in vars_with_uses {
-        let ops = &sim.uses[&v];
-        if ops.is_empty() {
-            continue;
-        }
-        let name = &plan.vars[v as usize];
-        if let Some(Value::Normalized(p)) = env.get(name) {
-            if let Some(decision) = p.plan_script(ops) {
-                out.push((name.clone(), decision));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // Plan cache
 // ---------------------------------------------------------------------
 
@@ -1022,7 +530,7 @@ fn collect_premat(plan: &ScriptPlan, env: &Env) -> Vec<(String, ScriptDecision)>
 pub struct PlanCacheStats {
     /// Plans served from the cache.
     pub hits: u64,
-    /// Plans built from scratch (while the cache was enabled).
+    /// Plans built from scratch.
     pub misses: u64,
     /// Times a poisoned cache lock was recovered by clearing the cache
     /// (cached plans are recomputed on their next use — a degradation,
@@ -1112,21 +620,7 @@ fn global_cache() -> &'static PlanCache {
     CACHE.get_or_init(PlanCache::new)
 }
 
-/// Whether the process-wide plan cache is enabled (`MORPHEUS_PLAN_CACHE`,
-/// read once; default on).
-fn cache_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var(PLAN_CACHE_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => true,
-    })
-}
-
-/// Hit/miss counters of the process-wide plan cache (both zero while the
-/// cache is disabled via [`PLAN_CACHE_ENV`]).
+/// Hit/miss counters of the process-wide plan cache.
 pub fn plan_cache_stats() -> PlanCacheStats {
     global_cache().stats()
 }
@@ -1136,88 +630,59 @@ pub fn plan_cache_reset() {
     global_cache().reset();
 }
 
-fn strategy_code(s: Strategy) -> u8 {
-    match s {
-        Strategy::CostBased => 0,
-        Strategy::Heuristic(_) => 1,
-        Strategy::AlwaysFactorize => 2,
-        Strategy::AlwaysMaterialize => 3,
+fn hash_expr<H: Hasher>(h: &mut H, expr: &Expr) {
+    std::mem::discriminant(expr).hash(h);
+    match expr {
+        Expr::Number(v) => v.to_bits().hash(h),
+        Expr::Var(name) => name.hash(h),
+        Expr::Bin(op, l, r) => {
+            op.hash(h);
+            hash_expr(h, l);
+            hash_expr(h, r);
+        }
+        Expr::Neg(a) => hash_expr(h, a),
+        Expr::Call(f, a) => {
+            f.hash(h);
+            hash_expr(h, a);
+        }
+        Expr::Zeros(r, c) | Expr::Ones(r, c) => {
+            hash_expr(h, r);
+            hash_expr(h, c);
+        }
     }
 }
 
-fn hash_stmts<H: Hasher>(h: &mut H, stmts: &[PStmt]) {
+fn hash_stmts<H: Hasher>(h: &mut H, stmts: &[Stmt]) {
     // Source lines are deliberately excluded: formatting-only edits reuse
-    // the cached plan.
+    // the cached plan. The length keeps a loop body's end unambiguous.
+    stmts.len().hash(h);
     for s in stmts {
+        std::mem::discriminant(s).hash(h);
         match s {
-            PStmt::Assign { var, node, .. } => {
-                0u8.hash(h);
-                var.hash(h);
-                node.hash(h);
+            Stmt::Assign { name, expr, .. } => {
+                name.hash(h);
+                hash_expr(h, expr);
             }
-            PStmt::Expr { node, .. } => {
-                1u8.hash(h);
-                node.hash(h);
-            }
-            PStmt::For {
+            Stmt::Expr { expr, .. } => hash_expr(h, expr),
+            Stmt::For {
                 var,
                 from,
                 to,
                 body,
                 ..
             } => {
-                2u8.hash(h);
                 var.hash(h);
-                from.hash(h);
-                to.hash(h);
+                hash_expr(h, from);
+                hash_expr(h, to);
                 hash_stmts(h, body);
             }
         }
     }
 }
 
-fn hash_signature<H: Hasher>(h: &mut H, plan: &ScriptPlan, env: &Env) {
-    for name in &plan.vars {
-        match env.get(name) {
-            None => 0u8.hash(h),
-            Some(Value::Scalar(x)) => {
-                1u8.hash(h);
-                x.to_bits().hash(h);
-            }
-            Some(Value::Dense(m)) => {
-                2u8.hash(h);
-                m.shape().hash(h);
-            }
-            Some(Value::Normalized(p)) => {
-                3u8.hash(h);
-                p.shape().hash(h);
-                strategy_code(p.strategy()).hash(h);
-                p.is_memoized().hash(h);
-                match p.normalized() {
-                    None => 0u8.hash(h),
-                    Some(t) => {
-                        1u8.hash(h);
-                        t.is_transposed().hash(h);
-                        for part in t.parts() {
-                            let table = part.table();
-                            table.shape().hash(h);
-                            table.is_sparse().hash(h);
-                            if table.is_sparse() {
-                                table.nnz().hash(h);
-                            }
-                            part.indicator().is_identity().hash(h);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The cache key: two independent 64-bit hashes (so a single-hash
-/// collision cannot alias two plans) over the canonicalized structure,
-/// the free-variable signatures, and the profile format version.
-fn plan_key(plan: &ScriptPlan, env: &Env, profile_version: u32) -> (u64, u64) {
+/// The cache key: two independent 64-bit hashes of the parsed program
+/// (so a single-hash collision cannot alias two plans).
+fn plan_key(program: &Program) -> (u64, u64) {
     let mut out = [0u64; 2];
     for (slot, salt) in out
         .iter_mut()
@@ -1225,15 +690,7 @@ fn plan_key(plan: &ScriptPlan, env: &Env, profile_version: u32) -> (u64, u64) {
     {
         let mut h = DefaultHasher::new();
         h.write_u64(salt);
-        for node in &plan.nodes {
-            node.kind.hash(&mut h);
-        }
-        hash_stmts(&mut h, &plan.stmts);
-        for name in &plan.vars {
-            name.hash(&mut h);
-        }
-        hash_signature(&mut h, plan, env);
-        h.write_u32(profile_version);
+        hash_stmts(&mut h, &program.stmts);
         *slot = h.finish();
     }
     (out[0], out[1])
@@ -1243,39 +700,20 @@ fn plan_key(plan: &ScriptPlan, env: &Env, profile_version: u32) -> (u64, u64) {
 // Public API
 // ---------------------------------------------------------------------
 
-fn finish(mut skeleton: ScriptPlan, env: &Env) -> ScriptPlan {
-    skeleton.premat = collect_premat(&skeleton, env);
-    skeleton
-}
-
-/// Plans a program against an environment: optimizes (to fixpoint),
-/// hash-conses into a CSE DAG with fused element-wise chains, and reaches
-/// whole-script materialize verdicts for normalized free variables.
+/// Plans a program: optimizes (to fixpoint) and hash-conses into a CSE
+/// DAG with fused element-wise chains.
 ///
-/// Plans are memoized process-wide under a key of (canonicalized program
-/// structure, free-variable signatures, profile format version) unless
-/// [`PLAN_CACHE_ENV`] disables the cache.
-pub fn plan_program(program: &Program, env: &Env) -> Arc<ScriptPlan> {
-    let skeleton = lower(&optimize(program));
-    if !cache_enabled() {
-        return Arc::new(finish(skeleton, env));
-    }
-    let key = plan_key(&skeleton, env, PROFILE_FORMAT_VERSION);
-    global_cache().get_or_insert_with(key, || finish(skeleton, env))
+/// Plans are memoized process-wide under a key of the parsed program, so
+/// a hit skips all of that work. `_env` does not affect the plan; it is
+/// kept so existing callers compile.
+pub fn plan_program(program: &Program, _env: &Env) -> Arc<ScriptPlan> {
+    global_cache().get_or_insert_with(plan_key(program), || lower(&optimize(program)))
 }
 
-/// Evaluates a planned program: applies the up-front materialize
-/// verdicts, then runs the statement list with each distinct DAG node
-/// computed once per validity epoch (a node is recomputed only after a
-/// variable it reads is rebound).
+/// Evaluates a planned program: runs the statement list with each
+/// distinct DAG node computed once per validity epoch (a node is
+/// recomputed only after a variable it reads is rebound).
 pub fn eval_plan(plan: &ScriptPlan, env: &mut Env) -> Result<Value, LangError> {
-    for (name, decision) in &plan.premat {
-        if decision.materialize_upfront {
-            if let Some(Value::Normalized(p)) = env.get(name) {
-                p.prematerialize();
-            }
-        }
-    }
     let mut ctx = EvalCtx {
         memo: vec![None; plan.nodes.len()],
         var_stamp: vec![0; plan.vars.len()],
@@ -1398,14 +836,18 @@ fn eval_node(
         }
         NodeKind::Call(f, a) => eval_call(*f, eval_node(plan, ctx, env, *a)?)?,
         NodeKind::Zeros(r, c) => {
-            let rows = expect_scalar(&eval_node(plan, ctx, env, *r)?, "zeros rows")? as usize;
-            let cols = expect_scalar(&eval_node(plan, ctx, env, *c)?, "zeros cols")? as usize;
-            Value::Dense(DenseMatrix::zeros(rows, cols))
+            let (rv, cv) = (
+                eval_node(plan, ctx, env, *r)?,
+                eval_node(plan, ctx, env, *c)?,
+            );
+            constant_matrix("zeros", &rv, &cv, DenseMatrix::zeros)?
         }
         NodeKind::Ones(r, c) => {
-            let rows = expect_scalar(&eval_node(plan, ctx, env, *r)?, "ones rows")? as usize;
-            let cols = expect_scalar(&eval_node(plan, ctx, env, *c)?, "ones cols")? as usize;
-            Value::Dense(DenseMatrix::ones(rows, cols))
+            let (rv, cv) = (
+                eval_node(plan, ctx, env, *r)?,
+                eval_node(plan, ctx, env, *c)?,
+            );
+            constant_matrix("ones", &rv, &cv, DenseMatrix::ones)?
         }
         NodeKind::Fused(base, steps) => {
             let base = eval_node(plan, ctx, env, *base)?;
@@ -1438,19 +880,14 @@ mod tests {
     use super::*;
     use crate::eval::eval_program;
     use crate::parser::parse;
-    use morpheus_core::{Decision, LinearOperand, MachineProfile, NormalizedMatrix};
-    use morpheus_sparse::CsrMatrix;
+    use morpheus_core::cost::OpKind;
+    use morpheus_core::{Decision, LinearOperand, MachineProfile, NormalizedMatrix, Strategy};
     use std::sync::atomic::AtomicUsize;
 
-    /// Plans without touching the process-wide cache, so tests behave
-    /// identically whether `MORPHEUS_PLAN_CACHE` is on or off.
-    fn plan_direct(program: &Program, env: &Env) -> ScriptPlan {
-        finish(lower(&optimize(program)), env)
-    }
-
+    /// Plans without touching the process-wide cache, whose counters the
+    /// cache tests assert.
     fn run_planned(src: &str, env: &mut Env) -> Result<Value, LangError> {
-        let program = parse(src).unwrap();
-        let plan = plan_direct(&program, env);
+        let plan = lower(&optimize(&parse(src).unwrap()));
         eval_plan(&plan, env)
     }
 
@@ -1628,49 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn premat_verdict_collected_and_results_preserved() {
-        // Loop body varies with `i`, so every trip re-runs the chain: 12
-        // element-wise passes and 12 rowMins against a wide, heavily
-        // reused T. The whole-script planner must reach *a* verdict
-        // (either way — it is shape- and profile-dependent); evaluation
-        // must agree with the interpreter regardless.
-        let src = "s = 0\nfor (i in 1:12) { s = s + sum(rowMin(T * i)) }\ns";
-        let t = pkfk(64, 2, 64, 32);
-        let mk = |t: NormalizedMatrix| {
-            let mut env = Env::new();
-            env.bind(
-                "T",
-                Value::Normalized(
-                    PlannedMatrix::with_strategy(t, Strategy::CostBased)
-                        .with_profile(MachineProfile::REFERENCE),
-                ),
-            );
-            env
-        };
-
-        let program = parse(src).unwrap();
-        let env = mk(t.clone());
-        let plan = plan_direct(&program, &env);
-        assert_eq!(
-            plan.premat_decisions().len(),
-            1,
-            "expected a whole-script verdict for T"
-        );
-        assert_eq!(plan.premat_decisions()[0].0, "T");
-        let d = &plan.premat_decisions()[0].1;
-        assert!(d.greedy_ns.is_finite() && d.lookahead_ns.is_finite());
-
-        let mut env = mk(t.clone());
-        let vp = eval_plan(&plan, &mut env).unwrap();
-        let vi = run_interp(src, &mut mk(t)).unwrap();
-        let (a, b) = (vi.as_scalar().unwrap(), vp.as_scalar().unwrap());
-        assert!(
-            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
-            "planned {b} vs interpreter {a}"
-        );
-    }
-
-    #[test]
     fn planned_eval_preserves_error_lines() {
         let mut env = Env::new();
         let err = run_planned("x = 1\nz = nope + 1\nz", &mut env).unwrap_err();
@@ -1685,92 +1079,56 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_and_keying() {
-        // Every cache access passes the `plan.cache.lookup` failpoint that
-        // `poisoned_cache_recovers_by_clearing` arms.
+        // The global counters are shared: every test that reads them (or
+        // arms the `plan.cache.*` failpoints) holds the guard.
         let _guard = morpheus_runtime::faults::exclusive();
-        let cache = PlanCache::new();
-        let src = "sum(t(T) %*% (T %*% w))";
-        let program = parse(src).unwrap();
-        let skeleton = lower(&optimize(&program));
-
-        let env_for = |t: NormalizedMatrix, w_cols: usize| {
+        plan_cache_reset();
+        let program = parse("sum(t(T) %*% (T %*% w))").unwrap();
+        let planned = |t: NormalizedMatrix, strategy: Strategy| {
+            PlannedMatrix::with_strategy(t, strategy).with_profile(MachineProfile::REFERENCE)
+        };
+        let env_for = |t: PlannedMatrix| {
             let mut env = Env::new();
-            env.bind(
-                "T",
-                Value::Normalized(
-                    PlannedMatrix::with_strategy(t, Strategy::CostBased)
-                        .with_profile(MachineProfile::REFERENCE),
-                ),
-            );
-            env.bind("w", Value::Dense(DenseMatrix::ones(5, w_cols)));
+            env.bind("T", Value::Normalized(t));
+            env.bind("w", Value::Dense(DenseMatrix::ones(5, 1)));
             env
         };
+        let first = plan_program(
+            &program,
+            &env_for(planned(pkfk(16, 2, 4, 3), Strategy::CostBased)),
+        );
 
-        let env1 = env_for(pkfk(16, 2, 4, 3), 1);
-        let k1 = plan_key(&skeleton, &env1, PROFILE_FORMAT_VERSION);
-        cache.get_or_insert_with(k1, || finish(skeleton.clone(), &env1));
-        cache.get_or_insert_with(k1, || panic!("must hit"));
+        // The same program against other environments hits: a different
+        // table shape, a different strategy, a memoized join.
+        let memoized = planned(pkfk(16, 2, 4, 3), Strategy::CostBased);
+        let _ = LinearOperand::materialize(&memoized);
+        assert!(memoized.is_memoized());
+        for t in [
+            planned(pkfk(48, 2, 8, 3), Strategy::CostBased),
+            planned(pkfk(16, 2, 4, 3), Strategy::AlwaysFactorize),
+            memoized,
+        ] {
+            assert!(Arc::ptr_eq(&first, &plan_program(&program, &env_for(t))));
+        }
+        // Source lines are not part of the key either.
+        let reformatted = parse("\n\nsum(t(T) %*% (T %*% w))").unwrap();
+        assert!(Arc::ptr_eq(
+            &first,
+            &plan_program(&reformatted, &Env::new())
+        ));
         assert_eq!(
-            cache.stats(),
+            plan_cache_stats(),
             PlanCacheStats {
-                hits: 1,
+                hits: 4,
                 misses: 1,
                 poison_recoveries: 0
             }
         );
 
-        // Same script, different base-table shape: different key.
-        let env2 = env_for(pkfk(16, 2, 4, 4), 1);
-        let k2 = plan_key(&skeleton, &env2, PROFILE_FORMAT_VERSION);
-        assert_ne!(k1, k2);
-
-        // Different dense-operand shape: different key.
-        let env3 = env_for(pkfk(16, 2, 4, 3), 2);
-        let k3 = plan_key(&skeleton, &env3, PROFILE_FORMAT_VERSION);
-        assert_ne!(k1, k3);
-
-        // Profile format version bump: different key.
-        let k4 = plan_key(&skeleton, &env1, PROFILE_FORMAT_VERSION + 1);
-        assert_ne!(k1, k4);
-
-        // A different program structure: different key.
-        let skeleton2 = lower(&optimize(&parse("sum(t(T) %*% (T %*% w)) + 1").unwrap()));
-        let k5 = plan_key(&skeleton2, &env1, PROFILE_FORMAT_VERSION);
-        assert_ne!(k1, k5);
-    }
-
-    #[test]
-    fn plan_key_sees_sparse_nnz() {
-        let src = "sum(rowSums(T))";
-        let skeleton = lower(&optimize(&parse(src).unwrap()));
-        let sparse_s = |nnz_rows: usize| {
-            let d = DenseMatrix::from_fn(8, 4, |i, j| {
-                if i < nnz_rows {
-                    (i + j + 1) as f64
-                } else {
-                    0.0
-                }
-            });
-            let s = CsrMatrix::from_dense(&d);
-            let r = DenseMatrix::ones(2, 3);
-            let fk: Vec<usize> = (0..8).map(|i| i % 2).collect();
-            NormalizedMatrix::pk_fk(s.into(), &fk, r.into())
-        };
-        let env_for = |t: NormalizedMatrix| {
-            let mut env = Env::new();
-            env.bind(
-                "T",
-                Value::Normalized(
-                    PlannedMatrix::with_strategy(t, Strategy::CostBased)
-                        .with_profile(MachineProfile::REFERENCE),
-                ),
-            );
-            env
-        };
-        // Same shapes everywhere; only the S table's nnz differs.
-        let k_a = plan_key(&skeleton, &env_for(sparse_s(2)), PROFILE_FORMAT_VERSION);
-        let k_b = plan_key(&skeleton, &env_for(sparse_s(6)), PROFILE_FORMAT_VERSION);
-        assert_ne!(k_a, k_b);
+        // A changed program misses.
+        let changed = parse("sum(t(T) %*% (T %*% w)) + 1").unwrap();
+        assert!(!Arc::ptr_eq(&first, &plan_program(&changed, &Env::new())));
+        assert_eq!(plan_cache_stats().misses, 2);
     }
 
     #[test]
@@ -1816,13 +1174,8 @@ mod tests {
     #[test]
     fn global_cache_round_trip_when_enabled() {
         let _guard = morpheus_runtime::faults::exclusive();
-        if !cache_enabled() {
-            return; // CI runs a MORPHEUS_PLAN_CACHE=off mode.
-        }
         plan_cache_reset();
         let program = parse("x = 41\nx + 1").unwrap();
-        // Fresh env per run: evaluation binds `x`, and a changed binding
-        // is a changed cache key by design.
         let v1 = run_program(&program, &mut Env::new()).unwrap();
         let s1 = plan_cache_stats();
         let v2 = run_program(&program, &mut Env::new()).unwrap();

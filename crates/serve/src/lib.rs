@@ -35,9 +35,8 @@
 //!   [`ServeError::BatchAborted`] for exactly that batch's requests,
 //!   counted as a degradation, and the scorer keeps serving.
 //! * **Observability** — [`ScoringService::stats`] folds the serve
-//!   counters together with [`morpheus_runtime::faults::stats`] and
-//!   [`morpheus_lang::plan_cache_stats`] into one [`ServeStats`]
-//!   snapshot.
+//!   counters together with [`morpheus_runtime::faults::stats`] into one
+//!   [`ServeStats`] snapshot.
 
 mod config;
 mod model;

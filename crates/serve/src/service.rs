@@ -357,7 +357,7 @@ impl ScoringService {
     }
 
     /// Snapshot of the service counters together with the process-wide
-    /// fault/degradation and plan-cache counters.
+    /// fault/degradation counters.
     pub fn stats(&self) -> ServeStats {
         let queue_depth = self.inner.lock_state().queue.len() as u64;
         let batches = self.inner.batches.load(Ordering::Relaxed);
@@ -378,7 +378,6 @@ impl ScoringService {
                 batched_requests as f64 / batches as f64
             },
             faults: faults::stats(),
-            plan_cache: morpheus_lang::plan_cache_stats(),
         }
     }
 }

@@ -1,13 +1,12 @@
 //! One observable snapshot of the whole serving stack.
 
 use crate::ServeMode;
-use morpheus_lang::PlanCacheStats;
 use morpheus_runtime::faults::FaultStats;
 
 /// Point-in-time counters of a [`crate::ScoringService`], folded together
-/// with the process-wide fault/degradation and plan-cache counters so one
-/// snapshot answers "how is serving doing" — throughput, admission
-/// control, self-healing, and plan reuse in a single place.
+/// with the process-wide fault/degradation counters so one snapshot
+/// answers "how is serving doing" — throughput, admission control and
+/// self-healing in a single place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
     /// Scoring mode the service locked in at startup.
@@ -34,7 +33,4 @@ pub struct ServeStats {
     /// Process-wide fault-injection and degradation counters
     /// ([`morpheus_runtime::faults::stats`]).
     pub faults: FaultStats,
-    /// Process-wide script-plan-cache counters
-    /// ([`morpheus_lang::plan_cache_stats`]).
-    pub plan_cache: PlanCacheStats,
 }

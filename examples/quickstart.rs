@@ -72,9 +72,9 @@ fn main() {
 
     // --- The scripting layer with the script planner ---------------------
     // The same computation as an R-flavored script, run through the
-    // holistic planner (CSE + fusion + plan cache; `MORPHEUS_PLAN_CACHE=off`
-    // plans from scratch every call). The repeated `crossprod(T)` is
-    // evaluated once, and results match the interpreter exactly.
+    // holistic planner (CSE + fusion + a plan cache keyed on the program).
+    // The repeated `crossprod(T)` is evaluated once, and results match the
+    // interpreter exactly.
     let script = "a = sum(crossprod(T))\nb = sum(crossprod(T))\nsum(exp(T / 10) * 2) + a + b";
     let program = parse(script).expect("script parses");
     let mk_env = || {

@@ -40,8 +40,8 @@ fn main() {
 
     // Run 1: T bound to the NORMALIZED matrix — every %*% and t() routes
     // through the factorized rewrites. `run_program` plans the script
-    // first (CSE, element-wise fusion, whole-script materialize verdicts,
-    // keyed plan cache) and then evaluates the plan.
+    // first (CSE, element-wise fusion, a plan cache keyed on the program)
+    // and then evaluates the plan; each operator is still routed per call.
     let mut env_f = Env::new();
     env_f.bind("T", Value::normalized(tn.clone()));
     env_f.bind("Y", Value::Dense(y.clone()));

@@ -238,9 +238,6 @@ proptest! {
 fn script_layer_recovers_from_a_poisoned_plan_cache() {
     let _guard = faults::exclusive();
     faults::clear();
-    if std::env::var_os(morpheus::lang::PLAN_CACHE_ENV).is_some_and(|v| v == "off") {
-        return; // nothing to poison with the cache disabled
-    }
     let src = "g = sum(crossprod(T))\ng + sum(rowSums(T))";
     let program = morpheus::lang::parse(src).unwrap();
     let env = || {

@@ -2,7 +2,7 @@
 //! as R-style scripts, run against every operand kind, and checked against
 //! the native Rust implementations.
 
-use morpheus::lang::{eval_program, optimize, parse, Env, Value};
+use morpheus::lang::{eval_program, optimize, parse, run_program, Env, LangError, Value};
 use morpheus::prelude::*;
 
 fn bind_common(env: &mut Env, y: &DenseMatrix, alpha: f64, d: usize) {
@@ -185,4 +185,36 @@ fn script_errors_surface_cleanly() {
     let mut env = Env::new();
     env.bind("T", Value::normalized(ds.tn));
     assert!(eval_program(&p2, &mut env).is_err());
+}
+
+#[test]
+fn zeros_and_ones_reject_dimensions_they_cannot_honour() {
+    for src in [
+        "zeros(4294967296, 4294967296)",
+        "ones(4294967296, 4294967296)",
+        "zeros(-3, 2)",
+        "ones(2, -0.5)",
+        "zeros(1 / 0, 1)",
+        "ones(0 / 0, 1)",
+    ] {
+        let program = parse(src).unwrap();
+        for result in [
+            eval_program(&program, &mut Env::new()),
+            run_program(&program, &mut Env::new()),
+        ] {
+            let err = result.expect_err(src);
+            assert!(matches!(err.root(), LangError::Shape(_)), "{src}: {err}");
+        }
+    }
+    // Fractional dimensions still truncate toward zero, as in R.
+    let program = parse("ones(2.9, 3.2)").unwrap();
+    for result in [
+        eval_program(&program, &mut Env::new()),
+        run_program(&program, &mut Env::new()),
+    ] {
+        assert_eq!(
+            result.unwrap().as_dense().unwrap(),
+            &DenseMatrix::ones(2, 3)
+        );
+    }
 }

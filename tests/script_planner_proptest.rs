@@ -1,6 +1,6 @@
 //! Property-based equivalence suite for the script planner: for randomly
 //! generated normalized matrices and a corpus of scripts exercising CSE,
-//! element-wise fusion, loops, and whole-script verdicts, the planned
+//! element-wise fusion and loops, the planned
 //! evaluator ([`morpheus::lang::run_program`]) must agree with the plain
 //! interpreter ([`morpheus::lang::eval_program`]).
 //!
@@ -13,8 +13,8 @@
 //!   order can differ.
 //! * **CostBased** — tight approximate identity. Cost-based routing is
 //!   schedule-dependent: evaluating a shared subexpression once instead
-//!   of twice (or pre-materializing on a whole-script verdict) can
-//!   legally flip a later greedy per-operator decision, and the two
+//!   of twice can legally flip a later greedy per-operator decision (the
+//!   first materialized verdict memoizes the join), and the two
 //!   routes sum in different orders. Each route is bitwise-pure; which
 //!   route is taken is not part of the numerical contract.
 //!
@@ -78,6 +78,8 @@ const SCRIPTS: &[&str] = &[
     "w = zeros({d}, 1)\nfor (i in 1:3) {\n  p = Y / (1 + exp(Y * (T %*% w)))\n  w = w + 0.1 * (t(T) %*% p)\n}\nsum(w)",
     // Transposed uses mixed with fused negation.
     "u = sum(t(T) %*% (-Y + 2))\nv = sum(t(T) %*% (-Y + 2))\nu - v / 2",
+    // A loop-variant element-wise pass feeding rowMin on every trip.
+    "s = 0\nfor (i in 1:12) { s = s + sum(rowMin(T * i)) }\ns",
 ];
 
 fn script_for(case: &Case, template: &str) -> String {
