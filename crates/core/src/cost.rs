@@ -790,8 +790,10 @@ fn gram_m(p: &MachineProfile, s: &Shape) -> f64 {
 /// (`c·k³` dense work for its eigendecomposition) bracketed by the
 /// factorized (or materialized) crossprod and LMM.
 fn ginv_both(p: &MachineProfile, s: &Shape) -> (f64, f64) {
-    // Constant matching Table 11's ~27 k³ Jacobi-style inner inversion.
-    const INNER: f64 = 27.0;
+    // Flops of `ginv_sym_psd` on a k x k Gram: ≈ 9 k³ for the
+    // tridiagonal-QL eigendecomposition with vectors (4/3 reduce + 4/3
+    // accumulate + ≈ 6 rotate) and 2 k³ for the closing V Λ⁺ Vᵀ.
+    const INNER: f64 = 11.0;
     let k = s.d.min(s.n);
     let inner = INNER * k * k * k * p.dense_flop_ns(8.0 * 2.0 * k * k);
     if s.d < s.n {

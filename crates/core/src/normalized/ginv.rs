@@ -13,7 +13,7 @@
 //! Both sides reduce to factorized operators: the cross-product rewrite for
 //! the inner term and (transposed) LMM for the outer product. The inner
 //! pseudo-inverse runs on a small `d x d` (or `n x n`) symmetric PSD matrix
-//! via the Jacobi eigendecomposition.
+//! via the tridiagonal-QL eigendecomposition (`ginv_sym_psd`).
 
 use super::NormalizedMatrix;
 use morpheus_dense::DenseMatrix;

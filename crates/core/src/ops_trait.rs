@@ -15,7 +15,7 @@
 
 use crate::Matrix;
 use morpheus_dense::DenseMatrix;
-use morpheus_linalg::ginv_sym_psd;
+use morpheus_linalg::{ginv_sym, ginv_sym_psd};
 
 /// The operator set of Table 1, as consumed by LA-written ML algorithms.
 ///
@@ -132,6 +132,14 @@ impl LinearOperand for Matrix {
 
     fn ginv(&self) -> DenseMatrix {
         let (n, d) = self.shape();
+        if let Matrix::Dense(m) = self {
+            // A symmetric input (a dense `crossprod(T)` in a script) is
+            // its own Gram route: the Gram of a Gram would square its
+            // condition number and cost two extra d³ products.
+            if is_bitwise_symmetric(m) {
+                return ginv_sym(m);
+            }
+        }
         if d < n {
             let g = ginv_sym_psd(&Matrix::crossprod(self));
             self.matmul_dense(&g).transpose()
@@ -144,6 +152,15 @@ impl LinearOperand for Matrix {
     fn materialize(&self) -> Matrix {
         self.clone()
     }
+}
+
+/// `true` when `m` is square and equal to its transpose bit for bit — an
+/// O(d²) property every `crossprod`/`tcrossprod` result has.
+fn is_bitwise_symmetric(m: &DenseMatrix) -> bool {
+    let n = m.rows();
+    let a = m.as_slice();
+    m.is_square()
+        && (0..n).all(|i| (0..i).all(|j| a[i * n + j].to_bits() == a[j * n + i].to_bits()))
 }
 
 impl LinearOperand for crate::NormalizedMatrix {
@@ -257,5 +274,33 @@ mod tests {
         let pw = LinearOperand::ginv(&wide);
         let w = wide.to_dense();
         assert!(w.matmul(&pw).matmul(&w).approx_eq(&w, 1e-7));
+    }
+
+    /// `ginv` of a dense Gram `G = TᵀT` whose columns are graded so that
+    /// cond(T) = 1e3 … 1e5 (cond(G) up to 1e10): `G P G = G` must hold to
+    /// working precision, which it cannot if the route squares cond(G).
+    #[test]
+    fn matrix_ginv_of_graded_gram_satisfies_moore_penrose() {
+        let (n, d) = (2000, 100);
+        for cond in [1e3f64, 1e4, 1e5] {
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let t = DenseMatrix::from_fn(n, d, |_, j| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                u * cond.powf(-(j as f64) / (d - 1) as f64)
+            });
+            let g = t.crossprod();
+            let p = LinearOperand::ginv(&Matrix::Dense(g.clone()));
+            let gpg = g.matmul(&p).matmul(&g);
+            let max_abs =
+                |m: &DenseMatrix| m.as_slice().iter().fold(0.0f64, |a, &x| a.max(x.abs()));
+            let rel = max_abs(&gpg.sub(&g)) / max_abs(&g);
+            assert!(
+                rel <= 1e-10,
+                "cond(T) = {cond:e}: max|GPG - G| / max|G| = {rel:e}"
+            );
+        }
     }
 }

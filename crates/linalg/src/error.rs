@@ -19,8 +19,19 @@ pub enum LinalgError {
     NoConvergence {
         /// The routine that failed.
         routine: &'static str,
-        /// Number of sweeps performed.
+        /// Number of sweeps performed (for `eigen_sym`, the per-eigenvalue
+        /// QL iteration cap).
         sweeps: usize,
+    },
+    /// The input holds a NaN or an infinity, which the routine rejects
+    /// before doing any work.
+    NonFinite {
+        /// The routine that rejected the input.
+        routine: &'static str,
+        /// Row of the first non-finite entry in row-major order.
+        row: usize,
+        /// Column of that entry.
+        col: usize,
     },
     /// Input did not have the required shape (e.g. non-square for LU).
     BadShape(String),
@@ -37,6 +48,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NoConvergence { routine, sweeps } => {
                 write!(f, "{routine} did not converge after {sweeps} sweeps")
+            }
+            LinalgError::NonFinite { routine, row, col } => {
+                write!(f, "{routine}: non-finite entry at ({row}, {col})")
             }
             LinalgError::BadShape(msg) => write!(f, "bad shape: {msg}"),
         }
@@ -66,6 +80,13 @@ mod tests {
         }
         .to_string()
         .contains("jacobi_svd"));
+        assert!(LinalgError::NonFinite {
+            routine: "eigen_sym",
+            row: 2,
+            col: 1
+        }
+        .to_string()
+        .contains("non-finite entry at (2, 1)"));
         assert!(LinalgError::BadShape("2x3".into())
             .to_string()
             .contains("2x3"));

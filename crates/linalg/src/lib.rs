@@ -9,11 +9,13 @@
 //! * Cholesky factorization of symmetric positive-definite matrices — the
 //!   fast path for normal-equation solves.
 //! * Householder QR — least-squares solves for full-rank systems.
-//! * Cyclic Jacobi eigendecomposition of symmetric matrices.
+//! * Eigendecomposition of symmetric matrices by Householder
+//!   tridiagonalization and implicit-shift QL.
 //! * One-sided Jacobi SVD of general rectangular matrices.
-//! * The Moore–Penrose pseudo-inverse `ginv`, both the general SVD-backed
-//!   form and the symmetric-PSD eigen-backed form used by the factorized
-//!   `ginv(crossprod(T))` rewrite.
+//! * The Moore–Penrose pseudo-inverse `ginv`: the general SVD-backed form,
+//!   and two eigen-backed forms for symmetric input — `ginv_sym` (any
+//!   symmetric matrix) and `ginv_sym_psd` (a Gram matrix, as in the
+//!   factorized `ginv(crossprod(T))` rewrite).
 //!
 //! All routines operate on [`morpheus_dense::DenseMatrix`].
 //!
@@ -47,7 +49,7 @@ mod triangular;
 pub use cholesky::{cholesky, solve_spd};
 pub use eigen::{eigen_sym, EigenSym};
 pub use error::{LinalgError, LinalgResult};
-pub use ginv_impl::{ginv, ginv_sym_psd, GINV_RTOL};
+pub use ginv_impl::{ginv, ginv_sym, ginv_sym_psd, GINV_RTOL};
 pub use lu::{det, inverse, lu_decompose, solve, LuDecomposition};
 pub use qr::{householder_qr, lstsq, QrDecomposition};
 pub use svd::{svd, Svd};

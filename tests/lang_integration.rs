@@ -218,3 +218,42 @@ fn zeros_and_ones_reject_dimensions_they_cannot_honour() {
         );
     }
 }
+
+#[test]
+fn ginv_of_non_finite_input_is_all_nan_in_both_evaluators() {
+    // One NaN in the attribute table reaches every joined row that
+    // references it; one NaN in a dense matrix, likewise.
+    let s = DenseMatrix::from_fn(8, 2, |i, j| (i * 2 + j) as f64 * 0.5 - 1.0);
+    let mut r = DenseMatrix::from_fn(3, 2, |i, j| (i + 3 * j) as f64 + 0.25);
+    r.set(1, 0, f64::NAN);
+    let tn = NormalizedMatrix::pk_fk(s.into(), &[0, 1, 2, 0, 1, 2, 0, 1], r.into());
+    let mut x = DenseMatrix::from_fn(8, 4, |i, j| ((i * 5 + j * 3) % 7) as f64 - 3.0);
+    x.set(3, 2, f64::NAN);
+    for (name, value) in [("T", Value::normalized(tn)), ("X", Value::Dense(x))] {
+        for (src, shape) in [
+            ("ginv(M)", (4, 8)),
+            ("ginv(t(M))", (8, 4)),
+            ("ginv(crossprod(M))", (4, 4)),
+        ] {
+            let program = parse(src).unwrap();
+            for (evaluator, result) in [
+                ("eval_program", {
+                    let mut env = Env::new();
+                    env.bind("M", value.clone());
+                    eval_program(&program, &mut env)
+                }),
+                ("run_program", {
+                    let mut env = Env::new();
+                    env.bind("M", value.clone());
+                    run_program(&program, &mut env)
+                }),
+            ] {
+                let label = format!("{src} with M = {name} under {evaluator}");
+                let p = result.unwrap_or_else(|e| panic!("{label}: {e}"));
+                let p = p.as_dense().unwrap_or_else(|| panic!("{label}: not dense"));
+                assert_eq!(p.shape(), shape, "{label}");
+                assert!(p.as_slice().iter().all(|v| v.is_nan()), "{label}: {p:?}");
+            }
+        }
+    }
+}
