@@ -13,7 +13,7 @@
 //! worker-count-invariant.
 
 use crate::spill::{self, SpillFile};
-use crate::{Executor, LinearOperand};
+use crate::LinearOperand;
 use morpheus_core::{Matrix, NormalizedMatrix};
 use morpheus_dense::DenseMatrix;
 use morpheus_linalg::ginv_sym_psd;
@@ -67,10 +67,6 @@ pub struct ChunkedMatrix {
     /// Resident-byte budget chunks were admitted under; propagated to
     /// derived matrices (`scale`, `squared`).
     budget: u64,
-    /// `None` resolves [`Runtime::executor`] at each operator call, so
-    /// chunk-level parallelism always sees the *remaining* thread budget
-    /// of enclosing parallel sections.
-    executor: Option<Executor>,
 }
 
 impl ChunkedMatrix {
@@ -88,7 +84,26 @@ impl ChunkedMatrix {
     /// [`ChunkedMatrix::new`] with an explicit resident budget in bytes
     /// instead of the environment default. `u64::MAX` never spills.
     pub fn with_budget(m: &Matrix, chunk_rows: usize, resident_budget_bytes: u64) -> Self {
-        Self::build(m, chunk_rows, resident_budget_bytes, None)
+        assert!(chunk_rows > 0, "ChunkedMatrix: chunk_rows must be positive");
+        let rows = m.rows();
+        let cols = m.cols();
+        let mut admit = Admission::new(resident_budget_bytes);
+        let mut chunks = Vec::with_capacity(rows.div_ceil(chunk_rows).max(1));
+        let mut start = 0;
+        while start < rows {
+            let end = (start + chunk_rows).min(rows);
+            chunks.push(admit.store(m.slice_rows(start..end)));
+            start = end;
+        }
+        if chunks.is_empty() {
+            chunks.push(ChunkStore::Resident(m.slice_rows(0..0)));
+        }
+        Self {
+            chunks,
+            rows,
+            cols,
+            budget: resident_budget_bytes,
+        }
     }
 
     /// Builds the chunked join of a normalized matrix **without ever
@@ -128,48 +143,6 @@ impl ChunkedMatrix {
             rows,
             cols,
             budget: resident_budget_bytes,
-            executor: None,
-        }
-    }
-
-    /// Partitions `m` into row chunks evaluated on a caller-built
-    /// executor.
-    ///
-    /// # Panics
-    /// Panics if `chunk_rows == 0`.
-    #[deprecated(note = "use ChunkedMatrix::new: a raw executor bypasses the Runtime \
-                thread-budget claims, so chunk- and kernel-level parallelism \
-                can oversubscribe the pool")]
-    pub fn from_matrix(m: &Matrix, chunk_rows: usize, executor: Executor) -> Self {
-        Self::build(
-            m,
-            chunk_rows,
-            spill::resident_budget_bytes(),
-            Some(executor),
-        )
-    }
-
-    fn build(m: &Matrix, chunk_rows: usize, budget: u64, executor: Option<Executor>) -> Self {
-        assert!(chunk_rows > 0, "ChunkedMatrix: chunk_rows must be positive");
-        let rows = m.rows();
-        let cols = m.cols();
-        let mut admit = Admission::new(budget);
-        let mut chunks = Vec::with_capacity(rows.div_ceil(chunk_rows).max(1));
-        let mut start = 0;
-        while start < rows {
-            let end = (start + chunk_rows).min(rows);
-            chunks.push(admit.store(m.slice_rows(start..end)));
-            start = end;
-        }
-        if chunks.is_empty() {
-            chunks.push(ChunkStore::Resident(m.slice_rows(0..0)));
-        }
-        Self {
-            chunks,
-            rows,
-            cols,
-            budget,
-            executor,
         }
     }
 
@@ -186,13 +159,6 @@ impl ChunkedMatrix {
             .count()
     }
 
-    /// The executor used for chunk-parallel evaluation — the shared
-    /// [`Runtime`] budget unless a raw executor was pinned at
-    /// construction.
-    pub fn executor(&self) -> Executor {
-        self.executor.unwrap_or_else(Runtime::executor)
-    }
-
     fn chunk_row_offsets(&self) -> Vec<usize> {
         let mut offs = Vec::with_capacity(self.chunks.len() + 1);
         let mut acc = 0;
@@ -206,17 +172,19 @@ impl ChunkedMatrix {
 
     /// Applies `f` to every chunk and returns the results **in chunk
     /// order** — the one combination order both evaluation modes share.
-    /// All-resident matrices fan the chunks out across the executor;
-    /// once any chunk is spilled the walk turns into a stream with
+    /// All-resident matrices fan the chunks out across the executor of
+    /// the shared [`Runtime`] budget, resolved at each call so it sees
+    /// the *remaining* threads of enclosing parallel sections; once any
+    /// chunk is spilled the walk turns into a stream with
     /// double-buffered prefetch: while chunk `i` computes on one
-    /// [`Executor::par_join`] stride, chunk `i+1` faults in on the
+    /// `par_join` stride, chunk `i+1` faults in on the
     /// other, so at most two chunks are resident and the spill I/O
     /// overlaps the compute. Inner kernels see the remaining thread
     /// budget either way — the two parallelism levels compose without
     /// oversubscription.
     fn map_chunks<R: Send>(&self, f: impl Fn(&Matrix, usize) -> R + Sync + Send) -> Vec<R> {
         let n = self.chunks.len();
-        let ex = self.executor();
+        let ex = Runtime::executor();
         if self.n_spilled() == 0 {
             return ex.map(n, |i| match &self.chunks[i] {
                 ChunkStore::Resident(m) => f(m, i),
@@ -247,7 +215,6 @@ impl ChunkedMatrix {
             rows: self.rows,
             cols: self.cols,
             budget: self.budget,
-            executor: self.executor,
         }
     }
 }
@@ -421,15 +388,6 @@ mod tests {
         assert_eq!(LinearOperand::row_sums(&c), m.row_sums());
         assert_eq!(LinearOperand::col_sums(&c), m.col_sums());
         assert!((LinearOperand::sum(&c) - m.sum()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deprecated_raw_executor_path_still_works() {
-        let (m, _) = sample();
-        #[allow(deprecated)]
-        let c = ChunkedMatrix::from_matrix(&m, 5, Executor::new(3));
-        let x = DenseMatrix::from_fn(4, 2, |i, j| (i + j) as f64 * 0.5);
-        assert!(c.lmm(&x).approx_eq(&m.matmul_dense(&x), 1e-12));
     }
 
     #[test]

@@ -12,19 +12,20 @@
 //!   [`LinearOperand`] operator is evaluated chunk-at-a-time, in parallel
 //!   across worker threads (the shared `morpheus-runtime` scoped-thread
 //!   executor — the `ore.rowapply` analog).
-//! * [`PlannedChunkedMatrix`] — the per-operator cost-based planner routed
-//!   through the chunked backend. A materialized verdict runs on a
-//!   [`ChunkedMatrix`] built by streaming row bands of the join; a
-//!   factorized verdict runs the [`morpheus_core::NormalizedMatrix`]
-//!   rewrites themselves on the base tables — the backend is not modified
-//!   and the rewrites are not re-implemented for it, which is the paper's
-//!   point. The materialized route is priced with DRAM-tier kernel rates,
-//!   per-chunk dispatch overhead, and calibrated spill I/O; the factorized
-//!   route at its in-memory price
-//!   ([`morpheus_core::cost::estimate_op_chunked`]).
+//! * [`PlannedChunkedMatrix`] — core's per-operator cost-based planner,
+//!   [`morpheus_core::Planned`], over the chunked [`morpheus_core::Store`]
+//!   this crate implements for [`ChunkedMatrix`]. A materialized verdict
+//!   runs on a [`ChunkedMatrix`] built by streaming row bands of the join;
+//!   a factorized verdict runs the [`morpheus_core::NormalizedMatrix`]
+//!   rewrites themselves on the base tables — neither the backend nor the
+//!   planner is modified, and the rewrites are not re-implemented for it,
+//!   which is the paper's point. The store prices the materialized route
+//!   with DRAM-tier kernel rates, per-chunk dispatch overhead, and
+//!   calibrated spill I/O under its [`ChunkedCostCtx`]; the factorized
+//!   route at its in-memory price.
 //!
-//! Both types implement [`LinearOperand`], so the `morpheus-ml` algorithms
-//! run on them unchanged — the closure property, demonstrated end-to-end.
+//! Both implement [`LinearOperand`], so the `morpheus-ml` algorithms run
+//! on them unchanged — the closure property, demonstrated end-to-end.
 //!
 //! Residency, stated plainly: the factorized route keeps **all** base
 //! tables resident, the entity table `S` included, and none of them counts
@@ -40,19 +41,17 @@
 //! failures degrade to resident chunks (never wrong results), reported
 //! through the fault registry's degradation ladder.
 //!
-//! The executor itself lives in `morpheus-runtime` (re-exported here for
-//! compatibility): chunk-level parallelism claims workers from the shared
-//! budget, so the parallel dense/sparse kernels running *inside* each
-//! chunk see only the remaining threads and the two levels compose
-//! without oversubscription.
+//! Chunk-level parallelism claims workers from the shared
+//! `morpheus-runtime` budget, so the parallel dense/sparse kernels running
+//! *inside* each chunk see only the remaining threads and the two levels
+//! compose without oversubscription.
 
 mod chunked_matrix;
 mod planned;
 pub mod spill;
 
 pub use chunked_matrix::ChunkedMatrix;
-pub use morpheus_runtime::Executor;
-pub use planned::PlannedChunkedMatrix;
+pub use planned::{ChunkedCostCtx, PlannedChunkedMatrix, SpillCosts};
 pub use spill::{SpillFile, CHUNK_BYTES_ENV, SPILL_DIR_ENV};
 
 pub(crate) use morpheus_core::LinearOperand;
@@ -67,8 +66,7 @@ pub(crate) use morpheus_core::LinearOperand;
 #[cfg(test)]
 mod chunked_normalized {
     mod tests {
-        use crate::PlannedChunkedMatrix;
-        use morpheus_core::cost::ChunkedCostCtx;
+        use crate::{ChunkedCostCtx, PlannedChunkedMatrix, SpillCosts};
         use morpheus_core::{LinearOperand, Matrix, NormalizedMatrix, PlannedMatrix, Strategy};
         use morpheus_dense::DenseMatrix;
         use morpheus_runtime::Runtime;
@@ -105,9 +103,11 @@ mod chunked_normalized {
         fn ctx(chunk_rows: usize, budget: f64) -> ChunkedCostCtx {
             ChunkedCostCtx {
                 chunk_rows,
-                resident_budget_bytes: budget,
-                spill_read_ns_per_byte: 0.5,
-                spill_write_ns_per_byte: 1.0,
+                spill: Some(SpillCosts {
+                    resident_budget_bytes: budget,
+                    read_ns_per_byte: 0.5,
+                    write_ns_per_byte: 1.0,
+                }),
             }
         }
 
@@ -118,7 +118,7 @@ mod chunked_normalized {
             budget: f64,
         ) -> PlannedChunkedMatrix {
             PlannedChunkedMatrix::with_strategy(tn.clone(), chunk_rows, strategy)
-                .with_cost_ctx(ctx(chunk_rows, budget))
+                .with_ctx(ctx(chunk_rows, budget))
         }
 
         /// Runs `check(in-memory F, chunked F)` for every fixture at

@@ -1,351 +1,156 @@
-//! [`PlannedChunkedMatrix`] — the per-operator planner routed through the
-//! out-of-core chunked backend.
+//! The chunked [`Store`]: [`PlannedChunkedMatrix`] is core's per-operator
+//! planner with the materialized join held as a [`ChunkedMatrix`].
 //!
-//! The in-memory [`morpheus_core::PlannedMatrix`] compares calibrated
-//! time estimates of the factorized and materialized routes. Out of core
-//! the same comparison holds, but the materialized route's price changes:
-//! it flattens to the profile's DRAM tier (a chunked working set never
-//! stays in a cache tier across chunks), pays a per-chunk dispatch
-//! overhead, and pays spill I/O — writing the materialized join's chunks
-//! past the resident budget once, and reading them back on every pass.
-//! The factorized route is the in-memory route, at the in-memory price:
-//! it runs the [`NormalizedMatrix`] rewrites directly on the base tables,
-//! because the rewrites close over plain LA operators and need no second
+//! The in-memory planner compares calibrated time estimates of the
+//! factorized and materialized routes. Out of core the same comparison
+//! holds, but the materialized route's price changes: it flattens to the
+//! profile's DRAM tier (a chunked working set never stays in a cache tier
+//! across chunks), pays a per-chunk dispatch overhead, and pays spill I/O
+//! — writing the materialized join's chunks past the resident budget
+//! once, and reading them back on every pass. The factorized route is the
+//! in-memory route, at the in-memory price: it runs the
+//! [`NormalizedMatrix`] rewrites directly on the base tables, because the
+//! rewrites close over plain LA operators and need no second
 //! implementation to run beside a chunked backend — the ORE argument of
-//! the paper. [`estimate_op_chunked`] prices both, with spill rates
-//! calibrated against the actual spill directory ([`spill::io_rates`]).
+//! the paper. The spill rates are calibrated against the actual spill
+//! directory ([`spill::io_rates`]).
 //!
 //! Residency: the factorized route keeps **all** base tables resident —
 //! the entity table included — and outside `MORPHEUS_CHUNK_BYTES`. Only
 //! the materialized route's chunks are admitted against that budget and
 //! spill. Streaming the entity table `S` by chunk is not implemented.
 //!
-//! Routing reuses the exact decision core of the in-memory planner
-//! ([`plan_with`]): the strategies, the tie-break, the memoized-join
-//! discount, and the [`DecisionHook`] observer all behave identically —
-//! only the estimates differ. Whichever route is chosen, execution is
-//! delegated verbatim to [`NormalizedMatrix`] or [`ChunkedMatrix`], so
-//! planning affects scheduling, never numerics: a factorized verdict is
-//! bit-identical to the in-memory planner's, at any budget.
+//! Routing, the memo and the [`morpheus_core::DecisionHook`] are core's
+//! [`Planned`], so the strategies and the tie-break behave identically —
+//! only the estimates differ, and a factorized verdict is bit-identical
+//! to the in-memory planner's, at any budget.
 
 use crate::{spill, ChunkedMatrix};
-use morpheus_core::cost::{estimate_op_chunked, ChunkedCostCtx, OpKind};
-use morpheus_core::{
-    plan_with, Decision, DecisionHook, LinearOperand, MachineProfile, Matrix, NormalizedMatrix,
-    Strategy,
-};
-use morpheus_dense::DenseMatrix;
-use std::sync::{Arc, OnceLock};
-
-/// Which concrete chunked representation the planned matrix carries.
-#[derive(Debug, Clone)]
-enum Repr {
-    /// The normalized form; operators may still go either way.
-    Factorized(NormalizedMatrix),
-    /// Output of a closure operator routed materialized: the
-    /// factorization opportunity is spent.
-    Materialized(ChunkedMatrix),
-}
-
-/// Where the planned matrix gets its kernel rates from.
-#[derive(Clone)]
-enum ProfileSource {
-    Global,
-    Fixed(Arc<MachineProfile>),
-}
-
-impl ProfileSource {
-    fn get(&self) -> &MachineProfile {
-        match self {
-            ProfileSource::Global => MachineProfile::global(),
-            ProfileSource::Fixed(p) => p,
-        }
-    }
-}
+use morpheus_core::cost::{estimate_op, stored_entries, OpKind, PlanEstimate};
+use morpheus_core::{MachineProfile, NormalizedMatrix, Planned, RowChunked, Store};
 
 /// A chunked data matrix that plans factorized-vs-materialized execution
 /// per operator call, pricing the materialized route's spill traffic.
+/// ML algorithms are oblivious both to the routing *and* to chunks
+/// spilling to disk.
+pub type PlannedChunkedMatrix = Planned<ChunkedMatrix>;
+
+/// The chunked store's context: how its materialized join is chunked,
+/// admitted and priced. All of it bears on the materialized route only —
+/// the factorized route keeps every base table resident outside the
+/// budget and is not chunked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChunkedCostCtx {
+    /// Logical rows per chunk.
+    pub chunk_rows: usize,
+    /// Overrides of the resident budget and spill rates (tests, benches).
+    /// `None` takes the process-wide ones, resolved at first use: the
+    /// budget when the join is built or priced, the calibrated rates at
+    /// the first cost-based decision.
+    pub spill: Option<SpillCosts>,
+}
+
+/// The spill environment of a chunked join.
 ///
-/// Implements [`LinearOperand`], so ML algorithms are oblivious both to
-/// the routing *and* to chunks spilling to disk. Cloning is cheap and
-/// clones share the materialization memo.
-#[derive(Clone)]
-pub struct PlannedChunkedMatrix {
-    repr: Repr,
-    chunk_rows: usize,
-    strategy: Strategy,
-    profile: ProfileSource,
-    /// Overrides the environment-derived cost context (tests, benches).
-    ctx: Option<ChunkedCostCtx>,
-    memo: Arc<OnceLock<ChunkedMatrix>>,
-    hook: Option<DecisionHook>,
+/// The rates live here rather than in [`MachineProfile`] deliberately:
+/// spill throughput depends on the spill *directory* (tmpfs vs disk), not
+/// the machine, so the chunked backend calibrates it lazily per process —
+/// the persisted profile format stays untouched.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpillCosts {
+    /// Resident budget in bytes (`MORPHEUS_CHUNK_BYTES`); materialized
+    /// bytes beyond it stream through spill files on every access.
+    pub resident_budget_bytes: f64,
+    /// Calibrated ns per byte to fault a spilled chunk back in (mmap +
+    /// copy).
+    pub read_ns_per_byte: f64,
+    /// Calibrated ns per byte to write + rename + map a spill file.
+    pub write_ns_per_byte: f64,
 }
 
-impl std::fmt::Debug for PlannedChunkedMatrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlannedChunkedMatrix")
-            .field("repr", &self.repr)
-            .field("chunk_rows", &self.chunk_rows)
-            .field("strategy", &self.strategy)
-            .field("memoized", &self.is_memoized())
-            .finish_non_exhaustive()
+impl Store for ChunkedMatrix {
+    type Ctx = ChunkedCostCtx;
+
+    /// Builds the join by *streaming* row bands of `t` — the whole join
+    /// is never resident at once; chunks past the budget spill as they
+    /// are built.
+    fn materialize_join(t: &NormalizedMatrix, ctx: &ChunkedCostCtx) -> Self {
+        let budget = ctx.spill.map_or_else(spill::resident_budget_bytes, |s| {
+            s.resident_budget_bytes as u64
+        });
+        ChunkedMatrix::from_normalized_with_budget(t, ctx.chunk_rows, budget)
     }
-}
 
-impl PlannedChunkedMatrix {
-    /// Plans `t` chunked into at-most-`chunk_rows` row partitions, with
-    /// the process-wide strategy ([`Strategy::from_env`]) and the global
-    /// machine profile.
+    /// The **factorized** route is not chunked at all: it runs the
+    /// in-memory rewrites on the base tables, which all stay resident, so
+    /// its price is exactly [`estimate_op`]'s `factorized_ns`, independent
+    /// of `ctx`.
     ///
-    /// # Panics
-    /// Panics if `chunk_rows == 0` or `t` is a transposed view.
-    pub fn new(t: NormalizedMatrix, chunk_rows: usize) -> Self {
-        Self::with_strategy(t, chunk_rows, Strategy::from_env())
-    }
-
-    /// [`PlannedChunkedMatrix::new`] with an explicit strategy.
-    pub fn with_strategy(t: NormalizedMatrix, chunk_rows: usize, strategy: Strategy) -> Self {
-        assert!(
-            chunk_rows > 0,
-            "PlannedChunkedMatrix: chunk_rows must be positive"
-        );
-        assert!(
-            !t.is_transposed(),
-            "PlannedChunkedMatrix: chunk the untransposed matrix"
-        );
-        PlannedChunkedMatrix {
-            repr: Repr::Factorized(t),
-            chunk_rows,
-            strategy,
-            profile: ProfileSource::Global,
-            ctx: None,
-            memo: Arc::new(OnceLock::new()),
-            hook: None,
-        }
-    }
-
-    /// Replaces the kernel-rate profile (tests, ablations).
-    pub fn with_profile(mut self, profile: MachineProfile) -> Self {
-        self.profile = ProfileSource::Fixed(Arc::new(profile));
-        self
-    }
-
-    /// Replaces the environment-derived chunked cost context — budget and
-    /// spill I/O rates — for tests and benches. The memoized materialized
-    /// join is admitted under the same `resident_budget_bytes`, so pricing
-    /// and execution stay consistent.
-    pub fn with_cost_ctx(mut self, ctx: ChunkedCostCtx) -> Self {
-        self.ctx = Some(ctx);
-        self
-    }
-
-    /// Installs a decision-log hook, called synchronously with every
-    /// routing verdict this matrix (and its closure derivations) makes.
-    pub fn with_hook(mut self, hook: impl Fn(&Decision) + Send + Sync + 'static) -> Self {
-        self.hook = Some(Arc::new(hook));
-        self
-    }
-
-    /// The strategy in effect.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// The chunk height, in logical rows.
-    pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-
-    /// `true` when the materialized chunked join is resident (memoized or
-    /// the representation itself is spent).
-    pub fn is_memoized(&self) -> bool {
-        matches!(self.repr, Repr::Materialized(_)) || self.memo.get().is_some()
-    }
-
-    /// Chunks of the materialized join currently spilled to disk
-    /// (`0` while nothing has been materialized).
-    pub fn n_spilled(&self) -> usize {
-        match &self.repr {
-            Repr::Materialized(m) => m.n_spilled(),
-            Repr::Factorized(..) => self.memo.get().map_or(0, ChunkedMatrix::n_spilled),
-        }
-    }
-
-    /// The verdict this matrix would reach for `op` right now, without
-    /// executing anything or filling the memo. `None` when the
-    /// representation is already materialized.
-    pub fn plan(&self, op: OpKind) -> Option<Decision> {
-        match &self.repr {
-            Repr::Factorized(t) => Some(self.plan_for(t, op)),
-            Repr::Materialized(_) => None,
-        }
-    }
-
-    /// The cost context in effect: the explicit override, or the
-    /// process-wide budget and calibrated spill I/O rates.
-    fn cost_ctx(&self) -> ChunkedCostCtx {
-        self.ctx.unwrap_or_else(|| {
+    /// The **materialized** route pays three terms on top of the
+    /// in-memory model:
+    ///
+    /// * every dense kernel is priced at the profile's **DRAM tier** —
+    ///   chunk-at-a-time execution streams each chunk through the cache
+    ///   once, so the L2/L3 rates the in-memory model picks for small
+    ///   shapes never materialize;
+    /// * the spill traffic: the bytes of the chunked join beyond the
+    ///   resident budget are faulted in from spill files on every
+    ///   operator pass (`read_ns_per_byte`), and `materialize_ns`
+    ///   additionally pays writing them out once (`write_ns_per_byte`) —
+    ///   the asymmetry the paper's ORE experiments exploit;
+    /// * one dispatch overhead per chunk.
+    fn estimate(
+        profile: &MachineProfile,
+        t: &NormalizedMatrix,
+        op: OpKind,
+        ctx: &ChunkedCostCtx,
+    ) -> PlanEstimate {
+        let costs = ctx.spill.unwrap_or_else(|| {
             let (read, write) = spill::io_rates();
-            ChunkedCostCtx {
-                chunk_rows: self.chunk_rows,
+            SpillCosts {
                 resident_budget_bytes: spill::resident_budget_bytes() as f64,
-                spill_read_ns_per_byte: read,
-                spill_write_ns_per_byte: write,
+                read_ns_per_byte: read,
+                write_ns_per_byte: write,
             }
-        })
-    }
-
-    fn plan_for(&self, t: &NormalizedMatrix, op: OpKind) -> Decision {
-        plan_with(self.strategy, t, op, self.memo.get().is_some(), || {
-            estimate_op_chunked(self.profile.get(), t, op, &self.cost_ctx())
-        })
-    }
-
-    fn decide(&self, t: &NormalizedMatrix, op: OpKind) -> bool {
-        let decision = self.plan_for(t, op);
-        if let Some(hook) = &self.hook {
-            hook(&decision);
-        }
-        decision.factorized
-    }
-
-    /// The memoized materialized chunked join, built on first use by
-    /// *streaming* row bands of the source — the whole join is never
-    /// resident at once; chunks past the budget spill as they are built.
-    /// Same failure model as the in-memory planner memo: a panic
-    /// (injectable via `planner.memo`) leaves the cell empty, never
-    /// poisoned.
-    fn memo_ref(&self, t: &NormalizedMatrix) -> &ChunkedMatrix {
-        self.memo.get_or_init(|| {
-            morpheus_runtime::faults::maybe_panic("planner.memo");
-            let budget = self.ctx.map_or_else(spill::resident_budget_bytes, |c| {
-                c.resident_budget_bytes as u64
-            });
-            ChunkedMatrix::from_normalized_with_budget(t, self.chunk_rows, budget)
-        })
-    }
-
-    /// Routes a read-only operator.
-    fn run<R>(
-        &self,
-        op: OpKind,
-        fact: impl FnOnce(&NormalizedMatrix) -> R,
-        mat: impl FnOnce(&ChunkedMatrix) -> R,
-    ) -> R {
-        match &self.repr {
-            Repr::Materialized(m) => mat(m),
-            Repr::Factorized(t) => {
-                if self.decide(t, op) {
-                    fact(t)
-                } else {
-                    mat(self.memo_ref(t))
-                }
-            }
-        }
-    }
-
-    /// Routes a closure operator. A factorized verdict keeps the
-    /// normalized form alive (fresh memo); a materialized verdict spends
-    /// the factorization opportunity.
-    fn run_closure(
-        &self,
-        op: OpKind,
-        fact: impl FnOnce(&NormalizedMatrix) -> NormalizedMatrix,
-        mat: impl FnOnce(&ChunkedMatrix) -> ChunkedMatrix,
-    ) -> PlannedChunkedMatrix {
-        match &self.repr {
-            Repr::Materialized(m) => self.derive(Repr::Materialized(mat(m))),
-            Repr::Factorized(t) => {
-                if self.decide(t, op) {
-                    self.derive(Repr::Factorized(fact(t)))
-                } else {
-                    self.derive(Repr::Materialized(mat(self.memo_ref(t))))
-                }
-            }
-        }
-    }
-
-    fn derive(&self, repr: Repr) -> PlannedChunkedMatrix {
-        PlannedChunkedMatrix {
-            repr,
-            chunk_rows: self.chunk_rows,
-            strategy: self.strategy,
-            profile: self.profile.clone(),
-            ctx: self.ctx,
-            memo: Arc::new(OnceLock::new()),
-            hook: self.hook.clone(),
+        });
+        let streamed = estimate_op(&dram_clamped(profile), t, op);
+        let n_chunks = ((t.logical_rows() as f64 / ctx.chunk_rows.max(1) as f64).ceil()).max(1.0);
+        let spilled_bytes = (8.0 * stored_entries(t) - costs.resident_budget_bytes).max(0.0);
+        PlanEstimate {
+            factorized_ns: estimate_op(profile, t, op).factorized_ns,
+            materialized_op_ns: streamed.materialized_op_ns
+                + spilled_bytes * costs.read_ns_per_byte
+                + n_chunks * profile.op_overhead_ns,
+            materialize_ns: streamed.materialize_ns + spilled_bytes * costs.write_ns_per_byte,
         }
     }
 }
 
-impl LinearOperand for PlannedChunkedMatrix {
-    fn nrows(&self) -> usize {
-        match &self.repr {
-            Repr::Factorized(t) => t.rows(),
-            Repr::Materialized(m) => m.nrows(),
+impl RowChunked for ChunkedMatrix {
+    fn chunk_ctx(chunk_rows: usize) -> ChunkedCostCtx {
+        ChunkedCostCtx {
+            chunk_rows,
+            spill: None,
         }
     }
+}
 
-    fn ncols(&self) -> usize {
-        match &self.repr {
-            Repr::Factorized(t) => t.cols(),
-            Repr::Materialized(m) => m.ncols(),
-        }
+/// `profile` with every dense tier clamped to the DRAM rate.
+fn dram_clamped(p: &MachineProfile) -> MachineProfile {
+    let mut q = *p;
+    let dram = q.dense_tiers[2].ns;
+    for tier in &mut q.dense_tiers {
+        tier.ns = dram;
     }
-
-    fn lmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(OpKind::Lmm { m: x.cols() }, |t| t.lmm(x), |m| m.lmm(x))
-    }
-
-    fn t_lmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(OpKind::TLmm { m: x.cols() }, |t| t.t_lmm(x), |m| m.t_lmm(x))
-    }
-
-    fn rmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(OpKind::Rmm { m: x.rows() }, |t| t.rmm(x), |m| m.rmm(x))
-    }
-
-    fn crossprod(&self) -> DenseMatrix {
-        self.run(OpKind::Crossprod, |t| t.crossprod(), |m| m.crossprod())
-    }
-
-    fn row_sums(&self) -> DenseMatrix {
-        self.run(OpKind::RowSums, |t| t.row_sums(), |m| m.row_sums())
-    }
-
-    fn col_sums(&self) -> DenseMatrix {
-        self.run(OpKind::ColSums, |t| t.col_sums(), |m| m.col_sums())
-    }
-
-    fn sum(&self) -> f64 {
-        self.run(OpKind::Sum, |t| t.sum(), |m| m.sum())
-    }
-
-    fn scale(&self, x: f64) -> Self {
-        self.run_closure(OpKind::Elementwise, |t| t.scalar_mul(x), |m| m.scale(x))
-    }
-
-    fn squared(&self) -> Self {
-        self.run_closure(OpKind::Elementwise, |t| t.scalar_pow(2.0), |m| m.squared())
-    }
-
-    fn ginv(&self) -> DenseMatrix {
-        self.run(OpKind::Ginv, |t| t.ginv(), |m| m.ginv())
-    }
-
-    fn materialize(&self) -> Matrix {
-        match &self.repr {
-            Repr::Materialized(m) => m.materialize(),
-            Repr::Factorized(t) => self.memo_ref(t).materialize(),
-        }
-    }
+    q
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morpheus_core::PlannedMatrix;
-    use std::sync::Mutex;
+    use morpheus_core::{Decision, LinearOperand, PlannedMatrix, Strategy};
+    use morpheus_dense::DenseMatrix;
+    use std::sync::{Arc, Mutex};
 
     fn pkfk(n_s: usize, d_s: usize, n_r: usize, d_r: usize) -> NormalizedMatrix {
         let s = DenseMatrix::from_fn(n_s, d_s, |i, j| ((i * 3 + j) % 7) as f64 - 2.5);
@@ -354,13 +159,20 @@ mod tests {
         NormalizedMatrix::pk_fk(s.into(), &fk, r.into())
     }
 
-    fn resident_ctx(chunk_rows: usize) -> ChunkedCostCtx {
+    /// A context with fixed spill rates at the given budget.
+    fn ctx(chunk_rows: usize, budget: f64, read: f64) -> ChunkedCostCtx {
         ChunkedCostCtx {
             chunk_rows,
-            resident_budget_bytes: f64::INFINITY,
-            spill_read_ns_per_byte: 0.5,
-            spill_write_ns_per_byte: 1.0,
+            spill: Some(SpillCosts {
+                resident_budget_bytes: budget,
+                read_ns_per_byte: read,
+                write_ns_per_byte: 1.0,
+            }),
         }
+    }
+
+    fn resident_ctx(chunk_rows: usize) -> ChunkedCostCtx {
+        ctx(chunk_rows, f64::INFINITY, 0.5)
     }
 
     fn logged(
@@ -372,7 +184,7 @@ mod tests {
         let sink = Arc::clone(&log);
         let planned = PlannedChunkedMatrix::with_strategy(t, chunk_rows, strategy)
             .with_profile(MachineProfile::REFERENCE)
-            .with_cost_ctx(resident_ctx(chunk_rows))
+            .with_ctx(resident_ctx(chunk_rows))
             .with_hook(move |d| sink.lock().unwrap().push(*d));
         (planned, log)
     }
@@ -404,7 +216,7 @@ mod tests {
         ] {
             let chunked = PlannedChunkedMatrix::with_strategy(tn.clone(), 32, strategy)
                 .with_profile(MachineProfile::REFERENCE)
-                .with_cost_ctx(resident_ctx(32));
+                .with_ctx(resident_ctx(32));
             let planned = PlannedMatrix::with_strategy(tn.clone(), strategy)
                 .with_profile(MachineProfile::REFERENCE);
             let x = DenseMatrix::from_fn(tn.cols(), 2, |i, j| (i + j) as f64 * 0.2);
@@ -424,18 +236,13 @@ mod tests {
     fn decisions_match_brute_force_chunked_estimates() {
         let tn = pkfk(300, 3, 20, 6);
         let profile = MachineProfile::REFERENCE;
-        let ctx = ChunkedCostCtx {
-            chunk_rows: 64,
-            resident_budget_bytes: 0.0,
-            spill_read_ns_per_byte: 0.5,
-            spill_write_ns_per_byte: 1.0,
-        };
+        let ctx = ctx(64, 0.0, 0.5);
         let planned = PlannedChunkedMatrix::with_strategy(tn.clone(), 64, Strategy::CostBased)
             .with_profile(profile)
-            .with_cost_ctx(ctx);
+            .with_ctx(ctx);
         for op in OpKind::ALL {
             let d = planned.plan(op).unwrap();
-            let est = estimate_op_chunked(&profile, &tn, op, &ctx);
+            let est = ChunkedMatrix::estimate(&profile, &tn, op, &ctx);
             assert_eq!(
                 d.factorized,
                 est.factorized_ns < est.materialized_total_ns(false),
@@ -447,25 +254,36 @@ mod tests {
     #[test]
     fn spilled_memo_keeps_results_identical() {
         let tn = pkfk(90, 4, 9, 3);
-        let ctx = ChunkedCostCtx {
-            chunk_rows: 16,
-            resident_budget_bytes: 0.0, // every materialized chunk spills
-            spill_read_ns_per_byte: 0.5,
-            spill_write_ns_per_byte: 1.0,
-        };
+        // Budget 0: every materialized chunk spills.
         let planned =
             PlannedChunkedMatrix::with_strategy(tn.clone(), 16, Strategy::AlwaysMaterialize)
-                .with_cost_ctx(ctx);
+                .with_ctx(ctx(16, 0.0, 0.5));
         let x = DenseMatrix::from_fn(tn.cols(), 1, |i, _| i as f64 * 0.5);
         let via_spill = planned.lmm(&x);
-        assert!(planned.n_spilled() > 0, "budget 0 must spill the memo");
+        let n_spilled = |p: &PlannedChunkedMatrix| p.memo().map_or(0, ChunkedMatrix::n_spilled);
+        assert!(n_spilled(&planned) > 0, "budget 0 must spill the memo");
         // The spilled materialized route is bit-identical to the fully
         // resident one.
         let resident =
             PlannedChunkedMatrix::with_strategy(tn.clone(), 16, Strategy::AlwaysMaterialize)
-                .with_cost_ctx(resident_ctx(16));
+                .with_ctx(resident_ctx(16));
         assert_eq!(via_spill.as_slice(), resident.lmm(&x).as_slice());
-        assert_eq!(resident.n_spilled(), 0);
+        assert_eq!(n_spilled(&resident), 0);
+    }
+
+    #[test]
+    fn the_priced_chunk_height_is_the_built_one() {
+        // Constructed with 16-row chunks, then given a 64-row context: the
+        // memo must be chunked the way the verdict was priced.
+        let tn = pkfk(300, 3, 20, 6);
+        let planned =
+            PlannedChunkedMatrix::with_strategy(tn.clone(), 16, Strategy::AlwaysMaterialize)
+                .with_ctx(ctx(64, 0.0, 0.5));
+        let _ = LinearOperand::sum(&planned);
+        assert_eq!(
+            planned.memo().map(ChunkedMatrix::n_chunks),
+            Some(tn.rows().div_ceil(64))
+        );
     }
 
     #[test]
@@ -473,11 +291,11 @@ mod tests {
         let tn = pkfk(48, 2, 6, 3);
         let f = PlannedChunkedMatrix::with_strategy(tn.clone(), 12, Strategy::AlwaysFactorize);
         let f2 = f.scale(2.0);
-        assert!(matches!(f2.repr, Repr::Factorized(..)));
+        assert!(f2.normalized().is_some());
         assert!((LinearOperand::sum(&f2) - tn.scalar_mul(2.0).sum()).abs() < 1e-9);
         let m = PlannedChunkedMatrix::with_strategy(tn.clone(), 12, Strategy::AlwaysMaterialize);
         let m2 = m.squared();
-        assert!(matches!(m2.repr, Repr::Materialized(_)));
+        assert!(m2.normalized().is_none());
         assert!((LinearOperand::sum(&m2) - tn.materialize().scalar_pow(2.0).sum()).abs() < 1e-9);
     }
 
@@ -489,9 +307,62 @@ mod tests {
         let w_plain = trainer.fit(&tn, &y);
         for strategy in [Strategy::AlwaysFactorize, Strategy::AlwaysMaterialize] {
             let planned = PlannedChunkedMatrix::with_strategy(tn.clone(), 16, strategy)
-                .with_cost_ctx(resident_ctx(16));
+                .with_ctx(resident_ctx(16));
             let w = trainer.fit(&planned, &y);
             assert!(w.w.approx_eq(&w_plain.w, 1e-9), "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn chunked_estimates_price_spill_traffic_on_the_materialized_route() {
+        let p = MachineProfile::REFERENCE;
+        let t = pkfk(10_000, 4, 100, 40);
+        let resident = resident_ctx(512);
+        let spilled = ctx(512, 0.0, 0.5);
+        for op in OpKind::ALL {
+            let base = estimate_op(&p, &t, op);
+            let res = ChunkedMatrix::estimate(&p, &t, op, &resident);
+            let spl = ChunkedMatrix::estimate(&p, &t, op, &spilled);
+            for e in [&res, &spl] {
+                assert!(
+                    e.factorized_ns.is_finite() && e.factorized_ns > 0.0,
+                    "{op:?}"
+                );
+                assert!(e.materialized_op_ns.is_finite() && e.materialized_op_ns > 0.0);
+            }
+            // The factorized route is the in-memory route at the in-memory
+            // price; the materialized one is never priced cheaper than
+            // in-memory (DRAM-clamped tiers plus per-chunk dispatch only
+            // add cost).
+            assert_eq!(res.factorized_ns, base.factorized_ns, "{op:?}");
+            assert!(res.materialized_op_ns >= base.materialized_op_ns, "{op:?}");
+            // Spilling charges the materialized route, not the factorized
+            // one — every base table stays resident.
+            assert_eq!(spl.factorized_ns, res.factorized_ns, "{op:?}");
+            assert!(spl.materialized_op_ns > res.materialized_op_ns, "{op:?}");
+            assert!(spl.materialize_ns > res.materialize_ns, "{op:?}");
+        }
+        // The spill charge equals bytes x rate when everything spills.
+        let mat_bytes = 8.0 * t.rows() as f64 * t.cols() as f64;
+        let res = ChunkedMatrix::estimate(&p, &t, OpKind::Sum, &resident);
+        let spl = ChunkedMatrix::estimate(&p, &t, OpKind::Sum, &spilled);
+        assert!((spl.materialized_op_ns - res.materialized_op_ns - mat_bytes * 0.5).abs() < 1e-6);
+        assert!((spl.materialize_ns - res.materialize_ns - mat_bytes * 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn spill_pricing_flips_decisions_toward_factorized() {
+        // At TR = 2, FR = 0.5 the in-memory model picks the materialized
+        // route for LMM once the join is memoized; with the join spilled
+        // to disk at a realistic read rate, every pass pays the spill
+        // traffic and the factorized route must win.
+        let p = MachineProfile::REFERENCE;
+        let t = pkfk(2_000, 20, 1_000, 10);
+        let op = OpKind::Lmm { m: 2 };
+        let chunked = ChunkedMatrix::estimate(&p, &t, op, &ctx(256, 0.0, 1.0));
+        assert!(
+            chunked.factorized_ns < chunked.materialized_total_ns(true),
+            "spilled join must favor factorized: {chunked:?}"
+        );
     }
 }

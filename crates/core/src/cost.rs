@@ -31,10 +31,12 @@
 //! two-operand estimate ([`estimate_dmm`]) following the appendix-C block
 //! form rather than a width-`m` LMM approximation.
 //!
-//! Every estimate prices one operator call. There are two entry points:
-//! [`estimate_op`] for in-memory operands and [`estimate_op_chunked`] for
-//! chunked ones. Nothing prices a sequence of calls; the join's one-time
-//! cost is amortized by the planner's memo, call by call.
+//! Every estimate prices one operator call, through one entry point per
+//! operator form: [`estimate_op`], and [`estimate_dmm`] for the
+//! two-operand product. A store whose materialized route runs elsewhere
+//! (the chunked backend's spill-aware [`crate::Store`]) prices it on top
+//! of these. Nothing prices a sequence of calls; the join's one-time cost
+//! is amortized by the planner's memo, call by call.
 
 use crate::{MachineProfile, NormalizedMatrix};
 
@@ -493,6 +495,12 @@ pub fn materialize_ns(profile: &MachineProfile, t: &NormalizedMatrix) -> f64 {
     Shape::of(t).materialize_ns(profile)
 }
 
+/// Stored entries of the materialized join of `t` (nnz-aware for sparse
+/// parts) — what a store that spills the join has to hold.
+pub fn stored_entries(t: &NormalizedMatrix) -> f64 {
+    Shape::of(t).mat_size()
+}
+
 /// Estimates factorized vs materialized wall-clock time for the double
 /// matrix multiplication `a · b` (appendix C) — the two-operand
 /// counterpart of [`estimate_op`].
@@ -897,88 +905,6 @@ fn elementwise_m(p: &MachineProfile, s: &Shape) -> f64 {
     s.mat_size() * p.ew_ns
 }
 
-// ---------------------------------------------------------------------
-// Chunked (out-of-core) pricing
-// ---------------------------------------------------------------------
-
-/// Execution-environment facts of a chunked operand that
-/// [`estimate_op_chunked`] prices on top of the in-memory kernel model:
-/// the chunk granularity, the resident-pool budget that decides how much
-/// of the materialized join spills, and the calibrated spill-I/O rates.
-/// All of it bears on the materialized route only — the factorized route
-/// keeps every base table resident outside the budget and is not chunked.
-///
-/// The rates live here rather than in [`MachineProfile`] deliberately:
-/// spill throughput depends on the spill *directory* (tmpfs vs disk), not
-/// the machine, so the chunked backend calibrates it lazily per process
-/// and passes it in — the persisted profile format stays untouched.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChunkedCostCtx {
-    /// Logical rows per chunk.
-    pub chunk_rows: usize,
-    /// Resident budget in bytes (`MORPHEUS_CHUNK_BYTES`); materialized
-    /// bytes beyond it stream through spill files on every access.
-    pub resident_budget_bytes: f64,
-    /// Calibrated ns per byte to fault a spilled chunk back in (mmap +
-    /// copy).
-    pub spill_read_ns_per_byte: f64,
-    /// Calibrated ns per byte to write + rename + map a spill file.
-    pub spill_write_ns_per_byte: f64,
-}
-
-/// `profile` with every dense tier clamped to the DRAM rate: chunked
-/// execution streams each chunk through the cache exactly once, so no
-/// working set stays cache-resident across chunks and the L2/L3 rates the
-/// in-memory model would pick for small shapes never materialize.
-fn dram_clamped(p: &MachineProfile) -> MachineProfile {
-    let mut q = *p;
-    let dram = q.dense_tiers[2].ns;
-    for tier in &mut q.dense_tiers {
-        tier.ns = dram;
-    }
-    q
-}
-
-/// Estimates factorized vs materialized wall-clock time for `op` on a
-/// *chunked* operand — the out-of-core counterpart of [`estimate_op`].
-///
-/// The **factorized** route is not chunked at all: it runs the in-memory
-/// rewrites on the base tables, which all stay resident (entity table
-/// included, outside the chunk budget), so its price is exactly
-/// [`estimate_op`]'s `factorized_ns`, independent of `ctx`.
-///
-/// The **materialized** route pays three terms on top of the in-memory
-/// model:
-///
-/// * every dense kernel is priced at the profile's **DRAM tier** (see
-///   [`dram_clamped`]) — chunk-at-a-time execution is streaming by
-///   construction;
-/// * the spill traffic: the bytes of the chunked join beyond the resident
-///   budget are faulted in from spill files on every operator pass
-///   (`spill_read_ns_per_byte`), and `materialize_ns` additionally pays
-///   writing them out once (`spill_write_ns_per_byte`) — the asymmetry
-///   the paper's ORE experiments exploit;
-/// * one dispatch overhead per chunk.
-pub fn estimate_op_chunked(
-    profile: &MachineProfile,
-    t: &NormalizedMatrix,
-    op: OpKind,
-    ctx: &ChunkedCostCtx,
-) -> PlanEstimate {
-    let streamed = estimate_op(&dram_clamped(profile), t, op);
-    let s = Shape::of(t);
-    let n_chunks = ((s.n / ctx.chunk_rows.max(1) as f64).ceil()).max(1.0);
-    let mat_bytes = 8.0 * s.mat_size();
-    let spilled_bytes = (mat_bytes - ctx.resident_budget_bytes).max(0.0);
-    PlanEstimate {
-        factorized_ns: estimate_op(profile, t, op).factorized_ns,
-        materialized_op_ns: streamed.materialized_op_ns
-            + spilled_bytes * ctx.spill_read_ns_per_byte
-            + n_chunks * profile.op_overhead_ns,
-        materialize_ns: streamed.materialize_ns + spilled_bytes * ctx.spill_write_ns_per_byte,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1309,73 +1235,6 @@ mod tests {
         assert!(
             ratio_high > ratio_low,
             "crossprod speedup should grow with TR: {ratio_low} vs {ratio_high}"
-        );
-    }
-
-    #[test]
-    fn chunked_estimates_price_spill_traffic_on_the_materialized_route() {
-        let p = MachineProfile::REFERENCE;
-        let t = pkfk(10_000, 4, 100, 40);
-        let resident = ChunkedCostCtx {
-            chunk_rows: 512,
-            resident_budget_bytes: f64::INFINITY,
-            spill_read_ns_per_byte: 0.5,
-            spill_write_ns_per_byte: 1.0,
-        };
-        let spilled = ChunkedCostCtx {
-            resident_budget_bytes: 0.0,
-            ..resident
-        };
-        for op in OpKind::ALL {
-            let base = estimate_op(&p, &t, op);
-            let res = estimate_op_chunked(&p, &t, op, &resident);
-            let spl = estimate_op_chunked(&p, &t, op, &spilled);
-            for e in [&res, &spl] {
-                assert!(
-                    e.factorized_ns.is_finite() && e.factorized_ns > 0.0,
-                    "{op:?}"
-                );
-                assert!(e.materialized_op_ns.is_finite() && e.materialized_op_ns > 0.0);
-            }
-            // The factorized route is the in-memory route at the in-memory
-            // price; the materialized one is never priced cheaper than
-            // in-memory (DRAM-clamped tiers plus per-chunk dispatch only
-            // add cost).
-            assert_eq!(res.factorized_ns, base.factorized_ns, "{op:?}");
-            assert!(res.materialized_op_ns >= base.materialized_op_ns, "{op:?}");
-            // Spilling charges the materialized route, not the factorized
-            // one — every base table stays resident.
-            assert_eq!(spl.factorized_ns, res.factorized_ns, "{op:?}");
-            assert!(spl.materialized_op_ns > res.materialized_op_ns, "{op:?}");
-            assert!(spl.materialize_ns > res.materialize_ns, "{op:?}");
-        }
-        // The spill charge equals bytes x rate when everything spills.
-        let mat_bytes = 8.0 * t.rows() as f64 * t.cols() as f64;
-        let res = estimate_op_chunked(&p, &t, OpKind::Sum, &resident);
-        let spl = estimate_op_chunked(&p, &t, OpKind::Sum, &spilled);
-        assert!((spl.materialized_op_ns - res.materialized_op_ns - mat_bytes * 0.5).abs() < 1e-6);
-        assert!((spl.materialize_ns - res.materialize_ns - mat_bytes * 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn spill_pricing_flips_decisions_toward_factorized() {
-        // At TR = 2, FR = 0.5 the in-memory model picks the materialized
-        // route for LMM once the join is memoized; with the join spilled
-        // to disk at a realistic read rate, every pass pays the spill
-        // traffic and the factorized route must win.
-        let p = MachineProfile::REFERENCE;
-        let t = pkfk(2_000, 20, 1_000, 10);
-        let ctx = ChunkedCostCtx {
-            chunk_rows: 256,
-            resident_budget_bytes: 0.0,
-            spill_read_ns_per_byte: 1.0,
-            spill_write_ns_per_byte: 1.0,
-        };
-        let op = OpKind::Lmm { m: 2 };
-        let chunked = estimate_op_chunked(&p, &t, op, &ctx);
-        assert!(
-            chunked.factorized_ns < chunked.materialized_total_ns(true),
-            "spilled join must favor factorized: {chunked:?}"
         );
     }
 }

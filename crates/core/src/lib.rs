@@ -27,6 +27,8 @@
 //!   operators. [`Strategy`] selects the routing policy
 //!   (`MORPHEUS_STRATEGY`): cost-based, the paper's τ/ρ
 //!   [`DecisionRule`] heuristic (§3.7, §5.1), or the two always-arms.
+//!   It is [`Planned`] over the in-memory [`Store`]; other stores (the
+//!   chunked backend's) reuse the same planner.
 //! * [`MachineProfile`] — per-kernel ns/op rates: a size-tiered
 //!   blocked-dense curve (L2/L3/DRAM working sets), streaming, sparse-
 //!   product, and gather rates — calibrated lazily by microbenchmarks on
@@ -70,7 +72,9 @@ pub use error::{CoreError, CoreResult, MorpheusError, Result};
 pub use matrix::Matrix;
 pub use normalized::{AttributePart, Indicator, JoinStats, NormalizedMatrix};
 pub use ops_trait::LinearOperand;
-pub use planner::{plan_with, Decision, DecisionHook, PlannedMatrix, Strategy, STRATEGY_ENV};
+pub use planner::{
+    Decision, DecisionHook, Planned, PlannedMatrix, RowChunked, Store, Strategy, STRATEGY_ENV,
+};
 pub use profile::{
     CalibrationResult, DenseTier, MachineProfile, CALIBRATION_TIMEOUT_ENV,
     DEFAULT_CALIBRATION_TIMEOUT_MS, PROFILE_FORMAT_VERSION, PROFILE_PATH_ENV,

@@ -119,7 +119,7 @@ impl NormalizedMatrix {
     /// `rows() * x.cols()` slots) instead of allocating the output, so a
     /// caller scoring the whole operand repeatedly reuses one buffer.
     /// Bit-identical to [`NormalizedMatrix::lmm`] by construction: both
-    /// run [`NormalizedMatrix::lmm_accumulate`].
+    /// run `NormalizedMatrix::lmm_accumulate`.
     ///
     /// Transposed views take the allocating dispatch and copy (their
     /// result is assembled by vertical stacking, not accumulation).

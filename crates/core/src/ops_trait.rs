@@ -8,7 +8,9 @@
 //!
 //! * materialized on a [`Matrix`],
 //! * factorized on a [`crate::NormalizedMatrix`],
-//! * per-operator planned on a [`crate::PlannedMatrix`], or
+//! * per-operator planned on a [`crate::Planned`] matrix over any
+//!   [`crate::Store`] — [`crate::PlannedMatrix`] in memory,
+//!   `morpheus_chunked::PlannedChunkedMatrix` out of core — or
 //! * out-of-core on `morpheus_chunked::ChunkedMatrix`
 //!
 //! without a line changing — the paper's generality and closure desiderata.

@@ -1,23 +1,29 @@
 //! The per-operator cost-based planner: [`Strategy`], [`Decision`], and
-//! [`PlannedMatrix`].
+//! [`Planned`] — [`PlannedMatrix`] in memory.
 //!
 //! The paper's §3.7 heuristic makes one factorize-or-materialize choice per
 //! *matrix*, at construction time. But the §3.4 cost model is per
 //! *operator*: at the same (TR, FR) point the cross-product can sit deep in
 //! the factorized win region (its savings are quadratic in the feature
 //! split) while an LMM at low FR is already inside the L-shaped slow-down
-//! area. [`PlannedMatrix`] therefore re-decides on every operator call,
-//! comparing calibrated time estimates ([`crate::cost::estimate_op`]) of
-//! the two routes, and memoizes the materialized join in a shared
-//! [`OnceLock`] so one "materialize" verdict is paid once and amortizes
-//! across every later operator.
+//! area. [`Planned`] therefore re-decides on every operator call,
+//! comparing calibrated time estimates of the two routes, and memoizes the
+//! materialized join in a shared [`OnceLock`] so one "materialize" verdict
+//! is paid once and amortizes across every later operator.
 //!
 //! This per-call decision is the only router. A script is routed the same
 //! way, one call at a time: the script planner removes repeated calls
 //! (CSE) and fuses chains, but never decides a route itself.
 //!
+//! The planner is written once, generic over the [`Store`] a materialize
+//! verdict builds the join in: a [`Matrix`] here ([`PlannedMatrix`]), row
+//! chunks that spill past a resident budget in `morpheus_chunked`
+//! (`PlannedChunkedMatrix`). The store says how the join is built and how
+//! the materialized route is priced; the factorized route, the strategies,
+//! the memo and the hook are the same for every store.
+//!
 //! Whichever route is chosen, the operator is delegated verbatim to the
-//! pure implementation ([`NormalizedMatrix`] or [`Matrix`]), so planned
+//! pure implementation ([`NormalizedMatrix`] or the store), so planned
 //! results are bit-for-bit identical to the corresponding pure path —
 //! planning affects scheduling, never numerics.
 //!
@@ -26,14 +32,14 @@
 //! verdict for tests, logging, and the ablation benches.
 
 use crate::cost::{estimate_op, OpKind, PlanEstimate};
-use crate::{DecisionRule, JoinStats, LinearOperand, MachineProfile, Matrix, NormalizedMatrix};
+use crate::{DecisionRule, LinearOperand, MachineProfile, Matrix, NormalizedMatrix};
 use morpheus_dense::DenseMatrix;
 use std::sync::{Arc, OnceLock};
 
 /// Environment variable selecting the process-wide default [`Strategy`].
 pub const STRATEGY_ENV: &str = "MORPHEUS_STRATEGY";
 
-/// How a [`PlannedMatrix`] routes each operator.
+/// How a [`Planned`] matrix routes each operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// Compare calibrated time estimates per operator (the default).
@@ -101,69 +107,69 @@ pub struct Decision {
     pub factorized: bool,
 }
 
-/// Observer invoked with every [`Decision`] a [`PlannedMatrix`] makes.
+/// Observer invoked with every [`Decision`] a [`Planned`] matrix makes.
 pub type DecisionHook = Arc<dyn Fn(&Decision) + Send + Sync>;
 
-/// Resolves one routing [`Decision`] from a strategy, the operand, and a
-/// lazily-computed cost estimate — the decision core of
-/// [`PlannedMatrix`], shared with planner routes that price execution
-/// differently but route by the same rules (the chunked backend estimates
-/// through [`crate::cost::estimate_op_chunked`] and resolves here).
-///
-/// `estimate` is only invoked for [`Strategy::CostBased`]; `memoized`
-/// states whether a materialized `T` already exists, so the materialized
-/// route's one-off join cost is charged exactly when it would be paid.
-/// Ties go to the materialized route: its cost is dominated by the
-/// one-off materialization, which the memo amortizes across every later
-/// operator.
-pub fn plan_with(
-    strategy: Strategy,
-    t: &NormalizedMatrix,
-    op: OpKind,
-    memoized: bool,
-    estimate: impl FnOnce() -> PlanEstimate,
-) -> Decision {
-    match strategy {
-        Strategy::AlwaysFactorize => Decision {
-            op,
-            factorized_ns: f64::NAN,
-            materialized_ns: f64::NAN,
-            factorized: true,
-        },
-        Strategy::AlwaysMaterialize => Decision {
-            op,
-            factorized_ns: f64::NAN,
-            materialized_ns: f64::NAN,
-            factorized: false,
-        },
-        Strategy::Heuristic(rule) => Decision {
-            op,
-            factorized_ns: f64::NAN,
-            materialized_ns: f64::NAN,
-            factorized: rule.should_factorize(t),
-        },
-        Strategy::CostBased => {
-            let est = estimate();
-            let materialized_ns = est.materialized_total_ns(memoized);
-            Decision {
-                op,
-                factorized_ns: est.factorized_ns,
-                materialized_ns,
-                factorized: est.factorized_ns < materialized_ns,
-            }
-        }
+/// Where a [`Planned`] matrix puts the join when a verdict materializes
+/// it, and what running an operator there costs. The factorized route is
+/// the same for every store — the [`NormalizedMatrix`] rewrites on the
+/// base tables — so only the materialized route varies.
+pub trait Store: LinearOperand + Clone {
+    /// What builds and prices the join: nothing for an in-memory
+    /// [`Matrix`]; the chunk height, resident budget and spill rates for
+    /// a chunked store. One value does both, so the route that is priced
+    /// is the route that runs.
+    type Ctx: Clone + std::fmt::Debug;
+
+    /// Builds the materialized join of `t`.
+    fn materialize_join(t: &NormalizedMatrix, ctx: &Self::Ctx) -> Self;
+
+    /// Estimates `op` on `t` both ways, the materialized route running on
+    /// this store.
+    fn estimate(
+        profile: &MachineProfile,
+        t: &NormalizedMatrix,
+        op: OpKind,
+        ctx: &Self::Ctx,
+    ) -> PlanEstimate;
+}
+
+/// A [`Store`] that partitions the join into row chunks, so its planner
+/// is built with a chunk height. [`Matrix`] does not implement it, which
+/// keeps `PlannedMatrix::new(t)` apart from the chunked
+/// `new(t, chunk_rows)`.
+pub trait RowChunked: Store {
+    /// The context of `chunk_rows`-row chunks under the process-wide
+    /// spill settings, which the store resolves at first use.
+    fn chunk_ctx(chunk_rows: usize) -> Self::Ctx;
+}
+
+impl Store for Matrix {
+    type Ctx = ();
+
+    fn materialize_join(t: &NormalizedMatrix, _: &()) -> Matrix {
+        t.materialize()
+    }
+
+    fn estimate(
+        profile: &MachineProfile,
+        t: &NormalizedMatrix,
+        op: OpKind,
+        _: &(),
+    ) -> PlanEstimate {
+        estimate_op(profile, t, op)
     }
 }
 
 /// Which concrete representation a planned matrix carries.
 #[derive(Debug, Clone)]
-enum Repr {
+enum Repr<S> {
     /// The normalized form; operators may still go either way.
     Factorized(NormalizedMatrix),
     /// Output of a closure operator that was routed materialized: the
     /// factorization opportunity is spent, every later operator runs
     /// materialized.
-    Materialized(Matrix),
+    Materialized(S),
 }
 
 /// Where a planned matrix gets its kernel rates from.
@@ -186,25 +192,32 @@ impl ProfileSource {
 }
 
 /// A data matrix that plans factorized-vs-materialized execution *per
-/// operator call* — the replacement for the construction-time
-/// `AdaptiveMatrix` of earlier revisions.
+/// operator call*, materializing into the store `S` — the replacement for
+/// the construction-time `AdaptiveMatrix` of earlier revisions.
 ///
 /// Implements [`LinearOperand`], so ML algorithms are oblivious to the
-/// routing. Cloning is cheap and clones share the materialization memo.
+/// routing (and, out of core, to chunks spilling to disk). Cloning is
+/// cheap and clones share the materialization memo.
 #[derive(Clone)]
-pub struct PlannedMatrix {
-    repr: Repr,
+pub struct Planned<S: Store> {
+    repr: Repr<S>,
     strategy: Strategy,
     profile: ProfileSource,
-    memo: Arc<OnceLock<Matrix>>,
+    ctx: S::Ctx,
+    memo: Arc<OnceLock<S>>,
     hook: Option<DecisionHook>,
 }
 
-impl std::fmt::Debug for PlannedMatrix {
+/// The in-memory planner: a materialize verdict builds the join as a
+/// [`Matrix`].
+pub type PlannedMatrix = Planned<Matrix>;
+
+impl<S: Store + std::fmt::Debug> std::fmt::Debug for Planned<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlannedMatrix")
+        f.debug_struct("Planned")
             .field("repr", &self.repr)
             .field("strategy", &self.strategy)
+            .field("ctx", &self.ctx)
             .field("memoized", &self.is_memoized())
             .finish_non_exhaustive()
     }
@@ -216,31 +229,32 @@ impl From<NormalizedMatrix> for PlannedMatrix {
     }
 }
 
-impl PlannedMatrix {
-    /// Plans `t` with the process-wide strategy ([`Strategy::from_env`])
-    /// and the global machine profile.
-    pub fn new(t: NormalizedMatrix) -> Self {
-        Self::with_strategy(t, Strategy::from_env())
+impl<S: RowChunked> Planned<S> {
+    /// Plans `t` chunked into at-most-`chunk_rows` row partitions, with
+    /// the process-wide strategy ([`Strategy::from_env`]) and the global
+    /// machine profile.
+    ///
+    /// # Panics
+    /// Panics if `chunk_rows == 0` or `t` is a transposed view.
+    pub fn new(t: NormalizedMatrix, chunk_rows: usize) -> Self {
+        Self::with_strategy(t, chunk_rows, Strategy::from_env())
     }
 
-    /// Plans `t` with an explicit strategy.
-    pub fn with_strategy(t: NormalizedMatrix, strategy: Strategy) -> Self {
-        PlannedMatrix {
-            repr: Repr::Factorized(t),
+    /// The chunked `new` with an explicit strategy.
+    pub fn with_strategy(t: NormalizedMatrix, chunk_rows: usize, strategy: Strategy) -> Self {
+        assert!(chunk_rows > 0, "Planned: chunk_rows must be positive");
+        assert!(!t.is_transposed(), "Planned: chunk the untransposed matrix");
+        Self::build(Repr::Factorized(t), strategy, S::chunk_ctx(chunk_rows))
+    }
+}
+
+impl<S: Store> Planned<S> {
+    fn build(repr: Repr<S>, strategy: Strategy, ctx: S::Ctx) -> Self {
+        Planned {
+            repr,
             strategy,
             profile: ProfileSource::Global,
-            memo: Arc::new(OnceLock::new()),
-            hook: None,
-        }
-    }
-
-    /// Wraps an already-materialized matrix; every operator runs
-    /// materialized.
-    pub fn from_materialized(m: Matrix) -> Self {
-        PlannedMatrix {
-            repr: Repr::Materialized(m),
-            strategy: Strategy::from_env(),
-            profile: ProfileSource::Global,
+            ctx,
             memo: Arc::new(OnceLock::new()),
             hook: None,
         }
@@ -253,17 +267,20 @@ impl PlannedMatrix {
         self
     }
 
+    /// Replaces the store's context (tests, benches) — for a chunked
+    /// store the chunk height, resident budget and spill I/O rates. The
+    /// same context prices the materialized route and builds its join.
+    pub fn with_ctx(mut self, ctx: S::Ctx) -> Self {
+        self.ctx = ctx;
+        self
+    }
+
     /// Installs a decision-log hook, called synchronously with every
     /// routing verdict this matrix (and matrices derived from it via
     /// closure operators) makes.
     pub fn with_hook(mut self, hook: impl Fn(&Decision) + Send + Sync + 'static) -> Self {
         self.hook = Some(Arc::new(hook));
         self
-    }
-
-    /// The strategy in effect.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// The normalized form, when the factorization opportunity is still
@@ -275,23 +292,26 @@ impl PlannedMatrix {
         }
     }
 
-    /// `true` when a materialized `T` is resident — either memoized by an
-    /// earlier decision or because the representation itself is
-    /// materialized.
-    pub fn is_memoized(&self) -> bool {
-        matches!(self.repr, Repr::Materialized(_)) || self.memo.get().is_some()
+    /// The materialized join, when one is resident: the representation
+    /// itself once it is spent, else the memo an earlier materialize
+    /// verdict filled. `None` while nothing has been materialized.
+    pub fn memo(&self) -> Option<&S> {
+        match &self.repr {
+            Repr::Materialized(m) => Some(m),
+            Repr::Factorized(_) => self.memo.get(),
+        }
     }
 
-    /// Join statistics of the normalized form, if it is still alive.
-    pub fn stats(&self) -> Option<JoinStats> {
-        self.normalized().map(NormalizedMatrix::stats)
+    /// `true` when a materialized `T` is resident (see [`Planned::memo`]).
+    pub fn is_memoized(&self) -> bool {
+        self.memo().is_some()
     }
 
     /// `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         match &self.repr {
             Repr::Factorized(t) => t.shape(),
-            Repr::Materialized(m) => m.shape(),
+            Repr::Materialized(m) => (m.nrows(), m.ncols()),
         }
     }
 
@@ -319,10 +339,32 @@ impl PlannedMatrix {
     // Decision machinery
     // ------------------------------------------------------------------
 
+    /// Resolves one routing [`Decision`]. Only [`Strategy::CostBased`]
+    /// estimates, and charges the materialized route the one-off join
+    /// exactly when no memoized `T` exists. Ties go to the materialized
+    /// route: its cost is dominated by the one-off materialization, which
+    /// the memo amortizes across every later operator.
     fn plan_for(&self, t: &NormalizedMatrix, op: OpKind) -> Decision {
-        plan_with(self.strategy, t, op, self.memo.get().is_some(), || {
-            estimate_op(self.profile.get(), t, op)
-        })
+        let (factorized_ns, materialized_ns, factorized) = match self.strategy {
+            Strategy::AlwaysFactorize => (f64::NAN, f64::NAN, true),
+            Strategy::AlwaysMaterialize => (f64::NAN, f64::NAN, false),
+            Strategy::Heuristic(rule) => (f64::NAN, f64::NAN, rule.should_factorize(t)),
+            Strategy::CostBased => {
+                let est = S::estimate(self.profile.get(), t, op, &self.ctx);
+                let materialized_ns = est.materialized_total_ns(self.memo.get().is_some());
+                (
+                    est.factorized_ns,
+                    materialized_ns,
+                    est.factorized_ns < materialized_ns,
+                )
+            }
+        };
+        Decision {
+            op,
+            factorized_ns,
+            materialized_ns,
+            factorized,
+        }
     }
 
     fn decide(&self, t: &NormalizedMatrix, op: OpKind) -> bool {
@@ -340,11 +382,20 @@ impl PlannedMatrix {
     /// *empty* — never poisoned — so the panic propagates to this caller
     /// while the next call simply recomputes. A crash mid-join can never
     /// wedge the shared memo for the clones that hold it.
-    fn memo_ref(&self, t: &NormalizedMatrix) -> &Matrix {
+    fn memo_ref(&self, t: &NormalizedMatrix) -> &S {
         self.memo.get_or_init(|| {
             morpheus_runtime::faults::maybe_panic("planner.memo");
-            t.materialize()
+            S::materialize_join(t, &self.ctx)
         })
+    }
+
+    /// The materialized matrix this representation resolves to (memoizing
+    /// for factorized representations).
+    fn resident(&self) -> &S {
+        match &self.repr {
+            Repr::Materialized(m) => m,
+            Repr::Factorized(t) => self.memo_ref(t),
+        }
     }
 
     /// Routes a read-only operator.
@@ -352,7 +403,7 @@ impl PlannedMatrix {
         &self,
         op: OpKind,
         fact: impl FnOnce(&NormalizedMatrix) -> R,
-        mat: impl FnOnce(&Matrix) -> R,
+        mat: impl FnOnce(&S) -> R,
     ) -> R {
         match &self.repr {
             Repr::Materialized(m) => mat(m),
@@ -374,8 +425,8 @@ impl PlannedMatrix {
         &self,
         op: OpKind,
         fact: impl FnOnce(&NormalizedMatrix) -> NormalizedMatrix,
-        mat: impl FnOnce(&Matrix) -> Matrix,
-    ) -> PlannedMatrix {
+        mat: impl FnOnce(&S) -> S,
+    ) -> Self {
         match &self.repr {
             Repr::Materialized(m) => self.derive(Repr::Materialized(mat(m))),
             Repr::Factorized(t) => {
@@ -388,14 +439,34 @@ impl PlannedMatrix {
         }
     }
 
-    fn derive(&self, repr: Repr) -> PlannedMatrix {
-        PlannedMatrix {
+    fn derive(&self, repr: Repr<S>) -> Self {
+        Planned {
             repr,
             strategy: self.strategy,
             profile: self.profile.clone(),
+            ctx: self.ctx.clone(),
             memo: Arc::new(OnceLock::new()),
             hook: self.hook.clone(),
         }
+    }
+}
+
+impl Planned<Matrix> {
+    /// Plans `t` with the process-wide strategy ([`Strategy::from_env`])
+    /// and the global machine profile.
+    pub fn new(t: NormalizedMatrix) -> Self {
+        Self::with_strategy(t, Strategy::from_env())
+    }
+
+    /// Plans `t` with an explicit strategy.
+    pub fn with_strategy(t: NormalizedMatrix, strategy: Strategy) -> Self {
+        Self::build(Repr::Factorized(t), strategy, ())
+    }
+
+    /// Wraps an already-materialized matrix; every operator runs
+    /// materialized.
+    pub fn from_materialized(m: Matrix) -> Self {
+        Self::build(Repr::Materialized(m), Strategy::from_env(), ())
     }
 
     // ------------------------------------------------------------------
@@ -590,7 +661,7 @@ impl PlannedMatrix {
                 if decision.factorized {
                     a.dmm(b)
                 } else {
-                    self.memo_ref(a).matmul(other.resident_matrix())
+                    self.memo_ref(a).matmul(other.resident())
                 }
             }
             // Left side still factorized: a planned LMM with the spent
@@ -598,28 +669,19 @@ impl PlannedMatrix {
             // materialized).
             (Repr::Factorized(_), Repr::Materialized(b)) => match b.as_dense() {
                 Some(bd) => Matrix::Dense(self.lmm(bd)),
-                None => self.resident_matrix().matmul(b),
+                None => self.resident().matmul(b),
             },
             // Right side still factorized: a planned RMM symmetrically.
             (Repr::Materialized(a), Repr::Factorized(_)) => match a.as_dense() {
                 Some(ad) => Matrix::Dense(other.rmm(ad)),
-                None => a.matmul(other.resident_matrix()),
+                None => a.matmul(other.resident()),
             },
-            _ => self.resident_matrix().matmul(other.resident_matrix()),
-        }
-    }
-
-    /// The materialized matrix this representation resolves to (memoizing
-    /// for factorized representations).
-    fn resident_matrix(&self) -> &Matrix {
-        match &self.repr {
-            Repr::Materialized(m) => m,
-            Repr::Factorized(t) => self.memo_ref(t),
+            _ => self.resident().matmul(other.resident()),
         }
     }
 }
 
-impl LinearOperand for PlannedMatrix {
+impl<S: Store> LinearOperand for Planned<S> {
     fn nrows(&self) -> usize {
         self.rows()
     }
@@ -629,11 +691,7 @@ impl LinearOperand for PlannedMatrix {
     }
 
     fn lmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(
-            OpKind::Lmm { m: x.cols() },
-            |t| t.lmm(x),
-            |m| m.matmul_dense(x),
-        )
+        self.run(OpKind::Lmm { m: x.cols() }, |t| t.lmm(x), |m| m.lmm(x))
     }
 
     fn lmm_into(&self, x: &DenseMatrix, out: &mut [f64]) {
@@ -641,75 +699,55 @@ impl LinearOperand for PlannedMatrix {
         // borrow), so the routing is inlined: same op kind, same decision,
         // same memo — bit-identical to `lmm` on either verdict.
         match &self.repr {
-            Repr::Materialized(m) => out.copy_from_slice(m.matmul_dense(x).as_slice()),
+            Repr::Materialized(m) => m.lmm_into(x, out),
             Repr::Factorized(t) => {
                 if self.decide(t, OpKind::Lmm { m: x.cols() }) {
                     t.lmm_into(x, out);
                 } else {
-                    out.copy_from_slice(self.memo_ref(t).matmul_dense(x).as_slice());
+                    self.memo_ref(t).lmm_into(x, out);
                 }
             }
         }
     }
 
     fn t_lmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(
-            OpKind::TLmm { m: x.cols() },
-            |t| t.t_lmm(x),
-            |m| m.t_matmul_dense(x),
-        )
+        self.run(OpKind::TLmm { m: x.cols() }, |t| t.t_lmm(x), |m| m.t_lmm(x))
     }
 
     fn rmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.run(
-            OpKind::Rmm { m: x.rows() },
-            |t| t.rmm(x),
-            |m| m.dense_matmul(x),
-        )
+        self.run(OpKind::Rmm { m: x.rows() }, |t| t.rmm(x), |m| m.rmm(x))
     }
 
     fn crossprod(&self) -> DenseMatrix {
-        self.run(
-            OpKind::Crossprod,
-            NormalizedMatrix::crossprod,
-            Matrix::crossprod,
-        )
+        self.run(OpKind::Crossprod, NormalizedMatrix::crossprod, S::crossprod)
     }
 
     fn row_sums(&self) -> DenseMatrix {
-        self.run(
-            OpKind::RowSums,
-            NormalizedMatrix::row_sums,
-            Matrix::row_sums,
-        )
+        self.run(OpKind::RowSums, NormalizedMatrix::row_sums, S::row_sums)
     }
 
     fn col_sums(&self) -> DenseMatrix {
-        self.run(
-            OpKind::ColSums,
-            NormalizedMatrix::col_sums,
-            Matrix::col_sums,
-        )
+        self.run(OpKind::ColSums, NormalizedMatrix::col_sums, S::col_sums)
     }
 
     fn sum(&self) -> f64 {
-        self.run(OpKind::Sum, NormalizedMatrix::sum, Matrix::sum)
+        self.run(OpKind::Sum, NormalizedMatrix::sum, S::sum)
     }
 
     fn scale(&self, x: f64) -> Self {
-        self.scalar_mul(x)
+        self.run_closure(OpKind::Elementwise, |t| t.scalar_mul(x), |m| m.scale(x))
     }
 
     fn squared(&self) -> Self {
-        self.scalar_pow(2.0)
+        self.run_closure(OpKind::Elementwise, |t| t.scalar_pow(2.0), S::squared)
     }
 
     fn ginv(&self) -> DenseMatrix {
-        self.run(OpKind::Ginv, |t| t.ginv(), LinearOperand::ginv)
+        self.run(OpKind::Ginv, NormalizedMatrix::ginv, S::ginv)
     }
 
     fn materialize(&self) -> Matrix {
-        self.resident_matrix().clone()
+        self.resident().materialize()
     }
 }
 

@@ -238,7 +238,7 @@ impl MachineProfile {
 
     /// Measures the rates with microbenchmarks of the real kernels.
     ///
-    /// The dense rate is measured at the three [`TIER_SHAPES`] working
+    /// The dense rate is measured at the three `TIER_SHAPES` working
     /// sets; the larger two are time-budgeted
     /// ([`timing::measure_ns_budgeted`]) so first-use calibration stays
     /// bounded (~100 ms total) even on slow machines. The resident pool is

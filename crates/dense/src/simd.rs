@@ -394,8 +394,8 @@ fn reductions_use_avx2() -> bool {
 
 /// Sum of a slice with [`LANES`] independent accumulators: lane `l` sums
 /// elements `l, l + LANES, l + 2·LANES, …`; the lanes are combined by
-/// [`combine`] and the tail (`len % LANES` elements) is then added in
-/// order. Slices shorter than [`LANE_CUTOVER`] take a serial fold
+/// `combine` and the tail (`len % LANES` elements) is then added in
+/// order. Slices shorter than `LANE_CUTOVER` take a serial fold
 /// instead. Deterministic across runs, worker counts, ISAs, and the
 /// `MORPHEUS_SIMD` gate (the order depends only on the length) — and
 /// ~3x faster than the single serial dependency chain it replaces on
@@ -463,7 +463,7 @@ unsafe fn sum_avx2(xs: &[f64]) -> f64 {
 /// Dot product with the fixed-lane decomposition of [`sum`], accumulating
 /// `a[i] * b[i]` with multiply-then-add (never FMA — an FMA here would
 /// make the result depend on the ISA level). Slices shorter than
-/// [`LANE_CUTOVER`] take a serial fold. Panics are the caller's
+/// `LANE_CUTOVER` take a serial fold. Panics are the caller's
 /// concern; the slices are truncated to the shorter length like `zip`.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -540,7 +540,7 @@ unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
 
 /// Gathered dot product `Σ vals[t] * x[idx[t]]` — the inner loop of the
 /// sparse row-dot kernels (`spmv`, width-1 SpMM). Same fixed-lane
-/// decomposition as [`dot`], with the same [`LANE_CUTOVER`] serial path
+/// decomposition as [`dot`], with the same `LANE_CUTOVER` serial path
 /// for short rows (sparse rows are routinely a handful of non-zeros);
 /// the gathers stay scalar (no `vgatherdpd`), the win is the eight
 /// independent accumulation chains.

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 ///
 /// Work is distributed over `threads` *strides*; the calling thread always
 /// runs strides itself and parked pool workers pick up the rest, so
-/// dispatch never creates a thread (see [`crate::pool`]). With
+/// dispatch never creates a thread (see the `pool` module). With
 /// `threads == 1` everything runs inline on the caller (deterministic, no
 /// dispatch overhead), which is also the fallback when only one work item
 /// exists. Requesting more strides than resident workers exist is fine —

@@ -35,8 +35,8 @@
 //!
 //! | name | site | kinds honored |
 //! |---|---|---|
-//! | `pool.dispatch` | [`crate::pool`] job dispatch | `panic` unwinds on the submitter before anything is published; any other kind makes dispatch report "unavailable", degrading the section to inline serial execution (bit-identical results) |
-//! | `pool.worker` | worker loop, after claiming a job | `panic` kills the resident worker, which the pool detects and heals (see [`crate::pool`]) |
+//! | `pool.dispatch` | `pool` job dispatch | `panic` unwinds on the submitter before anything is published; any other kind makes dispatch report "unavailable", degrading the section to inline serial execution (bit-identical results) |
+//! | `pool.worker` | worker loop, after claiming a job | `panic` kills the resident worker, which the pool detects and heals (see the `pool` module) |
 //! | `pool.spawn` | worker spawn in `set_threads` growth | any kind makes the spawn fail, exercising the degraded (fewer-helpers / inline-serial) pool |
 //! | `exec.stride` | every executor stride body | `panic` (contained like any stride panic and re-thrown on the submitter), `sleep` |
 //! | `profile.calibrate` | start of `MachineProfile::calibrate` | `sleep` simulates a hostile machine (trips the calibration watchdog), `panic` a crashing calibration |

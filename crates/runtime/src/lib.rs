@@ -19,7 +19,7 @@
 //!   wake — no thread is created on the hot path (the spawn tax of the
 //!   old scoped-thread executor). The calling thread always participates
 //!   in its own section, so dispatch degrades gracefully when workers are
-//!   busy and nested sections can never deadlock (see [`pool`]'s module
+//!   busy and nested sections can never deadlock (see the `pool` module
 //!   docs for the invariants).
 //! * Kernels obtain an executor with [`Runtime::executor`]; callers that
 //!   want explicit control pass their own [`Executor`] to the `*_with`
@@ -53,7 +53,7 @@
 //! README's "Failure model" section for the operator view):
 //!
 //! * A resident worker that dies heals in place; unclaimed strides fall
-//!   to the submitter, so no job is ever lost ([`pool`] docs).
+//!   to the submitter, so no job is ever lost (`pool` module docs).
 //! * A pool that cannot be (re)built degrades every parallel section to
 //!   inline serial execution on the caller — bit-identical results, one
 //!   warning, and a counter in [`faults::stats`].

@@ -29,7 +29,7 @@ pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 14;
 
 /// The process-global thread-budget authority.
 ///
-/// `Runtime` owns the resident worker pool (see [`crate::pool`]) and
+/// `Runtime` owns the resident worker pool (see the `pool` module) and
 /// answers "how many workers may this call site use right now?",
 /// accounting for workers already claimed by enclosing parallel sections
 /// (see the crate docs for the composition rule).

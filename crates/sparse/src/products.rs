@@ -179,7 +179,7 @@ impl CsrMatrix {
     ///
     /// Output rows are scatter-written (row `i` of `x` lands on output row
     /// `c` for every non-zero `(i, c)`), so the parallel path runs the
-    /// two-pass scheme: [`CsrMatrix::column_buckets`] regroups the
+    /// two-pass scheme: `CsrMatrix::column_buckets` regroups the
     /// non-zeros by output row, then disjoint output bands accumulate
     /// their buckets in ascending input-row order — the serial kernel's
     /// exact per-element order, so results are bit-identical to one

@@ -49,8 +49,8 @@ pub use morpheus_sparse as sparse;
 
 /// Convenient single-line import of the most commonly used types.
 ///
-/// Includes the workspace-wide unified error layer: [`MorpheusError`] and
-/// the [`MorpheusResult`] alias (re-exported from `morpheus_core::Result`
+/// Includes the workspace-wide unified error layer: [`MorpheusError`](prelude::MorpheusError) and
+/// the [`MorpheusResult`](prelude::MorpheusResult) alias (re-exported from `morpheus_core::Result`
 /// under a collision-free name), into which every layer's error converts
 /// with `?`:
 ///

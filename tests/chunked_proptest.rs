@@ -7,8 +7,7 @@
 //! count, and injected spill-I/O faults must degrade chunks to resident —
 //! counted, never corrupting results.
 
-use morpheus::chunked::{ChunkedMatrix, Executor, PlannedChunkedMatrix};
-use morpheus::core::cost::ChunkedCostCtx;
+use morpheus::chunked::{ChunkedCostCtx, ChunkedMatrix, PlannedChunkedMatrix, SpillCosts};
 use morpheus::core::LinearOperand;
 use morpheus::core::Strategy as Route;
 use morpheus::prelude::*;
@@ -47,17 +46,23 @@ proptest! {
         let _guard = faults::exclusive();
         let d = mat(rows, cols, seed);
         let m = Matrix::Dense(d.clone());
-        #[allow(deprecated)]
-        let c = ChunkedMatrix::from_matrix(&m, chunk, Executor::new(threads));
-        prop_assert_eq!(c.n_chunks(), rows.div_ceil(chunk).max(1));
-
+        // Chunk-level workers come from the Runtime budget; pin it for
+        // the checks and restore the configured count afterwards.
+        let configured = Runtime::threads();
+        Runtime::set_threads(threads);
+        let c = ChunkedMatrix::new(&m, chunk);
         let x = mat(cols, 2, seed ^ 0x44);
-        prop_assert!(c.lmm(&x).approx_eq(&d.matmul(&x), 1e-10));
         let y = mat(rows, 2, seed ^ 0x55);
-        prop_assert!(c.t_lmm(&y).approx_eq(&d.t_matmul(&y), 1e-10));
-        prop_assert!(LinearOperand::crossprod(&c).approx_eq(&d.crossprod(), 1e-9));
-        prop_assert!(c.scale(2.5).materialize().approx_eq(&m.scalar_mul(2.5), 1e-12));
-        prop_assert!(c.squared().materialize().approx_eq(&m.scalar_pow(2.0), 1e-12));
+        let (lmm, t_lmm, crossprod) = (c.lmm(&x), c.t_lmm(&y), LinearOperand::crossprod(&c));
+        let (scaled, squared) = (c.scale(2.5).materialize(), c.squared().materialize());
+        Runtime::set_threads(configured);
+
+        prop_assert_eq!(c.n_chunks(), rows.div_ceil(chunk).max(1));
+        prop_assert!(lmm.approx_eq(&d.matmul(&x), 1e-10));
+        prop_assert!(t_lmm.approx_eq(&d.t_matmul(&y), 1e-10));
+        prop_assert!(crossprod.approx_eq(&d.crossprod(), 1e-9));
+        prop_assert!(scaled.approx_eq(&m.scalar_mul(2.5), 1e-12));
+        prop_assert!(squared.approx_eq(&m.scalar_pow(2.0), 1e-12));
     }
 
     #[test]
@@ -78,9 +83,11 @@ proptest! {
         // (resident, spilled): same chunking, budgets MAX and 0.
         let ctxs = [f64::INFINITY, 0.0].map(|budget| ChunkedCostCtx {
             chunk_rows: chunk,
-            resident_budget_bytes: budget,
-            spill_read_ns_per_byte: 0.5,
-            spill_write_ns_per_byte: 1.0,
+            spill: Some(SpillCosts {
+                resident_budget_bytes: budget,
+                read_ns_per_byte: 0.5,
+                write_ns_per_byte: 1.0,
+            }),
         });
         // Chunk-level parallelism comes from the Runtime budget; pin it
         // per pass and restore the configured count afterwards.
@@ -91,6 +98,7 @@ proptest! {
             let mut fingerprint: Vec<u64> = Vec::new();
             for strategy in [
                 Route::CostBased,
+                Route::Heuristic(DecisionRule::default()),
                 Route::AlwaysFactorize,
                 Route::AlwaysMaterialize,
             ] {
@@ -98,7 +106,7 @@ proptest! {
                     let chunked =
                         PlannedChunkedMatrix::with_strategy(tn.clone(), chunk, strategy)
                             .with_profile(MachineProfile::REFERENCE)
-                            .with_cost_ctx(ctx);
+                            .with_ctx(ctx);
                     let planned = PlannedMatrix::with_strategy(tn.clone(), strategy)
                         .with_profile(MachineProfile::REFERENCE);
                     // Chunked-vs-unchunked: equal up to reduction

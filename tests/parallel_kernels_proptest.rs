@@ -176,33 +176,29 @@ proptest! {
         rows in 8usize..50,
         cols in 2usize..8,
         chunk in 1usize..12,
-        outer_threads in 2usize..5,
+        outer_threads in 3usize..9,
         seed in any::<u64>(),
     ) {
-        // Chunk-level parallelism claims workers; the parallel dense
-        // kernels inside each chunk see the remainder of the global
-        // budget. Whatever the split, results must be identical to the
-        // fully serial execution. The configured count is restored so the
-        // CI thread-mode pins keep governing the rest of this binary.
+        // Chunk-level parallelism claims workers from the Runtime budget
+        // — pinned here past a 2-core runner's cores — and the parallel
+        // dense kernels inside each chunk see the remainder. Whatever the
+        // split, results must be identical to the fully serial execution.
+        // The configured count is restored so the CI thread-mode pins
+        // keep governing the rest of this binary.
         let configured = Runtime::threads();
-        Runtime::set_threads(4);
         let d = mat(rows, cols, seed);
         let m = Matrix::Dense(d.clone());
-        // The raw-executor path: this property *is* about pinning distinct
-        // chunk-level worker counts, which the Runtime default deliberately
-        // hides (Runtime::set_threads is global and racy across tests).
-        #[allow(deprecated)]
-        let nested = ChunkedMatrix::from_matrix(&m, chunk, Executor::new(outer_threads));
-        #[allow(deprecated)]
-        let serial = ChunkedMatrix::from_matrix(&m, chunk, Executor::new(1));
+        let c = ChunkedMatrix::with_budget(&m, chunk, u64::MAX);
 
         let x = mat(cols, 3, seed ^ 0x5E5E);
-        let nested_lmm = nested.lmm(&x);
-        let nested_cp = LinearOperand::crossprod(&nested);
-        let nested_lmm2 = nested.lmm(&x);
-        let nested_cp2 = LinearOperand::crossprod(&nested);
-        let serial_lmm = serial.lmm(&x);
-        let serial_cp = LinearOperand::crossprod(&serial);
+        Runtime::set_threads(outer_threads);
+        let nested_lmm = c.lmm(&x);
+        let nested_cp = LinearOperand::crossprod(&c);
+        let nested_lmm2 = c.lmm(&x);
+        let nested_cp2 = LinearOperand::crossprod(&c);
+        Runtime::set_threads(1);
+        let serial_lmm = c.lmm(&x);
+        let serial_cp = LinearOperand::crossprod(&c);
         Runtime::set_threads(configured);
         prop_assert_eq!(&nested_lmm, &serial_lmm);
         prop_assert_eq!(&nested_cp, &serial_cp);
