@@ -42,20 +42,17 @@ pub enum CoreError {
         /// Base-table row count.
         table_rows: usize,
     },
-    /// An indicator row is not a single `1.0` entry.
-    ///
-    /// The paper's indicator matrices (PK-FK `K`, M:N `I_S`/`I_R`) all have
-    /// exactly one non-zero of value one per row; several rewrites
-    /// (element-wise scalar ops, the `diag(colSums)` cross-product trick)
-    /// rely on it.
-    NotIndicator {
-        /// Index of the offending part.
-        part: usize,
-        /// Offending row within the indicator.
+    /// A foreign key (or M:N provenance row) names no row of its table.
+    KeyOutOfRange {
+        /// Position of the key in its key column.
         row: usize,
+        /// The key.
+        key: usize,
+        /// Rows of the base table it indexes.
+        table_rows: usize,
     },
-    /// A base table referenced by position does not exist.
-    NoSuchPart(usize),
+    /// [`crate::NormalizedMatrix::append_rows`] got additions that do not fit.
+    BadAppend(String),
     /// A persisted machine profile could not be parsed (or contained
     /// non-positive rates). Carries a rendered description because profile
     /// files are free-form text edited by humans and CI caches.
@@ -82,11 +79,15 @@ impl fmt::Display for CoreError {
                 f,
                 "part {part}: indicator has {indicator_cols} columns but table has {table_rows} rows"
             ),
-            CoreError::NotIndicator { part, row } => write!(
+            CoreError::KeyOutOfRange {
+                row,
+                key,
+                table_rows,
+            } => write!(
                 f,
-                "part {part}: indicator row {row} is not a single 1.0 entry"
+                "key {key} at row {row} is out of range for a {table_rows}-row table"
             ),
-            CoreError::NoSuchPart(i) => write!(f, "no attribute part at index {i}"),
+            CoreError::BadAppend(reason) => write!(f, "append_rows: {reason}"),
             CoreError::Profile(msg) => write!(f, "machine profile: {msg}"),
         }
     }
@@ -204,9 +205,15 @@ mod tests {
         }
         .to_string()
         .contains("part 1"));
-        assert!(CoreError::NotIndicator { part: 0, row: 2 }
-            .to_string()
-            .contains("row 2"));
+        assert_eq!(
+            CoreError::KeyOutOfRange {
+                row: 2,
+                key: 7,
+                table_rows: 5
+            }
+            .to_string(),
+            "key 7 at row 2 is out of range for a 5-row table"
+        );
     }
 
     #[test]
@@ -234,7 +241,7 @@ mod tests {
     #[test]
     fn unified_error_exposes_structured_sources() {
         use std::error::Error as _;
-        let e: MorpheusError = CoreError::NoSuchPart(3).into();
+        let e: MorpheusError = CoreError::Empty.into();
         assert!(e.source().is_some());
         assert!(MorpheusError::Lang("oops".into()).source().is_none());
         assert!(MorpheusError::Data("oops".into()).source().is_none());

@@ -70,7 +70,7 @@ mod profile;
 pub use decision::DecisionRule;
 pub use error::{CoreError, CoreResult, MorpheusError, Result};
 pub use matrix::Matrix;
-pub use normalized::{AttributePart, Indicator, JoinStats, NormalizedMatrix};
+pub use normalized::{AttributePart, Indicator, JoinStats, KeyColumn, NormalizedMatrix};
 pub use ops_trait::LinearOperand;
 pub use planner::{
     Decision, DecisionHook, Planned, PlannedMatrix, RowChunked, Store, Strategy, STRATEGY_ENV,

@@ -12,7 +12,7 @@
 //! recovering the §3.3.2 PK-FK rules verbatim. These are the LA analog of
 //! SQL aggregate push-down ([12, 37] in the paper).
 
-use super::NormalizedMatrix;
+use super::{Indicator, NormalizedMatrix};
 use morpheus_dense::DenseMatrix;
 
 impl NormalizedMatrix {
@@ -42,9 +42,12 @@ impl NormalizedMatrix {
             .iter()
             .map(|p| {
                 // colSums(Iᵢ) rowSums(Bᵢ) = Σⱼ refcount(j) · rowSum(Bᵢ)[j]
-                let rs = p.table.row_sums();
-                let counts = p.indicator.reference_counts(p.table.rows());
-                morpheus_dense::dot(&counts, rs.as_slice())
+                let rs = p.table.row_sums().into_vec();
+                let counts = match &p.indicator {
+                    Indicator::Identity => vec![1.0; rs.len()],
+                    Indicator::Rows(k) => k.col_sums().into_vec(),
+                };
+                morpheus_dense::dot(&counts, &rs)
             })
             .sum()
     }
@@ -63,9 +66,8 @@ impl NormalizedMatrix {
         for p in &self.parts {
             let part_min = p.table.row_min();
             let assign = p.indicator.assignment(p.table.rows());
-            for (i, &src) in assign.iter().enumerate() {
-                let v = acc.get(i, 0).min(part_min.get(src, 0));
-                acc.set(i, 0, v);
+            for (a, &src) in acc.as_mut_slice().iter_mut().zip(&assign) {
+                *a = a.min(part_min.get(src, 0));
             }
         }
         acc
@@ -86,11 +88,9 @@ impl NormalizedMatrix {
             .parts
             .iter()
             .map(|p| match &p.indicator {
-                super::Indicator::Identity => p.table.col_sums(),
-                super::Indicator::Rows(k) => {
-                    // colSums(K) * B — a 1 x n_B vector times the base table.
-                    p.table.dense_matmul(&k.col_sums())
-                }
+                Indicator::Identity => p.table.col_sums(),
+                // colSums(K) * B — a 1 x n_B vector times the base table.
+                Indicator::Rows(k) => p.table.dense_matmul(&k.col_sums()),
             })
             .collect();
         let refs: Vec<&DenseMatrix> = blocks.iter().collect();

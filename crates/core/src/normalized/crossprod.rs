@@ -2,19 +2,21 @@
 //! factorized linear regression, covariance, and PCA.
 //!
 //! `crossprod(T) = Tᵀ T` is assembled block-wise over the parts of
-//! `T = [I₀B₀, …, I_qB_q]`; block `(i, j)` is `Bᵢᵀ (Iᵢᵀ Iⱼ) Bⱼ`, and only
-//! the upper triangle is computed (the result is symmetric).
+//! `T = [I₀B₀, …, I_qB_q]`; block `(i, j)` is `Bᵢᵀ (Iᵢᵀ Iⱼ) Bⱼ` (for two
+//! key columns `Iᵢᵀ Iⱼ` is their pair counts), and only the upper triangle
+//! is computed (the result is symmetric).
 //!
 //! Two variants mirror the paper:
 //!
 //! * **Efficient** (Algorithm 2 / 10): diagonal blocks use the identity
-//!   `Bᵀ(KᵀK)B = crossprod(diag(colSums(K))^½ B)` — valid because every
-//!   indicator has exactly one `1.0` per row, making `KᵀK` diagonal with
-//!   the reference counts on the diagonal. This avoids the sparse
-//!   transpose-product entirely and exploits the symmetric kernel.
+//!   `Bᵀ(KᵀK)B = crossprod(diag(colSums(K))^½ B)` — valid because a key
+//!   column selects one base row per logical row, making `KᵀK` diagonal
+//!   with the reference counts on the diagonal. This avoids a sparse
+//!   product entirely and exploits the symmetric kernel.
 //! * **Naive** (Algorithm 1 / 9): diagonal blocks compute `Bᵀ((KᵀK)B)` with
-//!   an explicit SpGEMM, and the entity diagonal uses a plain `SᵀS` product
-//!   instead of the symmetric kernel. Kept for the ablation benchmark.
+//!   `KᵀK` as an explicit sparse matrix, and the entity diagonal uses a
+//!   plain `SᵀS` product instead of the symmetric kernel. Kept for the
+//!   ablation benchmark.
 //!
 //! The Gram matrix `crossprod(Tᵀ) = T Tᵀ` (appendix A) is
 //! `Σᵢ Iᵢ (BᵢBᵢᵀ) Iᵢᵀ` **plus** cross-part terms when more than one part has
@@ -104,14 +106,13 @@ impl NormalizedMatrix {
             (Indicator::Identity, true) => t_cross(&part.table, &part.table),
             (Indicator::Rows(k), false) => {
                 // crossprod(diag(colSums(K))^½ B): KᵀK is diagonal because
-                // each indicator row is a single 1.0.
+                // each indicator row is a single 1.
                 let weights: Vec<f64> = k.col_sums().as_slice().iter().map(|&c| c.sqrt()).collect();
                 part.table.scale_rows(&weights).crossprod()
             }
             (Indicator::Rows(k), true) => {
-                // Bᵀ((KᵀK)B) with an explicit sparse transpose product.
-                let ktk = k.transpose().spgemm(k);
-                let inner = Matrix::Sparse(ktk).matmul(&part.table);
+                // Bᵀ((KᵀK)B) with KᵀK as an explicit sparse matrix.
+                let inner = Matrix::Sparse(k.pair_counts(k)).matmul(&part.table);
                 t_cross(&part.table, &inner)
             }
         }
@@ -133,12 +134,8 @@ impl NormalizedMatrix {
             }
             // Bᵢᵀ (Kᵢᵀ Kⱼ) Bⱼ — compute the small sparse P = KᵢᵀKⱼ first
             // (§3.5: "Ri (Kᵢᵀ Kⱼ) Rⱼ is used").
-            (Indicator::Rows(ki), Indicator::Rows(_)) => {
-                let p = Matrix::Sparse(
-                    ki.transpose()
-                        .spgemm(pj.indicator.as_rows().expect("Rows indicator")),
-                );
-                let q = p.matmul(&pj.table); // P Bⱼ
+            (Indicator::Rows(ki), Indicator::Rows(kj)) => {
+                let q = Matrix::Sparse(ki.pair_counts(kj)).matmul(&pj.table); // P Bⱼ
                 t_cross(&pi.table, &q)
             }
         }
@@ -153,19 +150,14 @@ impl NormalizedMatrix {
         // the accumulator (bounded memory: two n x n matrices, like the
         // serial rewrite) rather than materializing all parts at once.
         // Parallelism comes from the band-parallel kernels inside
-        // tcrossprod / spmm_dense — and, since the scatter kernels went
-        // two-pass, dense_spmm for the `(K G) Kᵀ` step — all of which see
-        // the full runtime budget here.
+        // tcrossprod and the `(K G) Kᵀ` product, which see the full
+        // runtime budget here.
         let mut out = DenseMatrix::zeros(n, n);
         for pi in &self.parts {
             let g = pi.table.tcrossprod();
             let contrib = match &pi.indicator {
                 Indicator::Identity => g,
-                Indicator::Rows(k) => {
-                    let kg = k.spmm_dense(&g); // K G : n x n_i
-                    let kt = k.transpose();
-                    kt.dense_spmm(&kg) // (K G) Kᵀ
-                }
+                Indicator::Rows(k) => k.sandwich(&g),
             };
             out.add_assign(&contrib);
         }

@@ -16,13 +16,12 @@
 //! including the `nnz(KᵀAK_B)` bounds of theorems C.1/C.2 which justify
 //! computing the sparse product `P = KᵀA K_B` eagerly.
 
-use super::{Indicator, NormalizedMatrix};
+use super::{Indicator, KeyColumn, NormalizedMatrix};
 use crate::Matrix;
 use morpheus_runtime::Runtime;
-use morpheus_sparse::CsrMatrix;
 
 /// Splits a two-part PK-FK normalized matrix into `(S, K, R)` views.
-fn as_pkfk(m: &NormalizedMatrix) -> Option<(&Matrix, &CsrMatrix, &Matrix)> {
+fn as_pkfk(m: &NormalizedMatrix) -> Option<(&Matrix, &KeyColumn, &Matrix)> {
     if m.parts.len() != 2 {
         return None;
     }
@@ -53,24 +52,10 @@ impl NormalizedMatrix {
         );
         match (self.transposed, other.transposed) {
             (false, false) => self.dmm_plain(other),
-            (true, true) => {
-                // AᵀBᵀ → (B A)ᵀ.
-                other
-                    .untransposed()
-                    .dmm_plain(&self.untransposed())
-                    .transpose()
-            }
-            (false, true) => self.dmm_abt(&other.untransposed()),
-            (true, false) => self.untransposed().dmm_atb(other),
-        }
-    }
-
-    /// A copy with the transpose flag cleared (parts are shared clones).
-    fn untransposed(&self) -> NormalizedMatrix {
-        NormalizedMatrix {
-            parts: self.parts.clone(),
-            n_rows: self.n_rows,
-            transposed: false,
+            // Transposing clears a set flag; AᵀBᵀ → (B A)ᵀ.
+            (true, true) => other.transpose().dmm_plain(&self.transpose()).transpose(),
+            (false, true) => self.dmm_abt(&other.transpose()),
+            (true, false) => self.transpose().dmm_atb(other),
         }
     }
 
@@ -80,10 +65,10 @@ impl NormalizedMatrix {
             return self.dmm_fallback(other);
         };
         let dsa = sa.cols();
-        let ka_ind = Indicator::Rows(std::sync::Arc::new(ka.clone()));
         // Row splits of B's members at d_{S_A}.
         let sb1 = sb.slice_rows(0..dsa);
         let sb2 = sb.slice_rows(dsa..sb.rows());
+        let kb = kb.to_sparse();
         let kb1 = kb.slice_rows(0..dsa);
         let kb2 = kb.slice_rows(dsa..kb.rows());
 
@@ -91,11 +76,11 @@ impl NormalizedMatrix {
         // concurrently on the shared runtime.
         let (left, right) = Runtime::executor().par_join(
             // Left block: S_A S_B1 + K_A (R_A S_B2).
-            || sa.matmul(&sb1).add(&ka_ind.apply_m(&ra.matmul(&sb2))),
+            || sa.matmul(&sb1).add(&ka.apply_m(&ra.matmul(&sb2))),
             // Right block: (S_A K_B1) R_B + K_A ((R_A K_B2) R_B).
             || {
-                let right_a = sa.matmul(&Matrix::Sparse(kb1)).matmul(rb);
-                let right_b = ka_ind.apply_m(&ra.matmul(&Matrix::Sparse(kb2)).matmul(rb));
+                let right_a = sa.matmul(&kb1).matmul(rb);
+                let right_b = ka.apply_m(&ra.matmul(&kb2).matmul(rb));
                 right_a.add(&right_b)
             },
         );
@@ -109,13 +94,12 @@ impl NormalizedMatrix {
             return self.dmm_fallback(&other.transpose());
         };
         let (dsa, dsb) = (sa.cols(), sb.cols());
-        let ka_ind = Indicator::Rows(std::sync::Arc::new(ka.clone()));
-        let kb_t = Matrix::Sparse(kb.transpose());
+        let kb_t = kb.to_sparse().transpose();
         match dsa.cmp(&dsb) {
             std::cmp::Ordering::Equal => {
                 // S_A S_Bᵀ + K_A (R_A R_Bᵀ) K_Bᵀ.
                 let first = sa.matmul(&sb.transpose());
-                let second = ka_ind.apply_m(&ra.matmul(&rb.transpose())).matmul(&kb_t);
+                let second = ka.apply_m(&ra.matmul(&rb.transpose())).matmul(&kb_t);
                 first.add(&second)
             }
             std::cmp::Ordering::Less => {
@@ -126,8 +110,8 @@ impl NormalizedMatrix {
                 let ra1 = ra.slice_cols(0..dsb - dsa);
                 let ra2 = ra.slice_cols(dsb - dsa..ra.cols());
                 let t1 = sa.matmul(&sb1.transpose());
-                let t2 = ka_ind.apply_m(&ra1.matmul(&sb2.transpose()));
-                let t3 = ka_ind.apply_m(&ra2.matmul(&rb.transpose())).matmul(&kb_t);
+                let t2 = ka.apply_m(&ra1.matmul(&sb2.transpose()));
+                let t3 = ka.apply_m(&ra2.matmul(&rb.transpose())).matmul(&kb_t);
                 t1.add(&t2).add(&t3)
             }
             std::cmp::Ordering::Greater => {
@@ -143,13 +127,11 @@ impl NormalizedMatrix {
         let (Some((sa, ka, ra)), Some((sb, kb, rb))) = (as_pkfk(self), as_pkfk(other)) else {
             return self.transpose().dmm_fallback(other);
         };
-        let ka_t = ka.transpose();
         // P = K_Aᵀ K_B: theorems C.1/C.2 bound max{n_RA, n_RB} ≤ nnz(P) ≤ n_S,
-        // so materializing P eagerly is safe. The SpGEMM itself is the
-        // two-pass parallel kernel when the indicators are large enough.
-        let p = Matrix::Sparse(ka_t.spgemm(kb));
-        let kb_m = Matrix::Sparse(kb.clone());
-        let ka_tm = Matrix::Sparse(ka_t);
+        // so materializing P eagerly is safe.
+        let p = Matrix::Sparse(ka.pair_counts(kb));
+        let kb_m = kb.to_sparse();
+        let ka_tm = ka.to_sparse().transpose();
 
         // The four blocks are independent: nested par_join claims the
         // workers pairwise, and the kernels inside see the remainder.
@@ -310,11 +292,11 @@ mod tests {
 
     #[test]
     fn nnz_bounds_theorems_c1_c2() {
-        use morpheus_sparse::CsrMatrix;
+        use crate::KeyColumn;
         // P = K_Aᵀ K_B: max{n_RA, n_RB} ≤ nnz(P) ≤ n_S.
-        let ka = CsrMatrix::indicator(&[0, 1, 2, 0, 1, 2, 0, 2], 3);
-        let kb = CsrMatrix::indicator(&[1, 1, 0, 0, 1, 3, 2, 0], 4);
-        let p = ka.transpose().spgemm(&kb);
+        let ka = KeyColumn::new(&[0, 1, 2, 0, 1, 2, 0, 2], 3).unwrap();
+        let kb = KeyColumn::new(&[1, 1, 0, 0, 1, 3, 2, 0], 4).unwrap();
+        let p = ka.pair_counts(&kb);
         assert!(p.nnz() >= 4); // max{n_RA, n_RB} = max{3, 4}
         assert!(p.nnz() <= 8);
         // sum(P) = n_S exactly (proof of theorem C.2).

@@ -30,7 +30,7 @@ impl NormalizedMatrix {
                 && match (&a.indicator, &b.indicator) {
                     (Indicator::Identity, Indicator::Identity) => true,
                     (Indicator::Rows(ka), Indicator::Rows(kb)) => {
-                        std::sync::Arc::ptr_eq(ka, kb) || ka.as_ref() == kb.as_ref()
+                        std::sync::Arc::ptr_eq(ka, kb) || ka == kb
                     }
                     _ => false,
                 }
@@ -51,23 +51,9 @@ impl NormalizedMatrix {
         other: &NormalizedMatrix,
         op: impl Fn(&Matrix, &Matrix) -> Matrix,
     ) -> Option<NormalizedMatrix> {
-        if !self.same_structure(other) {
-            return None;
-        }
-        let parts = self
-            .parts
-            .iter()
-            .zip(&other.parts)
-            .map(|(a, b)| super::AttributePart {
-                indicator: a.indicator.clone(),
-                table: op(&a.table, &b.table),
-            })
-            .collect();
-        Some(NormalizedMatrix {
-            parts,
-            n_rows: self.n_rows,
-            transposed: self.transposed,
-        })
+        let mut others = other.parts.iter().map(|p| &p.table);
+        let combine = |a: &Matrix| op(a, others.next().expect("same part count"));
+        self.same_structure(other).then(|| self.map_tables(combine))
     }
 
     /// Factorized `T + U` for structure-sharing normalized `U`.

@@ -13,11 +13,13 @@
 //! All are instances of one scheme: `T = [I₀B₀, I₁B₁, …, I_qB_q]`, where
 //! each *part* pairs a base-table matrix `Bᵢ` with an *indicator*
 //! `Iᵢ` — either the identity (the untransformed entity table of a PK-FK
-//! join) or an explicit row-selection matrix with exactly one `1.0` per row.
-//! Every rewrite rule in this module tree is written once against this
-//! unified form; the paper's per-schema rules fall out as special cases
-//! (observed in appendix D: "if the join is PK-FK, `I_S = I` and the rules
-//! implicitly become equivalent to their §3.3 counterparts").
+//! join) or a row-selection matrix with exactly one `1` per row, stored as
+//! the column of base rows it selects ([`KeyColumn`], whose module holds
+//! all of `K`'s algebra). Every rewrite rule in this module tree is
+//! written once against this unified form; the paper's per-schema rules
+//! fall out as special cases (observed in appendix D: "if the join is
+//! PK-FK, `I_S = I` and the rules implicitly become equivalent to their
+//! §3.3 counterparts").
 //!
 //! # Transpose flag
 //!
@@ -31,164 +33,13 @@ mod crossprod;
 mod dmm;
 mod elementwise;
 mod ginv;
+mod indicator;
 mod mult;
 mod scalar;
 
 use crate::{CoreError, CoreResult, Matrix};
-use morpheus_dense::DenseMatrix;
-use morpheus_sparse::CsrMatrix;
-use std::sync::Arc;
-
-/// How a part's base table maps into the logical join output.
-#[derive(Debug, Clone)]
-pub enum Indicator {
-    /// The part contributes its base table unchanged (PK-FK entity table).
-    Identity,
-    /// The part contributes `K * B` for an explicit indicator matrix `K`
-    /// (`n_rows x table_rows`, exactly one `1.0` per row). Shared via `Arc`
-    /// because indicators are immutable across rewrites — scalar operators
-    /// produce new base tables but reuse the indicators.
-    Rows(Arc<CsrMatrix>),
-}
-
-impl Indicator {
-    /// Logical output rows this indicator produces from `table_rows` input
-    /// rows.
-    pub fn n_out(&self, table_rows: usize) -> usize {
-        match self {
-            Indicator::Identity => table_rows,
-            Indicator::Rows(k) => k.rows(),
-        }
-    }
-
-    /// `true` for the identity indicator.
-    pub fn is_identity(&self) -> bool {
-        matches!(self, Indicator::Identity)
-    }
-
-    /// The indicator as an explicit sparse matrix, if present.
-    pub fn as_rows(&self) -> Option<&CsrMatrix> {
-        match self {
-            Indicator::Identity => None,
-            Indicator::Rows(k) => Some(k),
-        }
-    }
-
-    /// `out += K * x` for dense `x`, without allocating the intermediate
-    /// `K x`. This is the hot inner step of the LMM rewrite; for one-hot
-    /// indicators it reduces to a gather-add. `out` is a row-major
-    /// `out_rows x x.cols()` slice — a plain buffer, so callers can reuse
-    /// one allocation across batches.
-    ///
-    /// # Panics
-    /// Panics (debug) if shapes disagree.
-    pub(crate) fn apply_add_into(&self, x: &DenseMatrix, out: &mut [f64], out_rows: usize) {
-        let m = x.cols();
-        debug_assert_eq!(out.len(), out_rows * m);
-        match self {
-            Indicator::Identity => {
-                debug_assert_eq!(x.rows(), out_rows);
-                for (o, &v) in out.iter_mut().zip(x.as_slice()) {
-                    *o += v;
-                }
-            }
-            Indicator::Rows(k) => {
-                debug_assert_eq!(k.rows(), out_rows);
-                gather_add(k, x, 0..k.rows(), out);
-            }
-        }
-    }
-
-    /// `Kᵀ * x` for dense `x` (identity is free).
-    pub(crate) fn apply_t(&self, x: &DenseMatrix) -> DenseMatrix {
-        match self {
-            Indicator::Identity => x.clone(),
-            Indicator::Rows(k) => k.t_spmm_dense(x),
-        }
-    }
-
-    /// `x * K` for dense `x` (identity is free).
-    pub(crate) fn right_apply(&self, x: &DenseMatrix) -> DenseMatrix {
-        match self {
-            Indicator::Identity => x.clone(),
-            Indicator::Rows(k) => k.dense_spmm(x),
-        }
-    }
-
-    /// `colSums(K)` — how many logical rows reference each base-table row.
-    /// For the identity this is all ones.
-    pub(crate) fn reference_counts(&self, table_rows: usize) -> Vec<f64> {
-        match self {
-            Indicator::Identity => vec![1.0; table_rows],
-            Indicator::Rows(k) => k.col_sums().into_vec(),
-        }
-    }
-
-    /// The row assignment `a` with `K[i, a[i]] = 1` (identity ⇒ `a[i] = i`)
-    /// — the centralized way to recover a foreign-key column from a
-    /// one-hot indicator instead of walking CSR rows by hand.
-    pub fn assignment(&self, table_rows: usize) -> Vec<usize> {
-        match self {
-            Indicator::Identity => (0..table_rows).collect(),
-            Indicator::Rows(k) => (0..k.rows()).map(|i| k.row(i).0[0]).collect(),
-        }
-    }
-
-    /// `K * m` for either representation of `m`. One-hot indicators reduce
-    /// this to a row gather.
-    pub(crate) fn apply_m(&self, m: &Matrix) -> Matrix {
-        match self {
-            Indicator::Identity => m.clone(),
-            Indicator::Rows(k) => {
-                let assign: Vec<usize> = (0..k.rows()).map(|i| k.row(i).0[0]).collect();
-                m.gather_rows(&assign)
-            }
-        }
-    }
-
-    /// `Kᵀ * m` for either representation of `m`.
-    pub(crate) fn apply_t_m(&self, m: &Matrix) -> Matrix {
-        match self {
-            Indicator::Identity => m.clone(),
-            Indicator::Rows(k) => match m {
-                Matrix::Dense(d) => Matrix::Dense(k.t_spmm_dense(d)),
-                Matrix::Sparse(s) => Matrix::Sparse(k.transpose().spgemm(s)),
-            },
-        }
-    }
-}
-
-/// `out[j, :] += K[ids[j], :] * x` for each `j` — the fused gather-add of
-/// the LMM rewrite, over any selection of indicator rows. The expression
-/// per output element does not depend on which other rows are selected,
-/// so a row scored alone and the same row inside a full-table pass agree
-/// bit for bit. `out` is row-major, one `x.cols()`-wide row per id.
-fn gather_add(k: &CsrMatrix, x: &DenseMatrix, ids: impl Iterator<Item = usize>, out: &mut [f64]) {
-    let m = x.cols();
-    if m == 1 {
-        // Vector fast path: one fused gather-add per logical row.
-        let xs = x.as_slice();
-        for (o, i) in out.iter_mut().zip(ids) {
-            let (cols, vals) = k.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                *o += v * xs[c];
-            }
-        }
-        return;
-    }
-    if m == 0 {
-        return;
-    }
-    for (orow, i) in out.chunks_exact_mut(m).zip(ids) {
-        let (cols, vals) = k.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            let xrow = x.row(c);
-            for (o, &xv) in orow.iter_mut().zip(xrow) {
-                *o += v * xv;
-            }
-        }
-    }
-}
+use indicator::keyed_part;
+pub use indicator::{Indicator, KeyColumn};
 
 /// One component of a normalized matrix: an indicator plus its base table.
 #[derive(Debug, Clone)]
@@ -215,13 +66,7 @@ impl AttributePart {
 
     /// Materializes this part's contribution `K * B` to the join output.
     pub fn materialize(&self) -> Matrix {
-        match &self.indicator {
-            Indicator::Identity => self.table.clone(),
-            Indicator::Rows(_) => {
-                let assign = self.indicator.assignment(self.table.rows());
-                self.table.gather_rows(&assign)
-            }
-        }
+        self.indicator.apply_m(&self.table)
     }
 }
 
@@ -261,8 +106,8 @@ impl NormalizedMatrix {
     /// Builds a normalized matrix from validated parts.
     ///
     /// Validation enforces the paper's structural invariants: at least one
-    /// part, consistent logical row counts, indicator/table shape agreement,
-    /// and the one-`1.0`-per-row indicator property.
+    /// part, consistent logical row counts, and indicator/table shape
+    /// agreement. A key column cannot hold anything but one `1` per row.
     pub fn try_from_parts(parts: Vec<AttributePart>) -> CoreResult<Self> {
         if parts.is_empty() {
             return Err(CoreError::Empty);
@@ -278,18 +123,12 @@ impl NormalizedMatrix {
                 });
             }
             if let Indicator::Rows(k) = &part.indicator {
-                if k.cols() != part.table.rows() {
+                if k.table_rows() != part.table.rows() {
                     return Err(CoreError::IndicatorTableMismatch {
                         part: idx,
-                        indicator_cols: k.cols(),
+                        indicator_cols: k.table_rows(),
                         table_rows: part.table.rows(),
                     });
-                }
-                for i in 0..k.rows() {
-                    let (cols, vals) = k.row(i);
-                    if cols.len() != 1 || vals[0] != 1.0 {
-                        return Err(CoreError::NotIndicator { part: idx, row: i });
-                    }
                 }
             }
         }
@@ -307,19 +146,7 @@ impl NormalizedMatrix {
     /// Panics if `fk.len() != s.rows()` or any key is out of range; use
     /// [`NormalizedMatrix::try_from_parts`] for fallible assembly.
     pub fn pk_fk(s: Matrix, fk: &[usize], r: Matrix) -> Self {
-        assert_eq!(
-            fk.len(),
-            s.rows(),
-            "pk_fk: foreign-key column has {} entries for {} entity rows",
-            fk.len(),
-            s.rows()
-        );
-        let k = CsrMatrix::indicator(fk, r.rows());
-        Self::try_from_parts(vec![
-            AttributePart::new(Indicator::Identity, s),
-            AttributePart::new(Indicator::Rows(Arc::new(k)), r),
-        ])
-        .expect("pk_fk: invalid construction")
+        Self::keyed(Some(s), vec![(fk.to_vec(), r)]).expect("pk_fk: invalid construction")
     }
 
     /// Star-schema multi-table PK-FK join (§3.5): one entity table and `q`
@@ -329,20 +156,7 @@ impl NormalizedMatrix {
     /// # Panics
     /// Panics on shape inconsistencies.
     pub fn star(s: Matrix, links: Vec<(Vec<usize>, Matrix)>) -> Self {
-        let n_s = s.rows();
-        let mut parts = vec![AttributePart::new(Indicator::Identity, s)];
-        for (i, (fk, r)) in links.into_iter().enumerate() {
-            assert_eq!(
-                fk.len(),
-                n_s,
-                "star: foreign key {i} has {} entries for {} entity rows",
-                fk.len(),
-                n_s
-            );
-            let k = CsrMatrix::indicator(&fk, r.rows());
-            parts.push(AttributePart::new(Indicator::Rows(Arc::new(k)), r));
-        }
-        Self::try_from_parts(parts).expect("star: invalid construction")
+        Self::keyed(Some(s), links).expect("star: invalid construction")
     }
 
     /// Two-table M:N join (§3.6) from precomputed provenance: row `i` of the
@@ -353,18 +167,8 @@ impl NormalizedMatrix {
     /// Panics if the assignment vectors have different lengths or reference
     /// rows out of range.
     pub fn mn_join(s: Matrix, is_assign: &[usize], r: Matrix, ir_assign: &[usize]) -> Self {
-        assert_eq!(
-            is_assign.len(),
-            ir_assign.len(),
-            "mn_join: provenance vectors differ in length"
-        );
-        let i_s = CsrMatrix::indicator(is_assign, s.rows());
-        let i_r = CsrMatrix::indicator(ir_assign, r.rows());
-        Self::try_from_parts(vec![
-            AttributePart::new(Indicator::Rows(Arc::new(i_s)), s),
-            AttributePart::new(Indicator::Rows(Arc::new(i_r)), r),
-        ])
-        .expect("mn_join: invalid construction")
+        let links = vec![(is_assign.to_vec(), s), (ir_assign.to_vec(), r)];
+        Self::keyed(None, links).expect("mn_join: invalid construction")
     }
 
     /// Two-table M:N join from raw join-attribute columns: computes
@@ -374,36 +178,35 @@ impl NormalizedMatrix {
         assert_eq!(js.len(), s.rows(), "mn_join_on_keys: J_S length mismatch");
         assert_eq!(jr.len(), r.rows(), "mn_join_on_keys: J_R length mismatch");
         // Bucket R rows by join-key value.
-        let mut buckets: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, &v) in jr.iter().enumerate() {
-            buckets.entry(v).or_default().push(i);
-        }
-        let mut is_assign = Vec::new();
-        let mut ir_assign = Vec::new();
-        for (i, &v) in js.iter().enumerate() {
-            if let Some(rs) = buckets.get(&v) {
-                for &j in rs {
-                    is_assign.push(i);
-                    ir_assign.push(j);
-                }
-            }
-        }
+        let mut buckets = std::collections::HashMap::<u64, Vec<usize>>::new();
+        jr.iter()
+            .enumerate()
+            .for_each(|(j, &v)| buckets.entry(v).or_default().push(j));
+        let matches = |(i, v)| buckets.get(v).into_iter().flatten().map(move |&j| (i, j));
+        let (is_assign, ir_assign): (Vec<_>, Vec<_>) =
+            js.iter().enumerate().flat_map(matches).unzip();
         Self::mn_join(s, &is_assign, r, &ir_assign)
     }
 
     /// Multi-table M:N join (appendix E): every part carries an explicit
     /// indicator; there is no identity entity part.
     /// `T = [I_{R1}R₁, …, I_{Rq}R_q]`.
+    ///
+    /// # Errors
+    /// [`CoreError::KeyOutOfRange`] for a provenance row outside its table,
+    /// and the [`NormalizedMatrix::try_from_parts`] errors.
     pub fn multi_mn(parts: Vec<(Vec<usize>, Matrix)>) -> CoreResult<Self> {
-        let built: Vec<AttributePart> = parts
+        Self::keyed(None, parts)
+    }
+
+    /// `[S, K₁B₁, …]` (no `S` when `entity` is `None`) from key columns —
+    /// the one path every join constructor validates through.
+    fn keyed(entity: Option<Matrix>, links: Vec<(Vec<usize>, Matrix)>) -> CoreResult<Self> {
+        let entity = entity.map(|s| Ok(AttributePart::new(Indicator::Identity, s)));
+        let keyed = links
             .into_iter()
-            .map(|(assign, table)| {
-                let k = CsrMatrix::indicator(&assign, table.rows());
-                AttributePart::new(Indicator::Rows(Arc::new(k)), table)
-            })
-            .collect();
-        Self::try_from_parts(built)
+            .map(|(fk, b)| Ok(keyed_part(KeyColumn::new(&fk, b.rows())?, b)));
+        Self::try_from_parts(entity.into_iter().chain(keyed).collect::<CoreResult<_>>()?)
     }
 
     // ---------------------------------------------------------------
@@ -456,14 +259,12 @@ impl NormalizedMatrix {
     /// Column offset of each part within `T`, plus the final total:
     /// `[0, d₀, d₀+d₁, …, d]` — the paper's `d'ᵢ` values (§3.5).
     pub fn col_offsets(&self) -> Vec<usize> {
-        let mut offs = Vec::with_capacity(self.parts.len() + 1);
-        let mut acc = 0usize;
-        offs.push(0);
-        for p in &self.parts {
+        let mut acc = 0;
+        let ends = self.parts.iter().map(|p| {
             acc += p.table.cols();
-            offs.push(acc);
-        }
-        offs
+            acc
+        });
+        std::iter::once(0).chain(ends).collect()
     }
 
     /// Transpose: flips the flag; no data moves (§3.2).
@@ -477,18 +278,10 @@ impl NormalizedMatrix {
 
     /// Summary statistics (tuple ratio, feature ratio, …).
     pub fn stats(&self) -> JoinStats {
-        let d_entity: usize = self
-            .parts
-            .iter()
-            .filter(|p| p.indicator.is_identity())
-            .map(|p| p.table.cols())
-            .sum();
-        let attr_dims: Vec<(usize, usize)> = self
-            .parts
-            .iter()
-            .filter(|p| !p.indicator.is_identity())
-            .map(|p| (p.table.rows(), p.table.cols()))
-            .collect();
+        let (entity, attr): (Vec<_>, Vec<_>) =
+            self.parts.iter().partition(|p| p.indicator.is_identity());
+        let d_entity: usize = entity.iter().map(|p| p.table.cols()).sum();
+        let attr_dims: Vec<(usize, usize)> = attr.iter().map(|p| p.table.shape()).collect();
         let d_attr: usize = attr_dims.iter().map(|&(_, d)| d).sum();
         let tuple_ratio = attr_dims
             .iter()
@@ -548,73 +341,38 @@ impl NormalizedMatrix {
     /// new rows. Works for PK-FK, star, and M:N shapes.
     ///
     /// # Errors
-    /// Returns [`CoreError`] variants when the additions are inconsistent
-    /// (wrong column count, wrong number of key vectors, out-of-range keys).
-    pub fn append_rows(
-        &self,
-        s_new: Option<&Matrix>,
-        fk_new: &[Vec<usize>],
-    ) -> CoreResult<NormalizedMatrix> {
+    /// [`CoreError::BadAppend`] for a transposed receiver, a wrong number
+    /// of key vectors, or missing or wrong-width entity rows;
+    /// [`CoreError::RowCountMismatch`] when the additions disagree on how
+    /// many rows they add; [`CoreError::KeyOutOfRange`] for a key that is
+    /// not a row of its table.
+    pub fn append_rows(&self, s_new: Option<&Matrix>, fk_new: &[Vec<usize>]) -> CoreResult<Self> {
+        let bad = |reason: String| Err(CoreError::BadAppend(reason));
         if self.transposed {
-            // Appending rows to Tᵀ would be appending columns; unsupported.
-            return Err(CoreError::Empty);
+            // Appending rows to Tᵀ would be appending columns of T.
+            return bad("a transposed matrix takes no new rows".into());
         }
-        let n_added = match (s_new, fk_new.first()) {
-            (Some(m), _) => m.rows(),
-            (None, Some(fk)) => fk.len(),
-            (None, None) => 0,
-        };
-        let n_indicator_parts = self
-            .parts
-            .iter()
-            .filter(|p| !p.indicator.is_identity())
-            .count();
-        if fk_new.len() != n_indicator_parts {
-            return Err(CoreError::RowCountMismatch {
-                expected: n_indicator_parts,
-                part: fk_new.len(),
-                found: fk_new.len(),
-            });
+        let (n, n_keyed) = (fk_new.len(), self.stats().attr_dims.len());
+        if n != n_keyed {
+            return bad(format!("{n} key vectors for {n_keyed} key columns"));
         }
-        let mut fk_iter = fk_new.iter();
+        // A key vector of the wrong length fails try_from_parts' row-count
+        // check, which names its part.
+        let mut fks = fk_new.iter();
         let mut parts = Vec::with_capacity(self.parts.len());
         for (idx, part) in self.parts.iter().enumerate() {
-            match &part.indicator {
-                Indicator::Identity => {
-                    let add = s_new.ok_or(CoreError::NoSuchPart(idx))?;
-                    if add.cols() != part.table.cols() || add.rows() != n_added {
-                        return Err(CoreError::IndicatorTableMismatch {
-                            part: idx,
-                            indicator_cols: add.cols(),
-                            table_rows: part.table.cols(),
-                        });
-                    }
-                    parts.push(AttributePart::new(
-                        Indicator::Identity,
-                        part.table.vstack(add),
-                    ));
+            let (table, got) = (&part.table, s_new.map(Matrix::cols));
+            parts.push(match (&part.indicator, s_new) {
+                (Indicator::Rows(k), _) => k.append(fks.next().expect("counted"), table)?,
+                (Indicator::Identity, Some(add)) if got == Some(table.cols()) => {
+                    AttributePart::new(Indicator::Identity, table.vstack(add))
                 }
-                Indicator::Rows(k) => {
-                    let fk = fk_iter.next().expect("counted above");
-                    if fk.len() != n_added {
-                        return Err(CoreError::RowCountMismatch {
-                            expected: n_added,
-                            part: idx,
-                            found: fk.len(),
-                        });
-                    }
-                    for (row, &key) in fk.iter().enumerate() {
-                        if key >= part.table.rows() {
-                            return Err(CoreError::NotIndicator { part: idx, row });
-                        }
-                    }
-                    let k_add = CsrMatrix::indicator(fk, part.table.rows());
-                    parts.push(AttributePart::new(
-                        Indicator::Rows(Arc::new(k.vstack(&k_add))),
-                        part.table.clone(),
-                    ));
+                (Indicator::Identity, _) => {
+                    let got = got.map_or("no new rows".into(), |c| format!("rows of {c} columns"));
+                    let want = table.cols();
+                    return bad(format!("part {idx}: {got} for {want} entity columns"));
                 }
-            }
+            });
         }
         NormalizedMatrix::try_from_parts(parts)
     }
@@ -627,27 +385,8 @@ impl NormalizedMatrix {
             .parts
             .iter()
             .map(|p| match &p.indicator {
+                Indicator::Rows(k) => k.prune(&p.table).unwrap_or_else(|| p.clone()),
                 Indicator::Identity => p.clone(),
-                Indicator::Rows(k) => {
-                    let counts = k.col_sums();
-                    let keep: Vec<usize> = counts
-                        .as_slice()
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &c)| c > 0.0)
-                        .map(|(j, _)| j)
-                        .collect();
-                    if keep.len() == k.cols() {
-                        return p.clone();
-                    }
-                    let mut remap = vec![usize::MAX; k.cols()];
-                    for (new, &old) in keep.iter().enumerate() {
-                        remap[old] = new;
-                    }
-                    let assign: Vec<usize> = (0..k.rows()).map(|i| remap[k.row(i).0[0]]).collect();
-                    let new_k = CsrMatrix::indicator(&assign, keep.len());
-                    AttributePart::new(Indicator::Rows(Arc::new(new_k)), p.table.gather_rows(&keep))
-                }
             })
             .collect();
         NormalizedMatrix {
@@ -689,40 +428,7 @@ impl NormalizedMatrix {
                 Indicator::Identity => {
                     AttributePart::new(Indicator::Identity, p.table.gather_rows(rows))
                 }
-                Indicator::Rows(k) => {
-                    let table_rows = p.table.rows();
-                    // Compose the assignment and compress to the
-                    // referenced base rows in first-use order. The dense
-                    // remap is O(table_rows) to zero, so small slices of
-                    // big tables use a map keyed by base row instead.
-                    let mut keep: Vec<usize> = Vec::new();
-                    let assign: Vec<usize> = if rows.len() * 8 >= table_rows {
-                        let mut remap = vec![usize::MAX; table_rows];
-                        rows.iter()
-                            .map(|&r| {
-                                let old = k.row(r).0[0];
-                                if remap[old] == usize::MAX {
-                                    remap[old] = keep.len();
-                                    keep.push(old);
-                                }
-                                remap[old]
-                            })
-                            .collect()
-                    } else {
-                        let mut remap = std::collections::HashMap::with_capacity(rows.len());
-                        rows.iter()
-                            .map(|&r| {
-                                let old = k.row(r).0[0];
-                                *remap.entry(old).or_insert_with(|| {
-                                    keep.push(old);
-                                    keep.len() - 1
-                                })
-                            })
-                            .collect()
-                    };
-                    let new_k = CsrMatrix::indicator(&assign, keep.len());
-                    AttributePart::new(Indicator::Rows(Arc::new(new_k)), p.table.gather_rows(&keep))
-                }
+                Indicator::Rows(k) => k.select(rows, &p.table),
             })
             .collect();
         NormalizedMatrix {
@@ -737,6 +443,8 @@ impl NormalizedMatrix {
 pub(crate) mod test_fixtures {
     //! Shared fixtures used by the rewrite-rule test modules.
     use super::*;
+    use morpheus_dense::DenseMatrix;
+    use morpheus_sparse::CsrMatrix;
 
     /// The paper's Figure 2 example: S is 5x2, R is 2x2, K from fk [0,1,1,0,1].
     pub fn figure2() -> NormalizedMatrix {
@@ -796,6 +504,8 @@ pub(crate) mod test_fixtures {
 mod tests {
     use super::test_fixtures::*;
     use super::*;
+    use morpheus_dense::DenseMatrix;
+    use std::sync::Arc;
 
     #[test]
     fn pk_fk_materializes_join() {
@@ -864,7 +574,7 @@ mod tests {
         let s = DenseMatrix::zeros(3, 2);
         let r = DenseMatrix::zeros(2, 2);
         // Row-count mismatch between parts.
-        let k_bad = CsrMatrix::indicator(&[0, 1], 2); // only 2 logical rows
+        let k_bad = KeyColumn::new(&[0, 1], 2).unwrap(); // only 2 logical rows
         let err = NormalizedMatrix::try_from_parts(vec![
             AttributePart::new(Indicator::Identity, Matrix::Dense(s.clone())),
             AttributePart::new(Indicator::Rows(Arc::new(k_bad)), Matrix::Dense(r.clone())),
@@ -872,18 +582,19 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CoreError::RowCountMismatch { .. }));
 
-        // Indicator with a non-1.0 value.
-        let k_val =
-            CsrMatrix::from_triplets(3, 2, &[(0, 0, 2.0), (1, 1, 1.0), (2, 0, 1.0)]).unwrap();
-        let err = NormalizedMatrix::try_from_parts(vec![
-            AttributePart::new(Indicator::Identity, Matrix::Dense(s.clone())),
-            AttributePart::new(Indicator::Rows(Arc::new(k_val)), Matrix::Dense(r.clone())),
-        ])
-        .unwrap_err();
-        assert!(matches!(err, CoreError::NotIndicator { part: 1, row: 0 }));
+        // A key outside the base table.
+        let err = KeyColumn::new(&[0, 2, 1], 2).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::KeyOutOfRange {
+                row: 1,
+                key: 2,
+                table_rows: 2
+            }
+        ));
 
         // Indicator/table mismatch.
-        let k_wide = CsrMatrix::indicator(&[0, 1, 2], 3);
+        let k_wide = KeyColumn::new(&[0, 1, 2], 3).unwrap();
         let err = NormalizedMatrix::try_from_parts(vec![
             AttributePart::new(Indicator::Identity, Matrix::Dense(s)),
             AttributePart::new(Indicator::Rows(Arc::new(k_wide)), Matrix::Dense(r)),
@@ -978,6 +689,51 @@ mod tests {
     }
 
     #[test]
+    fn append_rows_reports_wrong_key_vector_count() {
+        let s_new = Matrix::Dense(DenseMatrix::from_rows(&[&[1.0, 2.0]]));
+        let err = figure2().append_rows(Some(&s_new), &[]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "append_rows: 0 key vectors for 1 key columns"
+        );
+    }
+
+    #[test]
+    fn append_rows_reports_wrong_entity_width() {
+        let s_new = Matrix::Dense(DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0]]));
+        let err = figure2().append_rows(Some(&s_new), &[vec![0]]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "append_rows: part 0: rows of 3 columns for 2 entity columns"
+        );
+    }
+
+    #[test]
+    fn append_rows_reports_transposed_receiver() {
+        let s_new = Matrix::Dense(DenseMatrix::from_rows(&[&[1.0, 2.0]]));
+        let err = figure2()
+            .transpose()
+            .append_rows(Some(&s_new), &[vec![0]])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "append_rows: a transposed matrix takes no new rows"
+        );
+    }
+
+    #[test]
+    fn append_rows_reports_out_of_range_key() {
+        let s_new = Matrix::Dense(DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let err = figure2()
+            .append_rows(Some(&s_new), &[vec![1, 9]])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "key 9 at row 1 is out of range for a 2-row table"
+        );
+    }
+
+    #[test]
     fn multi_mn_has_no_identity_part() {
         let r1 = DenseMatrix::from_fn(2, 1, |i, _| i as f64 + 1.0);
         let r2 = DenseMatrix::from_fn(3, 2, |i, j| (i + j) as f64);
@@ -1027,9 +783,9 @@ mod tests {
         assert!(!attr.indicator().is_identity());
         assert_eq!(attr.table().rows(), 2, "only referenced base rows kept");
         // Shared base rows are stored once: rows 0, 2, 5 all map to base 1.
-        let k = attr.indicator().as_rows().unwrap();
-        assert_eq!(k.row(0).0[0], k.row(2).0[0]);
-        assert_eq!(k.row(0).0[0], k.row(3).0[0]);
+        let k = attr.indicator().as_rows().unwrap().keys();
+        assert_eq!(k[0], k[2]);
+        assert_eq!(k[0], k[3]);
     }
 
     #[test]

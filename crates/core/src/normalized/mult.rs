@@ -29,7 +29,7 @@
 //! Partials are always combined in part order, so results are identical to
 //! the sequential rewrite.
 
-use super::{gather_add, Indicator, NormalizedMatrix};
+use super::{Indicator, NormalizedMatrix};
 use crate::Matrix;
 use morpheus_dense::DenseMatrix;
 use morpheus_runtime::Runtime;
@@ -265,7 +265,7 @@ impl NormalizedMatrix {
                         p.table.rows(),
                         "lmm_rows_from_partials: partial does not match its base table"
                     );
-                    gather_add(k, partial, rows.iter().copied(), out);
+                    k.gather_add(partial, rows.iter().copied(), out);
                 }
             }
         }
@@ -276,8 +276,10 @@ impl NormalizedMatrix {
         // block is independent.
         let blocks = Runtime::executor().map(self.parts.len(), |i| {
             let p = &self.parts[i];
-            let pulled = p.indicator.apply_t(x);
-            p.table.t_matmul_dense(&pulled)
+            match &p.indicator {
+                Indicator::Identity => p.table.t_matmul_dense(x),
+                Indicator::Rows(k) => p.table.t_matmul_dense(&k.t_spmm_dense(x)),
+            }
         });
         let refs: Vec<&DenseMatrix> = blocks.iter().collect();
         DenseMatrix::vstack_all(&refs)
@@ -288,8 +290,10 @@ impl NormalizedMatrix {
         // is independent.
         let blocks = Runtime::executor().map(self.parts.len(), |i| {
             let p = &self.parts[i];
-            let pushed = p.indicator.right_apply(x);
-            p.table.dense_matmul(&pushed)
+            match &p.indicator {
+                Indicator::Identity => p.table.dense_matmul(x),
+                Indicator::Rows(k) => p.table.dense_matmul(&k.dense_spmm(x)),
+            }
         });
         let refs: Vec<&DenseMatrix> = blocks.iter().collect();
         DenseMatrix::hstack_all(&refs)

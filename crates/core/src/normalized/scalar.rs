@@ -8,8 +8,8 @@
 //! f(T)  → (f(S), K, f(R))
 //! ```
 //!
-//! These are valid because every indicator row holds a single `1.0`, so
-//! `K f(R) = f(K R)` entry-wise — the constructor validates that property.
+//! These are valid because every indicator row holds a single `1`, so
+//! `K f(R) = f(K R)` entry-wise — a key column cannot express anything else.
 //! The output is again a normalized matrix, which lets downstream operators
 //! keep exploiting the factorized form (the paper's closure property).
 //! Transposed inputs use appendix A: `Tᵀ ⊘ x → (T ⊘ x)ᵀ`, i.e. the flag is
@@ -19,7 +19,8 @@ use super::NormalizedMatrix;
 use crate::Matrix;
 
 impl NormalizedMatrix {
-    fn map_tables(&self, f: impl Fn(&Matrix) -> Matrix) -> NormalizedMatrix {
+    /// The same structure over the base tables `f(Bᵢ)`, in part order.
+    pub(crate) fn map_tables(&self, mut f: impl FnMut(&Matrix) -> Matrix) -> NormalizedMatrix {
         let parts = self
             .parts
             .iter()

@@ -75,8 +75,9 @@ pub struct CalibrationResult {
 /// misread (v1 had a single dense rate and one shared sparse/gather rate;
 /// v2 rates were measured against the scalar GEMM and serial reduction
 /// chains that the SIMD packed-panel microkernel and fixed-lane reductions
-/// replaced — loading them would misprice every crossover decision).
-pub const PROFILE_FORMAT_VERSION: u32 = 3;
+/// replaced — loading them would misprice every crossover decision; v3
+/// gather rates timed the CSR indicator kernels the key column replaced).
+pub const PROFILE_FORMAT_VERSION: u32 = 4;
 
 /// One calibration point of the dense-rate tier curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -318,14 +319,14 @@ impl MachineProfile {
             std::hint::black_box(sp.spmm_dense(&xs));
         });
 
-        // Gather rates, two-point: one-hot indicator SpMM — 4096 logical
-        // rows each gathering 8 (wide) or 1 (narrow) element(s) from a
-        // 512-row base table. The narrow point isolates the per-row
-        // latency (index lookup, loop overhead) that the wide point
-        // amortizes: per-row time is `lat + m * g`, so two widths solve
-        // for both.
+        // Gather rates, two-point: the key-column `K X` the LMM rewrite
+        // runs — 4096 logical rows each gathering 8 (wide) or 1 (narrow)
+        // element(s) from a 512-row base table. The narrow point isolates
+        // the per-row latency (index lookup, loop overhead) that the wide
+        // point amortizes: per-row time is `lat + m * g`, so two widths
+        // solve for both.
         let assign: Vec<usize> = (0..4096).map(|i| (i * 7) % 512).collect();
-        let k = CsrMatrix::indicator(&assign, 512);
+        let k = crate::KeyColumn::new(&assign, 512).expect("calibration keys");
         let x = DenseMatrix::from_fn(512, 8, |i, j| ((i * 3 + j) % 13) as f64 * 0.2 - 1.2);
         let row_w8 = timing::measure_ns_per_op(5, 4096, || {
             std::hint::black_box(k.spmm_dense(&x));
@@ -338,9 +339,9 @@ impl MachineProfile {
         let gather_row_ns = (row_w1 - gather_ns).max(1e-3);
 
         // Column-gather rate: the same indicator pushed from the right
-        // (`X K`, the RMM/DMM shape) — the dense-times-one-hot kernel
-        // scatters across output columns, a different access pattern with
-        // its own measured price.
+        // (`X K`, the RMM shape) — the key-column kernel scatters across
+        // output columns, a different access pattern with its own
+        // measured price.
         let xr = DenseMatrix::from_fn(8, 4096, |i, j| ((i + j * 3) % 13) as f64 * 0.2 - 1.2);
         let col_gather_ns = timing::measure_ns_per_op(5, 8 * 4096, || {
             std::hint::black_box(k.dense_spmm(&xr));
@@ -792,8 +793,10 @@ mod tests {
 
     #[test]
     fn parse_rejects_partial_key_sets_naming_the_missing_rates() {
-        let partial = "format_version = 3\ndense_l2_bytes = 1e5\ndense_l2_ns = 0.5\n";
-        match MachineProfile::from_text(partial) {
+        let partial = format!(
+            "format_version = {PROFILE_FORMAT_VERSION}\ndense_l2_bytes = 1e5\ndense_l2_ns = 0.5\n"
+        );
+        match MachineProfile::from_text(&partial) {
             Err(CoreError::Profile(msg)) => {
                 assert!(msg.contains("ew_ns"), "should name missing keys: {msg}")
             }
@@ -809,9 +812,10 @@ mod tests {
             Err(CoreError::Profile(msg)) => assert!(msg.contains("format_version"), "{msg}"),
             other => panic!("expected version error, got {other:?}"),
         }
-        let vfuture = MachineProfile::REFERENCE
-            .to_text()
-            .replace("format_version = 3", "format_version = 99");
+        let vfuture = MachineProfile::REFERENCE.to_text().replace(
+            &format!("format_version = {PROFILE_FORMAT_VERSION}"),
+            "format_version = 99",
+        );
         assert!(matches!(
             MachineProfile::from_text(&vfuture),
             Err(CoreError::Profile(msg)) if msg.contains("99")

@@ -221,10 +221,9 @@ mod tests {
             seed: 3,
         }
         .generate();
-        let k = ds.tn.parts()[1].indicator().as_rows().unwrap();
-        let counts = k.col_sums();
+        let keys = ds.tn.parts()[1].indicator().as_rows().unwrap().keys();
         for j in 0..7 {
-            assert!(counts.get(0, j) >= 1.0, "attribute row {j} unreferenced");
+            assert!(keys.contains(&j), "attribute row {j} unreferenced");
         }
     }
 

@@ -539,7 +539,7 @@ unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Gathered dot product `Σ vals[t] * x[idx[t]]` — the inner loop of the
-/// sparse row-dot kernels (`spmv`, width-1 SpMM). Same fixed-lane
+/// sparse row-dot kernel (width-1 SpMM). Same fixed-lane
 /// decomposition as [`dot`], with the same `LANE_CUTOVER` serial path
 /// for short rows (sparse rows are routinely a handful of non-zeros);
 /// the gathers stay scalar (no `vgatherdpd`), the win is the eight

@@ -184,57 +184,6 @@ impl Executor {
         });
     }
 
-    /// Applies `f` to every index and reduces the results with `combine`,
-    /// starting from `init`.
-    ///
-    /// Each worker folds its own indices into a private partial result;
-    /// the per-worker partials are then tree-combined in worker order, so
-    /// the outcome is deterministic for a fixed worker count (and exactly
-    /// the sequential fold when `threads == 1`).
-    pub fn map_reduce<T, F, R>(&self, n: usize, f: F, init: T, combine: R) -> T
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-    {
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return (0..n).map(f).fold(init, combine);
-        }
-        let slots: Vec<Mutex<Option<T>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-        pool::broadcast(workers, &|stride| {
-            let mut acc: Option<T> = None;
-            let mut i = stride;
-            while i < n {
-                let v = f(i);
-                acc = Some(match acc {
-                    None => v,
-                    Some(a) => combine(a, v),
-                });
-                i += workers;
-            }
-            *lock_slot(&slots[stride]) = acc;
-        });
-        let mut partials: Vec<T> = slots.into_iter().filter_map(into_ok).collect();
-        // Tree combine: pairwise rounds over the worker partials, in
-        // worker order, until one value remains.
-        while partials.len() > 1 {
-            let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-            let mut it = partials.into_iter();
-            while let Some(a) = it.next() {
-                match it.next() {
-                    Some(b) => next.push(combine(a, b)),
-                    None => next.push(a),
-                }
-            }
-            partials = next;
-        }
-        match partials.pop() {
-            Some(v) => combine(init, v),
-            None => init,
-        }
-    }
-
     /// Splits `data` into chunks of at most `chunk_len` elements and
     /// applies `f(chunk_index, chunk)` to each, distributing chunks
     /// round-robin over the workers.
@@ -325,37 +274,6 @@ mod tests {
         let ex = Executor::new(1);
         assert_eq!(ex.map(3, |i| i + 1), vec![1, 2, 3]);
         assert_eq!(ex.map(0, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn map_reduce_sums() {
-        let ex = Executor::new(3);
-        let total = ex.map_reduce(100, |i| i as u64, 0u64, |a, b| a + b);
-        assert_eq!(total, 4950);
-    }
-
-    #[test]
-    fn map_reduce_serial_is_sequential_fold() {
-        // With one thread the reduction is exactly the sequential fold —
-        // the compatibility guarantee the kernels' bit-for-bit tests rely
-        // on.
-        let ex = Executor::serial();
-        let concat = ex.map_reduce(
-            5,
-            |i| i.to_string(),
-            String::new(),
-            |a, b| format!("{a}{b}"),
-        );
-        assert_eq!(concat, "01234");
-    }
-
-    #[test]
-    fn map_reduce_partials_cover_all_items() {
-        for threads in 1..6 {
-            let ex = Executor::new(threads);
-            let total = ex.map_reduce(57, |i| i as u64 + 1, 0, |a, b| a + b);
-            assert_eq!(total, (1..=57).sum::<u64>(), "threads = {threads}");
-        }
     }
 
     #[test]
@@ -463,22 +381,6 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn map_reduce_worker_panics_propagate() {
-        Executor::new(2).map_reduce(
-            4,
-            |i| {
-                if i == 2 {
-                    panic!("boom");
-                }
-                i
-            },
-            0,
-            |a, b| a + b,
-        );
     }
 
     #[test]

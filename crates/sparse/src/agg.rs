@@ -101,7 +101,9 @@ mod tests {
     #[test]
     fn indicator_col_sums_count_references() {
         // colSums(K)[j] = number of S-tuples referencing R-tuple j (paper §3.3.5).
-        let k = CsrMatrix::indicator(&[0, 1, 1, 1, 0], 2);
+        let fk = [0, 1, 1, 1, 0];
+        let trips: Vec<_> = fk.iter().enumerate().map(|(i, &j)| (i, j, 1.0)).collect();
+        let k = CsrMatrix::from_triplets(5, 2, &trips).unwrap();
         assert_eq!(k.col_sums().as_slice(), &[2.0, 3.0]);
         // Kᵀ K == diag(colSums(K)) for PK-FK indicators.
         let ktk = k.transpose().spgemm(&k);

@@ -216,7 +216,12 @@ mod tests {
     fn gather_rows_materializes_indicator_product() {
         let r = sample();
         let assign = [2, 0, 0, 1];
-        let k = CsrMatrix::indicator(&assign, 3);
+        let trips: Vec<_> = assign
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| (i, j, 1.0))
+            .collect();
+        let k = CsrMatrix::from_triplets(4, 3, &trips).unwrap();
         let via_gather = r.gather_rows(&assign);
         let via_product = k.spmm_dense(&r.to_dense());
         assert_eq!(via_gather.to_dense(), via_product);

@@ -43,31 +43,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Builds the indicator matrix of a row assignment: row `i` has a single
-    /// `1.0` in column `assign[i]`.
-    ///
-    /// This is exactly the paper's PK-FK indicator `K` (§3.1) when `assign`
-    /// holds the foreign-key row numbers, and the M:N indicators `I_S`/`I_R`
-    /// (§3.6) when `assign` holds the provenance row numbers of `T'`.
-    ///
-    /// # Panics
-    /// Panics if any entry of `assign` is `>= cols`.
-    pub fn indicator(assign: &[usize], cols: usize) -> Self {
-        for (i, &j) in assign.iter().enumerate() {
-            assert!(
-                j < cols,
-                "indicator: assignment {j} at row {i} out of bounds (cols = {cols})"
-            );
-        }
-        Self {
-            rows: assign.len(),
-            cols,
-            indptr: (0..=assign.len()).collect(),
-            indices: assign.to_vec(),
-            values: vec![1.0; assign.len()],
-        }
-    }
-
     /// Builds a CSR matrix from coordinate triplets. Duplicate coordinates
     /// are summed. Explicit zeros are dropped.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[Triplet]) -> SparseResult<Self> {
@@ -326,20 +301,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn indicator_structure() {
-        let k = CsrMatrix::indicator(&[0, 1, 1, 0], 2);
-        assert_eq!(k.shape(), (4, 2));
-        assert_eq!(k.nnz(), 4);
-        assert_eq!(k.get(0, 0), 1.0);
-        assert_eq!(k.get(0, 1), 0.0);
-        assert_eq!(k.get(2, 1), 1.0);
-        // PK-FK property from the paper: exactly one non-zero per row.
-        for i in 0..4 {
-            assert_eq!(k.row(i).0.len(), 1);
-        }
-    }
-
-    #[test]
     fn from_triplets_sorts_merges_and_drops_zeros() {
         let m =
             CsrMatrix::from_triplets(2, 3, &[(1, 2, 5.0), (0, 1, 1.0), (0, 1, 2.0), (1, 0, 0.0)])
@@ -385,11 +346,5 @@ mod tests {
         let trips: Vec<_> = m.triplet_iter().collect();
         let m2 = CsrMatrix::from_triplets(3, 3, &trips).unwrap();
         assert_eq!(m, m2);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn indicator_out_of_bounds_panics() {
-        CsrMatrix::indicator(&[3], 2);
     }
 }

@@ -1,12 +1,13 @@
 //! CSR sparse matrix kernels for the Morpheus factorized linear-algebra stack.
 //!
-//! The paper's normalized matrix leans on *highly sparse indicator matrices*:
-//! the PK-FK indicator `K` (exactly one non-zero per row), and the M:N
-//! indicators `I_S`/`I_R`. Real-world feature matrices are sparse one-hot
-//! encodings. This crate provides a compressed-sparse-row matrix with the
-//! kernels those rewrites need: sparse×dense and dense×sparse products,
-//! sparse×sparse products (SpGEMM), transposition, aggregations, and row and
-//! column scaling.
+//! Real-world feature matrices are sparse one-hot encodings, so the base
+//! tables of a normalized matrix may be sparse. This crate provides a
+//! compressed-sparse-row matrix with the kernels the rewrites need over
+//! them: sparse×dense and dense×sparse products, sparse×sparse products
+//! (SpGEMM), transposition, aggregations, and row and column scaling. The
+//! join indicators themselves are not stored here: `morpheus-core` keeps
+//! each one as a foreign-key column and builds a CSR operand from it only
+//! for the few products that need one.
 //!
 //! # Example
 //!
@@ -14,12 +15,11 @@
 //! use morpheus_sparse::CsrMatrix;
 //! use morpheus_dense::DenseMatrix;
 //!
-//! // The indicator matrix K for foreign keys [0, 1, 1, 0] over 2 R-rows.
-//! let k = CsrMatrix::indicator(&[0, 1, 1, 0], 2);
-//! let r = DenseMatrix::from_rows(&[&[1.1, 2.2], &[3.3, 4.4]]);
-//! let kr = k.spmm_dense(&r); // replicates R's rows per the join
-//! assert_eq!(kr.row(0), &[1.1, 2.2]);
-//! assert_eq!(kr.row(2), &[3.3, 4.4]);
+//! // A 3x2 sparse feature table times a dense 2x1 weight vector.
+//! let s = CsrMatrix::from_triplets(3, 2, &[(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0)]).unwrap();
+//! let w = DenseMatrix::col_vector(&[0.5, -1.0]);
+//! let sw = s.spmm_dense(&w);
+//! assert_eq!(sw.as_slice(), &[0.5, -2.0, 1.5]);
 //! ```
 
 mod agg;

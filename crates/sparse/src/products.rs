@@ -8,7 +8,7 @@
 //!
 //! ## Parallel scatter kernels
 //!
-//! The gather-style kernels (`spmm_dense`, `spmv`) parallelize directly
+//! The gather-style kernel (`spmm_dense`) parallelizes directly
 //! over independent output rows. The *scatter*-written kernels
 //! (`t_spmm_dense`, `t_spgemm_dense`, `spgemm`) cannot — several input
 //! rows write the same output row — so they run a **two-pass
@@ -539,44 +539,6 @@ impl CsrMatrix {
         });
         out
     }
-
-    /// Sparse matrix–vector product `self * x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()`.
-    pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        self.spmv_with(x, &Runtime::executor())
-    }
-
-    /// [`CsrMatrix::spmv`] with an explicit executor; output entries are
-    /// independent row dot-products, parallelized over row bands.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()`.
-    pub fn spmv_with(&self, x: &[f64], ex: &Executor) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.cols(),
-            "spmv: vector length {} != cols {}",
-            x.len(),
-            self.cols()
-        );
-        let m = self.rows();
-        let mut out = vec![0.0; m];
-        if m == 0 {
-            return out;
-        }
-        let ex = ex.gated(self.nnz());
-        let band = ex.grain(m);
-        ex.par_chunks_mut(&mut out, band, |bi, chunk| {
-            let i0 = bi * band;
-            for (li, o) in chunk.iter_mut().enumerate() {
-                let (cols, vals) = self.row(i0 + li);
-                *o = simd::dot_indexed(vals, cols, x);
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -656,16 +618,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_matvec() {
-        let a = sp();
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(a.spmv(&x), a.to_dense().matvec(&x));
-    }
-
-    #[test]
     fn indicator_products_replicate_rows() {
         // K (R x) — the inner building block of factorized LMM.
-        let k = CsrMatrix::indicator(&[1, 0, 1], 2);
+        let k = CsrMatrix::from_triplets(3, 2, &[(0, 1, 1.0), (1, 0, 1.0), (2, 1, 1.0)]).unwrap();
         let r = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let kr = k.spmm_dense(&r);
         assert_eq!(kr.row(0), &[3.0, 4.0]);
@@ -694,12 +649,10 @@ mod tests {
         Runtime::set_par_threshold(1);
         let a = pseudo_sparse(37, 19);
         let x = dn(19, 4);
-        let xv: Vec<f64> = (0..19).map(|i| (i as f64) * 0.25 - 2.0).collect();
         let serial = Executor::serial();
         for threads in [2, 3, 8] {
             let par = Executor::new(threads);
             assert_eq!(a.spmm_dense_with(&x, &par), a.spmm_dense_with(&x, &serial));
-            assert_eq!(a.spmv_with(&xv, &par), a.spmv_with(&xv, &serial));
             assert_eq!(
                 a.crossprod_dense_with(&par),
                 a.crossprod_dense_with(&serial)

@@ -126,7 +126,7 @@ fn orion_and_morpheus_agree_and_beat_chance() {
     let s = parts[0].table().to_dense();
     let r = parts[1].table().to_dense();
     let k = parts[1].indicator().as_rows().unwrap();
-    let fk: Vec<usize> = (0..k.rows()).map(|i| k.row(i).0[0]).collect();
+    let fk: Vec<usize> = k.keys().iter().map(|&c| c as usize).collect();
 
     let w_orion = OrionLogisticRegression::new(1e-2, 60).fit(&s, &fk, &r, &y);
     let w_morpheus = LogisticRegressionGd::new(1e-2, 60).fit(&ds.tn, &y).w;

@@ -11,10 +11,11 @@
 //! the same treatment: the AVX2 GEMM microkernel must match the scalar
 //! FMA microkernel bit for bit on every tile-remainder shape, and the
 //! fixed-lane reductions must not move with the worker count or the
-//! `MORPHEUS_SIMD` gate.
+//! `MORPHEUS_SIMD` gate. Every operation of the key-column indicator is
+//! checked bit for bit against the CSR kernels on the same `K`.
 
 use morpheus::chunked::ChunkedMatrix;
-use morpheus::core::LinearOperand;
+use morpheus::core::{KeyColumn, LinearOperand};
 use morpheus::dense::simd::{self, GemmBand, GemmIsa, MatSrc};
 use morpheus::prelude::*;
 use proptest::prelude::*;
@@ -46,8 +47,134 @@ fn sparse(rows: usize, cols: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_triplets(rows, cols, &trips).unwrap()
 }
 
+/// Random keys into `0..hit` (so rows `hit..` of a taller table are never
+/// referenced).
+fn keys(n: usize, hit: usize, seed: u64) -> Vec<usize> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % hit
+        })
+        .collect()
+}
+
+/// The CSR copy of an indicator, built like any other sparse matrix.
+fn csr_indicator(keys: &[usize], table_rows: usize) -> CsrMatrix {
+    let trips: Vec<_> = keys.iter().enumerate().map(|(i, &k)| (i, k, 1.0)).collect();
+    CsrMatrix::from_triplets(keys.len(), table_rows, &trips).unwrap()
+}
+
+/// Full-mantissa values (so a changed summation order shows in the
+/// bits) with a few NaN, ±inf and −0.0 planted among them.
+fn hostile(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    let base = mat(rows, cols, seed);
+    DenseMatrix::from_fn(rows, cols, |i, j| {
+        match (i * 7 + j * 3 + seed as usize % 5) % 13 {
+            0 => special[(i + j) % 4],
+            _ => (base.get(i, j) * 1e3).sin(),
+        }
+    })
+}
+
+/// Nothing but NaN, ±inf and −0.0.
+fn specials(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+    DenseMatrix::from_fn(rows, cols, |i, j| special[(i * 3 + j + seed as usize) % 4])
+}
+
+type Fill = fn(usize, usize, u64) -> DenseMatrix;
+
+fn bits(m: &DenseMatrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The old CSR route of `select_rows`: walk the selected rows, number
+/// the base rows in first-use order.
+fn csr_select(k: &CsrMatrix, rows: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut keep: Vec<usize> = Vec::new();
+    let keys = rows
+        .iter()
+        .map(|&r| {
+            let old = k.row(r).0[0];
+            keep.iter().position(|&c| c == old).unwrap_or_else(|| {
+                keep.push(old);
+                keep.len() - 1
+            })
+        })
+        .collect();
+    (keys, keep)
+}
+
+fn as_usize(k: &KeyColumn) -> Vec<usize> {
+    k.keys().iter().map(|&c| c as usize).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn key_column_matches_csr_indicator_bitwise(
+        n in 0usize..40,
+        hit in 1usize..9,
+        unreferenced in 0usize..3,
+        width in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        // Every base row in `hit..table_rows` is unreferenced; n = 0 also
+        // runs with a 0-row table.
+        let table_rows = if n == 0 { unreferenced } else { hit + unreferenced };
+        let fk = keys(n, hit, seed);
+        let k = KeyColumn::new(&fk, table_rows).unwrap();
+        let csr = csr_indicator(&fk, table_rows);
+        let fk2 = keys(n, hit + 1, seed ^ 0x7E57);
+        let k2 = KeyColumn::new(&fk2, hit + 1).unwrap();
+        Runtime::set_par_threshold(1);
+        let configured = Runtime::threads();
+        for (threads, fill) in [(1usize, hostile as Fill), (8, hostile), (1, specials), (8, specials)] {
+            let x = fill(table_rows, width, seed ^ 0x11);
+            let y = fill(n, width, seed ^ 0x22);
+            let z = fill(width, n, seed ^ 0x33);
+            Runtime::set_threads(threads);
+            let got = (k.spmm_dense(&x), k.t_spmm_dense(&y), k.dense_spmm(&z));
+            let want = (csr.spmm_dense(&x), csr.t_spmm_dense(&y), csr.dense_spmm(&z));
+            Runtime::set_threads(configured);
+            prop_assert_eq!(bits(&got.0), bits(&want.0));
+            prop_assert_eq!(bits(&got.1), bits(&want.1));
+            prop_assert_eq!(bits(&got.2), bits(&want.2));
+        }
+        prop_assert_eq!(k.col_sums(), csr.col_sums());
+        prop_assert_eq!(k.pair_counts(&k2), csr.transpose().spgemm(&csr_indicator(&fk2, hit + 1)));
+        prop_assert_eq!(k.pair_counts(&k), csr.transpose().spgemm(&csr));
+
+        // select_rows / prune / append_rows compose keys as the CSR walk did.
+        let r = Matrix::Dense(hostile(table_rows, width, seed ^ 0x44));
+        let tn = NormalizedMatrix::multi_mn(vec![(fk.clone(), r.clone())]).unwrap();
+        let part_keys = |t: &NormalizedMatrix| {
+            let p = &t.parts()[0];
+            (as_usize(p.indicator().as_rows().unwrap()), p.table().to_dense())
+        };
+        let rows: Vec<usize> = if n == 0 { vec![] } else { keys(2 * n, n, seed ^ 0x55) };
+        let (sel_keys, sel_table) = part_keys(&tn.select_rows(&rows));
+        let (want_keys, keep) = csr_select(&csr, &rows);
+        prop_assert_eq!(sel_keys, want_keys);
+        prop_assert_eq!(bits(&sel_table), bits(&r.gather_rows(&keep).to_dense()));
+
+        let counts = csr.col_sums();
+        let live: Vec<usize> = (0..table_rows).filter(|&c| counts.get(0, c) > 0.0).collect();
+        let (pruned_keys, pruned_table) = part_keys(&tn.prune());
+        let remapped: Vec<usize> = (0..n).map(|i| live.iter().position(|&c| c == csr.row(i).0[0]).unwrap()).collect();
+        prop_assert_eq!(pruned_keys, remapped);
+        prop_assert_eq!(bits(&pruned_table), bits(&r.gather_rows(&live).to_dense()));
+
+        let add = if table_rows == 0 { vec![] } else { keys(3, table_rows, seed ^ 0x66) };
+        let (grown_keys, _) = part_keys(&tn.append_rows(None, std::slice::from_ref(&add)).unwrap());
+        let grown = csr.vstack(&csr_indicator(&add, table_rows));
+        prop_assert_eq!(csr_indicator(&grown_keys, table_rows), grown);
+    }
 
     #[test]
     fn parallel_dense_kernels_bit_identical(
@@ -85,11 +212,9 @@ proptest! {
     ) {
         let s = sparse(rows, cols, seed);
         let x = mat(cols, width, seed ^ 0xBEEF);
-        let xv = mat(cols, 1, seed ^ 0xFACE).into_vec();
         let serial = Executor::serial();
         let par = Executor::new(threads);
         prop_assert_eq!(s.spmm_dense_with(&x, &par), s.spmm_dense_with(&x, &serial));
-        prop_assert_eq!(s.spmv_with(&xv, &par), s.spmv_with(&xv, &serial));
         prop_assert_eq!(s.crossprod_dense_with(&par), s.crossprod_dense_with(&serial));
     }
 

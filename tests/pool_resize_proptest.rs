@@ -4,9 +4,10 @@
 //! excess workers exit only after the job they are currently helping — so
 //! a concurrent resize storm must be completely invisible to callers.
 //!
-//! The worker thread hammers `Executor::map` / `map_reduce` sections and
-//! bit-checks every result against the closed form; the main thread walks
-//! a randomized grow/shrink schedule over the pool at the same time.
+//! The worker thread hammers `Executor::map` sections and bit-checks every
+//! result, and a serial sum over it, against the closed form; the main
+//! thread walks a randomized grow/shrink schedule over the pool at the same
+//! time.
 
 use morpheus::prelude::*;
 use proptest::prelude::*;
@@ -43,7 +44,7 @@ proptest! {
                     for (i, v) in mapped.iter().enumerate() {
                         assert_eq!(*v, (i as u64) * 3 + 1, "round {rounds}: lost or torn element");
                     }
-                    let total = ex.map_reduce(n, |i| i as u64, 0, |a, b| a + b);
+                    let total: u64 = ex.map(n, |i| i as u64).into_iter().sum();
                     assert_eq!(total, (n as u64) * (n as u64 - 1) / 2, "round {rounds}: bad reduction");
                     rounds += 1;
                     done.store(rounds, Ordering::Relaxed);
