@@ -54,8 +54,8 @@ pub struct ChunkedCostCtx {
 ///
 /// The rates live here rather than in [`MachineProfile`] deliberately:
 /// spill throughput depends on the spill *directory* (tmpfs vs disk), not
-/// the machine, so the chunked backend calibrates it lazily per process —
-/// the persisted profile format stays untouched.
+/// the machine, so the chunked backend calibrates it lazily per process,
+/// apart from the machine profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpillCosts {
     /// Resident budget in bytes (`MORPHEUS_CHUNK_BYTES`); materialized

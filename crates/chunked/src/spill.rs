@@ -4,10 +4,9 @@
 //! read-only into the address space; [`SpillFile::load`] copies the
 //! mapped bytes back into a [`DenseMatrix`] — the copy *is* the fault-in,
 //! so a load costs one streaming pass and the chunk's pages can be
-//! reclaimed by the OS between operators. Spill files are written with
-//! the same crash-safety idiom as profile persistence (same-dir temp
-//! file + atomic rename): a crash mid-write can never leave a torn spill
-//! file behind a valid name.
+//! reclaimed by the OS between operators. Spill files are written
+//! crash-safely (same-dir temp file + atomic rename): a crash mid-write
+//! can never leave a torn spill file behind a valid name.
 //!
 //! Two process-wide knobs, each read once at first use:
 //!

@@ -53,10 +53,6 @@ pub enum CoreError {
     },
     /// [`crate::NormalizedMatrix::append_rows`] got additions that do not fit.
     BadAppend(String),
-    /// A persisted machine profile could not be parsed (or contained
-    /// non-positive rates). Carries a rendered description because profile
-    /// files are free-form text edited by humans and CI caches.
-    Profile(String),
 }
 
 impl fmt::Display for CoreError {
@@ -88,7 +84,6 @@ impl fmt::Display for CoreError {
                 "key {key} at row {row} is out of range for a {table_rows}-row table"
             ),
             CoreError::BadAppend(reason) => write!(f, "append_rows: {reason}"),
-            CoreError::Profile(msg) => write!(f, "machine profile: {msg}"),
         }
     }
 }

@@ -31,9 +31,8 @@
 //!   chunked backend's) reuse the same planner.
 //! * [`MachineProfile`] — per-kernel ns/op rates: a size-tiered
 //!   blocked-dense curve (L2/L3/DRAM working sets), streaming, sparse-
-//!   product, and gather rates — calibrated lazily by microbenchmarks on
-//!   the resident runtime pool and persistable (versioned) via
-//!   `MORPHEUS_PROFILE_PATH`.
+//!   product, and gather rates — calibrated lazily, once per process, by
+//!   microbenchmarks on the resident runtime pool.
 //! * [`cost`] — the arithmetic-computation cost model of Table 3 /
 //!   Table 11, extended with per-operator time estimates
 //!   ([`cost::estimate_op`]) over the unified multi-part representation.
@@ -75,7 +74,4 @@ pub use ops_trait::LinearOperand;
 pub use planner::{
     Decision, DecisionHook, Planned, PlannedMatrix, RowChunked, Store, Strategy, STRATEGY_ENV,
 };
-pub use profile::{
-    CalibrationResult, DenseTier, MachineProfile, CALIBRATION_TIMEOUT_ENV,
-    DEFAULT_CALIBRATION_TIMEOUT_MS, PROFILE_FORMAT_VERSION, PROFILE_PATH_ENV,
-};
+pub use profile::{DenseTier, MachineProfile, CALIBRATION_TIMEOUT};

@@ -20,64 +20,29 @@
 //! of earlier revisions was ~2x optimistic for large cross-products — the
 //! exact regime where the planner's crossover matters most.
 //!
-//! Rates come from one of three places, in priority order:
+//! Rates come from one of two places:
 //!
-//! 1. a file named by `MORPHEUS_PROFILE_PATH`, if it exists and carries
-//!    the current [`PROFILE_FORMAT_VERSION`] (so CI and repeated test
-//!    processes skip calibration). Files from older revisions, corrupted
-//!    files, and files with missing keys are *ignored* — the profile is
-//!    recalibrated and the file rewritten, never a hard error,
-//! 2. lazy microbenchmark calibration on first use — tiny invocations of
-//!    the real kernels, dispatched on the resident `morpheus-runtime`
-//!    pool so the measured rates match the execution environment the
-//!    planner schedules (written back to `MORPHEUS_PROFILE_PATH` when
-//!    set),
-//! 3. the hard-coded [`MachineProfile::REFERENCE`] rates, used only by
-//!    tests that need deterministic estimates.
+//! 1. lazy microbenchmark calibration on first use, once per process —
+//!    tiny invocations of the real kernels, dispatched on the resident
+//!    `morpheus-runtime` pool so the measured rates match the execution
+//!    environment the planner schedules. Nothing is stored across runs:
+//!    a profile measured by other kernels would misprice every crossover,
+//!    and calibrating costs tens of milliseconds,
+//! 2. the hard-coded [`MachineProfile::REFERENCE`] rates, used by tests
+//!    that need deterministic estimates and by the calibration watchdog
+//!    when calibration cannot finish.
 
-use crate::{CoreError, CoreResult};
 use morpheus_dense::DenseMatrix;
 use morpheus_runtime::{faults, timing};
 use morpheus_sparse::CsrMatrix;
 use std::sync::OnceLock;
+use std::time::Duration;
 
-/// Environment variable naming the profile persistence file.
-pub const PROFILE_PATH_ENV: &str = "MORPHEUS_PROFILE_PATH";
-
-/// Environment variable bounding calibration wall time, in milliseconds.
-/// When first-use calibration misses this deadline (default
-/// [`DEFAULT_CALIBRATION_TIMEOUT_MS`]; `0` disables the watchdog), the
-/// planner proceeds on the built-in [`MachineProfile::FALLBACK`] rates
-/// instead of blocking first use on a hostile machine — and the fallback
-/// is *not* persisted, so a later healthy process calibrates for real.
-pub const CALIBRATION_TIMEOUT_ENV: &str = "MORPHEUS_CALIBRATION_TIMEOUT_MS";
-
-/// Default calibration watchdog deadline: generous (a healthy calibration
-/// takes ~100 ms) so it only ever fires on a genuinely hostile machine.
-pub const DEFAULT_CALIBRATION_TIMEOUT_MS: u64 = 10_000;
-
-/// A calibration outcome: the rates plus whether they were actually
-/// measured on this machine. Only measured rates are worth persisting —
-/// writing the fallback rates to `MORPHEUS_PROFILE_PATH` would make a
-/// transient stall permanent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrationResult {
-    /// The rates to plan with.
-    pub profile: MachineProfile,
-    /// `true` when the rates came from microbenchmarks on this machine;
-    /// `false` when the watchdog substituted the built-in fallback.
-    pub measured: bool,
-}
-
-/// Version of the persisted key set. Bumped whenever the rate set changes
-/// shape *or the kernels behind the rates change speed class*; files
-/// written by other versions trigger recalibration instead of being
-/// misread (v1 had a single dense rate and one shared sparse/gather rate;
-/// v2 rates were measured against the scalar GEMM and serial reduction
-/// chains that the SIMD packed-panel microkernel and fixed-lane reductions
-/// replaced — loading them would misprice every crossover decision; v3
-/// gather rates timed the CSR indicator kernels the key column replaced).
-pub const PROFILE_FORMAT_VERSION: u32 = 4;
+/// Calibration watchdog deadline: generous (a healthy calibration takes
+/// tens of milliseconds) so it only ever fires on a genuinely hostile
+/// machine, where planning proceeds on [`MachineProfile::REFERENCE`]
+/// instead of blocking first use.
+pub const CALIBRATION_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One calibration point of the dense-rate tier curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,7 +144,8 @@ impl MachineProfile {
     /// current kernels — tests that pin planner decisions depend on these
     /// exact numbers, so kernel speedups (e.g. the SIMD microkernel)
     /// change calibration, never this constant. Real planning calibrates
-    /// instead.
+    /// instead, and falls back to these rates only when calibration
+    /// cannot finish (see [`calibrate_within`](Self::calibrate_within)).
     pub const REFERENCE: MachineProfile = MachineProfile {
         dense_tiers: [
             DenseTier {
@@ -207,15 +173,6 @@ impl MachineProfile {
         op_overhead_ns: 1_000.0,
     };
 
-    /// The rates used when calibration cannot run to completion (watchdog
-    /// deadline missed, calibration panicked) — the bottom rung of the
-    /// profile's degradation ladder. Currently the same nominal mid-2020s
-    /// x86 numbers as [`REFERENCE`](Self::REFERENCE), but a distinct
-    /// constant: `REFERENCE` is frozen for test determinism while this
-    /// one tracks "sane rates to plan with, blind"; they may diverge.
-    /// Never persisted (see [`CalibrationResult::measured`]).
-    pub const FALLBACK: MachineProfile = MachineProfile::REFERENCE;
-
     /// The blocked-dense rate at a given working-set size: piecewise
     /// log-linear interpolation through the calibrated tiers, clamped at
     /// both ends. Monotone whenever the tier rates are (calibration
@@ -242,7 +199,7 @@ impl MachineProfile {
     /// The dense rate is measured at the three `TIER_SHAPES` working
     /// sets; the larger two are time-budgeted
     /// ([`timing::measure_ns_budgeted`]) so first-use calibration stays
-    /// bounded (~100 ms total) even on slow machines. The resident pool is
+    /// bounded (tens of milliseconds) even on slow machines. The resident pool is
     /// warmed first so worker spawns are never measured, and the tier
     /// rates are forced non-decreasing (a larger working set can only
     /// measure *faster* through noise, never truly be faster), which keeps
@@ -387,322 +344,53 @@ impl MachineProfile {
         }
     }
 
-    /// Runs [`MachineProfile::calibrate`] under the watchdog deadline from
-    /// [`CALIBRATION_TIMEOUT_ENV`]. Calibration runs on a named spare
-    /// thread; if it misses the deadline **or dies**, the built-in
-    /// [`MachineProfile::FALLBACK`] rates are substituted (counted in
-    /// [`faults::stats`]) so a hostile machine can never block first use.
-    /// A deadline of `0` disables the watchdog but still contains a
-    /// calibration panic.
-    pub fn calibrate_watchdogged() -> CalibrationResult {
-        let timeout_ms = std::env::var(CALIBRATION_TIMEOUT_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(DEFAULT_CALIBRATION_TIMEOUT_MS);
+    /// Runs [`MachineProfile::calibrate`] under the
+    /// [`CALIBRATION_TIMEOUT`] watchdog (see
+    /// [`calibrate_within`](Self::calibrate_within)).
+    pub fn calibrate_watchdogged() -> MachineProfile {
+        Self::calibrate_within(CALIBRATION_TIMEOUT)
+    }
+
+    /// Runs [`MachineProfile::calibrate`] on a named spare thread and waits
+    /// at most `deadline` for it. If calibration misses the deadline **or
+    /// dies**, the [`MachineProfile::REFERENCE`] rates are returned instead
+    /// (counted in [`faults::stats`]), so a hostile machine can never block
+    /// first use.
+    pub fn calibrate_within(deadline: Duration) -> MachineProfile {
         let fall_back = |why: &str| {
             faults::note(faults::Degradation::CalibrationTimeout);
-            eprintln!("morpheus: calibration {why}; using built-in fallback rates (not persisted)");
-            CalibrationResult {
-                profile: MachineProfile::FALLBACK,
-                measured: false,
-            }
+            eprintln!("morpheus: calibration {why}; using built-in reference rates");
+            MachineProfile::REFERENCE
         };
-        if timeout_ms == 0 {
-            return match std::panic::catch_unwind(MachineProfile::calibrate) {
-                Ok(profile) => CalibrationResult {
-                    profile,
-                    measured: true,
-                },
-                Err(_) => fall_back("panicked"),
-            };
-        }
         let (tx, rx) = std::sync::mpsc::channel();
         let spawned = std::thread::Builder::new()
             .name("morpheus-calibrate".into())
             .spawn(move || {
-                // A calibration panic drops `tx`, surfacing below as a
-                // disconnect rather than unwinding into the watchdog.
+                // A calibration panic is caught and sent as `Err`, so the
+                // watchdog sees it without waiting out the deadline.
                 let _ = tx.send(std::panic::catch_unwind(MachineProfile::calibrate));
             });
         if spawned.is_err() {
             // No thread to watchdog with: calibrate inline, contained.
-            return match std::panic::catch_unwind(MachineProfile::calibrate) {
-                Ok(profile) => CalibrationResult {
-                    profile,
-                    measured: true,
-                },
-                Err(_) => fall_back("panicked"),
-            };
+            return std::panic::catch_unwind(MachineProfile::calibrate)
+                .unwrap_or_else(|_| fall_back("panicked"));
         }
-        match rx.recv_timeout(std::time::Duration::from_millis(timeout_ms)) {
-            Ok(Ok(profile)) => CalibrationResult {
-                profile,
-                measured: true,
-            },
+        match rx.recv_timeout(deadline) {
+            Ok(Ok(profile)) => profile,
             Ok(Err(_)) => fall_back("panicked"),
             // Timeout: the calibration thread keeps running detached and
             // its eventual result is discarded — the process has already
-            // committed to the fallback rates.
-            Err(_) => fall_back(&format!("missed its {timeout_ms} ms deadline")),
+            // committed to the reference rates.
+            Err(_) => fall_back(&format!("missed its {deadline:?} deadline")),
         }
     }
 
-    /// Writes `text` to `path` crash-safely: the bytes go to a temp file
-    /// in the same directory (same filesystem, so the rename is atomic)
-    /// and replace `path` only via `rename`. A crash or failure anywhere
-    /// in the window leaves the previous profile intact — never a
-    /// truncated or interleaved file.
-    fn persist_atomically(path: &str, text: &str) -> std::io::Result<()> {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let tmp = format!("{path}.tmp.{}", std::process::id());
-        std::fs::write(&tmp, text)?;
-        // `profile.write` failpoint: error kinds simulate a failed write
-        // (the temp file is cleaned up, the target untouched); a `panic`
-        // kind crashes inside the window, which must also leave the
-        // target intact — exactly what the rename ordering guarantees.
-        if faults::fire("profile.write").is_some() {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(std::io::Error::other("injected profile write failure"));
-        }
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Load-else-produce-and-persist: the seam behind
-    /// [`MachineProfile::global`] with the producer injected. Persistence
-    /// is best-effort and atomic, skipped for unmeasured (fallback)
-    /// rates, and a failure — including a panic inside the persistence
-    /// window — is contained and counted, never raised: a read-only path
-    /// must not break planning.
-    fn load_else_produce(
-        path: Option<&str>,
-        produce: impl FnOnce() -> CalibrationResult,
-    ) -> MachineProfile {
-        if let Some(p) = path {
-            if let Ok(text) = std::fs::read_to_string(p) {
-                match MachineProfile::from_text(&text) {
-                    Ok(profile) => return profile,
-                    Err(e) => eprintln!("morpheus: recalibrating, profile at {p} unusable: {e}"),
-                }
-            }
-        }
-        let result = produce();
-        if let (Some(p), true) = (path, result.measured) {
-            let outcome = std::panic::catch_unwind(|| {
-                MachineProfile::persist_atomically(p, &result.profile.to_text())
-            });
-            let failure: Option<String> = match outcome {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(_) => Some("panic during persistence".into()),
-            };
-            if let Some(e) = failure {
-                faults::note(faults::Degradation::ProfileWriteFailure);
-                eprintln!("morpheus: could not persist profile to {p}: {e}");
-            }
-        }
-        result.profile
-    }
-
-    /// Load-else-calibrate-and-persist, with the calibrator injected —
-    /// the testable seam behind [`MachineProfile::global`]. When `path`
-    /// names a readable file in the current format, its rates are
-    /// returned and `calibrate` never runs; otherwise `calibrate` runs
-    /// and its result is written to `path` (best-effort, atomically via
-    /// a same-directory temp file and rename) when one is given.
-    pub fn load_else_calibrate_with(
-        path: Option<&str>,
-        calibrate: impl FnOnce() -> MachineProfile,
-    ) -> MachineProfile {
-        Self::load_else_produce(path, || CalibrationResult {
-            profile: calibrate(),
-            measured: true,
-        })
-    }
-
-    /// The process-wide profile: loaded from `MORPHEUS_PROFILE_PATH` when
-    /// that file exists and is current, otherwise calibrated on first use
-    /// under the [`CALIBRATION_TIMEOUT_ENV`] watchdog (and written back to
-    /// the path when one is named and the rates were actually measured).
-    /// Resolved once per process.
+    /// The process-wide profile: calibrated on first use under the
+    /// [`CALIBRATION_TIMEOUT`] watchdog, then fixed for the life of the
+    /// process.
     pub fn global() -> &'static MachineProfile {
         static GLOBAL: OnceLock<MachineProfile> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let path = std::env::var(PROFILE_PATH_ENV).ok();
-            MachineProfile::load_else_produce(
-                path.as_deref(),
-                MachineProfile::calibrate_watchdogged,
-            )
-        })
-    }
-
-    /// Renders the profile in the versioned `key = value` format
-    /// [`from_text`] parses.
-    ///
-    /// [`from_text`]: MachineProfile::from_text
-    pub fn to_text(&self) -> String {
-        let t = &self.dense_tiers;
-        format!(
-            "# morpheus machine profile (ns per operation)\n\
-             format_version = {PROFILE_FORMAT_VERSION}\n\
-             dense_l2_bytes = {}\n\
-             dense_l2_ns = {}\n\
-             dense_l3_bytes = {}\n\
-             dense_l3_ns = {}\n\
-             dense_dram_bytes = {}\n\
-             dense_dram_ns = {}\n\
-             ew_ns = {}\n\
-             red_ns = {}\n\
-             minmax_ns = {}\n\
-             sum_ns = {}\n\
-             sparse_ns = {}\n\
-             gather_ns = {}\n\
-             gather_row_ns = {}\n\
-             col_gather_ns = {}\n\
-             syrk_factor = {}\n\
-             op_overhead_ns = {}\n",
-            t[0].bytes,
-            t[0].ns,
-            t[1].bytes,
-            t[1].ns,
-            t[2].bytes,
-            t[2].ns,
-            self.ew_ns,
-            self.red_ns,
-            self.minmax_ns,
-            self.sum_ns,
-            self.sparse_ns,
-            self.gather_ns,
-            self.gather_row_ns,
-            self.col_gather_ns,
-            self.syrk_factor,
-            self.op_overhead_ns
-        )
-    }
-
-    /// Parses a persisted profile: `key = value` lines, `#` comments,
-    /// unknown keys ignored (forward compatibility within a version).
-    /// `format_version` must be present and equal to
-    /// [`PROFILE_FORMAT_VERSION`] — files from other versions are
-    /// rejected, which [`global`](MachineProfile::global) treats as
-    /// "recalibrate", never as a hard failure. All rates are required,
-    /// positive, and the dense tier bytes strictly increasing.
-    pub fn from_text(text: &str) -> CoreResult<MachineProfile> {
-        const KEYS: [&str; 16] = [
-            "dense_l2_bytes",
-            "dense_l2_ns",
-            "dense_l3_bytes",
-            "dense_l3_ns",
-            "dense_dram_bytes",
-            "dense_dram_ns",
-            "ew_ns",
-            "red_ns",
-            "minmax_ns",
-            "sum_ns",
-            "sparse_ns",
-            "gather_ns",
-            "gather_row_ns",
-            "col_gather_ns",
-            "syrk_factor",
-            "op_overhead_ns",
-        ];
-        let mut version: Option<u32> = None;
-        let mut rates = [None::<f64>; 16];
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(CoreError::Profile(format!("malformed line: {line:?}")));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            if key == "format_version" {
-                version = Some(value.parse().map_err(|_| {
-                    CoreError::Profile(format!("non-numeric format_version: {value:?}"))
-                })?);
-                continue;
-            }
-            if let Some(slot) = KEYS.iter().position(|&k| k == key) {
-                let v: f64 = value.parse().map_err(|_| {
-                    CoreError::Profile(format!("non-numeric value for {key}: {value:?}"))
-                })?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(CoreError::Profile(format!(
-                        "rate {key} must be positive and finite, got {v}"
-                    )));
-                }
-                rates[slot] = Some(v);
-            }
-        }
-        match version {
-            None => {
-                return Err(CoreError::Profile(
-                    "no format_version (pre-v2 profile)".into(),
-                ))
-            }
-            Some(v) if v != PROFILE_FORMAT_VERSION => {
-                return Err(CoreError::Profile(format!(
-                    "format_version {v} != supported {PROFILE_FORMAT_VERSION}"
-                )))
-            }
-            Some(_) => {}
-        }
-        if rates.iter().any(Option::is_none) {
-            let names: Vec<&str> = KEYS
-                .iter()
-                .zip(&rates)
-                .filter(|(_, r)| r.is_none())
-                .map(|(&k, _)| k)
-                .collect();
-            return Err(CoreError::Profile(format!(
-                "missing rate(s): {}",
-                names.join(", ")
-            )));
-        }
-        let r = rates.map(|v| v.expect("checked above"));
-        if !(r[0] < r[2] && r[2] < r[4]) {
-            return Err(CoreError::Profile(format!(
-                "dense tier bytes must be strictly increasing, got {} {} {}",
-                r[0], r[2], r[4]
-            )));
-        }
-        // The cost model's size-monotonicity rests on the tier rates
-        // being non-decreasing; calibration enforces it, so a violating
-        // file is hand-edited or stale — recalibrate rather than misprice.
-        if !(r[1] <= r[3] && r[3] <= r[5]) {
-            return Err(CoreError::Profile(format!(
-                "dense tier rates must be non-decreasing, got {} {} {}",
-                r[1], r[3], r[5]
-            )));
-        }
-        Ok(MachineProfile {
-            dense_tiers: [
-                DenseTier {
-                    bytes: r[0],
-                    ns: r[1],
-                },
-                DenseTier {
-                    bytes: r[2],
-                    ns: r[3],
-                },
-                DenseTier {
-                    bytes: r[4],
-                    ns: r[5],
-                },
-            ],
-            ew_ns: r[6],
-            red_ns: r[7],
-            minmax_ns: r[8],
-            sum_ns: r[9],
-            sparse_ns: r[10],
-            gather_ns: r[11],
-            gather_row_ns: r[12],
-            col_gather_ns: r[13],
-            syrk_factor: r[14],
-            op_overhead_ns: r[15],
-        })
+        GLOBAL.get_or_init(MachineProfile::calibrate_watchdogged)
     }
 }
 
@@ -712,189 +400,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn fake_profile() -> MachineProfile {
-        MachineProfile {
-            dense_tiers: [
-                DenseTier {
-                    bytes: 1.0e5,
-                    ns: 0.42,
-                },
-                DenseTier {
-                    bytes: 1.5e6,
-                    ns: 0.63,
-                },
-                DenseTier {
-                    bytes: 1.7e7,
-                    ns: 0.99,
-                },
-            ],
-            ew_ns: 1.25,
-            red_ns: 0.625,
-            minmax_ns: 0.875,
-            sum_ns: 1.375,
-            sparse_ns: 2.125,
-            gather_ns: 2.75,
-            gather_row_ns: 1.75,
-            col_gather_ns: 3.5,
-            syrk_factor: 1.375,
-            op_overhead_ns: 900.0,
-        }
-    }
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "morpheus-profile-test-{name}-{}",
-            std::process::id()
-        ));
-        p
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let p = fake_profile();
-        assert_eq!(MachineProfile::from_text(&p.to_text()).unwrap(), p);
-        assert_eq!(
-            MachineProfile::from_text(&MachineProfile::REFERENCE.to_text()).unwrap(),
-            MachineProfile::REFERENCE
-        );
-    }
-
-    #[test]
-    fn parse_tolerates_comments_and_unknown_keys() {
-        let mut text = MachineProfile::REFERENCE.to_text();
-        text.push_str("# trailing comment\nfuture_rate_ns = 9\n");
-        let p = MachineProfile::from_text(&text).unwrap();
-        assert_eq!(p, MachineProfile::REFERENCE);
-    }
-
-    #[test]
-    fn parse_rejects_bad_input() {
-        // Garbage, non-numeric rates, negative rates.
-        assert!(matches!(
-            MachineProfile::from_text("what is this"),
-            Err(CoreError::Profile(_))
-        ));
-        let bad_value = MachineProfile::REFERENCE
-            .to_text()
-            .replace("ew_ns = 1", "ew_ns = fast");
-        assert!(matches!(
-            MachineProfile::from_text(&bad_value),
-            Err(CoreError::Profile(_))
-        ));
-        let negative = MachineProfile::REFERENCE
-            .to_text()
-            .replace("gather_ns = 3", "gather_ns = -3");
-        assert!(matches!(
-            MachineProfile::from_text(&negative),
-            Err(CoreError::Profile(_))
-        ));
-    }
-
-    #[test]
-    fn parse_rejects_partial_key_sets_naming_the_missing_rates() {
-        let partial = format!(
-            "format_version = {PROFILE_FORMAT_VERSION}\ndense_l2_bytes = 1e5\ndense_l2_ns = 0.5\n"
-        );
-        match MachineProfile::from_text(&partial) {
-            Err(CoreError::Profile(msg)) => {
-                assert!(msg.contains("ew_ns"), "should name missing keys: {msg}")
-            }
-            other => panic!("expected missing-rate error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parse_rejects_old_version_and_missing_version() {
-        // A v1-era file: four flat keys, no format_version.
-        let v1 = "dense_flop_ns = 0.5\new_ns = 1\ngather_ns = 3\nop_overhead_ns = 1000\n";
-        match MachineProfile::from_text(v1) {
-            Err(CoreError::Profile(msg)) => assert!(msg.contains("format_version"), "{msg}"),
-            other => panic!("expected version error, got {other:?}"),
-        }
-        let vfuture = MachineProfile::REFERENCE.to_text().replace(
-            &format!("format_version = {PROFILE_FORMAT_VERSION}"),
-            "format_version = 99",
-        );
-        assert!(matches!(
-            MachineProfile::from_text(&vfuture),
-            Err(CoreError::Profile(msg)) if msg.contains("99")
-        ));
-    }
-
-    #[test]
-    fn parse_rejects_non_increasing_tier_bytes() {
-        let text = fake_profile()
-            .to_text()
-            .replace("dense_l3_bytes = 1500000", "dense_l3_bytes = 50000");
-        assert!(matches!(
-            MachineProfile::from_text(&text),
-            Err(CoreError::Profile(msg)) if msg.contains("increasing")
-        ));
-    }
-
-    #[test]
-    fn parse_rejects_decreasing_tier_rates() {
-        // A hand-edited file with a faster L3 than L2 rate would make the
-        // interpolated dense rate — and with it every cost estimate —
-        // non-monotone in size; it must trigger recalibration instead.
-        let text = fake_profile()
-            .to_text()
-            .replace("dense_l3_ns = 0.63", "dense_l3_ns = 0.1");
-        assert!(matches!(
-            MachineProfile::from_text(&text),
-            Err(CoreError::Profile(msg)) if msg.contains("non-decreasing")
-        ));
-    }
-
-    #[test]
-    fn load_else_calibrate_round_trips_through_a_file() {
-        let path = temp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
-        let p = path.to_str().unwrap();
-        // First use calibrates (injected) and writes.
-        let written = MachineProfile::load_else_calibrate_with(Some(p), fake_profile);
-        assert_eq!(written, fake_profile());
-        // Second use loads; the injected calibrator must not run.
-        let loaded = MachineProfile::load_else_calibrate_with(Some(p), || {
-            panic!("a persisted profile must be loaded, not recalibrated")
-        });
-        assert_eq!(loaded, written);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupted_and_stale_files_fall_back_to_recalibration_and_are_rewritten() {
-        for (name, contents) in [
-            ("corrupt", "!!! not a profile !!!".to_string()),
-            ("truncated", fake_profile().to_text()[..60].to_string()),
-            (
-                "v1",
-                "dense_flop_ns = 0.5\new_ns = 1\ngather_ns = 3\nop_overhead_ns = 1000\n"
-                    .to_string(),
-            ),
-        ] {
-            let path = temp_path(name);
-            std::fs::write(&path, contents).unwrap();
-            let calibrations = AtomicUsize::new(0);
-            let out =
-                MachineProfile::load_else_calibrate_with(Some(path.to_str().unwrap()), || {
-                    calibrations.fetch_add(1, Ordering::SeqCst);
-                    fake_profile()
-                });
-            assert_eq!(out, fake_profile(), "case {name}");
-            assert_eq!(calibrations.load(Ordering::SeqCst), 1, "case {name}");
-            // The unusable file is replaced with the fresh rates.
-            let rewritten = std::fs::read_to_string(&path).unwrap();
-            assert_eq!(
-                MachineProfile::from_text(&rewritten).unwrap(),
-                fake_profile(),
-                "case {name}"
-            );
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
     #[test]
     fn concurrent_first_use_calibrates_exactly_once() {
         // The same OnceLock shape `global()` uses, with a counting
@@ -902,27 +407,21 @@ mod tests {
         // calibration runs and every thread sees the same rates.
         let cell: Arc<OnceLock<MachineProfile>> = Arc::new(OnceLock::new());
         let calibrations = Arc::new(AtomicUsize::new(0));
-        let path = temp_path("concurrent");
-        let _ = std::fs::remove_file(&path);
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let calibrations = Arc::clone(&calibrations);
-                let p = path.to_str().unwrap().to_string();
                 std::thread::spawn(move || {
                     *cell.get_or_init(|| {
-                        MachineProfile::load_else_calibrate_with(Some(&p), || {
-                            calibrations.fetch_add(1, Ordering::SeqCst);
-                            fake_profile()
-                        })
+                        calibrations.fetch_add(1, Ordering::SeqCst);
+                        MachineProfile::REFERENCE
                     })
                 })
             })
             .collect();
         let results: Vec<MachineProfile> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(calibrations.load(Ordering::SeqCst), 1);
-        assert!(results.iter().all(|r| *r == fake_profile()));
-        let _ = std::fs::remove_file(&path);
+        assert!(results.iter().all(|r| *r == MachineProfile::REFERENCE));
     }
 
     #[test]

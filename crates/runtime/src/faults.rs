@@ -9,12 +9,13 @@
 //! Configuration
 //! comes from the `MORPHEUS_FAILPOINTS` environment variable (read once,
 //! at first check) or programmatically via [`configure`] / [`clear`] —
-//! the test hooks the chaos suite uses.
+//! the test hooks the chaos suite uses, callable only while holding
+//! [`exclusive`].
 //!
 //! ## Spec grammar
 //!
 //! ```text
-//! MORPHEUS_FAILPOINTS="pool.dispatch=panic(0.01,seed=42);profile.write=io_error;simd.detect=off"
+//! MORPHEUS_FAILPOINTS="pool.dispatch=panic(0.01,seed=42);spill.write=io_error;simd.detect=off"
 //!
 //! spec    := point (';' point)*
 //! point   := name '=' kind [ '(' arg (',' arg)* ')' ]
@@ -40,7 +41,6 @@
 //! | `pool.spawn` | worker spawn in `set_threads` growth | any kind makes the spawn fail, exercising the degraded (fewer-helpers / inline-serial) pool |
 //! | `exec.stride` | every executor stride body | `panic` (contained like any stride panic and re-thrown on the submitter), `sleep` |
 //! | `profile.calibrate` | start of `MachineProfile::calibrate` | `sleep` simulates a hostile machine (trips the calibration watchdog), `panic` a crashing calibration |
-//! | `profile.write` | between the temp-file write and the atomic rename of profile persistence | `io_error`/`error` simulate a failed write (previous file intact), `panic` a crash inside the window (previous file still intact — that is the point of the rename) |
 //! | `simd.detect` | AVX2 probe of the GEMM/reduction dispatch | any kind makes the probe report "no AVX2", demoting to the bit-identical scalar-FMA tier |
 //! | `plan.cache.lookup` / `plan.cache.insert` | inside the plan-cache lock | `panic` poisons the cache mutex; the next access recovers by clearing |
 //! | `planner.memo` | join-memo materialization closure | `panic` aborts the memoized join; the `OnceLock` stays empty and the next call recomputes |
@@ -50,10 +50,11 @@
 //! Alongside the failpoints, this module owns the process-wide
 //! **degradation counters** ([`stats`]): every self-healing or fallback
 //! event anywhere in the workspace — worker deaths and respawns, inline
-//! serial fallbacks, calibration timeouts, failed profile writes,
-//! poisoned-lock recoveries, SIMD demotions — is [`note`]d here so
+//! serial fallbacks, calibration timeouts, poisoned-lock recoveries,
+//! SIMD demotions — is [`note`]d here so
 //! operators can observe exactly which ladders the runtime walked down.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -235,7 +236,7 @@ fn resolve_env() {
             STATE.store(2, Ordering::Relaxed);
             return;
         }
-        if let Err(e) = configure(&spec) {
+        if let Err(e) = apply(&spec) {
             eprintln!("morpheus: ignoring {FAILPOINTS_ENV}: {e}");
             STATE.store(2, Ordering::Relaxed);
         }
@@ -247,10 +248,22 @@ fn resolve_env() {
 }
 
 /// Replaces the whole failpoint configuration (the programmatic test
-/// hook; also used to apply [`FAILPOINTS_ENV`]). An empty spec disarms.
-/// On a parse error nothing changes and the previous configuration stays
-/// in force.
+/// hook). An empty spec disarms. On a parse error nothing changes and
+/// the previous configuration stays in force.
+///
+/// # Panics
+///
+/// Unless the calling thread holds [`exclusive`]: an unguarded
+/// reconfiguration would arm faults under a sibling test mid-run.
 pub fn configure(spec: &str) -> Result<(), String> {
+    assert_exclusive("configure");
+    apply(spec)
+}
+
+/// [`configure`] without the guard check, for its one unguarded caller:
+/// the [`FAILPOINTS_ENV`] first-use path, which whichever thread checks a
+/// failpoint first runs.
+fn apply(spec: &str) -> Result<(), String> {
     let parsed = parse_spec(spec)?;
     let mut map = lock_registry();
     map.clear();
@@ -265,7 +278,12 @@ pub fn configure(spec: &str) -> Result<(), String> {
 /// Disarms every failpoint (the registry is emptied; degradation
 /// counters are kept — use [`reset_stats`] for those). After `clear`,
 /// checks cost one atomic load again.
+///
+/// # Panics
+///
+/// Unless the calling thread holds [`exclusive`] (see [`configure`]).
 pub fn clear() {
+    assert_exclusive("clear");
     lock_registry().clear();
     STATE.store(2, Ordering::Relaxed);
 }
@@ -387,7 +405,6 @@ static POOL_SPAWN_FAILURES: AtomicU64 = AtomicU64::new(0);
 static POOL_SERIAL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static LOCK_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 static CALIBRATION_TIMEOUTS: AtomicU64 = AtomicU64::new(0);
-static PROFILE_WRITE_FAILURES: AtomicU64 = AtomicU64::new(0);
 static SIMD_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static SERVE_BATCH_ABORTS: AtomicU64 = AtomicU64::new(0);
 static SPILL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
@@ -410,12 +427,9 @@ pub enum Degradation {
     /// A poisoned lock was recovered (cleared/recomputed) instead of
     /// propagating the poison.
     LockRecovery,
-    /// Calibration missed its watchdog deadline (or died); built-in
-    /// fallback rates are in use and were *not* persisted.
+    /// Calibration missed its watchdog deadline (or died); the built-in
+    /// reference rates are in use for the rest of the process.
     CalibrationTimeout,
-    /// Persisting the machine profile failed; planning continues on the
-    /// in-memory rates.
-    ProfileWriteFailure,
     /// The SIMD feature probe reported unavailable; kernels run on the
     /// scalar tier.
     SimdFallback,
@@ -438,7 +452,6 @@ pub fn note(d: Degradation) {
         Degradation::PoolSerialFallback => &POOL_SERIAL_FALLBACKS,
         Degradation::LockRecovery => &LOCK_RECOVERIES,
         Degradation::CalibrationTimeout => &CALIBRATION_TIMEOUTS,
-        Degradation::ProfileWriteFailure => &PROFILE_WRITE_FAILURES,
         Degradation::SimdFallback => &SIMD_FALLBACKS,
         Degradation::ServeBatchAbort => &SERVE_BATCH_ABORTS,
         Degradation::SpillFallback => &SPILL_FALLBACKS,
@@ -465,7 +478,8 @@ pub struct FaultStats {
     pub lock_recoveries: u64,
     /// Calibrations abandoned to the built-in fallback rates.
     pub calibration_timeouts: u64,
-    /// Machine-profile writes that failed (best-effort persistence).
+    /// Retired: the machine profile is no longer persisted, so this is
+    /// always zero. Kept only because existing readers still sum it.
     pub profile_write_failures: u64,
     /// SIMD probes that reported unavailable (scalar-tier execution).
     pub simd_fallbacks: u64,
@@ -487,7 +501,7 @@ pub fn stats() -> FaultStats {
         pool_serial_fallbacks: POOL_SERIAL_FALLBACKS.load(Ordering::Relaxed),
         lock_recoveries: LOCK_RECOVERIES.load(Ordering::Relaxed),
         calibration_timeouts: CALIBRATION_TIMEOUTS.load(Ordering::Relaxed),
-        profile_write_failures: PROFILE_WRITE_FAILURES.load(Ordering::Relaxed),
+        profile_write_failures: 0,
         simd_fallbacks: SIMD_FALLBACKS.load(Ordering::Relaxed),
         serve_batch_aborts: SERVE_BATCH_ABORTS.load(Ordering::Relaxed),
         spill_fallbacks: SPILL_FALLBACKS.load(Ordering::Relaxed),
@@ -504,7 +518,6 @@ pub fn reset_stats() {
         &POOL_SERIAL_FALLBACKS,
         &LOCK_RECOVERIES,
         &CALIBRATION_TIMEOUTS,
-        &PROFILE_WRITE_FAILURES,
         &SIMD_FALLBACKS,
         &SERVE_BATCH_ABORTS,
         &SPILL_FALLBACKS,
@@ -526,12 +539,43 @@ pub fn reset_stats() {
 /// every test holds this guard. A test that needs crate-private items
 /// stays in its crate's lib tests instead, and then every test in that
 /// binary that reaches the armed failpoint takes the guard too.
-pub fn exclusive() -> MutexGuard<'static, ()> {
+///
+/// The guard marks its holding thread: [`configure`] and [`clear`] panic
+/// on any other.
+pub fn exclusive() -> Exclusive {
     static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| {
+    let gate = GATE.lock().unwrap_or_else(|e| {
         GATE.clear_poison();
         e.into_inner()
-    })
+    });
+    HOLDS_EXCLUSIVE.with(|h| h.set(true));
+    Exclusive { _gate: gate }
+}
+
+/// The held [`exclusive`] gate. Not `Send` (it wraps a `MutexGuard`), so
+/// the thread it marks is the thread that drops it.
+#[must_use = "the failpoint registry is exclusive only while the guard lives"]
+pub struct Exclusive {
+    _gate: MutexGuard<'static, ()>,
+}
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        // `try_with`: a guard dropped during thread teardown must not panic.
+        let _ = HOLDS_EXCLUSIVE.try_with(|h| h.set(false));
+    }
+}
+
+thread_local! {
+    /// Whether this thread holds the [`exclusive`] gate.
+    static HOLDS_EXCLUSIVE: Cell<bool> = const { Cell::new(false) };
+}
+
+fn assert_exclusive(what: &str) {
+    assert!(
+        HOLDS_EXCLUSIVE.with(Cell::get),
+        "faults::{what} called without holding faults::exclusive()"
+    );
 }
 
 #[cfg(test)]
@@ -549,7 +593,7 @@ mod tests {
     #[test]
     fn parse_accepts_the_documented_grammar() {
         let points = parse_spec(
-            "pool.dispatch=panic(0.01,seed=42); profile.write=io_error; \
+            "pool.dispatch=panic(0.01,seed=42); spill.write=io_error; \
              simd.detect=off;exec.stride=sleep(25,0.5,seed=7);x=error(times=3)",
         )
         .unwrap();
@@ -559,7 +603,7 @@ mod tests {
         assert_eq!(p.kind, FaultKind::Panic);
         assert!((p.prob - 0.01).abs() < 1e-12);
         assert_eq!(p.seed, 42);
-        assert_eq!(by_name["profile.write"].kind, FaultKind::IoError);
+        assert_eq!(by_name["spill.write"].kind, FaultKind::IoError);
         assert_eq!(by_name["simd.detect"].kind, FaultKind::Off);
         let s = &by_name["exec.stride"];
         assert_eq!(s.kind, FaultKind::Sleep(25));
@@ -641,6 +685,12 @@ mod tests {
         assert_eq!(s.pool_serial_fallbacks, 1);
         reset_stats();
         assert_eq!(stats(), FaultStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "without holding faults::exclusive()")]
+    fn configure_without_the_guard_panics() {
+        let _ = configure("unguarded=error");
     }
 
     #[test]

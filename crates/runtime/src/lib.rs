@@ -26,8 +26,8 @@
 //!   kernel variants instead.
 //! * Tiny kernels skip the pool entirely: [`Executor::gated`] caps a
 //!   section to the caller thread when its work estimate is below the
-//!   process-wide threshold (`MORPHEUS_PAR_THRESHOLD`, default
-//!   [`runtime::DEFAULT_PAR_THRESHOLD`]) — see
+//!   process-wide threshold ([`runtime::DEFAULT_PAR_THRESHOLD`], which
+//!   tests may override with [`Runtime::set_par_threshold`]) — see
 //!   [`Runtime::should_parallelize`].
 //! * Parallel sections **compose without oversubscription**: when an outer
 //!   level (e.g. the chunk-at-a-time backend) claims `W` workers, code

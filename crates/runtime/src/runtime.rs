@@ -7,9 +7,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Worker count configured for the process; `0` means "not yet resolved".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Work threshold below which kernels stay inline; `0` means "not yet
-/// resolved" (user values are clamped to >= 1).
-static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
+/// Work threshold below which kernels stay inline ([`DEFAULT_PAR_THRESHOLD`]
+/// until a test calls [`Runtime::set_par_threshold`]).
+static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_THRESHOLD);
 
 /// Whether explicit-SIMD kernel paths may run; `0` means "not yet
 /// resolved", `1` enabled, `2` disabled.
@@ -97,13 +97,12 @@ impl Runtime {
     }
 
     /// Whether a kernel with `work` flops (or equivalent fused operations)
-    /// is worth dispatching onto the pool, per the process-wide threshold:
-    /// `MORPHEUS_PAR_THRESHOLD` if set to an integer (clamped to >= 1, read
-    /// once at first use), else [`DEFAULT_PAR_THRESHOLD`]. Kernels apply
-    /// this via [`Executor::gated`]; it affects scheduling only, never
-    /// results.
+    /// is worth dispatching onto the pool, per the process-wide threshold
+    /// ([`DEFAULT_PAR_THRESHOLD`] unless [`Runtime::set_par_threshold`]
+    /// overrode it). Kernels apply this via [`Executor::gated`]; it
+    /// affects scheduling only, never results.
     pub fn should_parallelize(work: usize) -> bool {
-        work >= Self::par_threshold()
+        work >= PAR_THRESHOLD.load(Ordering::Relaxed)
     }
 
     /// Overrides the parallelism threshold (minimum 1) for the whole
@@ -145,21 +144,6 @@ impl Runtime {
     /// results are identical either way).
     pub fn set_simd(enabled: bool) {
         SIMD.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-    }
-
-    fn par_threshold() -> usize {
-        match PAR_THRESHOLD.load(Ordering::Relaxed) {
-            0 => {
-                let t = std::env::var("MORPHEUS_PAR_THRESHOLD")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                    .unwrap_or(DEFAULT_PAR_THRESHOLD)
-                    .max(1);
-                PAR_THRESHOLD.store(t, Ordering::Relaxed);
-                t
-            }
-            t => t,
-        }
     }
 
     fn detect() -> usize {

@@ -3,7 +3,8 @@
 //! documented degradation ladder (README "Failure model") — the pool
 //! heals or runs inline, SIMD demotes bit-identically, a failed spill
 //! stays resident, a dead memo recomputes, a dead batch fails only its
-//! own requests.
+//! own requests, a hung or crashed calibration falls back to the
+//! reference rates.
 //!
 //! Every test in this binary holds `faults::exclusive()` for its whole
 //! duration. An armed failpoint fires in whichever test reaches its site
@@ -266,4 +267,66 @@ fn drop_drains_pending_requests() {
     faults::clear();
     assert!(t0.wait().is_ok());
     assert!(t1.wait().is_ok());
+}
+
+#[test]
+fn watchdogged_calibration_times_out_to_fallback_rates() {
+    let _guard = faults::exclusive();
+    let timeouts_before = faults::stats().calibration_timeouts;
+    faults::configure("profile.calibrate=sleep(2000)").unwrap();
+    // A hostile machine: calibration hangs, and the watchdog hands back
+    // the reference rates at 50 ms instead of blocking two seconds.
+    let profile = MachineProfile::calibrate_within(Duration::from_millis(50));
+    faults::clear();
+    assert_eq!(profile, MachineProfile::REFERENCE);
+    assert!(faults::stats().calibration_timeouts > timeouts_before);
+}
+
+#[test]
+fn hostile_calibration_falls_back_promptly_and_is_not_sticky() {
+    let _guard = faults::exclusive();
+    let timeouts_before = faults::stats().calibration_timeouts;
+    faults::configure("profile.calibrate=sleep(5000)").unwrap();
+    // Hostile first use: the caller is released at the deadline, long
+    // before the hung calibration would have finished.
+    let started = std::time::Instant::now();
+    let profile = MachineProfile::calibrate_within(Duration::from_millis(50));
+    let waited = started.elapsed();
+    faults::clear();
+    assert_eq!(profile, MachineProfile::REFERENCE);
+    assert!(
+        waited < Duration::from_secs(2),
+        "watchdog held the caller for {waited:?}"
+    );
+    let timeouts_after_hostile = faults::stats().calibration_timeouts;
+    assert!(timeouts_after_hostile > timeouts_before);
+    // The fallback is not remembered: the next calibration on a healthy
+    // machine measures for real and counts no further fallback.
+    let healthy = MachineProfile::calibrate_watchdogged();
+    assert!(healthy.ew_ns > 0.0 && healthy.ew_ns.is_finite());
+    assert_eq!(faults::stats().calibration_timeouts, timeouts_after_hostile);
+}
+
+#[test]
+fn crashed_calibration_falls_back_instead_of_unwinding() {
+    let _guard = faults::exclusive();
+    let timeouts_before = faults::stats().calibration_timeouts;
+    faults::configure("profile.calibrate=panic").unwrap();
+    // Generous deadline: the fallback here comes from the calibration
+    // panic, not the timeout.
+    let profile = MachineProfile::calibrate_within(Duration::from_secs(60));
+    faults::clear();
+    assert_eq!(profile, MachineProfile::REFERENCE);
+    assert!(faults::stats().calibration_timeouts > timeouts_before);
+}
+
+#[test]
+fn healthy_calibration_is_measured() {
+    let _guard = faults::exclusive();
+    // Default deadline, no faults: the real microbenchmarks run to
+    // completion and no fallback is counted.
+    let timeouts_before = faults::stats().calibration_timeouts;
+    let profile = MachineProfile::calibrate_watchdogged();
+    assert!(profile.ew_ns > 0.0 && profile.ew_ns.is_finite());
+    assert_eq!(faults::stats().calibration_timeouts, timeouts_before);
 }
