@@ -35,6 +35,7 @@ mod slicing;
 mod vecops;
 
 pub use error::{DenseError, Result};
+pub use matmul::tall_block_rows;
 pub use matrix::DenseMatrix;
 pub use vecops::{dot, l2_norm, max_abs_diff, scale_in_place};
 

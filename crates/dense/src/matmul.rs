@@ -13,7 +13,15 @@
 //! **Parallelism**: output rows are split into bands executed on the
 //! shared [`morpheus_runtime`] executor. Each output element is
 //! accumulated by exactly one worker in the exact ascending-k order
-//! regardless of band or tile alignment, so the parallel kernels agree
+//! regardless of band or tile alignment. The tall reductions —
+//! `t_matmul`, `crossprod` and `vecmat`, whose k is the input's row
+//! count — go one step further once the input spans at least two fixed
+//! row blocks ([`tall_block_rows`]): each block reduces its own rows into
+//! a partial, and the partials are summed in ascending block order, so
+//! the input is streamed once instead of once per output band. Either
+//! way the per-element order is ascending k within fixed row blocks,
+//! blocks combined in ascending order — a function of the shape alone,
+//! independent of worker count and ISA — so the parallel kernels agree
 //! with the single-threaded path **bit for bit** (and `Executor::new(1)`
 //! reproduces the full-pool results exactly).
 //!
@@ -26,6 +34,128 @@
 use crate::simd::{self, GemmBand, GemmIsa, MatSrc};
 use crate::DenseMatrix;
 use morpheus_runtime::{Executor, Runtime};
+use std::ops::Range;
+
+/// Row-block height of a tall reduction whose per-block partial is
+/// `width` columns wide (`p` for `Aᵀ X`, `d` for `crossprod`, 1 for
+/// `vecmat`). A function of the shape only — never of the worker count —
+/// so the blocks, and with them the result bits, are fixed by the shape.
+/// At least 1024 rows, and at least `8 · width` so a block's `d x width`
+/// partial stays under an eighth of the `rows x d` input it summarizes.
+pub fn tall_block_rows(width: usize) -> usize {
+    (8 * width).max(1024)
+}
+
+/// Fills `out` with `Σ_b partial_b`, where `partial_b` is what `block`
+/// accumulates into a zeroed buffer of `out.len()` elements for rows
+/// `b·h .. min((b+1)·h, n)`. Blocks run in parallel on `ex`; the partials
+/// are summed in ascending block order, so the bits depend on `n` and `h`
+/// only.
+fn reduce_row_blocks(
+    out: &mut [f64],
+    n: usize,
+    h: usize,
+    ex: &Executor,
+    block: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) {
+    let len = out.len();
+    let mut partials = vec![0.0f64; n.div_ceil(h) * len];
+    ex.par_chunks_mut(&mut partials, len, |b, part| {
+        block(b * h..((b + 1) * h).min(n), part)
+    });
+    let (first, rest) = partials.split_at(len);
+    out.copy_from_slice(first);
+    for part in rest.chunks_exact(len) {
+        for (o, &v) in out.iter_mut().zip(part) {
+            *o += v;
+        }
+    }
+}
+
+/// `aᵀ x` for a row-major `n x d` buffer `a` and an n-vector `x`: a
+/// contiguous axpy per input row (unfused multiply-add, ascending rows).
+/// Inputs shorter than two row blocks split the d outputs into bands;
+/// taller ones reduce fixed row blocks ([`reduce_row_blocks`]), so `a` is
+/// streamed once. Every `0 · ±inf` or `0 · NaN` term is accumulated.
+fn t_matvec(a: &[f64], d: usize, x: &[f64], ex: &Executor) -> Vec<f64> {
+    let n = x.len();
+    let mut out = vec![0.0; d];
+    if d == 0 || n == 0 {
+        return out;
+    }
+    // Columns `j0 .. j0 + part.len()` of `Σ_{i ∈ rows} x[i] · a[i, :]`.
+    let axpy = |rows: Range<usize>, j0: usize, part: &mut [f64]| {
+        for i in rows {
+            let xv = x[i];
+            let arow = &a[i * d + j0..i * d + j0 + part.len()];
+            for (o, &av) in part.iter_mut().zip(arow) {
+                *o += xv * av;
+            }
+        }
+    };
+    let ex = ex.gated(n * d);
+    let h = tall_block_rows(1);
+    if n < 2 * h {
+        let band = ex.grain(d);
+        ex.par_chunks_mut(&mut out, band, |bi, chunk| axpy(0..n, bi * band, chunk));
+    } else {
+        reduce_row_blocks(&mut out, n, h, &ex, |rows, part| axpy(rows, 0, part));
+    }
+    out
+}
+
+/// `out (d x p, zeroed) = aᵀ b` for row-major `a` (`n x d`) and `b`
+/// (`n x p`) on the packed-panel kernel; `tri_upper` computes the upper
+/// triangle only (`crossprod`, where `a` and `b` are the same buffer).
+/// Inputs shorter than two row blocks run [`gemm_driver`] over output-row
+/// bands; taller ones give each row block its own partial: the block
+/// packs only its own rows of `b` and runs one [`GemmBand`] over all d
+/// output rows, and the partials are summed in ascending block order.
+#[allow(clippy::too_many_arguments)]
+fn tall_t_gemm(
+    a: &[f64],
+    d: usize,
+    b: &[f64],
+    p: usize,
+    n: usize,
+    tri_upper: bool,
+    out: &mut [f64],
+    ex: &Executor,
+) {
+    // `aᵀ` and `b` restricted to input rows `rows`.
+    let views = |rows: Range<usize>| {
+        let at = MatSrc {
+            data: &a[rows.start * d..rows.end * d],
+            rs: 1,
+            cs: d,
+        };
+        let bs = MatSrc {
+            data: &b[rows.start * p..rows.end * p],
+            rs: p,
+            cs: 1,
+        };
+        (at, bs)
+    };
+    let h = tall_block_rows(p);
+    if n < 2 * h {
+        let (at, bs) = views(0..n);
+        gemm_driver(at, bs, out, d, n, p, tri_upper, ex);
+        return;
+    }
+    let isa = GemmIsa::active();
+    reduce_row_blocks(out, n, h, ex, |rows, part| {
+        let k = rows.len();
+        let (at, bs) = views(rows);
+        let packed = simd::pack_b(bs, k, p);
+        GemmBand {
+            a: at,
+            b: &packed,
+            i0: 0,
+            tri_upper,
+        }
+        .run(isa, part);
+    });
+}
 
 /// Packs `b`, then runs the packed-panel GEMM band-parallel on `ex`:
 /// `out[r, :] += Σ_kk a(i0 + r, kk) * b(kk, :)` for the `m x n` output.
@@ -92,34 +222,7 @@ impl DenseMatrix {
             // costs as much as the product itself. Stream B exactly once
             // with a contiguous axpy per input row instead — this is
             // `colSums(K) * B` in the factorized column-sum rewrite.
-            // Either way every output element accumulates in ascending-k
-            // order, so the worker count never changes the bits.
-            let mut out = DenseMatrix::zeros(1, n);
-            let ex = ex.gated(k * n);
-            let a = self.as_slice();
-            let bs = other.as_slice();
-            if ex.threads() <= 1 {
-                let o = out.as_mut_slice();
-                for (&av, brow) in a.iter().zip(bs.chunks_exact(n)) {
-                    for (ov, &bv) in o.iter_mut().zip(brow) {
-                        *ov += av * bv;
-                    }
-                }
-            } else {
-                // Column bands each scan all of A and own their columns.
-                let band = ex.grain(n);
-                ex.par_chunks_mut(out.as_mut_slice(), band, |bi, chunk| {
-                    let j0 = bi * band;
-                    let w = chunk.len();
-                    for (kk, &av) in a.iter().enumerate() {
-                        let brow = &bs[kk * n + j0..kk * n + j0 + w];
-                        for (o, &bv) in chunk.iter_mut().zip(brow) {
-                            *o += av * bv;
-                        }
-                    }
-                });
-            }
-            return out;
+            return DenseMatrix::row_vector(&other.vecmat_with(self.as_slice(), ex));
         }
         let mut out = DenseMatrix::zeros(m, n);
         if m == 0 || n == 0 || k == 0 {
@@ -187,9 +290,8 @@ impl DenseMatrix {
         self.vecmat_with(x, &Runtime::executor())
     }
 
-    /// [`DenseMatrix::vecmat`] with an explicit executor; the output is
-    /// parallelized over column bands so each band accumulates the input
-    /// rows in serial order (bit-identical to one thread).
+    /// [`DenseMatrix::vecmat`] with an explicit executor: the tall
+    /// reduction `selfᵀ x`, bit-identical at any worker count.
     ///
     /// # Panics
     /// Panics if `x.len() != self.rows()`.
@@ -201,28 +303,7 @@ impl DenseMatrix {
             x.len(),
             self.rows()
         );
-        let (m, n) = self.shape();
-        let mut out = vec![0.0; n];
-        if n == 0 {
-            return out;
-        }
-        let ex = ex.gated(m * n);
-        let band = ex.grain(n);
-        let a = self.as_slice();
-        ex.par_chunks_mut(&mut out, band, |bi, chunk| {
-            let j0 = bi * band;
-            let w = chunk.len();
-            for (i, &xv) in x.iter().enumerate() {
-                if xv == 0.0 {
-                    continue;
-                }
-                let row = &a[i * n + j0..i * n + j0 + w];
-                for (o, &av) in chunk.iter_mut().zip(row) {
-                    *o += xv * av;
-                }
-            }
-        });
-        out
+        t_matvec(self.as_slice(), self.cols(), x, ex)
     }
 
     /// Matrix transpose `T^t`.
@@ -259,9 +340,12 @@ impl DenseMatrix {
     /// (`rs = 1, cs = d`) and skips register tiles entirely below the
     /// diagonal — roughly half the arithmetic, tile-granular, exactly the
     /// saving the paper's "efficient" rewrite (Algorithm 2) relies on.
-    /// Workers own disjoint bands of output rows, so every upper-triangle
-    /// element accumulates the input rows in ascending order regardless of
-    /// the worker count.
+    /// A tall input is reduced in fixed row blocks of
+    /// [`tall_block_rows`]`(d)` rows, each packing only its own rows, so
+    /// it is read once; every upper-triangle element accumulates in
+    /// ascending row order within a block, blocks combined in ascending
+    /// order, regardless of the worker count. The triangle is mirrored
+    /// after the combine.
     pub fn crossprod_with(&self, ex: &Executor) -> DenseMatrix {
         let (n, d) = self.shape();
         let mut out = DenseMatrix::zeros(d, d);
@@ -270,9 +354,7 @@ impl DenseMatrix {
         }
         let ex = ex.gated(n * d * (d + 1) / 2);
         let data = self.as_slice();
-        let a = MatSrc { data, rs: 1, cs: d };
-        let b = MatSrc { data, rs: d, cs: 1 };
-        gemm_driver(a, b, out.as_mut_slice(), d, n, d, true, &ex);
+        tall_t_gemm(data, d, data, d, n, true, out.as_mut_slice(), &ex);
         let o = out.as_mut_slice();
         for i in 0..d {
             for j in (i + 1)..d {
@@ -324,10 +406,15 @@ impl DenseMatrix {
 
     /// [`DenseMatrix::t_matmul`] with an explicit executor.
     ///
-    /// This kernel scatters input rows into the output, so workers own
-    /// disjoint bands of output rows and each scans the full input,
-    /// accumulating only its own band — input-row order per element is
-    /// preserved, keeping parallel results bit-identical to serial.
+    /// A tall reduction over the shared row dimension: once `self` spans
+    /// two row blocks of [`tall_block_rows`]`(p)` rows, each block
+    /// accumulates its own `d x p` partial and the partials are summed in
+    /// ascending block order, so `self` is streamed once rather than once
+    /// per output band. A vector `other` runs a contiguous axpy per input
+    /// row; a wider one runs the packed-panel kernel on each block's rows.
+    /// The block height depends on `n` and `p` only, so output row `j`
+    /// depends only on column `j` of `self` — and the bits never depend
+    /// on the worker count.
     ///
     /// # Panics
     /// Panics if `self.rows() != other.rows()`.
@@ -341,44 +428,16 @@ impl DenseMatrix {
         );
         let (n, d) = self.shape();
         let p = other.cols();
+        if p == 1 {
+            return DenseMatrix::col_vector(&t_matvec(self.as_slice(), d, other.as_slice(), ex));
+        }
         let mut out = DenseMatrix::zeros(d, p);
         if d == 0 || p == 0 || n == 0 {
             return out;
         }
         let ex = ex.gated(n * d * p);
-        let a = self.as_slice();
-        if p == 1 {
-            // Tᵀ x for a vector x: accumulate x[i] * row(i) with a
-            // contiguous inner loop instead of length-1 scatters; bands
-            // split the output entries.
-            let xs = other.as_slice();
-            let band = ex.grain(d);
-            ex.par_chunks_mut(out.as_mut_slice(), band, |bi, chunk| {
-                let k0 = bi * band;
-                let w = chunk.len();
-                for (i, &xv) in xs.iter().enumerate() {
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    let arow = &a[i * d + k0..i * d + k0 + w];
-                    for (ov, &av) in chunk.iter_mut().zip(arow) {
-                        *ov += xv * av;
-                    }
-                }
-            });
-            return out;
-        }
-        let asrc = MatSrc {
-            data: a,
-            rs: 1,
-            cs: d,
-        };
-        let b = MatSrc {
-            data: other.as_slice(),
-            rs: p,
-            cs: 1,
-        };
-        gemm_driver(asrc, b, out.as_mut_slice(), d, n, p, false, &ex);
+        let (a, b) = (self.as_slice(), other.as_slice());
+        tall_t_gemm(a, d, b, p, n, false, out.as_mut_slice(), &ex);
         out
     }
 
@@ -534,6 +593,32 @@ mod tests {
             assert_eq!(m.tcrossprod_with(&par), m.tcrossprod_with(&serial));
             assert_eq!(m.t_matmul_with(&y, &par), m.t_matmul_with(&y, &serial));
             assert_eq!(m.matmul_t_with(&z, &par), m.matmul_t_with(&z, &serial));
+        }
+    }
+
+    #[test]
+    fn zero_weights_propagate_nan_and_inf_like_the_gemm_path() {
+        // `0 · ±inf` and `0 · NaN` are NaN on every route of `Tᵀ x`: the
+        // vector kernel accumulates zero weights instead of skipping them,
+        // as the packed GEMM always has. Short and tall (blocked) inputs.
+        for n in [3, 2 * tall_block_rows(2) + 5] {
+            let mut t = DenseMatrix::from_fn(n, 3, |i, j| (i + j) as f64);
+            t.set(0, 1, f64::INFINITY);
+            t.set(n - 1, 2, f64::NAN);
+            let mut x = vec![1.0; n];
+            x[0] = 0.0;
+            x[n - 1] = 0.0;
+            let serial = Executor::serial();
+            let by_vec = t.vecmat_with(&x, &serial);
+            let by_col = t.t_matmul_with(&DenseMatrix::col_vector(&x), &serial);
+            let wide = DenseMatrix::from_fn(n, 2, |i, _| x[i]);
+            let by_gemm = t.t_matmul_with(&wide, &serial);
+            for (j, &v) in by_vec.iter().enumerate() {
+                assert_eq!(v.is_nan(), j > 0, "n={n} column {j}: {v}");
+                assert!(by_col.get(j, 0) == v || by_col.get(j, 0).is_nan() && v.is_nan());
+                assert_eq!(by_gemm.get(j, 0).is_nan(), j > 0);
+                assert_eq!(by_gemm.get(j, 1).is_nan(), j > 0);
+            }
         }
     }
 

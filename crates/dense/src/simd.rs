@@ -25,10 +25,15 @@
 //!
 //! # Determinism contract
 //!
-//! Every output element is accumulated by a single fused-multiply-add (or
-//! multiply-add, for [`GemmIsa::Portable`]) chain in ascending-`k` order,
-//! regardless of which tile computed it — full tiles, row/column remainder
-//! tiles, and band boundaries all replay the identical per-element chain.
+//! Within one [`GemmBand::run`], every output element is accumulated by a
+//! single fused-multiply-add (or multiply-add, for [`GemmIsa::Portable`])
+//! chain in ascending-`k` order, regardless of which tile computed it —
+//! full tiles, row/column remainder tiles, and band boundaries all replay
+//! the identical per-element chain. The tall drivers (`t_matmul`,
+//! `crossprod`) run one band per fixed row block of the input and add the
+//! block partials in ascending order, so a product's per-element order is
+//! ascending `k` within fixed row blocks, blocks combined in ascending
+//! order: a function of the shape, independent of worker count and ISA.
 //! Consequences, property-tested in `tests/parallel_kernels_proptest.rs`:
 //!
 //! * results are bit-identical run-to-run and across worker counts;
@@ -37,7 +42,10 @@
 //!   scalar), so `MORPHEUS_SIMD=off` on FMA hardware changes schedule, not
 //!   bits;
 //! * [`GemmIsa::Portable`] (multiply-then-add, no FMA anywhere) agrees to
-//!   rounding tolerance — it exists for hardware without FMA.
+//!   rounding tolerance — it exists for hardware without FMA;
+//! * "bit-identical" covers every non-NaN element; where the reference is
+//!   NaN the result is NaN, with the sign and payload Rust leaves
+//!   unspecified for arithmetic.
 //!
 //! The reduction kernels ([`sum`], [`dot`], [`dot_indexed`], [`min`],
 //! [`max`]) are stricter: they split the input into a **compile-time

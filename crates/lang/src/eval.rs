@@ -9,12 +9,19 @@
 //! (cost-based by default); element-wise ops between a normalized and a
 //! regular matrix fall back to materialization (the non-factorizable
 //! case, §3.3.7); everything else runs on the dense kernels.
+//!
+//! Values are shared, not copied: the environment holds each binding
+//! behind an [`Arc`], so a variable read, an assignment (`x = T`) and an
+//! operand handed to an operator all reuse one buffer. Only the
+//! non-factorizable normalized ⊘ matrix arms and a dense `ginv` copy an
+//! operand.
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnaryFn};
 use crate::token::LangError;
 use morpheus_core::{LinearOperand, Matrix, PlannedMatrix};
 use morpheus_dense::DenseMatrix;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A runtime value.
 #[derive(Debug, Clone)]
@@ -78,10 +85,11 @@ impl Value {
     }
 }
 
-/// Variable bindings for script evaluation.
+/// Variable bindings for script evaluation. Each binding is shared: two
+/// names bound to one value (`x = T`) point at the same buffer.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    vars: HashMap<String, Value>,
+    vars: HashMap<String, Arc<Value>>,
 }
 
 impl Env {
@@ -92,39 +100,58 @@ impl Env {
 
     /// Binds (or rebinds) a name.
     pub fn bind(&mut self, name: &str, value: Value) {
+        self.bind_shared(name, Arc::new(value));
+    }
+
+    /// Binds a name to a value other names may share.
+    pub(crate) fn bind_shared(&mut self, name: &str, value: Arc<Value>) {
         self.vars.insert(name.to_string(), value);
     }
 
     /// Looks a name up.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.vars.get(name)
+        self.vars.get(name).map(|v| &**v)
     }
+
+    /// A shared handle on a name's value.
+    pub(crate) fn get_shared(&self, name: &str) -> Result<Arc<Value>, LangError> {
+        self.vars
+            .get(name)
+            .cloned()
+            .ok_or_else(|| LangError::Undefined(name.to_string()))
+    }
+}
+
+/// The value behind a handle: moved out when the handle is the last one,
+/// copied when a binding still shares it.
+pub(crate) fn unshare(v: Arc<Value>) -> Value {
+    Arc::try_unwrap(v).unwrap_or_else(|v| (*v).clone())
 }
 
 /// Evaluates a whole program, returning the value of its last statement.
 pub fn eval_program(program: &Program, env: &mut Env) -> Result<Value, LangError> {
-    let mut last = Value::Scalar(0.0);
+    let mut last = Arc::new(Value::Scalar(0.0));
     for stmt in &program.stmts {
         last = eval_stmt(stmt, env)?;
     }
-    Ok(last)
+    Ok(unshare(last))
 }
 
-fn eval_stmt(stmt: &Stmt, env: &mut Env) -> Result<Value, LangError> {
+fn eval_stmt(stmt: &Stmt, env: &mut Env) -> Result<Arc<Value>, LangError> {
     // Runtime errors surface with the statement's source line; nested
     // statements (loop bodies) already annotated theirs, so the innermost
     // span wins.
     eval_stmt_inner(stmt, env).map_err(|e| e.at(stmt.line()))
 }
 
-fn eval_stmt_inner(stmt: &Stmt, env: &mut Env) -> Result<Value, LangError> {
+fn eval_stmt_inner(stmt: &Stmt, env: &mut Env) -> Result<Arc<Value>, LangError> {
     match stmt {
         Stmt::Assign { name, expr, .. } => {
-            let v = eval_expr(expr, env)?;
-            env.bind(name, v.clone());
+            let v = eval_shared(expr, env)?;
+            env.bind_shared(name, Arc::clone(&v));
             Ok(v)
         }
-        Stmt::Expr { expr, .. } => eval_expr(expr, env),
+        Stmt::Expr { expr, .. } => eval_shared(expr, env),
         Stmt::For {
             var,
             from,
@@ -132,10 +159,10 @@ fn eval_stmt_inner(stmt: &Stmt, env: &mut Env) -> Result<Value, LangError> {
             body,
             ..
         } => {
-            let lo = expect_scalar(&eval_expr(from, env)?, "for-range start")?;
-            let hi = expect_scalar(&eval_expr(to, env)?, "for-range end")?;
+            let lo = expect_scalar(&*eval_shared(from, env)?, "for-range start")?;
+            let hi = expect_scalar(&*eval_shared(to, env)?, "for-range end")?;
             let (lo, hi) = (lo.round() as i64, hi.round() as i64);
-            let mut last = Value::Scalar(0.0);
+            let mut last = Arc::new(Value::Scalar(0.0));
             for i in lo..=hi {
                 env.bind(var, Value::Scalar(i as f64));
                 for s in body {
@@ -154,32 +181,30 @@ pub(crate) fn expect_scalar(v: &Value, what: &str) -> Result<f64, LangError> {
 
 /// Evaluates a single expression.
 pub fn eval_expr(expr: &Expr, env: &mut Env) -> Result<Value, LangError> {
+    eval_shared(expr, env).map(unshare)
+}
+
+fn eval_shared(expr: &Expr, env: &Env) -> Result<Arc<Value>, LangError> {
     match expr {
-        Expr::Number(v) => Ok(Value::Scalar(*v)),
-        Expr::Var(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| LangError::Undefined(name.clone())),
+        Expr::Number(v) => Ok(Arc::new(Value::Scalar(*v))),
+        Expr::Var(name) => env.get_shared(name),
         Expr::Neg(inner) => {
-            let v = eval_expr(inner, env)?;
-            eval_bin(BinOp::Mul, Value::Scalar(-1.0), v)
+            let v = eval_shared(inner, env)?;
+            eval_bin(BinOp::Mul, &Value::Scalar(-1.0), &v).map(Arc::new)
         }
         Expr::Bin(op, lhs, rhs) => {
-            let l = eval_expr(lhs, env)?;
-            let r = eval_expr(rhs, env)?;
-            eval_bin(*op, l, r)
+            let l = eval_shared(lhs, env)?;
+            let r = eval_shared(rhs, env)?;
+            eval_bin(*op, &l, &r).map(Arc::new)
         }
-        Expr::Call(f, arg) => {
-            let v = eval_expr(arg, env)?;
-            eval_call(*f, v)
-        }
+        Expr::Call(f, arg) => eval_call(*f, &eval_shared(arg, env)?),
         Expr::Zeros(r, c) => {
-            let (rv, cv) = (eval_expr(r, env)?, eval_expr(c, env)?);
-            constant_matrix("zeros", &rv, &cv, DenseMatrix::zeros)
+            let (rv, cv) = (eval_shared(r, env)?, eval_shared(c, env)?);
+            constant_matrix("zeros", &rv, &cv, DenseMatrix::zeros).map(Arc::new)
         }
         Expr::Ones(r, c) => {
-            let (rv, cv) = (eval_expr(r, env)?, eval_expr(c, env)?);
-            constant_matrix("ones", &rv, &cv, DenseMatrix::ones)
+            let (rv, cv) = (eval_shared(r, env)?, eval_shared(c, env)?);
+            constant_matrix("ones", &rv, &cv, DenseMatrix::ones).map(Arc::new)
         }
     }
 }
@@ -218,7 +243,7 @@ fn shape_err(op: &str, a: (usize, usize), b: (usize, usize)) -> LangError {
     LangError::Shape(format!("{op}: {}x{} vs {}x{}", a.0, a.1, b.0, b.1))
 }
 
-pub(crate) fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, LangError> {
+pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangError> {
     use BinOp::*;
     use Value::*;
     match (op, l, r) {
@@ -227,16 +252,16 @@ pub(crate) fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, LangError
         (Sub, Scalar(a), Scalar(b)) => Ok(Scalar(a - b)),
         (Mul, Scalar(a), Scalar(b)) => Ok(Scalar(a * b)),
         (Div, Scalar(a), Scalar(b)) => Ok(Scalar(a / b)),
-        (Pow, Scalar(a), Scalar(b)) => Ok(Scalar(a.powf(b))),
+        (Pow, Scalar(a), Scalar(b)) => Ok(Scalar(a.powf(*b))),
         (MatMul, Scalar(a), Scalar(b)) => Ok(Scalar(a * b)),
         (Eq, Scalar(a), Scalar(b)) => Ok(Scalar(if a == b { 1.0 } else { 0.0 })),
 
         // `==` with exactly one scalar operand compares element-wise
         // against the scalar, like R's recycling.
-        (Eq, Dense(m), Scalar(x)) | (Eq, Scalar(x), Dense(m)) => {
+        (Eq, Dense(m), &Scalar(x)) | (Eq, &Scalar(x), Dense(m)) => {
             Ok(Dense(m.map(move |v| if v == x { 1.0 } else { 0.0 })))
         }
-        (Eq, Normalized(t), Scalar(x)) | (Eq, Scalar(x), Normalized(t)) => {
+        (Eq, Normalized(t), &Scalar(x)) | (Eq, &Scalar(x), Normalized(t)) => {
             Ok(Dense(t.materialize().to_dense().map(move |v| {
                 if v == x {
                     1.0
@@ -248,57 +273,56 @@ pub(crate) fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, LangError
 
         // `%*%` with one scalar operand behaves like R's scalar recycling:
         // treat it as element-wise scaling.
-        (MatMul, Scalar(x), other) => eval_bin(Mul, Scalar(x), other),
-        (MatMul, other, Scalar(x)) => eval_bin(Mul, other, Scalar(x)),
+        (MatMul, Scalar(_), _) | (MatMul, _, Scalar(_)) => eval_bin(Mul, l, r),
 
         // ---- normalized ⊘ scalar: the §3.3.1 rewrites -------------------
-        (Add, Normalized(t), Scalar(x)) | (Add, Scalar(x), Normalized(t)) => {
+        (Add, Normalized(t), &Scalar(x)) | (Add, &Scalar(x), Normalized(t)) => {
             Ok(Normalized(t.scalar_add(x)))
         }
-        (Sub, Normalized(t), Scalar(x)) => Ok(Normalized(t.scalar_sub(x))),
-        (Sub, Scalar(x), Normalized(t)) => Ok(Normalized(t.scalar_rsub(x))),
-        (Mul, Normalized(t), Scalar(x)) | (Mul, Scalar(x), Normalized(t)) => {
+        (Sub, Normalized(t), &Scalar(x)) => Ok(Normalized(t.scalar_sub(x))),
+        (Sub, &Scalar(x), Normalized(t)) => Ok(Normalized(t.scalar_rsub(x))),
+        (Mul, Normalized(t), &Scalar(x)) | (Mul, &Scalar(x), Normalized(t)) => {
             Ok(Normalized(t.scalar_mul(x)))
         }
-        (Div, Normalized(t), Scalar(x)) => Ok(Normalized(t.scalar_div(x))),
-        (Div, Scalar(x), Normalized(t)) => Ok(Normalized(t.scalar_rdiv(x))),
-        (Pow, Normalized(t), Scalar(x)) => Ok(Normalized(t.scalar_pow(x))),
-        (Pow, Scalar(x), Normalized(t)) => Ok(Normalized(t.map(move |v| x.powf(v)))),
+        (Div, Normalized(t), &Scalar(x)) => Ok(Normalized(t.scalar_div(x))),
+        (Div, &Scalar(x), Normalized(t)) => Ok(Normalized(t.scalar_rdiv(x))),
+        (Pow, Normalized(t), &Scalar(x)) => Ok(Normalized(t.scalar_pow(x))),
+        (Pow, &Scalar(x), Normalized(t)) => Ok(Normalized(t.map(move |v| x.powf(v)))),
 
         // ---- dense ⊘ scalar ---------------------------------------------
-        (Add, Dense(m), Scalar(x)) | (Add, Scalar(x), Dense(m)) => Ok(Dense(m.scalar_add(x))),
-        (Sub, Dense(m), Scalar(x)) => Ok(Dense(m.scalar_sub(x))),
-        (Sub, Scalar(x), Dense(m)) => Ok(Dense(m.scalar_rsub(x))),
-        (Mul, Dense(m), Scalar(x)) | (Mul, Scalar(x), Dense(m)) => Ok(Dense(m.scalar_mul(x))),
-        (Div, Dense(m), Scalar(x)) => Ok(Dense(m.scalar_div(x))),
-        (Div, Scalar(x), Dense(m)) => Ok(Dense(m.scalar_rdiv(x))),
-        (Pow, Dense(m), Scalar(x)) => Ok(Dense(m.scalar_pow(x))),
-        (Pow, Scalar(x), Dense(m)) => Ok(Dense(m.map(move |v| x.powf(v)))),
+        (Add, Dense(m), &Scalar(x)) | (Add, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_add(x))),
+        (Sub, Dense(m), &Scalar(x)) => Ok(Dense(m.scalar_sub(x))),
+        (Sub, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_rsub(x))),
+        (Mul, Dense(m), &Scalar(x)) | (Mul, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_mul(x))),
+        (Div, Dense(m), &Scalar(x)) => Ok(Dense(m.scalar_div(x))),
+        (Div, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_rdiv(x))),
+        (Pow, Dense(m), &Scalar(x)) => Ok(Dense(m.scalar_pow(x))),
+        (Pow, &Scalar(x), Dense(m)) => Ok(Dense(m.map(move |v| x.powf(v)))),
 
         // ---- matrix multiplication: LMM / RMM / DMM rewrites ------------
         (MatMul, Normalized(t), Dense(x)) => {
             if t.cols() != x.rows() {
                 return Err(shape_err("%*%", t.shape(), x.shape()));
             }
-            Ok(Dense(t.lmm(&x)))
+            Ok(Dense(t.lmm(x)))
         }
         (MatMul, Dense(x), Normalized(t)) => {
             if x.cols() != t.rows() {
                 return Err(shape_err("%*%", x.shape(), t.shape()));
             }
-            Ok(Dense(t.rmm(&x)))
+            Ok(Dense(t.rmm(x)))
         }
         (MatMul, Normalized(a), Normalized(b)) => {
             if a.cols() != b.rows() {
                 return Err(shape_err("%*%", a.shape(), b.shape()));
             }
-            Ok(Dense(a.dmm(&b).to_dense()))
+            Ok(Dense(a.dmm(b).to_dense()))
         }
         (MatMul, Dense(a), Dense(b)) => {
             if a.cols() != b.rows() {
                 return Err(shape_err("%*%", a.shape(), b.shape()));
             }
-            Ok(Dense(a.matmul(&b)))
+            Ok(Dense(a.matmul(b)))
         }
 
         // ---- element-wise matrix ⊘ matrix -------------------------------
@@ -307,15 +331,15 @@ pub(crate) fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, LangError
                 return Err(shape_err(op_name(op), a.shape(), b.shape()));
             }
             Ok(Dense(match op {
-                Add => a.add(&b),
-                Sub => a.sub(&b),
-                Mul => a.mul_elem(&b),
-                Div => a.div_elem(&b),
-                Pow => elementwise_pow(&a, &b),
+                Add => a.add(b),
+                Sub => a.sub(b),
+                Mul => a.mul_elem(b),
+                Div => a.div_elem(b),
+                Pow => elementwise_pow(a, b),
                 // Exact comparison, as in R: the K-Means assignment
                 // `D == rowMin(D) %*% ones(1, k)` relies on bitwise-equal
                 // copies of the minimum.
-                Eq => a.eq_indicator(&b, 0.0),
+                Eq => a.eq_indicator(b, 0.0),
                 MatMul => unreachable!("handled above"),
             }))
         }
@@ -325,20 +349,14 @@ pub(crate) fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, LangError
             if t.shape() != b.shape() {
                 return Err(shape_err(op_name(op), t.shape(), b.shape()));
             }
-            let bm = Matrix::Dense(b);
+            let bm = Matrix::Dense(b.clone());
             let out = match op {
                 Add => t.add_matrix(&bm),
                 Sub => t.sub_matrix(&bm),
                 Mul => t.mul_elem_matrix(&bm),
                 Div => t.div_elem_matrix(&bm),
-                Pow => {
-                    let a = t.materialize().to_dense();
-                    Matrix::Dense(elementwise_pow(&a, bm.as_dense().expect("dense rhs")))
-                }
-                Eq => {
-                    let a = t.materialize().to_dense();
-                    Matrix::Dense(a.eq_indicator(bm.as_dense().expect("dense rhs"), 0.0))
-                }
+                Pow => Matrix::Dense(elementwise_pow(&t.materialize().to_dense(), b)),
+                Eq => Matrix::Dense(t.materialize().to_dense().eq_indicator(b, 0.0)),
                 MatMul => unreachable!("handled above"),
             };
             Ok(Dense(out.to_dense()))
@@ -347,15 +365,13 @@ pub(crate) fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, LangError
             if a.shape() != t.shape() {
                 return Err(shape_err(op_name(op), a.shape(), t.shape()));
             }
-            let tm = t.materialize().to_dense();
-            eval_bin(op, Dense(a), Dense(tm))
+            eval_bin(op, l, &Dense(t.materialize().to_dense()))
         }
         (op, Normalized(a), Normalized(b)) => {
             if a.shape() != b.shape() {
                 return Err(shape_err(op_name(op), a.shape(), b.shape()));
             }
-            let bm = b.materialize().to_dense();
-            eval_bin(op, Normalized(a), Dense(bm))
+            eval_bin(op, l, &Dense(b.materialize().to_dense()))
         }
     }
 }
@@ -380,15 +396,14 @@ fn op_name(op: BinOp) -> &'static str {
     }
 }
 
-pub(crate) fn eval_call(f: UnaryFn, v: Value) -> Result<Value, LangError> {
+pub(crate) fn eval_call(f: UnaryFn, v: &Arc<Value>) -> Result<Arc<Value>, LangError> {
     use UnaryFn::*;
-    Ok(match (f, v) {
+    Ok(Arc::new(match (f, &**v) {
         // Scalar fast paths.
         (Exp, Value::Scalar(x)) => Value::Scalar(x.exp()),
         (Log, Value::Scalar(x)) => Value::Scalar(x.ln()),
         (Sigmoid, Value::Scalar(x)) => Value::Scalar(1.0 / (1.0 + (-x).exp())),
-        (Sum, Value::Scalar(x)) => Value::Scalar(x),
-        (Transpose, Value::Scalar(x)) => Value::Scalar(x),
+        (Sum | Transpose, Value::Scalar(_)) => return Ok(Arc::clone(v)),
         (f, Value::Scalar(_)) => {
             return Err(LangError::Type(format!(
                 "{}() expects a matrix argument",
@@ -421,9 +436,9 @@ pub(crate) fn eval_call(f: UnaryFn, v: Value) -> Result<Value, LangError> {
         (Sum, Value::Dense(m)) => Value::Scalar(m.sum()),
         (Crossprod, Value::Dense(m)) => Value::Dense(m.crossprod()),
         (TCrossprod, Value::Dense(m)) => Value::Dense(m.tcrossprod()),
-        (Ginv, Value::Dense(m)) => Value::Dense(LinearOperand::ginv(&Matrix::Dense(m))),
-        (Materialize, Value::Dense(m)) => Value::Dense(m),
-    })
+        (Ginv, Value::Dense(m)) => Value::Dense(LinearOperand::ginv(&Matrix::Dense(m.clone()))),
+        (Materialize, Value::Dense(_)) => return Ok(Arc::clone(v)),
+    }))
 }
 
 #[cfg(test)]

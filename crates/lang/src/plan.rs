@@ -25,9 +25,13 @@
 //!    key of the parsed program (statement structure, names and literal
 //!    bits; source lines excluded). A hit skips optimizing and lowering;
 //!    [`plan_cache_stats`] exposes hit/miss counters.
+//!
+//! Values are shared, not copied: a variable read, a memo hit and an
+//! assignment all hand out the same [`Arc`]-held value the environment
+//! binds, as in the interpreter.
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnaryFn};
-use crate::eval::{constant_matrix, eval_bin, eval_call, expect_scalar, Env, Value};
+use crate::eval::{constant_matrix, eval_bin, eval_call, expect_scalar, unshare, Env, Value};
 use crate::optimize::optimize;
 use crate::token::LangError;
 use morpheus_core::PlannedMatrix;
@@ -719,11 +723,11 @@ pub fn eval_plan(plan: &ScriptPlan, env: &mut Env) -> Result<Value, LangError> {
         var_stamp: vec![0; plan.vars.len()],
         clock: 0,
     };
-    let mut last = Value::Scalar(0.0);
+    let mut last = Arc::new(Value::Scalar(0.0));
     for stmt in &plan.stmts {
         last = eval_stmt(plan, &mut ctx, stmt, env)?;
     }
-    Ok(last)
+    Ok(unshare(last))
 }
 
 /// Plans (with caching) and evaluates in one call — the drop-in
@@ -740,7 +744,7 @@ pub fn run_program(program: &Program, env: &mut Env) -> Result<Value, LangError>
 struct EvalCtx {
     /// Per-node `(stamp, value)`: valid while no dependency variable has
     /// been rebound after `stamp`.
-    memo: Vec<Option<(u64, Value)>>,
+    memo: Vec<Option<(u64, Arc<Value>)>>,
     var_stamp: Vec<u64>,
     clock: u64,
 }
@@ -757,7 +761,7 @@ fn eval_stmt(
     ctx: &mut EvalCtx,
     stmt: &PStmt,
     env: &mut Env,
-) -> Result<Value, LangError> {
+) -> Result<Arc<Value>, LangError> {
     eval_stmt_inner(plan, ctx, stmt, env).map_err(|e| e.at(stmt.line()))
 }
 
@@ -766,11 +770,11 @@ fn eval_stmt_inner(
     ctx: &mut EvalCtx,
     stmt: &PStmt,
     env: &mut Env,
-) -> Result<Value, LangError> {
+) -> Result<Arc<Value>, LangError> {
     match stmt {
         PStmt::Assign { var, node, .. } => {
             let v = eval_node(plan, ctx, env, *node)?;
-            env.bind(&plan.vars[*var as usize], v.clone());
+            env.bind_shared(&plan.vars[*var as usize], Arc::clone(&v));
             ctx.bump(*var);
             Ok(v)
         }
@@ -782,11 +786,11 @@ fn eval_stmt_inner(
             body,
             ..
         } => {
-            let lo = expect_scalar(&eval_node(plan, ctx, env, *from)?, "for-range start")?;
-            let hi = expect_scalar(&eval_node(plan, ctx, env, *to)?, "for-range end")?;
+            let lo = expect_scalar(&*eval_node(plan, ctx, env, *from)?, "for-range start")?;
+            let hi = expect_scalar(&*eval_node(plan, ctx, env, *to)?, "for-range end")?;
             let (lo, hi) = (lo.round() as i64, hi.round() as i64);
             let name = &plan.vars[*var as usize];
-            let mut last = Value::Scalar(0.0);
+            let mut last = Arc::new(Value::Scalar(0.0));
             for i in lo..=hi {
                 env.bind(name, Value::Scalar(i as f64));
                 ctx.bump(*var);
@@ -804,18 +808,12 @@ fn eval_node(
     ctx: &mut EvalCtx,
     env: &Env,
     id: usize,
-) -> Result<Value, LangError> {
+) -> Result<Arc<Value>, LangError> {
     // Leaves bypass the memo: literals are trivial and variable reads
     // must observe the current binding.
     match &plan.nodes[id].kind {
-        NodeKind::Number(bits) => return Ok(Value::Scalar(f64::from_bits(*bits))),
-        NodeKind::Var(v) => {
-            let name = &plan.vars[*v as usize];
-            return env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| LangError::Undefined(name.clone()));
-        }
+        NodeKind::Number(bits) => return Ok(Arc::new(Value::Scalar(f64::from_bits(*bits)))),
+        NodeKind::Var(v) => return env.get_shared(&plan.vars[*v as usize]),
         _ => {}
     }
     if let Some((stamp, value)) = &ctx.memo[id] {
@@ -824,7 +822,7 @@ fn eval_node(
             .iter()
             .all(|&d| ctx.var_stamp[d as usize] <= *stamp);
         if fresh {
-            return Ok(value.clone());
+            return Ok(Arc::clone(value));
         }
     }
     let value = match &plan.nodes[id].kind {
@@ -832,35 +830,35 @@ fn eval_node(
         NodeKind::Bin(op, l, r) => {
             let lv = eval_node(plan, ctx, env, *l)?;
             let rv = eval_node(plan, ctx, env, *r)?;
-            eval_bin(*op, lv, rv)?
+            Arc::new(eval_bin(*op, &lv, &rv)?)
         }
-        NodeKind::Call(f, a) => eval_call(*f, eval_node(plan, ctx, env, *a)?)?,
+        NodeKind::Call(f, a) => eval_call(*f, &eval_node(plan, ctx, env, *a)?)?,
         NodeKind::Zeros(r, c) => {
             let (rv, cv) = (
                 eval_node(plan, ctx, env, *r)?,
                 eval_node(plan, ctx, env, *c)?,
             );
-            constant_matrix("zeros", &rv, &cv, DenseMatrix::zeros)?
+            Arc::new(constant_matrix("zeros", &rv, &cv, DenseMatrix::zeros)?)
         }
         NodeKind::Ones(r, c) => {
             let (rv, cv) = (
                 eval_node(plan, ctx, env, *r)?,
                 eval_node(plan, ctx, env, *c)?,
             );
-            constant_matrix("ones", &rv, &cv, DenseMatrix::ones)?
+            Arc::new(constant_matrix("ones", &rv, &cv, DenseMatrix::ones)?)
         }
         NodeKind::Fused(base, steps) => {
             let base = eval_node(plan, ctx, env, *base)?;
-            apply_fused(steps, base)
+            Arc::new(apply_fused(steps, &base))
         }
     };
-    ctx.memo[id] = Some((ctx.clock, value.clone()));
+    ctx.memo[id] = Some((ctx.clock, Arc::clone(&value)));
     Ok(value)
 }
 
-fn apply_fused(steps: &[ScalarStep], base: Value) -> Value {
+fn apply_fused(steps: &[ScalarStep], base: &Value) -> Value {
     match base {
-        Value::Scalar(x) => Value::Scalar(steps.iter().fold(x, |acc, s| s.apply_scalar(acc))),
+        &Value::Scalar(x) => Value::Scalar(steps.iter().fold(x, |acc, s| s.apply_scalar(acc))),
         // Dense: the whole chain in one pass — one allocation instead of
         // one per link, bit-identical per element to the chained kernels.
         Value::Dense(m) => {
@@ -869,7 +867,10 @@ fn apply_fused(steps: &[ScalarStep], base: Value) -> Value {
         // Normalized: replay link by link through the per-operator
         // planner, so routing decisions match the interpreter exactly.
         Value::Normalized(t) => {
-            let out = steps.iter().fold(t, |current, s| s.apply_planned(&current));
+            let (first, rest) = steps.split_first().expect("a fused chain has a link");
+            let out = rest.iter().fold(first.apply_planned(t), |current, s| {
+                s.apply_planned(&current)
+            });
             Value::Normalized(out)
         }
     }

@@ -14,6 +14,8 @@
 //! Every test holds the registry's exclusive guard — failpoints are
 //! process-global, so schedules must not overlap.
 
+mod common;
+
 use morpheus::core::Strategy as Route;
 use morpheus::prelude::*;
 use morpheus::runtime::faults;
@@ -268,7 +270,9 @@ fn script_layer_recovers_from_a_poisoned_plan_cache() {
     // result is unchanged, and the recovery is counted.
     let recovered = run_program(&program, &mut env()).unwrap();
     match (&recovered, &expected) {
-        (Value::Scalar(a), Value::Scalar(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+        (Value::Scalar(a), Value::Scalar(b)) => {
+            assert_eq!(common::bits(&[*a]), common::bits(&[*b]))
+        }
         other => panic!("script ends in a scalar, got {other:?}"),
     }
     assert!(morpheus::lang::plan_cache_stats().poison_recoveries > recoveries_before);

@@ -7,6 +7,8 @@
 //! count, and injected spill-I/O faults must degrade chunks to resident —
 //! counted, never corrupting results.
 
+mod common;
+
 use morpheus::chunked::{ChunkedCostCtx, ChunkedMatrix, PlannedChunkedMatrix, SpillCosts};
 use morpheus::core::LinearOperand;
 use morpheus::core::Strategy as Route;
@@ -120,8 +122,8 @@ proptest! {
                     prop_assert!((cs - ps).abs() <= 1e-9 * ps.abs().max(1.0));
                     // Spilled-vs-resident and across worker counts:
                     // bit-identical, by chunk-order combination.
-                    fingerprint.extend(chunked.lmm(&x).as_slice().iter().map(|v| v.to_bits()));
-                    fingerprint.push(LinearOperand::sum(&chunked).to_bits());
+                    fingerprint.extend(common::bits(chunked.lmm(&x).as_slice()));
+                    fingerprint.extend(common::bits(&[LinearOperand::sum(&chunked)]));
                 }
             }
             per_thread.push(fingerprint);
@@ -164,7 +166,10 @@ proptest! {
         );
         let chaotic_lmm = chaotic.lmm(&x);
         prop_assert_eq!(chaotic_lmm.as_slice(), clean_lmm.as_slice());
-        prop_assert_eq!(LinearOperand::sum(&chaotic).to_bits(), clean_sum.to_bits());
+        prop_assert_eq!(
+            common::bits(&[LinearOperand::sum(&chaotic)]),
+            common::bits(&[clean_sum])
+        );
         let chaotic_crossprod = LinearOperand::crossprod(&chaotic);
         prop_assert_eq!(chaotic_crossprod.as_slice(), clean_crossprod.as_slice());
         prop_assert!(chaotic.materialize().approx_eq(&m, 0.0));

@@ -11,6 +11,8 @@
 //! first, so these tests cannot share a binary with tests that run the
 //! same paths unguarded (see the docs of `exclusive`).
 
+mod common;
+
 use morpheus::chunked::spill;
 use morpheus::dense::simd::{self, GemmIsa};
 use morpheus::prelude::*;
@@ -243,7 +245,7 @@ fn injected_batch_panic_becomes_structured_error_and_service_survives() {
     assert_eq!(aborted.err(), Some(ServeError::BatchAborted));
     // The scorer healed: the next request is answered, correctly.
     let got = svc.score(vec![3]).unwrap();
-    assert_eq!(got[0].to_bits(), expected.get(3, 0).to_bits());
+    assert_eq!(common::bits(&got), common::bits(&[expected.get(3, 0)]));
     let stats = svc.stats();
     assert_eq!(stats.batch_aborts, 1);
     assert!(stats.faults.serve_batch_aborts >= 1);

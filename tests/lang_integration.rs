@@ -2,7 +2,7 @@
 //! as R-style scripts, run against every operand kind, and checked against
 //! the native Rust implementations.
 
-use morpheus::lang::{eval_program, optimize, parse, run_program, Env, LangError, Value};
+use morpheus::lang::{eval_program, optimize, parse, run_program, Env, LangError, Program, Value};
 use morpheus::prelude::*;
 
 fn bind_common(env: &mut Env, y: &DenseMatrix, alpha: f64, d: usize) {
@@ -253,6 +253,49 @@ fn ginv_of_non_finite_input_is_all_nan_in_both_evaluators() {
                 let p = p.as_dense().unwrap_or_else(|| panic!("{label}: not dense"));
                 assert_eq!(p.shape(), shape, "{label}");
                 assert!(p.as_slice().iter().all(|v| v.is_nan()), "{label}: {p:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn assignments_share_values_instead_of_copying() {
+    // `x = T` binds `x` to the very value `T` names, on both evaluators
+    // and for both operand kinds; a dense `materialize` shares too.
+    let ds = PkFkSpec {
+        n_s: 40,
+        d_s: 2,
+        n_r: 5,
+        d_r: 3,
+        seed: 9,
+    }
+    .generate();
+    let dense = ds.tn.materialize().to_dense();
+    let program = parse("x = T\ny = x\nz = materialize(T)").unwrap();
+    type Runner = fn(&Program, &mut Env) -> Result<Value, LangError>;
+    for run in [eval_program as Runner, run_program] {
+        for t in [
+            Value::normalized(ds.tn.clone()),
+            Value::Dense(dense.clone()),
+        ] {
+            let is_dense = t.as_dense().is_some();
+            let mut env = Env::new();
+            env.bind("T", t);
+            run(&program, &mut env).unwrap();
+            let t = env.get("T").unwrap();
+            for name in ["x", "y"] {
+                assert!(std::ptr::eq(env.get(name).unwrap(), t), "{name} copied T");
+            }
+            if is_dense {
+                let buf = |name: &str| {
+                    env.get(name)
+                        .unwrap()
+                        .as_dense()
+                        .unwrap()
+                        .as_slice()
+                        .as_ptr()
+                };
+                assert_eq!(buf("z"), buf("T"), "materialize(dense) copied T");
             }
         }
     }

@@ -14,9 +14,13 @@
 //! `MORPHEUS_SIMD` gate. Every operation of the key-column indicator is
 //! checked bit for bit against the CSR kernels on the same `K`.
 
+mod common;
+
+use common::bits;
 use morpheus::chunked::ChunkedMatrix;
 use morpheus::core::{KeyColumn, LinearOperand};
 use morpheus::dense::simd::{self, GemmBand, GemmIsa, MatSrc};
+use morpheus::dense::tall_block_rows;
 use morpheus::prelude::*;
 use proptest::prelude::*;
 
@@ -88,8 +92,37 @@ fn specials(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
 
 type Fill = fn(usize, usize, u64) -> DenseMatrix;
 
-fn bits(m: &DenseMatrix) -> Vec<u64> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
+/// Finite full-mantissa values with two special rows: in row `n/3` every
+/// third column holds NaN, +inf or -inf, and row `2n/3` holds a NaN in
+/// its last column — so some outputs of a reduction turn NaN or infinite
+/// and the rest stay finite.
+fn special_rows(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut m = mat(rows, cols, seed);
+    for j in (0..cols).step_by(3) {
+        m.set(rows / 3, j, special[(j / 3 + seed as usize) % 3]);
+    }
+    m.set(2 * rows / 3, cols - 1, f64::NAN);
+    m
+}
+
+/// `aᵀ x` by a naive ascending-row f64 loop, with `Σ |a_ik · x_ij|` per
+/// element: two summation orders of the same n terms differ by at most
+/// `n · ε · Σ |terms|`.
+fn naive_t_matmul(a: &DenseMatrix, x: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
+    let (n, d, p) = (a.rows(), a.cols(), x.cols());
+    let mut out = DenseMatrix::zeros(d, p);
+    let mut mag = DenseMatrix::zeros(d, p);
+    for i in 0..n {
+        for k in 0..d {
+            for j in 0..p {
+                let t = a.get(i, k) * x.get(i, j);
+                out.set(k, j, out.get(k, j) + t);
+                mag.set(k, j, mag.get(k, j) + t.abs());
+            }
+        }
+    }
+    (out, mag)
 }
 
 /// The old CSR route of `select_rows`: walk the selected rows, number
@@ -142,9 +175,9 @@ proptest! {
             let got = (k.spmm_dense(&x), k.t_spmm_dense(&y), k.dense_spmm(&z));
             let want = (csr.spmm_dense(&x), csr.t_spmm_dense(&y), csr.dense_spmm(&z));
             Runtime::set_threads(configured);
-            prop_assert_eq!(bits(&got.0), bits(&want.0));
-            prop_assert_eq!(bits(&got.1), bits(&want.1));
-            prop_assert_eq!(bits(&got.2), bits(&want.2));
+            prop_assert_eq!(bits(got.0.as_slice()), bits(want.0.as_slice()));
+            prop_assert_eq!(bits(got.1.as_slice()), bits(want.1.as_slice()));
+            prop_assert_eq!(bits(got.2.as_slice()), bits(want.2.as_slice()));
         }
         prop_assert_eq!(k.col_sums(), csr.col_sums());
         prop_assert_eq!(k.pair_counts(&k2), csr.transpose().spgemm(&csr_indicator(&fk2, hit + 1)));
@@ -161,14 +194,14 @@ proptest! {
         let (sel_keys, sel_table) = part_keys(&tn.select_rows(&rows));
         let (want_keys, keep) = csr_select(&csr, &rows);
         prop_assert_eq!(sel_keys, want_keys);
-        prop_assert_eq!(bits(&sel_table), bits(&r.gather_rows(&keep).to_dense()));
+        prop_assert_eq!(bits(sel_table.as_slice()), bits(r.gather_rows(&keep).to_dense().as_slice()));
 
         let counts = csr.col_sums();
         let live: Vec<usize> = (0..table_rows).filter(|&c| counts.get(0, c) > 0.0).collect();
         let (pruned_keys, pruned_table) = part_keys(&tn.prune());
         let remapped: Vec<usize> = (0..n).map(|i| live.iter().position(|&c| c == csr.row(i).0[0]).unwrap()).collect();
         prop_assert_eq!(pruned_keys, remapped);
-        prop_assert_eq!(bits(&pruned_table), bits(&r.gather_rows(&live).to_dense()));
+        prop_assert_eq!(bits(pruned_table.as_slice()), bits(r.gather_rows(&live).to_dense().as_slice()));
 
         let add = if table_rows == 0 { vec![] } else { keys(3, table_rows, seed ^ 0x66) };
         let (grown_keys, _) = part_keys(&tn.append_rows(None, std::slice::from_ref(&add)).unwrap());
@@ -200,6 +233,117 @@ proptest! {
         prop_assert_eq!(a.t_matmul_with(&y, &par), a.t_matmul_with(&y, &serial));
         let z = mat(cols, inner, seed ^ 0x4321);
         prop_assert_eq!(a.matmul_t_with(&z, &par), a.matmul_t_with(&z, &serial));
+    }
+
+    #[test]
+    fn tall_reductions_are_fixed_by_shape(
+        extra in 0usize..1500,
+        d_pick in 0usize..3,
+        p_pick in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        let d = [1, simd::MR + 1, simd::MR + 3][d_pick];
+        let p = [1, simd::NR + 1][p_pick];
+        // n spans at least two row blocks of every reduction below (all
+        // of d, p are far under 128, so each block is 1024 rows) and is
+        // rarely a multiple of the block height: the blocked paths of
+        // `t_matmul`, `crossprod` and `vecmat` run, remainder block
+        // included. Their bits must not move with the worker count or the
+        // SIMD gate, and must agree with a naive loop to the stated bound.
+        let n = 2 * tall_block_rows(p.max(d)) + extra;
+        let a = special_rows(n, d, seed);
+        let x = special_rows(n, p, seed ^ 0x7A11);
+        let finite_a = mat(n, d, seed);
+        let finite_x = mat(n, p, seed ^ 0x7A11);
+        Runtime::set_par_threshold(1);
+        let reference = |a: &DenseMatrix, x: &DenseMatrix| {
+            let ex = Executor::serial();
+            (
+                bits(a.t_matmul_with(x, &ex).as_slice()),
+                bits(a.crossprod_with(&ex).as_slice()),
+                bits(&a.vecmat_with(x.col(0).as_slice(), &ex)),
+            )
+        };
+        let want = reference(&a, &x);
+        for threads in [2usize, 3, 8] {
+            let ex = Executor::new(threads);
+            prop_assert_eq!(&bits(a.t_matmul_with(&x, &ex).as_slice()), &want.0);
+            prop_assert_eq!(&bits(a.crossprod_with(&ex).as_slice()), &want.1);
+            prop_assert_eq!(&bits(&a.vecmat_with(x.col(0).as_slice(), &ex)), &want.2);
+        }
+        let was_enabled = Runtime::simd_enabled();
+        Runtime::set_simd(false);
+        let gated = reference(&a, &x);
+        Runtime::set_simd(was_enabled);
+        prop_assert_eq!(&gated, &want);
+
+        // Within n · ε · Σ|terms| of the naive loop on finite data.
+        let got = finite_a.t_matmul(&finite_x);
+        let (naive, mag) = naive_t_matmul(&finite_a, &finite_x);
+        let cp = finite_a.crossprod();
+        let (naive_cp, mag_cp) = naive_t_matmul(&finite_a, &finite_a);
+        let eps = n as f64 * f64::EPSILON;
+        for k in 0..d {
+            for j in 0..p {
+                prop_assert!((got.get(k, j) - naive.get(k, j)).abs() <= eps * mag.get(k, j));
+            }
+            for j in 0..d {
+                prop_assert!((cp.get(k, j) - naive_cp.get(k, j)).abs() <= eps * mag_cp.get(k, j));
+            }
+        }
+    }
+
+    #[test]
+    fn tall_factorized_t_lmm_matches_materialized_entity_rows(
+        extra in 0usize..1500,
+        d_pick in 0usize..2,
+        p_pick in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        let d_s = [1, simd::MR + 1][d_pick];
+        let p = [1, simd::NR + 1][p_pick];
+        // Tᵀ X over a tall PK-FK join: the entity table's rows of the
+        // factorized result are `Sᵀ X`, which reduce the same row blocks
+        // as the first d_S columns of the materialized T — so they agree
+        // bitwise, and the whole result is fixed at any worker count and
+        // either SIMD setting.
+        let n = 2 * tall_block_rows(p) + extra;
+        let r = mat(50, 3, seed ^ 0x5EED);
+        let fk = keys(n, 50, seed ^ 0xF00);
+        let join = |s: DenseMatrix| NormalizedMatrix::pk_fk(s.into(), &fk, r.clone().into());
+        let tn = join(special_rows(n, d_s, seed));
+        let x = special_rows(n, p, seed ^ 0xC0FF);
+        Runtime::set_par_threshold(1);
+        let configured = Runtime::threads();
+        Runtime::set_threads(1);
+        let factorized = tn.t_lmm(&x);
+        for threads in [2usize, 3, 8] {
+            Runtime::set_threads(threads);
+            let got = tn.t_lmm(&x);
+            Runtime::set_threads(configured);
+            prop_assert_eq!(bits(got.as_slice()), bits(factorized.as_slice()));
+        }
+        let was_enabled = Runtime::simd_enabled();
+        Runtime::set_simd(false);
+        let gated = tn.t_lmm(&x);
+        Runtime::set_simd(was_enabled);
+        prop_assert_eq!(bits(gated.as_slice()), bits(factorized.as_slice()));
+        let materialized = tn.materialize().to_dense().t_matmul(&x);
+        let entity = |m: &DenseMatrix| bits(&m.as_slice()[..d_s * p]);
+        prop_assert_eq!(entity(&factorized), entity(&materialized));
+
+        // Within 2 n · ε · Σ|terms| of the naive loop on finite data (the
+        // attribute rows sum Kᵀ x before multiplying by R).
+        let finite = join(mat(n, d_s, seed));
+        let xf = mat(n, p, seed ^ 0xC0FF);
+        let got = finite.t_lmm(&xf);
+        let (naive, mag) = naive_t_matmul(&finite.materialize().to_dense(), &xf);
+        let eps = 2.0 * n as f64 * f64::EPSILON;
+        for k in 0..got.rows() {
+            for j in 0..p {
+                prop_assert!((got.get(k, j) - naive.get(k, j)).abs() <= eps * mag.get(k, j));
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! the two evaluators run under the *same* thread count (a process-global
 //! lock keeps concurrent cases from changing it mid-comparison).
 
+mod common;
+
 use morpheus::core::{DecisionRule, MachineProfile, Strategy as Route};
 use morpheus::lang::{eval_program, parse, run_program, Env, Value};
 use morpheus::prelude::{DenseMatrix, NormalizedMatrix, PlannedMatrix, Runtime};
@@ -101,8 +103,8 @@ fn env_for(case: &Case, route: Route) -> Env {
 
 fn value_bits(v: &Value) -> Vec<u64> {
     match v {
-        Value::Scalar(x) => vec![x.to_bits()],
-        Value::Dense(m) => m.as_slice().iter().map(|x| x.to_bits()).collect(),
+        Value::Scalar(x) => common::bits(&[*x]),
+        Value::Dense(m) => common::bits(m.as_slice()),
         Value::Normalized(_) => panic!("corpus scripts end in scalar/dense results"),
     }
 }

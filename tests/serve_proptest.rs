@@ -17,6 +17,8 @@
 //! failpoints are process-global, so schedules must not leak between
 //! concurrently running tests.
 
+mod common;
+
 use morpheus::core::Strategy; // disambiguate from proptest's Strategy trait
 use morpheus::prelude::*;
 use morpheus::runtime::faults;
@@ -138,8 +140,8 @@ fn check_bitwise(rows: &[usize], got: &[f64], truth: &DenseMatrix) {
     assert_eq!(got.len(), rows.len());
     for (j, &r) in rows.iter().enumerate() {
         assert_eq!(
-            got[j].to_bits(),
-            truth.get(r, 0).to_bits(),
+            common::bits(&[got[j]]),
+            common::bits(&[truth.get(r, 0)]),
             "row {r} differs from the full-table score"
         );
     }

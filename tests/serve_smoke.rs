@@ -4,6 +4,8 @@
 //! correctness, coalescing, admission control, and the zero-fault
 //! baseline in one pass.
 
+mod common;
+
 use morpheus::prelude::*;
 use morpheus::serve::{ScoringModel, ScoringService, ServeConfig, ServeMode};
 use std::time::Duration;
@@ -46,8 +48,8 @@ fn serve_smoke() {
                     let got = svc.score(rows.clone()).expect("smoke request failed");
                     for (j, &r) in rows.iter().enumerate() {
                         assert_eq!(
-                            got[j].to_bits(),
-                            expected.get(r, 0).to_bits(),
+                            common::bits(&[got[j]]),
+                            common::bits(&[expected.get(r, 0)]),
                             "served score differs from full-table prediction at row {r}"
                         );
                     }
@@ -114,8 +116,8 @@ fn serve_smoke_env_config() {
             .expect("env-config reference request failed");
         for (j, (&g, &e)) in got.iter().zip(&reference).enumerate() {
             assert_eq!(
-                g.to_bits(),
-                e.to_bits(),
+                common::bits(&[g]),
+                common::bits(&[e]),
                 "env-configured coalesced response differs from batch-size-1 at offset {j}"
             );
         }
