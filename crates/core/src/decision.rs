@@ -8,9 +8,9 @@
 //! *do not factorize if `TR < τ` **or** `FR < ρ`*.
 //!
 //! The rule is one of the [`crate::Strategy`] variants of the per-operator
-//! planner ([`crate::PlannedMatrix`]); select it with
-//! `MORPHEUS_STRATEGY=heuristic` to reproduce the paper's construction-time
-//! routing against the cost-based default.
+//! planner ([`crate::PlannedMatrix`]); pass it to
+//! [`crate::PlannedMatrix::with_strategy`] to reproduce the paper's
+//! construction-time routing against the cost-based default.
 
 use crate::NormalizedMatrix;
 

@@ -24,8 +24,8 @@
 //!   [`LinearOperand`] call is routed factorized or materialized by
 //!   comparing calibrated time estimates, with the materialized join
 //!   memoized so one "materialize" verdict amortizes across later
-//!   operators. [`Strategy`] selects the routing policy
-//!   (`MORPHEUS_STRATEGY`): cost-based, the paper's τ/ρ
+//!   operators. [`Strategy`] selects the routing policy per matrix:
+//!   cost-based (the default), the paper's τ/ρ
 //!   [`DecisionRule`] heuristic (§3.7, §5.1), or the two always-arms.
 //!   It is [`Planned`] over the in-memory [`Store`]; other stores (the
 //!   chunked backend's) reuse the same planner.
@@ -71,7 +71,5 @@ pub use error::{CoreError, CoreResult, MorpheusError, Result};
 pub use matrix::Matrix;
 pub use normalized::{AttributePart, Indicator, JoinStats, KeyColumn, NormalizedMatrix};
 pub use ops_trait::LinearOperand;
-pub use planner::{
-    Decision, DecisionHook, Planned, PlannedMatrix, RowChunked, Store, Strategy, STRATEGY_ENV,
-};
+pub use planner::{Decision, DecisionHook, Planned, PlannedMatrix, RowChunked, Store, Strategy};
 pub use profile::{DenseTier, MachineProfile, CALIBRATION_TIMEOUT};

@@ -27,22 +27,21 @@
 //! results are bit-for-bit identical to the corresponding pure path —
 //! planning affects scheduling, never numerics.
 //!
-//! The paper's rule survives as [`Strategy::Heuristic`]; `MORPHEUS_STRATEGY`
-//! selects the strategy process-wide, and a [`DecisionHook`] exposes every
-//! verdict for tests, logging, and the ablation benches.
+//! The paper's rule survives as [`Strategy::Heuristic`]; the strategy is
+//! chosen per matrix ([`Planned::with_strategy`], [`Strategy::CostBased`]
+//! by default), and a [`DecisionHook`] exposes every verdict for tests,
+//! logging, and the ablation benches.
 
 use crate::cost::{estimate_op, OpKind, PlanEstimate};
 use crate::{DecisionRule, LinearOperand, MachineProfile, Matrix, NormalizedMatrix};
 use morpheus_dense::DenseMatrix;
 use std::sync::{Arc, OnceLock};
 
-/// Environment variable selecting the process-wide default [`Strategy`].
-pub const STRATEGY_ENV: &str = "MORPHEUS_STRATEGY";
-
 /// How a [`Planned`] matrix routes each operator.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Strategy {
     /// Compare calibrated time estimates per operator (the default).
+    #[default]
     CostBased,
     /// The paper's construction-level τ/ρ threshold rule (§3.7, §5.1),
     /// applied uniformly to every operator.
@@ -51,41 +50,6 @@ pub enum Strategy {
     AlwaysFactorize,
     /// Always run on the materialized join (the paper's "M" arm).
     AlwaysMaterialize,
-}
-
-impl Strategy {
-    /// Parses a `MORPHEUS_STRATEGY` value. Accepts `cost-based` (also
-    /// `cost_based`, `costbased`, `cost`), `heuristic`, `factorize`
-    /// (also `always-factorize`), and `materialize` (also
-    /// `always-materialize`); case-insensitive.
-    pub fn parse(s: &str) -> Option<Strategy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "cost-based" | "cost_based" | "costbased" | "cost" => Some(Strategy::CostBased),
-            "heuristic" => Some(Strategy::Heuristic(DecisionRule::default())),
-            "factorize" | "always-factorize" | "always_factorize" => {
-                Some(Strategy::AlwaysFactorize)
-            }
-            "materialize" | "always-materialize" | "always_materialize" => {
-                Some(Strategy::AlwaysMaterialize)
-            }
-            _ => None,
-        }
-    }
-
-    /// The process-wide strategy: `MORPHEUS_STRATEGY` if set to a value
-    /// [`Strategy::parse`] accepts (unparseable values are reported once
-    /// and ignored), else [`Strategy::CostBased`]. Read once, at first
-    /// use, like the other `MORPHEUS_*` knobs.
-    pub fn from_env() -> Strategy {
-        static FROM_ENV: OnceLock<Strategy> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var(STRATEGY_ENV) {
-            Ok(v) => Strategy::parse(&v).unwrap_or_else(|| {
-                eprintln!("morpheus: unknown {STRATEGY_ENV}={v:?}, using cost-based");
-                Strategy::CostBased
-            }),
-            Err(_) => Strategy::CostBased,
-        })
-    }
 }
 
 /// One routing verdict, as delivered to a [`DecisionHook`].
@@ -231,13 +195,13 @@ impl From<NormalizedMatrix> for PlannedMatrix {
 
 impl<S: RowChunked> Planned<S> {
     /// Plans `t` chunked into at-most-`chunk_rows` row partitions, with
-    /// the process-wide strategy ([`Strategy::from_env`]) and the global
+    /// the default strategy ([`Strategy::CostBased`]) and the global
     /// machine profile.
     ///
     /// # Panics
     /// Panics if `chunk_rows == 0` or `t` is a transposed view.
     pub fn new(t: NormalizedMatrix, chunk_rows: usize) -> Self {
-        Self::with_strategy(t, chunk_rows, Strategy::from_env())
+        Self::with_strategy(t, chunk_rows, Strategy::default())
     }
 
     /// The chunked `new` with an explicit strategy.
@@ -452,10 +416,10 @@ impl<S: Store> Planned<S> {
 }
 
 impl Planned<Matrix> {
-    /// Plans `t` with the process-wide strategy ([`Strategy::from_env`])
-    /// and the global machine profile.
+    /// Plans `t` with the default strategy ([`Strategy::CostBased`]) and
+    /// the global machine profile.
     pub fn new(t: NormalizedMatrix) -> Self {
-        Self::with_strategy(t, Strategy::from_env())
+        Self::with_strategy(t, Strategy::default())
     }
 
     /// Plans `t` with an explicit strategy.
@@ -466,7 +430,7 @@ impl Planned<Matrix> {
     /// Wraps an already-materialized matrix; every operator runs
     /// materialized.
     pub fn from_materialized(m: Matrix) -> Self {
-        Self::build(Repr::Materialized(m), Strategy::from_env(), ())
+        Self::build(Repr::Materialized(m), Strategy::default(), ())
     }
 
     // ------------------------------------------------------------------
@@ -774,25 +738,6 @@ mod tests {
             .with_profile(MachineProfile::REFERENCE)
             .with_hook(move |d| sink.lock().unwrap().push(*d));
         (planned, log)
-    }
-
-    #[test]
-    fn strategy_parsing() {
-        assert_eq!(Strategy::parse("cost-based"), Some(Strategy::CostBased));
-        assert_eq!(Strategy::parse("COST_BASED"), Some(Strategy::CostBased));
-        assert!(matches!(
-            Strategy::parse("heuristic"),
-            Some(Strategy::Heuristic(_))
-        ));
-        assert_eq!(
-            Strategy::parse(" factorize "),
-            Some(Strategy::AlwaysFactorize)
-        );
-        assert_eq!(
-            Strategy::parse("always-materialize"),
-            Some(Strategy::AlwaysMaterialize)
-        );
-        assert_eq!(Strategy::parse("flip-a-coin"), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ([`morpheus_dense::simd::sum`](crate::simd::sum), min/max folds): eight
 //! compile-time accumulator lanes combined in a fixed tree order, so every
 //! result is deterministic run-to-run, across worker counts, and across the
-//! `MORPHEUS_SIMD` gate. `colSums` keeps its per-column accumulator walk —
+//! SIMD gate (`Runtime::set_simd`). `colSums` keeps its per-column accumulator walk —
 //! it is already one contiguous auto-vectorized add per input row.
 
 use crate::simd;

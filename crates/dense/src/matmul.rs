@@ -6,7 +6,7 @@
 //! is packed once into `KC x NR` column panels, each row band packs its
 //! left-operand tiles into `MR`-row panels, and an `MR x NR` register tile
 //! is updated with broadcast-FMA (AVX2 where detected, a bit-identical
-//! scalar-FMA microkernel under `MORPHEUS_SIMD=off`, plain multiply-add on
+//! scalar-FMA microkernel with the SIMD gate off, plain multiply-add on
 //! hardware without FMA). Transposed drivers absorb their transpose into
 //! the packing strides, so no operand is ever materialized transposed.
 //!

@@ -21,7 +21,8 @@
 //!
 //! Three ISA levels implement the same tile contract ([`GemmIsa`]); which
 //! one runs is decided at runtime ([`GemmIsa::active`]) from CPU feature
-//! detection and the `MORPHEUS_SIMD` gate in `morpheus-runtime`.
+//! detection, the SIMD gate in `morpheus-runtime` ([`Runtime::set_simd`])
+//! and the `simd.detect` failpoint.
 //!
 //! # Determinism contract
 //!
@@ -39,7 +40,7 @@
 //! * results are bit-identical run-to-run and across worker counts;
 //! * [`GemmIsa::Avx2Fma`] and [`GemmIsa::ScalarFma`] produce **bit-equal**
 //!   outputs (an FMA rounds the same whether issued per lane or per
-//!   scalar), so `MORPHEUS_SIMD=off` on FMA hardware changes schedule, not
+//!   scalar), so turning SIMD off on FMA hardware changes schedule, not
 //!   bits;
 //! * [`GemmIsa::Portable`] (multiply-then-add, no FMA anywhere) agrees to
 //!   rounding tolerance — it exists for hardware without FMA;
@@ -51,8 +52,8 @@
 //! [`max`]) are stricter: they split the input into a **compile-time
 //! fixed** [`LANES`]-wide set of independent accumulators (never a
 //! CPU-feature-dependent width) and combine them in a fixed tree order, so
-//! their results are identical across ISA levels, `MORPHEUS_SIMD`
-//! settings, worker counts, and runs — the explicit AVX2 paths execute the
+//! their results are identical across ISA levels, SIMD gate settings,
+//! worker counts, and runs — the explicit AVX2 paths execute the
 //! exact same additions the portable loop does, just four per instruction.
 
 // `std::arch` intrinsics are inherently unsafe to call; every unsafe
@@ -96,7 +97,7 @@ pub enum GemmIsa {
 impl GemmIsa {
     /// The level the plain kernel entry points dispatch to right now:
     /// the best level the CPU supports — demoted to the scalar
-    /// microkernel when `MORPHEUS_SIMD` is off (see
+    /// microkernel when the SIMD gate is off (see
     /// [`Runtime::simd_enabled`]).
     pub fn active() -> GemmIsa {
         #[cfg(target_arch = "x86_64")]
@@ -380,7 +381,7 @@ fn combine(acc: [f64; LANES]) -> f64 {
 /// chains save, and factorized operands routinely reduce rows of 10–30
 /// elements. Determinism is unaffected — the accumulation order remains
 /// a pure function of the input length, shared by every ISA level and
-/// both `MORPHEUS_SIMD` settings. The min/max folds skip the cutover:
+/// both SIMD gate settings. The min/max folds skip the cutover:
 /// their result is order-independent on numbers, and the select-based
 /// lane fold is faster at every width.
 const LANE_CUTOVER: usize = 32;
@@ -405,7 +406,7 @@ fn reductions_use_avx2() -> bool {
 /// `combine` and the tail (`len % LANES` elements) is then added in
 /// order. Slices shorter than `LANE_CUTOVER` take a serial fold
 /// instead. Deterministic across runs, worker counts, ISAs, and the
-/// `MORPHEUS_SIMD` gate (the order depends only on the length) — and
+/// SIMD gate (the order depends only on the length) — and
 /// ~3x faster than the single serial dependency chain it replaces on
 /// long inputs (8 chains in flight cover the FP add latency).
 #[inline]

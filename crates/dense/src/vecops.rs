@@ -2,7 +2,7 @@
 //!
 //! The accumulating functions run on the fixed-lane reduction kernels of
 //! [`crate::simd`], so their results are deterministic across runs, worker
-//! counts, and the `MORPHEUS_SIMD` gate.
+//! counts, and the SIMD gate (`Runtime::set_simd`).
 
 use crate::simd;
 

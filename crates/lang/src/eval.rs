@@ -5,7 +5,7 @@
 //! overloading: when an operand is a [`Value::Normalized`], the call is
 //! routed through the per-operator planner
 //! ([`morpheus_core::PlannedMatrix`]) — each operator runs factorized or
-//! materialized according to the process-wide `MORPHEUS_STRATEGY`
+//! materialized according to the matrix's [`morpheus_core::Strategy`]
 //! (cost-based by default); element-wise ops between a normalized and a
 //! regular matrix fall back to materialization (the non-factorizable
 //! case, §3.3.7); everything else runs on the dense kernels.
@@ -36,8 +36,9 @@ pub enum Value {
 
 impl Value {
     /// Wraps a normalized (or already planned) matrix as a script value;
-    /// the planner applies the process-wide strategy to every operator the
-    /// script touches it with.
+    /// the planner applies the matrix's strategy (cost-based for a bare
+    /// [`morpheus_core::NormalizedMatrix`]) to every operator the script
+    /// touches it with.
     pub fn normalized(t: impl Into<PlannedMatrix>) -> Value {
         Value::Normalized(t.into())
     }
@@ -445,7 +446,24 @@ pub(crate) fn eval_call(f: UnaryFn, v: &Arc<Value>) -> Result<Arc<Value>, LangEr
 mod tests {
     use super::*;
     use crate::parser::{parse, parse_expr};
-    use morpheus_core::NormalizedMatrix;
+    use morpheus_core::{DecisionRule, NormalizedMatrix, Strategy};
+
+    /// Every routing strategy: each test that binds a normalized matrix
+    /// runs under all four, since routing must never change a result
+    /// beyond rounding.
+    fn strategies() -> [Strategy; 4] {
+        [
+            Strategy::CostBased,
+            Strategy::Heuristic(DecisionRule::default()),
+            Strategy::AlwaysFactorize,
+            Strategy::AlwaysMaterialize,
+        ]
+    }
+
+    /// `t` behind the planner with `strategy`, as a script value.
+    fn planned(t: &NormalizedMatrix, strategy: Strategy) -> Value {
+        Value::normalized(PlannedMatrix::with_strategy(t.clone(), strategy))
+    }
 
     fn fixture() -> (NormalizedMatrix, DenseMatrix) {
         // Full-column-rank join output (6x5) so pseudo-inverse routes agree.
@@ -498,34 +516,43 @@ mod tests {
             "sum(ginv(T))",
             "sum(t(T) %*% T)",
         ] {
-            let f = eval_with_t(src, Value::normalized(tn.clone()))
-                .as_scalar()
-                .unwrap();
             let m = eval_with_t(src, Value::Dense(td.clone()))
                 .as_scalar()
                 .unwrap();
-            assert!(
-                (f - m).abs() <= 1e-6 * m.abs().max(1.0),
-                "script '{src}' diverged: {f} vs {m}"
-            );
+            for strategy in strategies() {
+                let f = eval_with_t(src, planned(&tn, strategy))
+                    .as_scalar()
+                    .unwrap();
+                assert!(
+                    (f - m).abs() <= 1e-6 * m.abs().max(1.0),
+                    "script '{src}' diverged under {strategy:?}: {f} vs {m}"
+                );
+            }
         }
     }
 
     #[test]
     fn normalized_scalar_ops_stay_normalized() {
         let (tn, _) = fixture();
-        let v = eval_with_t("exp(2 * T + 1)", Value::normalized(tn));
-        assert!(matches!(v, Value::Normalized(_)), "closure lost");
+        for strategy in strategies() {
+            let v = eval_with_t("exp(2 * T + 1)", planned(&tn, strategy));
+            assert!(
+                matches!(v, Value::Normalized(_)),
+                "closure lost under {strategy:?}"
+            );
+        }
     }
 
     #[test]
     fn matmul_shape_errors() {
         let (tn, _) = fixture();
         let program = parse("T %*% T").unwrap();
-        let mut env = Env::new();
-        env.bind("T", Value::normalized(tn));
-        let err = eval_program(&program, &mut env).unwrap_err();
-        assert!(matches!(err.root(), LangError::Shape(_)));
+        for strategy in strategies() {
+            let mut env = Env::new();
+            env.bind("T", planned(&tn, strategy));
+            let err = eval_program(&program, &mut env).unwrap_err();
+            assert!(matches!(err.root(), LangError::Shape(_)), "{strategy:?}");
+        }
     }
 
     #[test]
@@ -545,12 +572,17 @@ mod tests {
     #[test]
     fn elementwise_with_regular_matrix_materializes() {
         let (tn, td) = fixture();
-        let mut env = Env::new();
-        env.bind("T", Value::normalized(tn));
-        env.bind("X", Value::Dense(td.clone()));
-        let v = eval_program(&parse("T + X").unwrap(), &mut env).unwrap();
         let expected = td.scalar_mul(2.0);
-        assert!(v.as_dense().unwrap().approx_eq(&expected, 1e-12));
+        for strategy in strategies() {
+            let mut env = Env::new();
+            env.bind("T", planned(&tn, strategy));
+            env.bind("X", Value::Dense(td.clone()));
+            let v = eval_program(&parse("T + X").unwrap(), &mut env).unwrap();
+            assert!(
+                v.as_dense().unwrap().approx_eq(&expected, 1e-12),
+                "{strategy:?}"
+            );
+        }
     }
 
     #[test]
@@ -574,28 +606,26 @@ mod tests {
         "#;
         let program = parse(script).unwrap();
 
-        let mut env_f = Env::new();
-        env_f.bind("T", Value::normalized(tn.clone()));
-        env_f.bind("Y", Value::Dense(y.clone()));
-        env_f.bind("a", Value::Scalar(0.05));
-        let wf = eval_program(&program, &mut env_f).unwrap();
-
         let mut env_m = Env::new();
         env_m.bind("T", Value::Dense(td));
         env_m.bind("Y", Value::Dense(y.clone()));
         env_m.bind("a", Value::Scalar(0.05));
         let wm = eval_program(&program, &mut env_m).unwrap();
-
-        assert!(wf
-            .as_dense()
-            .unwrap()
-            .approx_eq(wm.as_dense().unwrap(), 1e-9));
-
-        // And both match the native Rust implementation.
         let native = morpheus_ml::logreg::LogisticRegressionGd::new(0.05, 10)
             .fit(&tn, &y)
             .w;
-        assert!(wf.as_dense().unwrap().approx_eq(&native, 1e-9));
+
+        for strategy in strategies() {
+            let mut env_f = Env::new();
+            env_f.bind("T", planned(&tn, strategy));
+            env_f.bind("Y", Value::Dense(y.clone()));
+            env_f.bind("a", Value::Scalar(0.05));
+            let wf = eval_program(&program, &mut env_f).unwrap();
+            let wf = wf.as_dense().unwrap();
+            assert!(wf.approx_eq(wm.as_dense().unwrap(), 1e-9), "{strategy:?}");
+            // And both match the native Rust implementation.
+            assert!(wf.approx_eq(&native, 1e-9), "{strategy:?}");
+        }
     }
 
     #[test]
@@ -604,12 +634,17 @@ mod tests {
         let y = DenseMatrix::from_fn(6, 1, |i, _| i as f64 * 0.3 - 1.0);
         let script = "ginv(crossprod(T)) %*% (t(T) %*% Y)";
         let program = parse(script).unwrap();
-        let mut env = Env::new();
-        env.bind("T", Value::normalized(tn.clone()));
-        env.bind("Y", Value::Dense(y.clone()));
-        let w = eval_program(&program, &mut env).unwrap();
         let native = morpheus_ml::linreg::LinearRegressionNe::new().fit(&tn, &y);
-        assert!(w.as_dense().unwrap().approx_eq(&native, 1e-6));
+        for strategy in strategies() {
+            let mut env = Env::new();
+            env.bind("T", planned(&tn, strategy));
+            env.bind("Y", Value::Dense(y.clone()));
+            let w = eval_program(&program, &mut env).unwrap();
+            assert!(
+                w.as_dense().unwrap().approx_eq(&native, 1e-6),
+                "{strategy:?}"
+            );
+        }
     }
 
     #[test]
@@ -621,10 +656,18 @@ mod tests {
         let rb = DenseMatrix::from_fn(2, 2, |i, j| (i + j) as f64 + 0.5);
         let b = NormalizedMatrix::pk_fk(sb.into(), &[0, 1, 0, 1, 0], rb.into());
         let bd = b.materialize().to_dense();
-        let mut env = Env::new();
-        env.bind("A", Value::normalized(tn));
-        env.bind("B", Value::normalized(b));
-        let v = eval_program(&parse("A %*% B").unwrap(), &mut env).unwrap();
-        assert!(v.as_dense().unwrap().approx_eq(&td.matmul(&bd), 1e-9));
+        let expected = td.matmul(&bd);
+        for sa in strategies() {
+            for sb in strategies() {
+                let mut env = Env::new();
+                env.bind("A", planned(&tn, sa));
+                env.bind("B", planned(&b, sb));
+                let v = eval_program(&parse("A %*% B").unwrap(), &mut env).unwrap();
+                assert!(
+                    v.as_dense().unwrap().approx_eq(&expected, 1e-9),
+                    "A under {sa:?}, B under {sb:?}"
+                );
+            }
+        }
     }
 }

@@ -15,8 +15,8 @@
 //! Because evaluation dispatches every operator through the same rewrite
 //! rules as the typed API, *the identical script* runs materialized when
 //! `T` is bound to a regular matrix and through the per-operator planner
-//! (`morpheus_core::PlannedMatrix`, strategy from `MORPHEUS_STRATEGY`)
-//! when `T` is bound to a normalized matrix — no changes to the script,
+//! (`morpheus_core::PlannedMatrix`, cost-based unless built with another
+//! strategy) when `T` is bound to a normalized matrix — no changes to the script,
 //! the paper's automation claim.
 //!
 //! # Example: the paper's logistic-regression script

@@ -2,7 +2,7 @@
 //! threads parallel kernels may use and when parallelism is worth it.
 
 use crate::{claim, pool, Executor};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Worker count configured for the process; `0` means "not yet resolved".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -11,9 +11,9 @@ static THREADS: AtomicUsize = AtomicUsize::new(0);
 /// until a test calls [`Runtime::set_par_threshold`]).
 static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_THRESHOLD);
 
-/// Whether explicit-SIMD kernel paths may run; `0` means "not yet
-/// resolved", `1` enabled, `2` disabled.
-static SIMD: AtomicUsize = AtomicUsize::new(0);
+/// Whether explicit-SIMD kernel paths may run (`true` unless
+/// [`Runtime::set_simd`] changed it).
+static SIMD: AtomicBool = AtomicBool::new(true);
 
 /// Default work size (in flops / fused operations) below which kernels run
 /// inline on the caller. Dispatching onto the resident pool is a queue
@@ -45,13 +45,7 @@ impl Runtime {
     /// no effect; use [`Runtime::set_threads`] instead.
     pub fn threads() -> usize {
         match THREADS.load(Ordering::Relaxed) {
-            0 => {
-                let n = Self::detect();
-                // A racing first call detects the same value; last store
-                // wins harmlessly.
-                THREADS.store(n, Ordering::Relaxed);
-                n
-            }
+            0 => resolve(&THREADS, Self::detect()),
             n => n,
         }
     }
@@ -112,38 +106,25 @@ impl Runtime {
         PAR_THRESHOLD.store(work.max(1), Ordering::Relaxed);
     }
 
-    /// Whether kernels may take their explicit-SIMD (`std::arch`) paths.
-    ///
-    /// Resolved once, at first use: `false` when the `MORPHEUS_SIMD`
-    /// environment variable is set to `off`, `0`, `false`, or `no`
-    /// (case-insensitive), `true` otherwise. This is the escape hatch
-    /// that keeps the portable scalar kernels reachable on hardware that
-    /// *does* support SIMD — for debugging a suspected vector-kernel bug
-    /// and for CI coverage of the fallback path. It gates dispatch only;
-    /// the fixed-lane reduction kernels compute identical results either
-    /// way, and the scalar GEMM microkernel stays within FMA rounding of
-    /// the vector one (bit-identical when the CPU has FMA).
+    /// Whether kernels may take their explicit-SIMD (`std::arch`) paths:
+    /// `true` unless [`Runtime::set_simd`] turned them off. This is the
+    /// escape hatch that keeps the portable scalar kernels reachable on
+    /// hardware that *does* support SIMD — for debugging a suspected
+    /// vector-kernel bug and for tests of the fallback path (the
+    /// `simd.detect=off` failpoint demotes the same dispatch for a whole
+    /// process). It gates dispatch only; the fixed-lane reduction kernels
+    /// compute identical results either way, and the scalar GEMM
+    /// microkernel stays within FMA rounding of the vector one
+    /// (bit-identical when the CPU has FMA).
     pub fn simd_enabled() -> bool {
-        match SIMD.load(Ordering::Relaxed) {
-            0 => {
-                let on = std::env::var("MORPHEUS_SIMD")
-                    .map(|v| {
-                        let v = v.trim().to_ascii_lowercase();
-                        !matches!(v.as_str(), "off" | "0" | "false" | "no")
-                    })
-                    .unwrap_or(true);
-                SIMD.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-                on
-            }
-            n => n == 1,
-        }
+        SIMD.load(Ordering::Relaxed)
     }
 
     /// Overrides the SIMD gate for the whole process (tests and benches
     /// that compare kernel paths; scheduling/codegen only — the reduction
     /// results are identical either way).
     pub fn set_simd(enabled: bool) {
-        SIMD.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
+        SIMD.store(enabled, Ordering::Relaxed);
     }
 
     fn detect() -> usize {
@@ -160,6 +141,18 @@ impl Runtime {
     }
 }
 
+/// Stores the detected worker count `n` in `slot` unless a value landed
+/// there first — a [`Runtime::set_threads`] that raced the detection, or
+/// another first call — and returns whichever value won. A plain store
+/// here would overwrite that `set_threads` and leave the pool sized for
+/// a count [`Runtime::threads`] no longer reports.
+fn resolve(slot: &AtomicUsize, n: usize) -> usize {
+    match slot.compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => n,
+        Err(won) => won,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +160,22 @@ mod tests {
     #[test]
     fn threads_is_positive() {
         assert!(Runtime::threads() >= 1);
+    }
+
+    #[test]
+    fn resolve_keeps_a_value_stored_before_it() {
+        // A local slot, not THREADS: the global is shared with the
+        // concurrent tests of this binary.
+        let slot = AtomicUsize::new(0);
+        // A set_threads(3) lands between the load of 0 and the store of
+        // the detected count: the explicit value survives.
+        slot.store(3, Ordering::Relaxed);
+        assert_eq!(resolve(&slot, 7), 3);
+        assert_eq!(slot.load(Ordering::Relaxed), 3);
+        // Unraced, the detected count is stored and returned.
+        let slot = AtomicUsize::new(0);
+        assert_eq!(resolve(&slot, 7), 7);
+        assert_eq!(slot.load(Ordering::Relaxed), 7);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! costs one entity-feature dot plus one gathered partial per attribute
 //! table ([`morpheus_core::NormalizedMatrix::lmm_rows_from_partials`]).
 //! Around it sits a **micro-batcher**: requests already queued (or
-//! arriving within `MORPHEUS_BATCH_WINDOW_US`, zero by default) are
-//! coalesced, up to `MORPHEUS_BATCH_MAX` rows, into one such call on the
+//! arriving within [`ServeConfig::batch_window`], zero by default) are
+//! coalesced, up to [`ServeConfig::batch_max`] rows, into one such call on the
 //! shared resident worker pool. Batched ≡ unbatched ≡ full-table
 //! `predict` on the factorized operand, **bit for bit**, under
 //! `lmm_accumulate`'s association — batching is invisible to clients
@@ -23,7 +23,7 @@
 //!
 //! Operational behavior:
 //!
-//! * **Admission control** — a bounded queue (`MORPHEUS_BATCH_QUEUE`);
+//! * **Admission control** — a bounded queue ([`ServeConfig::queue_cap`]);
 //!   submissions beyond it are shed with [`ServeError::Shed`] and
 //!   counted, so overload degrades loudly instead of growing latency
 //!   without bound.
@@ -43,7 +43,7 @@ mod model;
 mod service;
 mod stats;
 
-pub use config::{ServeConfig, BATCH_MAX_ENV, BATCH_QUEUE_ENV, BATCH_WINDOW_ENV};
+pub use config::ServeConfig;
 pub use model::ScoringModel;
 pub use service::{ScoringService, ServeError, ServeMode, Ticket, BATCH_FAILPOINT};
 pub use stats::ServeStats;

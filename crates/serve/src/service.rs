@@ -614,8 +614,8 @@ mod tests {
 
     #[test]
     fn default_config_serves_factorized_without_a_window() {
-        // Pinned to the strategy an unset MORPHEUS_STRATEGY gives.
-        let cfg = ServeConfig::default().with_strategy(Strategy::CostBased);
+        let cfg = ServeConfig::default();
+        assert_eq!(cfg.strategy, Strategy::CostBased);
         assert_eq!(cfg.batch_window, Duration::ZERO);
         // A redundancy-free join, which every per-operator rule would
         // materialize, is still served from partials.

@@ -5,6 +5,23 @@
 use morpheus::lang::{eval_program, optimize, parse, run_program, Env, LangError, Program, Value};
 use morpheus::prelude::*;
 
+/// Every routing strategy: each test that binds a normalized matrix runs
+/// under all four, since routing must never change a result beyond
+/// rounding.
+fn strategies() -> [Strategy; 4] {
+    [
+        Strategy::CostBased,
+        Strategy::Heuristic(DecisionRule::default()),
+        Strategy::AlwaysFactorize,
+        Strategy::AlwaysMaterialize,
+    ]
+}
+
+/// `t` behind the planner with `strategy`, as a script value.
+fn planned(t: &NormalizedMatrix, strategy: Strategy) -> Value {
+    Value::normalized(PlannedMatrix::with_strategy(t.clone(), strategy))
+}
+
 fn bind_common(env: &mut Env, y: &DenseMatrix, alpha: f64, d: usize) {
     env.bind("Y", Value::Dense(y.clone()));
     env.bind("alpha", Value::Scalar(alpha));
@@ -29,14 +46,18 @@ fn logistic_regression_script_on_star_schema() {
         w
     "#;
     let program = optimize(&parse(script).unwrap());
-
-    let mut env_f = Env::new();
-    env_f.bind("T", Value::normalized(ds.tn.clone()));
-    bind_common(&mut env_f, &y, 0.01, ds.tn.cols());
-    let w_script = eval_program(&program, &mut env_f).unwrap();
-
     let native = LogisticRegressionGd::new(0.01, 8).fit(&ds.tn, &y);
-    assert!(w_script.as_dense().unwrap().approx_eq(&native.w, 1e-9));
+
+    for strategy in strategies() {
+        let mut env_f = Env::new();
+        env_f.bind("T", planned(&ds.tn, strategy));
+        bind_common(&mut env_f, &y, 0.01, ds.tn.cols());
+        let w_script = eval_program(&program, &mut env_f).unwrap();
+        assert!(
+            w_script.as_dense().unwrap().approx_eq(&native.w, 1e-9),
+            "{strategy:?}"
+        );
+    }
 }
 
 #[test]
@@ -51,14 +72,19 @@ fn linear_regression_script_on_mn_join() {
     }
     .generate();
     let program = parse("ginv(crossprod(T)) %*% (t(T) %*% Y)").unwrap();
-    let mut env = Env::new();
-    env.bind("T", Value::normalized(ds.tn.clone()));
-    env.bind("Y", Value::Dense(ds.y.clone()));
-    let w = eval_program(&program, &mut env).unwrap();
     let tm = ds.tn.materialize().to_dense();
-    let resid = tm.matmul(w.as_dense().unwrap()).sub(&ds.y);
-    // Noiseless planted model ⇒ near-zero residual.
-    assert!(resid.frobenius_norm() / ds.y.frobenius_norm().max(1e-12) < 1e-5);
+    for strategy in strategies() {
+        let mut env = Env::new();
+        env.bind("T", planned(&ds.tn, strategy));
+        env.bind("Y", Value::Dense(ds.y.clone()));
+        let w = eval_program(&program, &mut env).unwrap();
+        let resid = tm.matmul(w.as_dense().unwrap()).sub(&ds.y);
+        // Noiseless planted model ⇒ near-zero residual.
+        assert!(
+            resid.frobenius_norm() / ds.y.frobenius_norm().max(1e-12) < 1e-5,
+            "{strategy:?}"
+        );
+    }
 }
 
 #[test]
@@ -67,10 +93,15 @@ fn aggregation_script_matches_typed_api_on_real_dataset() {
         .unwrap()
         .generate(0.002, 5);
     let program = parse("sum(rowSums(T)) - sum(colSums(T))").unwrap();
-    let mut env = Env::new();
-    env.bind("T", Value::normalized(ds.tn.clone()));
-    let v = eval_program(&program, &mut env).unwrap();
-    assert!(v.as_scalar().unwrap().abs() < 1e-6 * ds.tn.sum().abs().max(1.0));
+    for strategy in strategies() {
+        let mut env = Env::new();
+        env.bind("T", planned(&ds.tn, strategy));
+        let v = eval_program(&program, &mut env).unwrap();
+        assert!(
+            v.as_scalar().unwrap().abs() < 1e-6 * ds.tn.sum().abs().max(1.0),
+            "{strategy:?}"
+        );
+    }
 }
 
 #[test]
@@ -80,15 +111,20 @@ fn optimizer_preserves_script_semantics_on_matrices() {
     let plain = parse(src).unwrap();
     let opt = optimize(&plain);
     assert!(opt.expr_count() < plain.expr_count());
+    let expected = ds.tn.sum() + 8.0;
     for program in [&plain, &opt] {
-        let mut env = Env::new();
-        env.bind("T", Value::normalized(ds.tn.clone()));
-        let v = eval_program(program, &mut env)
-            .unwrap()
-            .as_scalar()
-            .unwrap();
-        let expected = ds.tn.sum() + 8.0;
-        assert!((v - expected).abs() < 1e-9 * expected.abs().max(1.0));
+        for strategy in strategies() {
+            let mut env = Env::new();
+            env.bind("T", planned(&ds.tn, strategy));
+            let v = eval_program(program, &mut env)
+                .unwrap()
+                .as_scalar()
+                .unwrap();
+            assert!(
+                (v - expected).abs() < 1e-9 * expected.abs().max(1.0),
+                "{strategy:?}"
+            );
+        }
     }
 }
 
@@ -124,15 +160,17 @@ fn kmeans_script_runs_factorized_and_matches_materialized() {
         env.bind("d", Value::Scalar(d as f64));
         eval_program(&program, &mut env).unwrap()
     };
-    let c_f = run(Value::normalized(ds.tn.clone()));
     let c_m = run(Value::Dense(ds.tn.materialize().to_dense()));
-    let cf = c_f.as_dense().unwrap();
-    assert_eq!(cf.shape(), (d, k));
-    assert!(cf.as_slice().iter().all(|v| v.is_finite()));
-    assert!(
-        cf.approx_eq(c_m.as_dense().unwrap(), 1e-8),
-        "factorized and materialized K-Means scripts diverged"
-    );
+    for strategy in strategies() {
+        let c_f = run(planned(&ds.tn, strategy));
+        let cf = c_f.as_dense().unwrap();
+        assert_eq!(cf.shape(), (d, k));
+        assert!(cf.as_slice().iter().all(|v| v.is_finite()));
+        assert!(
+            cf.approx_eq(c_m.as_dense().unwrap(), 1e-8),
+            "planned ({strategy:?}) and dense K-Means scripts diverged"
+        );
+    }
 }
 
 #[test]
@@ -161,15 +199,15 @@ fn gnmf_script_runs_factorized_and_matches_native() {
         env.bind("eps", Value::Scalar(1e-12));
         eval_program(&program, &mut env).unwrap()
     };
-    let w_f = run(Value::normalized(tn.clone()));
     let w_m = run(Value::Dense(tn.materialize().to_dense()));
-    assert!(w_f
-        .as_dense()
-        .unwrap()
-        .approx_eq(w_m.as_dense().unwrap(), 1e-8));
-    // And against the native trainer with the same initialization.
     let native = morpheus::ml::gnmf::Gnmf::new(r, 5).fit_from(&tn, &w0, &h0);
-    assert!(w_f.as_dense().unwrap().approx_eq(&native.w, 1e-8));
+    for strategy in strategies() {
+        let w_f = run(planned(&tn, strategy));
+        let w_f = w_f.as_dense().unwrap();
+        assert!(w_f.approx_eq(w_m.as_dense().unwrap(), 1e-8), "{strategy:?}");
+        // And against the native trainer with the same initialization.
+        assert!(w_f.approx_eq(&native.w, 1e-8), "{strategy:?}");
+    }
 }
 
 #[test]
@@ -182,9 +220,11 @@ fn script_errors_surface_cleanly() {
     // Shape error on matmul.
     let ds = PkFkSpec::from_ratios(2.0, 1.0, 10, 2, 9).generate();
     let p2 = parse("T %*% T").unwrap();
-    let mut env = Env::new();
-    env.bind("T", Value::normalized(ds.tn));
-    assert!(eval_program(&p2, &mut env).is_err());
+    for strategy in strategies() {
+        let mut env = Env::new();
+        env.bind("T", planned(&ds.tn, strategy));
+        assert!(eval_program(&p2, &mut env).is_err(), "{strategy:?}");
+    }
 }
 
 #[test]
@@ -229,7 +269,11 @@ fn ginv_of_non_finite_input_is_all_nan_in_both_evaluators() {
     let tn = NormalizedMatrix::pk_fk(s.into(), &[0, 1, 2, 0, 1, 2, 0, 1], r.into());
     let mut x = DenseMatrix::from_fn(8, 4, |i, j| ((i * 5 + j * 3) % 7) as f64 - 3.0);
     x.set(3, 2, f64::NAN);
-    for (name, value) in [("T", Value::normalized(tn)), ("X", Value::Dense(x))] {
+    let operands = strategies()
+        .map(|s| (format!("T ({s:?})"), planned(&tn, s)))
+        .into_iter()
+        .chain([("X".to_string(), Value::Dense(x))]);
+    for (name, value) in operands {
         for (src, shape) in [
             ("ginv(M)", (4, 8)),
             ("ginv(t(M))", (8, 4)),
@@ -274,10 +318,11 @@ fn assignments_share_values_instead_of_copying() {
     let program = parse("x = T\ny = x\nz = materialize(T)").unwrap();
     type Runner = fn(&Program, &mut Env) -> Result<Value, LangError>;
     for run in [eval_program as Runner, run_program] {
-        for t in [
-            Value::normalized(ds.tn.clone()),
-            Value::Dense(dense.clone()),
-        ] {
+        let operands = strategies()
+            .map(|s| planned(&ds.tn, s))
+            .into_iter()
+            .chain([Value::Dense(dense.clone())]);
+        for t in operands {
             let is_dense = t.as_dense().is_some();
             let mut env = Env::new();
             env.bind("T", t);

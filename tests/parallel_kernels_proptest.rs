@@ -11,12 +11,15 @@
 //! the same treatment: the AVX2 GEMM microkernel must match the scalar
 //! FMA microkernel bit for bit on every tile-remainder shape, and the
 //! fixed-lane reductions must not move with the worker count or the
-//! `MORPHEUS_SIMD` gate. Every operation of the key-column indicator is
-//! checked bit for bit against the CSR kernels on the same `K`.
+//! SIMD gate ([`Runtime::set_simd`]). Every operation of the key-column
+//! indicator is checked bit for bit against the CSR kernels on the same
+//! `K`. Every test that changes the worker count or the SIMD gate does so
+//! through [`common::RuntimeSettings`], which serializes the changes and
+//! restores both settings.
 
 mod common;
 
-use common::bits;
+use common::{bits, RuntimeSettings};
 use morpheus::chunked::ChunkedMatrix;
 use morpheus::core::{KeyColumn, LinearOperand};
 use morpheus::dense::simd::{self, GemmBand, GemmIsa, MatSrc};
@@ -166,15 +169,15 @@ proptest! {
         let fk2 = keys(n, hit + 1, seed ^ 0x7E57);
         let k2 = KeyColumn::new(&fk2, hit + 1).unwrap();
         Runtime::set_par_threshold(1);
-        let configured = Runtime::threads();
         for (threads, fill) in [(1usize, hostile as Fill), (8, hostile), (1, specials), (8, specials)] {
             let x = fill(table_rows, width, seed ^ 0x11);
             let y = fill(n, width, seed ^ 0x22);
             let z = fill(width, n, seed ^ 0x33);
-            Runtime::set_threads(threads);
+            let settings = RuntimeSettings::hold();
+            settings.set_threads(threads);
             let got = (k.spmm_dense(&x), k.t_spmm_dense(&y), k.dense_spmm(&z));
             let want = (csr.spmm_dense(&x), csr.t_spmm_dense(&y), csr.dense_spmm(&z));
-            Runtime::set_threads(configured);
+            drop(settings);
             prop_assert_eq!(bits(got.0.as_slice()), bits(want.0.as_slice()));
             prop_assert_eq!(bits(got.1.as_slice()), bits(want.1.as_slice()));
             prop_assert_eq!(bits(got.2.as_slice()), bits(want.2.as_slice()));
@@ -256,6 +259,8 @@ proptest! {
         let finite_a = mat(n, d, seed);
         let finite_x = mat(n, p, seed ^ 0x7A11);
         Runtime::set_par_threshold(1);
+        // Held from the reference on, so it really runs with SIMD on.
+        let settings = RuntimeSettings::hold();
         let reference = |a: &DenseMatrix, x: &DenseMatrix| {
             let ex = Executor::serial();
             (
@@ -271,10 +276,9 @@ proptest! {
             prop_assert_eq!(&bits(a.crossprod_with(&ex).as_slice()), &want.1);
             prop_assert_eq!(&bits(&a.vecmat_with(x.col(0).as_slice(), &ex)), &want.2);
         }
-        let was_enabled = Runtime::simd_enabled();
-        Runtime::set_simd(false);
+        settings.set_simd(false);
         let gated = reference(&a, &x);
-        Runtime::set_simd(was_enabled);
+        drop(settings);
         prop_assert_eq!(&gated, &want);
 
         // Within n · ε · Σ|terms| of the naive loop on finite data.
@@ -314,19 +318,18 @@ proptest! {
         let tn = join(special_rows(n, d_s, seed));
         let x = special_rows(n, p, seed ^ 0xC0FF);
         Runtime::set_par_threshold(1);
-        let configured = Runtime::threads();
-        Runtime::set_threads(1);
+        let settings = RuntimeSettings::hold();
+        settings.set_threads(1);
         let factorized = tn.t_lmm(&x);
         for threads in [2usize, 3, 8] {
-            Runtime::set_threads(threads);
+            settings.set_threads(threads);
             let got = tn.t_lmm(&x);
-            Runtime::set_threads(configured);
             prop_assert_eq!(bits(got.as_slice()), bits(factorized.as_slice()));
         }
-        let was_enabled = Runtime::simd_enabled();
-        Runtime::set_simd(false);
+        // SIMD off on the last (widest) worker count.
+        settings.set_simd(false);
         let gated = tn.t_lmm(&x);
-        Runtime::set_simd(was_enabled);
+        drop(settings);
         prop_assert_eq!(bits(gated.as_slice()), bits(factorized.as_slice()));
         let materialized = tn.materialize().to_dense().t_matmul(&x);
         let entity = |m: &DenseMatrix| bits(&m.as_slice()[..d_s * p]);
@@ -418,20 +421,19 @@ proptest! {
         // Scatter kernels nested inside an outer parallel section: the
         // outer map claims workers (oversubscribing the pool), the plain
         // kernel methods inside see the remaining budget — every replica
-        // must still equal the fully serial result bit-for-bit. The
-        // configured worker count is restored afterwards so the CI
-        // thread-mode pins (1 / default / 8) keep governing the rest of
-        // this binary.
+        // must still equal the fully serial result bit-for-bit. The guard
+        // restores the worker count the process started with, so it keeps
+        // governing the rest of this binary.
         Runtime::set_par_threshold(1);
-        let configured = Runtime::threads();
-        Runtime::set_threads(4);
+        let settings = RuntimeSettings::hold();
+        settings.set_threads(4);
         let s = sparse(rows, cols, seed);
         let y = mat(rows, 3, seed ^ 0xAB);
         let b = sparse(cols, 5, seed ^ 0xCD);
         let t_expect = s.t_spmm_dense_with(&y, &Executor::serial());
         let sp_expect = s.spgemm_with(&b, &Executor::serial());
         let replicas = Executor::new(outer).map(outer, |_| (s.t_spmm_dense(&y), s.spgemm(&b)));
-        Runtime::set_threads(configured);
+        drop(settings);
         for (t, sp) in replicas {
             prop_assert_eq!(&t, &t_expect);
             prop_assert_eq!(sp.indptr(), sp_expect.indptr());
@@ -452,23 +454,23 @@ proptest! {
         // — pinned here past a 2-core runner's cores — and the parallel
         // dense kernels inside each chunk see the remainder. Whatever the
         // split, results must be identical to the fully serial execution.
-        // The configured count is restored so the CI thread-mode pins
-        // keep governing the rest of this binary.
-        let configured = Runtime::threads();
+        // The guard restores the starting count, so it keeps governing the
+        // rest of this binary.
         let d = mat(rows, cols, seed);
         let m = Matrix::Dense(d.clone());
         let c = ChunkedMatrix::with_budget(&m, chunk, u64::MAX);
 
         let x = mat(cols, 3, seed ^ 0x5E5E);
-        Runtime::set_threads(outer_threads);
+        let settings = RuntimeSettings::hold();
+        settings.set_threads(outer_threads);
         let nested_lmm = c.lmm(&x);
         let nested_cp = LinearOperand::crossprod(&c);
         let nested_lmm2 = c.lmm(&x);
         let nested_cp2 = LinearOperand::crossprod(&c);
-        Runtime::set_threads(1);
+        settings.set_threads(1);
         let serial_lmm = c.lmm(&x);
         let serial_cp = LinearOperand::crossprod(&c);
-        Runtime::set_threads(configured);
+        drop(settings);
         prop_assert_eq!(&nested_lmm, &serial_lmm);
         prop_assert_eq!(&nested_cp, &serial_cp);
         // Repeated runs are stable too (no scheduling-dependent results).
@@ -526,15 +528,17 @@ proptest! {
         inner in 1usize..14,
         seed in any::<u64>(),
     ) {
-        // `MORPHEUS_SIMD=off` demotes dispatch from the AVX2 kernel to the
-        // scalar FMA microkernel — which the determinism contract requires
-        // to be bit-identical, so flipping the gate must be invisible in
-        // every product driver's output. (That same contract is what makes
-        // this toggle safe while sibling cases run concurrently.)
+        // `Runtime::set_simd(false)` demotes dispatch from the AVX2 kernel
+        // to the scalar FMA microkernel — which the determinism contract
+        // requires to be bit-identical, so flipping the gate must be
+        // invisible in every product driver's output. (That same contract
+        // is what makes this toggle safe while sibling cases that do not
+        // hold the guard run concurrently.)
         let a = mat(rows, inner, seed);
         let b = mat(inner, cols, seed ^ 0xE11E);
         let y = mat(rows, cols, seed ^ 0x31A7);
         let z = mat(cols, inner, seed ^ 0x7A13);
+        let settings = RuntimeSettings::hold();
         let on = (
             a.matmul(&b),
             a.crossprod(),
@@ -542,8 +546,7 @@ proptest! {
             a.t_matmul(&y),
             a.matmul_t(&z),
         );
-        let was_enabled = Runtime::simd_enabled();
-        Runtime::set_simd(false);
+        settings.set_simd(false);
         let off = (
             a.matmul(&b),
             a.crossprod(),
@@ -551,7 +554,7 @@ proptest! {
             a.t_matmul(&y),
             a.matmul_t(&z),
         );
-        Runtime::set_simd(was_enabled);
+        drop(settings);
         prop_assert_eq!(off, on);
     }
 
@@ -562,9 +565,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The fixed-lane reductions promise one accumulation order per
-        // input length: results must not move with the worker count
-        // (CI pins 1 / default / 8) or with the `MORPHEUS_SIMD` gate, and
-        // must agree with a plain sequential fold to rounding.
+        // input length: results must not move with the worker count (the
+        // process's own, then 1 and 8) or with the SIMD gate, and must
+        // agree with a plain sequential fold to rounding.
         let d = mat(rows, cols, seed);
         let s = sparse(rows, cols.max(2), seed ^ 0x5EED);
         let reduce = |d: &DenseMatrix, s: &CsrMatrix| {
@@ -579,18 +582,16 @@ proptest! {
                 s.frobenius_norm(),
             )
         };
+        let settings = RuntimeSettings::hold();
         let base = reduce(&d, &s);
-        let configured = Runtime::threads();
         for t in [1usize, 8] {
-            Runtime::set_threads(t);
+            settings.set_threads(t);
             let got = reduce(&d, &s);
-            Runtime::set_threads(configured);
             prop_assert_eq!(&got, &base);
         }
-        let was_enabled = Runtime::simd_enabled();
-        Runtime::set_simd(false);
+        settings.set_simd(false);
         let gated = reduce(&d, &s);
-        Runtime::set_simd(was_enabled);
+        drop(settings);
         prop_assert_eq!(&gated, &base);
         // Tolerance agreement with the naive sequential folds.
         let naive_sum: f64 = d.as_slice().iter().sum();
@@ -636,11 +637,11 @@ fn unfaulted_runs_leave_every_fault_counter_at_zero() {
     }
     let a = mat(48, 16, 0xFEED);
     let b = mat(16, 48, 0xBEEF);
-    let configured = Runtime::threads();
-    Runtime::set_threads(4);
+    let settings = RuntimeSettings::hold();
+    settings.set_threads(4);
     let product = a.matmul(&b);
     let cp = a.crossprod();
-    Runtime::set_threads(configured);
+    drop(settings);
     assert_eq!(product, a.matmul_with(&b, &Executor::serial()));
     assert_eq!(cp, a.crossprod_with(&Executor::serial()));
     let stats = faults::stats();

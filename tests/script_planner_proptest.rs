@@ -24,15 +24,11 @@
 
 mod common;
 
+use common::RuntimeSettings;
 use morpheus::core::{DecisionRule, MachineProfile, Strategy as Route};
 use morpheus::lang::{eval_program, parse, run_program, Env, Value};
-use morpheus::prelude::{DenseMatrix, NormalizedMatrix, PlannedMatrix, Runtime};
+use morpheus::prelude::{DenseMatrix, NormalizedMatrix, PlannedMatrix};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes cases that set the process-global worker count, so a
-/// bitwise comparison never straddles two thread configurations.
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic data for one case: a PK-FK normalized matrix plus a
 /// conformable label vector.
@@ -122,12 +118,13 @@ fn value_f64s(v: &Value) -> Vec<f64> {
 fn run_both(case: &Case, template: &str, route: Route, threads: usize) -> (Value, Value) {
     let src = script_for(case, template);
     let program = parse(&src).unwrap();
-    let _guard = THREADS_LOCK.lock().unwrap();
-    let before = Runtime::threads();
-    Runtime::set_threads(threads);
+    // Held across both runs, so a bitwise comparison never straddles two
+    // thread configurations.
+    let settings = RuntimeSettings::hold();
+    settings.set_threads(threads);
     let vi = eval_program(&program, &mut env_for(case, route));
     let vp = run_program(&program, &mut env_for(case, route));
-    Runtime::set_threads(before);
+    drop(settings);
     (vi.unwrap(), vp.unwrap())
 }
 
@@ -196,12 +193,11 @@ proptest! {
             env
         };
         for threads in [1usize, 8] {
-            let _guard = THREADS_LOCK.lock().unwrap();
-            let before = Runtime::threads();
-            Runtime::set_threads(threads);
+            let settings = RuntimeSettings::hold();
+            settings.set_threads(threads);
             let vi = eval_program(&program, &mut mk());
             let vp = run_program(&program, &mut mk());
-            Runtime::set_threads(before);
+            drop(settings);
             prop_assert_eq!(value_bits(&vi.unwrap()), value_bits(&vp.unwrap()));
         }
     }

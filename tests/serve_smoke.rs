@@ -1,8 +1,7 @@
-//! Serving smoke test — the in-process check CI runs as its own job: an
-//! actual [`ScoringService`] over a known PK-FK fixture, driven by
-//! concurrent clients, with the full [`ServeStats`] snapshot asserted —
-//! correctness, coalescing, admission control, and the zero-fault
-//! baseline in one pass.
+//! Serving smoke test: an actual [`ScoringService`] over a known PK-FK
+//! fixture, driven by concurrent clients, with the full [`ServeStats`]
+//! snapshot asserted — correctness, coalescing, admission control, and
+//! the zero-fault baseline in one pass.
 
 mod common;
 
@@ -76,28 +75,22 @@ fn serve_smoke() {
     assert_eq!(stats.faults.lock_recoveries, 0);
 }
 
-/// The same fixture served through [`ServeConfig::from_env`], so a CI
-/// step can point the `MORPHEUS_BATCH_*` variables at unusual knobs
-/// (tiny window, small batch cap, short queue) and this test proves the
-/// env-configured service still honors the coalescing contract: a
-/// pipelined burst (coalesced into batches) is bit-identical to the
-/// same requests scored one at a time under the same env config. With
-/// nothing set it covers the documented defaults. The strategy comes
-/// from `MORPHEUS_STRATEGY`, so both services share whatever mode the
-/// env picks — the comparison is coalescing-only by construction.
+/// The same fixture served through a builder-tuned config — a 100 µs
+/// window (the scorer's non-default timed-wait branch), at most 32 rows
+/// per batch and a 256-request queue — proving the tuned service still
+/// honors the coalescing contract: a pipelined burst (coalesced into
+/// batches) is bit-identical to the same requests scored one at a time
+/// under the same config. Both services use the default strategy, so the
+/// comparison is coalescing-only by construction.
 #[test]
-fn serve_smoke_env_config() {
+fn serve_smoke_tuned_config() {
     let (tn, w) = fixture();
-    let batched = ScoringService::new(
-        tn.clone(),
-        ScoringModel::Linear(w.clone()),
-        ServeConfig::from_env(),
-    );
-    let one_by_one = ScoringService::new(
-        tn,
-        ScoringModel::Linear(w),
-        ServeConfig::from_env().with_batch_max(1),
-    );
+    let mut cfg = ServeConfig::default()
+        .with_batch_window(Duration::from_micros(100))
+        .with_batch_max(32);
+    cfg.queue_cap = 256;
+    let batched = ScoringService::new(tn.clone(), ScoringModel::Linear(w.clone()), cfg.clone());
+    let one_by_one = ScoringService::new(tn, ScoringModel::Linear(w), cfg.with_batch_max(1));
     let requests: Vec<Vec<usize>> = (0..48usize)
         .map(|k| vec![(k * 13 + 5) % 64, (k * 29 + 1) % 64])
         .collect();
@@ -106,19 +99,19 @@ fn serve_smoke_env_config() {
         .map(|rows| {
             batched
                 .submit(rows.clone())
-                .expect("env-config submit failed")
+                .expect("tuned-config submit failed")
         })
         .collect();
     for (rows, ticket) in requests.iter().zip(tickets) {
-        let got = ticket.wait().expect("env-config request failed");
+        let got = ticket.wait().expect("tuned-config request failed");
         let reference = one_by_one
             .score(rows.clone())
-            .expect("env-config reference request failed");
+            .expect("tuned-config reference request failed");
         for (j, (&g, &e)) in got.iter().zip(&reference).enumerate() {
             assert_eq!(
                 common::bits(&[g]),
                 common::bits(&[e]),
-                "env-configured coalesced response differs from batch-size-1 at offset {j}"
+                "tuned coalesced response differs from batch-size-1 at offset {j}"
             );
         }
     }
