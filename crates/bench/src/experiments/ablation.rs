@@ -15,7 +15,7 @@ use crate::timing::time_median;
 use morpheus_core::cost::{estimate_dmm, estimate_op, OpKind};
 use morpheus_core::{DecisionRule, MachineProfile, Matrix, NormalizedMatrix};
 use morpheus_data::synth::PkFkSpec;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use std::hint::black_box;
 
 /// Cross-product: Algorithm 1 (naive) vs Algorithm 2 (efficient).
@@ -285,8 +285,8 @@ fn measure(op: OpKind, tn: &NormalizedMatrix, tm: &Matrix, reps: usize) -> (f64,
             (f, mt)
         }
         OpKind::Elementwise => {
-            let f = time_median(reps, || black_box(tn.scalar_mul(1.0001))).0;
-            let mt = time_median(reps, || black_box(tm.scalar_mul(1.0001))).0;
+            let f = time_median(reps, || black_box(tn.apply(ScalarOp::Mul(1.0001)))).0;
+            let mt = time_median(reps, || black_box(tm.apply(ScalarOp::Mul(1.0001)))).0;
             (f, mt)
         }
         OpKind::RowMin => {

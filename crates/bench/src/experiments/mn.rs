@@ -10,7 +10,7 @@ use super::{print_rows, Row};
 use crate::timing::time_median;
 use morpheus_core::{Matrix, NormalizedMatrix};
 use morpheus_data::synth::MnJoinSpec;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use std::hint::black_box;
 
 /// Operators measured in the M:N figures.
@@ -56,10 +56,10 @@ fn time_pair(op: MnOp, tn: &NormalizedMatrix, tm: &Matrix, reps: usize) -> (f64,
     let rmm_x = DenseMatrix::from_fn(2, n, |i, j| ((i * 3 + j) % 7) as f64 * 0.125);
     let run_f = |op: MnOp| match op {
         MnOp::ScalarAdd => {
-            black_box(tn.scalar_add(3.25));
+            black_box(tn.apply(ScalarOp::Add(3.25)));
         }
         MnOp::ScalarMul => {
-            black_box(tn.scalar_mul(3.25));
+            black_box(tn.apply(ScalarOp::Mul(3.25)));
         }
         MnOp::RowSums => {
             black_box(tn.row_sums());
@@ -82,10 +82,10 @@ fn time_pair(op: MnOp, tn: &NormalizedMatrix, tm: &Matrix, reps: usize) -> (f64,
     };
     let run_m = |op: MnOp| match op {
         MnOp::ScalarAdd => {
-            black_box(tm.scalar_add(3.25));
+            black_box(tm.apply(ScalarOp::Add(3.25)));
         }
         MnOp::ScalarMul => {
-            black_box(tm.scalar_mul(3.25));
+            black_box(tm.apply(ScalarOp::Mul(3.25)));
         }
         MnOp::RowSums => {
             black_box(Matrix::row_sums(tm));

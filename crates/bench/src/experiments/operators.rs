@@ -10,7 +10,7 @@ use super::{print_rows, speedup_bucket, Row};
 use crate::timing::time_median;
 use morpheus_core::{LinearOperand, Matrix, NormalizedMatrix};
 use morpheus_data::synth::PkFkSpec;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use std::hint::black_box;
 
 /// The operators measured by the PK-FK figures.
@@ -62,7 +62,7 @@ pub fn run_op<M: LinearOperand>(op: Op, t: &M, lmm_x: &DenseMatrix, rmm_x: &Dens
         Op::ScalarAdd => {
             // Via the trait's materialize-free path where available: scalar
             // add is a closure op on both representations.
-            black_box(t.scale(1.0).materialize().scalar_add(3.25));
+            black_box(t.scale(1.0).materialize().apply(ScalarOp::Add(3.25)));
         }
         Op::Lmm => {
             black_box(t.lmm(lmm_x));
@@ -98,19 +98,19 @@ fn time_op_pair(op: Op, tn: &NormalizedMatrix, tm: &Matrix, reps: usize) -> (f64
     let rmm_x = DenseMatrix::from_fn(2, n, |i, j| ((i * 3 + j) % 7) as f64 * 0.125);
     let (t_f, _) = time_median(reps, || match op {
         Op::ScalarAdd => {
-            black_box(tn.scalar_add(3.25));
+            black_box(tn.apply(ScalarOp::Add(3.25)));
         }
         Op::ScalarMul => {
-            black_box(tn.scalar_mul(3.25));
+            black_box(tn.apply(ScalarOp::Mul(3.25)));
         }
         _ => run_op(op, tn, &lmm_x, &rmm_x),
     });
     let (t_m, _) = time_median(reps, || match op {
         Op::ScalarAdd => {
-            black_box(tm.scalar_add(3.25));
+            black_box(tm.apply(ScalarOp::Add(3.25)));
         }
         Op::ScalarMul => {
-            black_box(tm.scalar_mul(3.25));
+            black_box(tm.apply(ScalarOp::Mul(3.25)));
         }
         _ => run_op(op, tm, &lmm_x, &rmm_x),
     });

@@ -15,7 +15,7 @@
 use crate::spill::{self, SpillFile};
 use crate::LinearOperand;
 use morpheus_core::{Matrix, NormalizedMatrix};
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use morpheus_linalg::ginv_sym_psd;
 use morpheus_runtime::Runtime;
 use std::borrow::Cow;
@@ -328,11 +328,11 @@ impl LinearOperand for ChunkedMatrix {
     }
 
     fn scale(&self, x: f64) -> Self {
-        self.derive(self.map_chunks(|c, _| c.scalar_mul(x)))
+        self.derive(self.map_chunks(|c, _| c.apply(ScalarOp::Mul(x))))
     }
 
     fn squared(&self) -> Self {
-        self.derive(self.map_chunks(|c, _| c.scalar_pow(2.0)))
+        self.derive(self.map_chunks(|c, _| c.apply(ScalarOp::Pow(2.0))))
     }
 
     fn ginv(&self) -> DenseMatrix {
@@ -396,11 +396,11 @@ mod tests {
         assert!(c
             .scale(2.5)
             .materialize()
-            .approx_eq(&m.scalar_mul(2.5), 1e-12));
+            .approx_eq(&m.apply(ScalarOp::Mul(2.5)), 1e-12));
         assert!(c
             .squared()
             .materialize()
-            .approx_eq(&m.scalar_pow(2.0), 1e-12));
+            .approx_eq(&m.apply(ScalarOp::Pow(2.0)), 1e-12));
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn dram_clamped(p: &MachineProfile) -> MachineProfile {
 mod tests {
     use super::*;
     use morpheus_core::{Decision, LinearOperand, PlannedMatrix, Strategy};
-    use morpheus_dense::DenseMatrix;
+    use morpheus_dense::{DenseMatrix, ScalarOp};
     use std::sync::{Arc, Mutex};
 
     fn pkfk(n_s: usize, d_s: usize, n_r: usize, d_r: usize) -> NormalizedMatrix {
@@ -292,11 +292,14 @@ mod tests {
         let f = PlannedChunkedMatrix::with_strategy(tn.clone(), 12, Strategy::AlwaysFactorize);
         let f2 = f.scale(2.0);
         assert!(f2.normalized().is_some());
-        assert!((LinearOperand::sum(&f2) - tn.scalar_mul(2.0).sum()).abs() < 1e-9);
+        assert!((LinearOperand::sum(&f2) - tn.apply(ScalarOp::Mul(2.0)).sum()).abs() < 1e-9);
         let m = PlannedChunkedMatrix::with_strategy(tn.clone(), 12, Strategy::AlwaysMaterialize);
         let m2 = m.squared();
         assert!(m2.normalized().is_none());
-        assert!((LinearOperand::sum(&m2) - tn.materialize().scalar_pow(2.0).sum()).abs() < 1e-9);
+        assert!(
+            (LinearOperand::sum(&m2) - tn.materialize().apply(ScalarOp::Pow(2.0)).sum()).abs()
+                < 1e-9
+        );
     }
 
     #[test]

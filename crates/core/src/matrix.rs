@@ -4,9 +4,10 @@
 //! (real normalized datasets use sparse one-hot feature matrices). `Matrix`
 //! dispatches every operator to the right kernel and picks the natural
 //! output representation: products involving a dense operand are dense,
-//! sparse×sparse stays sparse, and zero-breaking scalar maps densify.
+//! sparse×sparse stays sparse, and a scalar map densifies exactly when it
+//! does not send 0 to ±0.
 
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use morpheus_sparse::CsrMatrix;
 
 /// A regular (single-table) matrix: dense or CSR sparse.
@@ -106,77 +107,36 @@ impl Matrix {
     // Element-wise scalar operators (Table 1, first group)
     // ---------------------------------------------------------------
 
-    /// `T + x`. Densifies sparse input (adding to zeros breaks sparsity).
-    pub fn scalar_add(&self, x: f64) -> Matrix {
-        Matrix::Dense(self.to_dense().scalar_add(x))
+    /// `f(T)` for a scalar operator. A sparse table stays sparse exactly
+    /// when `f(0)` is `±0` (its implicit zeros keep reading `+0.0`);
+    /// otherwise `f` reaches the implicit zeros too and the result is
+    /// dense. `T * 2`, `T ^ 2` and `T ± 0` stay sparse; `T + 1`, `T / 0`,
+    /// `T * inf` and `exp(T)` densify.
+    pub fn apply(&self, op: ScalarOp) -> Matrix {
+        self.map_values(op.apply(0.0), |xs| op.apply_in_place(xs))
     }
 
-    /// `T - x`. Densifies sparse input.
-    pub fn scalar_sub(&self, x: f64) -> Matrix {
-        Matrix::Dense(self.to_dense().scalar_sub(x))
-    }
-
-    /// `x - T`. Densifies sparse input.
-    pub fn scalar_rsub(&self, x: f64) -> Matrix {
-        Matrix::Dense(self.to_dense().scalar_rsub(x))
-    }
-
-    /// `T * x`, sparsity-preserving.
-    pub fn scalar_mul(&self, x: f64) -> Matrix {
-        match self {
-            Matrix::Dense(m) => Matrix::Dense(m.scalar_mul(x)),
-            Matrix::Sparse(m) => Matrix::Sparse(m.scalar_mul(x)),
-        }
-    }
-
-    /// `T / x`, sparsity-preserving.
-    pub fn scalar_div(&self, x: f64) -> Matrix {
-        match self {
-            Matrix::Dense(m) => Matrix::Dense(m.scalar_div(x)),
-            Matrix::Sparse(m) => Matrix::Sparse(m.scalar_div(x)),
-        }
-    }
-
-    /// `x / T` element-wise. Densifies (division turns zeros into ±inf,
-    /// matching R's semantics).
-    pub fn scalar_rdiv(&self, x: f64) -> Matrix {
-        Matrix::Dense(self.to_dense().scalar_rdiv(x))
-    }
-
-    /// `T ^ x` element-wise; sparsity-preserving for `x > 0`.
-    pub fn scalar_pow(&self, x: f64) -> Matrix {
-        match self {
-            Matrix::Dense(m) => Matrix::Dense(m.scalar_pow(x)),
-            Matrix::Sparse(m) if x > 0.0 => Matrix::Sparse(m.scalar_pow(x)),
-            Matrix::Sparse(_) => Matrix::Dense(self.to_dense().scalar_pow(x)),
-        }
-    }
-
-    /// Applies a scalar function `f` to every entry (`f(T)`).
-    ///
-    /// If `f(0) == 0` the sparse structure is preserved; otherwise the
-    /// result is densified so the map is applied to the implicit zeros too.
+    /// Applies a scalar function `f` to every entry (`f(T)`), under the
+    /// sparsity rule of [`Matrix::apply`].
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
+        self.map_values(f(0.0), |xs| xs.iter_mut().for_each(|v| *v = f(*v)))
+    }
+
+    /// Copies `self`, sparse iff it is sparse and `zero_image` (the map's
+    /// value at 0) is `±0`, and runs `map` over the copy's values.
+    fn map_values(&self, zero_image: f64, map: impl FnOnce(&mut [f64])) -> Matrix {
         match self {
-            Matrix::Dense(m) => Matrix::Dense(m.map(f)),
-            Matrix::Sparse(m) => {
-                if f(0.0) == 0.0 {
-                    Matrix::Sparse(m.map_nnz(f))
-                } else {
-                    Matrix::Dense(m.to_dense().map(f))
-                }
+            Matrix::Sparse(m) if zero_image == 0.0 => {
+                let mut out = m.clone();
+                map(out.values_mut());
+                Matrix::Sparse(out)
+            }
+            _ => {
+                let mut out = self.to_dense();
+                map(out.as_mut_slice());
+                Matrix::Dense(out)
             }
         }
-    }
-
-    /// Element-wise exponential (`exp(T)`); densifies sparse input.
-    pub fn exp(&self) -> Matrix {
-        self.map(f64::exp)
-    }
-
-    /// Element-wise natural log; densifies sparse input (log 0 = −inf).
-    pub fn ln(&self) -> Matrix {
-        self.map(f64::ln)
     }
 
     // ---------------------------------------------------------------
@@ -449,6 +409,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalized::test_fixtures::same_values;
 
     fn dense() -> Matrix {
         Matrix::Dense(DenseMatrix::from_rows(&[
@@ -473,23 +434,74 @@ mod tests {
 
     #[test]
     fn scalar_ops_match_across_representations() {
-        let d = dense();
-        let s = sparse();
-        assert!(d.scalar_add(1.0).approx_eq(&s.scalar_add(1.0), 1e-15));
-        assert!(d.scalar_mul(2.0).approx_eq(&s.scalar_mul(2.0), 1e-15));
-        assert!(d.scalar_pow(2.0).approx_eq(&s.scalar_pow(2.0), 1e-15));
-        // Sparsity preserved only when safe.
-        assert!(s.scalar_mul(2.0).is_sparse());
-        assert!(s.scalar_pow(2.0).is_sparse());
-        assert!(!s.scalar_add(1.0).is_sparse());
-        assert!(!s.scalar_pow(-1.0).is_sparse());
+        use ScalarOp::*;
+        let (d, s) = (dense(), sparse());
+        let operands = [
+            1.0,
+            2.0,
+            0.0,
+            -2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut ops = vec![Exp, Ln, Sigmoid, Pow(0.0), Pow(-1.0), Pow(0.5)];
+        for c in operands {
+            ops.extend([
+                Add(c),
+                Sub(c),
+                RSub(c),
+                Mul(c),
+                Div(c),
+                RDiv(c),
+                Pow(c),
+                RPow(c),
+            ]);
+        }
+        for op in ops {
+            let (from_dense, from_sparse) = (d.apply(op), s.apply(op));
+            assert!(
+                same_values(&from_dense.to_dense(), &from_sparse.to_dense()),
+                "{op:?}: dense and sparse disagree"
+            );
+            assert!(!from_dense.is_sparse());
+            // The one rule: sparse stays sparse iff f(0) is ±0.
+            assert_eq!(from_sparse.is_sparse(), op.apply(0.0) == 0.0, "{op:?}");
+        }
+        // The rule's verdicts, spelled out.
+        let inf = f64::INFINITY;
+        for op in [
+            Mul(2.0),
+            Mul(-2.0),
+            Div(2.0),
+            Pow(2.0),
+            Add(0.0),
+            Sub(0.0),
+            RSub(0.0),
+        ] {
+            assert!(
+                s.apply(op).is_sparse(),
+                "{op:?} keeps a sparse table sparse"
+            );
+        }
+        for op in [
+            Add(1.0),
+            Div(0.0),
+            Mul(inf),
+            Mul(f64::NAN),
+            Pow(0.0),
+            Pow(-1.0),
+            Exp,
+        ] {
+            assert!(!s.apply(op).is_sparse(), "{op:?} densifies a sparse table");
+        }
     }
 
     #[test]
     fn map_densifies_only_when_needed() {
         let s = sparse();
         assert!(s.map(|v| v * 3.0).is_sparse());
-        let e = s.exp();
+        let e = s.apply(ScalarOp::Exp);
         assert!(!e.is_sparse());
         assert!((e.to_dense().get(1, 0) - 1.0).abs() < 1e-15); // exp(0) = 1
     }
@@ -498,10 +510,12 @@ mod tests {
     fn elementwise_binary_ops() {
         let d = dense();
         let s = sparse();
-        assert!(d.add(&s).approx_eq(&d.scalar_mul(2.0), 1e-15));
+        assert!(d.add(&s).approx_eq(&d.apply(ScalarOp::Mul(2.0)), 1e-15));
         assert!(s.add(&s).is_sparse());
         assert!(s.sub(&s).nnz() == 0);
-        assert!(d.mul_elem(&s).approx_eq(&d.scalar_pow(2.0), 1e-15));
+        assert!(d
+            .mul_elem(&s)
+            .approx_eq(&d.apply(ScalarOp::Pow(2.0)), 1e-15));
     }
 
     #[test]

@@ -101,6 +101,7 @@ impl NormalizedMatrix {
 #[cfg(test)]
 mod tests {
     use super::super::test_fixtures::*;
+    use morpheus_dense::ScalarOp;
 
     #[test]
     fn row_sums_match_materialized() {
@@ -156,8 +157,8 @@ mod tests {
     fn aggregation_composes_with_scalar_ops() {
         // rowSums(T^2): the K-Means pre-computation (Algorithm 7, step 1).
         let tn = figure2();
-        let f = tn.scalar_pow(2.0).row_sums();
-        let m = tn.materialize().scalar_pow(2.0).row_sums();
+        let f = tn.apply(ScalarOp::Pow(2.0)).row_sums();
+        let m = tn.materialize().apply(ScalarOp::Pow(2.0)).row_sums();
         assert!(f.approx_eq(&m, 1e-12));
     }
 }

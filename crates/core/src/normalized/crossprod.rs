@@ -168,6 +168,7 @@ impl NormalizedMatrix {
 #[cfg(test)]
 mod tests {
     use super::super::test_fixtures::*;
+    use morpheus_dense::ScalarOp;
 
     #[test]
     fn crossprod_matches_materialized() {
@@ -220,8 +221,8 @@ mod tests {
         // crossprod(2T) = 4 crossprod(T): scalar ops return normalized
         // matrices, so this chains without materialization.
         let tn = figure2();
-        let lhs = tn.scalar_mul(2.0).crossprod();
-        let rhs = tn.crossprod().scalar_mul(4.0);
+        let lhs = tn.apply(ScalarOp::Mul(2.0)).crossprod();
+        let rhs = tn.crossprod().apply(ScalarOp::Mul(4.0));
         assert!(lhs.approx_eq(&rhs, 1e-10));
     }
 }

@@ -481,6 +481,15 @@ pub(crate) mod test_fixtures {
         NormalizedMatrix::mn_join_on_keys(s.into(), &[7, 8, 7, 9], r.into(), &[7, 7, 8])
     }
 
+    /// Entry-wise equality where all NaNs are one value and `-0.0 ==
+    /// +0.0`: a sparse table's implicit zeros read `+0.0` where a dense
+    /// kernel may write `-0.0` (`0 * -2`).
+    pub fn same_values(a: &DenseMatrix, b: &DenseMatrix) -> bool {
+        a.shape() == b.shape()
+            && (a.as_slice().iter().zip(b.as_slice()))
+                .all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
+    }
+
     /// A sparse-table PK-FK join (both S and R sparse one-hot).
     pub fn sparse_pkfk() -> NormalizedMatrix {
         let s = CsrMatrix::from_triplets(

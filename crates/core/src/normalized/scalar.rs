@@ -14,13 +14,21 @@
 //! keep exploiting the factorized form (the paper's closure property).
 //! Transposed inputs use appendix A: `Tᵀ ⊘ x → (T ⊘ x)ᵀ`, i.e. the flag is
 //! simply carried through.
+//!
+//! The rule holds for every `f`, so there is one entry point,
+//! [`NormalizedMatrix::apply`], taking the operator as a [`ScalarOp`]
+//! value. Each base table applies it under [`Matrix::apply`]'s sparsity
+//! rule (a sparse table stays sparse exactly when `f(0)` is `±0`), so the
+//! factorized result equals the materialized one entry by entry, NaN and
+//! `±inf` cells of `T / 0` or `T * inf` included.
 
 use super::NormalizedMatrix;
 use crate::Matrix;
+use morpheus_dense::ScalarOp;
 
 impl NormalizedMatrix {
     /// The same structure over the base tables `f(Bᵢ)`, in part order.
-    pub(crate) fn map_tables(&self, mut f: impl FnMut(&Matrix) -> Matrix) -> NormalizedMatrix {
+    fn map_tables(&self, mut f: impl FnMut(&Matrix) -> Matrix) -> NormalizedMatrix {
         let parts = self
             .parts
             .iter()
@@ -36,128 +44,91 @@ impl NormalizedMatrix {
         }
     }
 
-    /// `T + x` (or `(T + x)ᵀ` under the transpose flag).
-    pub fn scalar_add(&self, x: f64) -> NormalizedMatrix {
-        self.map_tables(|t| t.scalar_add(x))
-    }
-
-    /// `T - x`.
-    pub fn scalar_sub(&self, x: f64) -> NormalizedMatrix {
-        self.map_tables(|t| t.scalar_sub(x))
-    }
-
-    /// `x - T`.
-    pub fn scalar_rsub(&self, x: f64) -> NormalizedMatrix {
-        self.map_tables(|t| t.scalar_rsub(x))
-    }
-
-    /// `T * x`.
-    pub fn scalar_mul(&self, x: f64) -> NormalizedMatrix {
-        self.map_tables(|t| t.scalar_mul(x))
-    }
-
-    /// `T / x`.
-    pub fn scalar_div(&self, x: f64) -> NormalizedMatrix {
-        self.map_tables(|t| t.scalar_div(x))
-    }
-
-    /// `x / T`.
-    pub fn scalar_rdiv(&self, x: f64) -> NormalizedMatrix {
-        self.map_tables(|t| t.scalar_rdiv(x))
-    }
-
-    /// `T ^ x` element-wise.
-    pub fn scalar_pow(&self, x: f64) -> NormalizedMatrix {
-        self.map_tables(|t| t.scalar_pow(x))
+    /// `f(T)` for a scalar operator (or `f(T)ᵀ` under the transpose
+    /// flag): `f` applied to every base table.
+    pub fn apply(&self, op: ScalarOp) -> NormalizedMatrix {
+        self.map_tables(|t| t.apply(op))
     }
 
     /// `f(T)` for an arbitrary scalar function.
     pub fn map(&self, f: impl Fn(f64) -> f64 + Copy) -> NormalizedMatrix {
         self.map_tables(|t| t.map(f))
     }
-
-    /// `exp(T)`.
-    pub fn exp(&self) -> NormalizedMatrix {
-        self.map(f64::exp)
-    }
-
-    /// `log(T)`.
-    pub fn ln(&self) -> NormalizedMatrix {
-        self.map(f64::ln)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_fixtures::*;
+    use crate::Matrix;
+    use morpheus_dense::ScalarOp::{self, *};
 
-    /// Each factorized scalar op must equal the materialized op applied to T.
-    macro_rules! check_scalar_op {
-        ($name:ident, $call:expr, $mat_call:expr) => {
-            #[test]
-            fn $name() {
-                for tn in [figure2(), star2(), mn(), sparse_pkfk()] {
-                    let f = $call(&tn).materialize().to_dense();
-                    let m = $mat_call(&tn.materialize()).to_dense();
+    /// Factorized `f(T)` equals `f` applied to the materialized `T`, both
+    /// as materialization stores it and as a dense matrix, for each op.
+    fn assert_factorized_matches(ops: &[ScalarOp]) {
+        for tn in [figure2(), star2(), mn(), sparse_pkfk()] {
+            let t = tn.materialize();
+            for &op in ops {
+                let f = tn.apply(op).materialize().to_dense();
+                for m in [t.clone(), Matrix::Dense(t.to_dense())] {
                     assert!(
-                        f.approx_eq(&m, 1e-12),
-                        "factorized/materialized mismatch in {}",
-                        stringify!($name)
+                        same_values(&f, &m.apply(op).to_dense()),
+                        "factorized/materialized mismatch for {op:?}"
                     );
                 }
             }
-        };
+        }
     }
 
-    check_scalar_op!(
-        add_matches,
-        |t: &crate::NormalizedMatrix| t.scalar_add(2.5),
-        |m: &crate::Matrix| m.scalar_add(2.5)
-    );
-    check_scalar_op!(
-        sub_matches,
-        |t: &crate::NormalizedMatrix| t.scalar_sub(1.5),
-        |m: &crate::Matrix| m.scalar_sub(1.5)
-    );
-    check_scalar_op!(
-        rsub_matches,
-        |t: &crate::NormalizedMatrix| t.scalar_rsub(3.0),
-        |m: &crate::Matrix| m.scalar_rsub(3.0)
-    );
-    check_scalar_op!(
-        mul_matches,
-        |t: &crate::NormalizedMatrix| t.scalar_mul(3.0),
-        |m: &crate::Matrix| m.scalar_mul(3.0)
-    );
-    check_scalar_op!(
-        div_matches,
-        |t: &crate::NormalizedMatrix| t.scalar_div(4.0),
-        |m: &crate::Matrix| m.scalar_div(4.0)
-    );
-    check_scalar_op!(
-        pow_matches,
-        |t: &crate::NormalizedMatrix| t.scalar_pow(2.0),
-        |m: &crate::Matrix| m.scalar_pow(2.0)
-    );
-    check_scalar_op!(
-        exp_matches,
-        |t: &crate::NormalizedMatrix| t.exp(),
-        |m: &crate::Matrix| m.exp()
-    );
+    #[test]
+    fn add_matches() {
+        assert_factorized_matches(&[Add(2.5)]);
+    }
+
+    #[test]
+    fn sub_matches() {
+        assert_factorized_matches(&[Sub(1.5)]);
+    }
+
+    #[test]
+    fn rsub_matches() {
+        assert_factorized_matches(&[RSub(3.0)]);
+    }
+
+    #[test]
+    fn mul_matches() {
+        // `* inf` turns the implicit zeros of sparse tables into NaN.
+        assert_factorized_matches(&[Mul(3.0), Mul(f64::INFINITY)]);
+    }
+
+    #[test]
+    fn div_matches() {
+        // `/ 0` turns the implicit zeros of sparse tables into NaN.
+        assert_factorized_matches(&[Div(4.0), Div(0.0)]);
+    }
+
+    #[test]
+    fn pow_matches() {
+        assert_factorized_matches(&[Pow(2.0)]);
+    }
+
+    #[test]
+    fn exp_matches() {
+        assert_factorized_matches(&[Exp]);
+    }
 
     #[test]
     fn rdiv_matches_on_nonzero_data() {
         // x / T produces infinities on zero entries; use the all-nonzero fixture.
         let tn = figure2();
-        let f = tn.scalar_rdiv(2.0).materialize().to_dense();
-        let m = tn.materialize().scalar_rdiv(2.0).to_dense();
+        let f = tn.apply(RDiv(2.0)).materialize().to_dense();
+        let m = tn.materialize().apply(RDiv(2.0)).to_dense();
         assert!(f.approx_eq(&m, 1e-12));
     }
 
     #[test]
     fn output_is_still_normalized() {
         let tn = figure2();
-        let out = tn.scalar_mul(2.0);
+        let out = tn.apply(Mul(2.0));
         assert_eq!(out.parts().len(), 2);
         assert_eq!(out.shape(), tn.shape());
     }
@@ -165,9 +136,9 @@ mod tests {
     #[test]
     fn transposed_scalar_op_carries_flag() {
         let tn = figure2().transpose();
-        let out = tn.scalar_add(1.0);
+        let out = tn.apply(Add(1.0));
         assert!(out.is_transposed());
-        let expected = tn.materialize().scalar_add(1.0).to_dense();
+        let expected = tn.materialize().apply(Add(1.0)).to_dense();
         assert!(out.materialize().to_dense().approx_eq(&expected, 1e-12));
     }
 
@@ -183,12 +154,9 @@ mod tests {
     fn chained_scalar_ops_stay_factorized() {
         // (2T + 1)^2 entirely in normalized land.
         let tn = figure2();
-        let chained = tn.scalar_mul(2.0).scalar_add(1.0).scalar_pow(2.0);
-        let expected = tn
-            .materialize()
-            .scalar_mul(2.0)
-            .scalar_add(1.0)
-            .scalar_pow(2.0);
+        let chain = [Mul(2.0), Add(1.0), Pow(2.0)];
+        let chained = chain.iter().fold(tn.clone(), |t, &op| t.apply(op));
+        let expected = chain.iter().fold(tn.materialize(), |m, &op| m.apply(op));
         assert!(chained
             .materialize()
             .to_dense()

@@ -16,7 +16,7 @@
 //! without a line changing — the paper's generality and closure desiderata.
 
 use crate::Matrix;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use morpheus_linalg::{ginv_sym, ginv_sym_psd};
 
 /// The operator set of Table 1, as consumed by LA-written ML algorithms.
@@ -125,11 +125,11 @@ impl LinearOperand for Matrix {
     }
 
     fn scale(&self, x: f64) -> Self {
-        self.scalar_mul(x)
+        self.apply(ScalarOp::Mul(x))
     }
 
     fn squared(&self) -> Self {
-        self.scalar_pow(2.0)
+        self.apply(ScalarOp::Pow(2.0))
     }
 
     fn ginv(&self) -> DenseMatrix {
@@ -207,11 +207,11 @@ impl LinearOperand for crate::NormalizedMatrix {
     }
 
     fn scale(&self, x: f64) -> Self {
-        self.scalar_mul(x)
+        self.apply(ScalarOp::Mul(x))
     }
 
     fn squared(&self) -> Self {
-        self.scalar_pow(2.0)
+        self.apply(ScalarOp::Pow(2.0))
     }
 
     fn ginv(&self) -> DenseMatrix {
@@ -252,6 +252,17 @@ mod tests {
             (f - m).abs() <= 1e-9 * m.abs().max(1.0),
             "trait-generic result differs: {f} vs {m}"
         );
+        // `scale(inf)` makes every zero NaN, sparse tables' implicit zeros
+        // included, however `T` is stored.
+        let inf = f64::INFINITY;
+        for tn in [tn, crate::normalized::test_fixtures::sparse_pkfk()] {
+            let t = tn.materialize();
+            let f = tn.scale(inf).sum();
+            for m in [t.clone(), Matrix::Dense(t.to_dense())] {
+                let m = m.scale(inf).sum();
+                assert!(f == m || f.is_nan() && m.is_nan(), "scale(inf): {f} vs {m}");
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::cost::{estimate_op, OpKind, PlanEstimate};
 use crate::{DecisionRule, LinearOperand, MachineProfile, Matrix, NormalizedMatrix};
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use std::sync::{Arc, OnceLock};
 
 /// How a [`Planned`] matrix routes each operator.
@@ -438,82 +438,9 @@ impl Planned<Matrix> {
     // scripting layer
     // ------------------------------------------------------------------
 
-    /// `T + x` element-wise (closure operator).
-    pub fn scalar_add(&self, x: f64) -> PlannedMatrix {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_add(x),
-            |m| m.scalar_add(x),
-        )
-    }
-
-    /// `T - x` element-wise.
-    pub fn scalar_sub(&self, x: f64) -> PlannedMatrix {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_sub(x),
-            |m| m.scalar_sub(x),
-        )
-    }
-
-    /// `x - T` element-wise.
-    pub fn scalar_rsub(&self, x: f64) -> PlannedMatrix {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_rsub(x),
-            |m| m.scalar_rsub(x),
-        )
-    }
-
-    /// `T * x` element-wise.
-    pub fn scalar_mul(&self, x: f64) -> PlannedMatrix {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_mul(x),
-            |m| m.scalar_mul(x),
-        )
-    }
-
-    /// `T / x` element-wise.
-    pub fn scalar_div(&self, x: f64) -> PlannedMatrix {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_div(x),
-            |m| m.scalar_div(x),
-        )
-    }
-
-    /// `x / T` element-wise.
-    pub fn scalar_rdiv(&self, x: f64) -> PlannedMatrix {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_rdiv(x),
-            |m| m.scalar_rdiv(x),
-        )
-    }
-
-    /// `T ^ x` element-wise.
-    pub fn scalar_pow(&self, x: f64) -> PlannedMatrix {
-        self.run_closure(
-            OpKind::Elementwise,
-            |t| t.scalar_pow(x),
-            |m| m.scalar_pow(x),
-        )
-    }
-
-    /// Element-wise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64 + Copy) -> PlannedMatrix {
-        self.run_closure(OpKind::Elementwise, |t| t.map(f), |m| m.map(f))
-    }
-
-    /// `exp(T)` element-wise.
-    pub fn exp(&self) -> PlannedMatrix {
-        self.run_closure(OpKind::Elementwise, NormalizedMatrix::exp, Matrix::exp)
-    }
-
-    /// `ln(T)` element-wise.
-    pub fn ln(&self) -> PlannedMatrix {
-        self.run_closure(OpKind::Elementwise, NormalizedMatrix::ln, Matrix::ln)
+    /// `f(T)` for a scalar operator `f` (closure operator, §3.3.1).
+    pub fn apply(&self, op: ScalarOp) -> PlannedMatrix {
+        self.run_closure(OpKind::Elementwise, |t| t.apply(op), |m| m.apply(op))
     }
 
     /// Transpose. Free on the normalized form (flag flip, §3.2), a copy on
@@ -548,41 +475,12 @@ impl Planned<Matrix> {
         )
     }
 
-    /// `T + X` for a same-shape regular matrix — the non-factorizable
-    /// element-wise fallback of §3.3.7.
-    pub fn add_matrix(&self, x: &Matrix) -> Matrix {
-        self.run(
-            OpKind::ElementwiseFallback,
-            |t| t.add_matrix(x),
-            |m| m.add(x),
-        )
-    }
-
-    /// `T - X` (§3.3.7 fallback).
-    pub fn sub_matrix(&self, x: &Matrix) -> Matrix {
-        self.run(
-            OpKind::ElementwiseFallback,
-            |t| t.sub_matrix(x),
-            |m| m.sub(x),
-        )
-    }
-
-    /// `T * X` element-wise (§3.3.7 fallback).
-    pub fn mul_elem_matrix(&self, x: &Matrix) -> Matrix {
-        self.run(
-            OpKind::ElementwiseFallback,
-            |t| t.mul_elem_matrix(x),
-            |m| m.mul_elem(x),
-        )
-    }
-
-    /// `T / X` element-wise (§3.3.7 fallback).
-    pub fn div_elem_matrix(&self, x: &Matrix) -> Matrix {
-        self.run(
-            OpKind::ElementwiseFallback,
-            |t| t.div_elem_matrix(x),
-            |m| m.div_elem(x),
-        )
+    /// `f(T)` for a function of the whole materialized `T`, such as
+    /// `T ⊘ X` for a same-shape regular matrix `X`: the non-factorizable
+    /// element-wise fallback of §3.3.7. Both routes run `f` on the join;
+    /// the route only decides whether the join is memoized.
+    pub fn elementwise_fallback<R>(&self, f: impl Fn(&Matrix) -> R) -> R {
+        self.run(OpKind::ElementwiseFallback, |t| f(&t.materialize()), &f)
     }
 
     /// Double matrix multiplication `T₁ T₂` (appendix C). The factorized
@@ -699,11 +597,19 @@ impl<S: Store> LinearOperand for Planned<S> {
     }
 
     fn scale(&self, x: f64) -> Self {
-        self.run_closure(OpKind::Elementwise, |t| t.scalar_mul(x), |m| m.scale(x))
+        self.run_closure(
+            OpKind::Elementwise,
+            |t| t.apply(ScalarOp::Mul(x)),
+            |m| m.scale(x),
+        )
     }
 
     fn squared(&self) -> Self {
-        self.run_closure(OpKind::Elementwise, |t| t.scalar_pow(2.0), S::squared)
+        self.run_closure(
+            OpKind::Elementwise,
+            |t| t.apply(ScalarOp::Pow(2.0)),
+            S::squared,
+        )
     }
 
     fn ginv(&self) -> DenseMatrix {
@@ -791,7 +697,7 @@ mod tests {
         let x = Matrix::Dense(DenseMatrix::from_fn(tn.rows(), tn.cols(), |i, j| {
             ((i * 13 + j * 7) % 11) as f64
         }));
-        let ew = planned.add_matrix(&x);
+        let ew = planned.elementwise_fallback(|t| t.add(&x));
 
         let decisions = log.lock().unwrap().clone();
         assert_eq!(decisions.len(), 2);
@@ -816,9 +722,9 @@ mod tests {
         let tn = pkfk(60, 3, 12, 3);
         let (planned, log) = logged(tn, Strategy::CostBased);
         let x = Matrix::Dense(DenseMatrix::from_fn(60, 6, |i, j| (i + j) as f64));
-        let _ = planned.add_matrix(&x);
+        let _ = planned.elementwise_fallback(|t| t.add(&x));
         assert!(planned.is_memoized());
-        let _ = planned.add_matrix(&x);
+        let _ = planned.elementwise_fallback(|t| t.add(&x));
         let decisions = log.lock().unwrap().clone();
         // Second decision no longer charges materialization.
         assert!(decisions[1].materialized_ns < decisions[0].materialized_ns);
@@ -848,13 +754,13 @@ mod tests {
         let f = PlannedMatrix::with_strategy(tn.clone(), Strategy::AlwaysFactorize);
         let f2 = f.scale(2.0);
         assert!(f2.normalized().is_some());
-        assert_eq!(f2.sum(), tn.scalar_mul(2.0).sum());
+        assert_eq!(f2.sum(), tn.apply(ScalarOp::Mul(2.0)).sum());
         // Materialized closure: the opportunity is spent.
         let m = PlannedMatrix::with_strategy(tn.clone(), Strategy::AlwaysMaterialize);
         let m2 = m.squared();
         assert!(m2.normalized().is_none());
         assert!(m2.is_memoized());
-        assert_eq!(m2.sum(), tn.materialize().scalar_pow(2.0).sum());
+        assert_eq!(m2.sum(), tn.materialize().apply(ScalarOp::Pow(2.0)).sum());
         // Chained ops on a spent representation keep running materialized.
         assert_eq!(m2.scale(0.5).sum(), m2.sum() * 0.5);
     }
@@ -897,8 +803,8 @@ mod tests {
         let fact = pa.dmm(&pb);
         assert!(fact.approx_eq(&a.dmm(&b), 0.0));
         // One side spent → materialized multiply.
-        let pb_mat =
-            PlannedMatrix::with_strategy(b.clone(), Strategy::AlwaysMaterialize).scalar_mul(1.0);
+        let pb_mat = PlannedMatrix::with_strategy(b.clone(), Strategy::AlwaysMaterialize)
+            .apply(ScalarOp::Mul(1.0));
         assert!(pb_mat.normalized().is_none());
         let mixed = pa.dmm(&pb_mat);
         assert!(mixed.approx_eq(&a.materialize().matmul(&b.materialize()), 1e-12));

@@ -32,7 +32,7 @@
 //!    that need deterministic estimates and by the calibration watchdog
 //!    when calibration cannot finish.
 
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use morpheus_runtime::{faults, timing};
 use morpheus_sparse::CsrMatrix;
 use std::sync::OnceLock;
@@ -246,7 +246,7 @@ impl MachineProfile {
         // read + one write per element).
         let m = DenseMatrix::from_fn(256, 256, |i, j| ((i ^ j) % 17) as f64 * 0.11 - 0.9);
         let ew_ns = timing::measure_ns_per_op(5, 256 * 256, || {
-            std::hint::black_box(m.scalar_mul(1.0001));
+            std::hint::black_box(m.apply(ScalarOp::Mul(1.0001)));
         });
 
         // Reduction rates, one per kernel class, over a table-shaped

@@ -1,101 +1,132 @@
 //! Element-wise arithmetic: scalar ops, matrix-matrix ops, and scalar maps.
 //!
 //! These are the "Element-wise Scalar Op" and "Element-wise Matrix Op" rows of
-//! Table 1 in the paper, implemented for regular dense matrices.
+//! Table 1 in the paper, implemented for regular dense matrices. A scalar op
+//! is a [`ScalarOp`] value, so every layer above (sparse tables, normalized
+//! matrices, the planner, the script language) applies the same function.
 
 use crate::DenseMatrix;
 
-macro_rules! scalar_op {
-    ($(#[$doc:meta])* $name:ident, $op:tt) => {
-        $(#[$doc])*
-        pub fn $name(&self, x: f64) -> DenseMatrix {
-            let mut out = self.clone();
-            for v in out.as_mut_slice() {
-                // The generic `$op` cannot be spelled as a compound
-                // assignment, hence the allow.
-                #[allow(clippy::assign_op_pattern)]
-                {
-                    *v = *v $op x;
-                }
-            }
-            out
-        }
-    };
+/// One element-wise scalar operator `f`, the `f` of the paper's rewrite
+/// `f(T) → (f(S), K, f(R))` (§3.3.1).
+///
+/// [`ScalarOp::apply`] is the one definition of each operator's value;
+/// every matrix kind applies it. Equality and hashing compare the
+/// operand's bit pattern, so `Mul(NaN) == Mul(NaN)` and
+/// `Mul(0.0) != Mul(-0.0)`.
+#[derive(Debug, Clone, Copy)]
+pub enum ScalarOp {
+    /// `t + c`.
+    Add(f64),
+    /// `t - c`.
+    Sub(f64),
+    /// `c - t`.
+    RSub(f64),
+    /// `t * c`.
+    Mul(f64),
+    /// `t / c`.
+    Div(f64),
+    /// `c / t`.
+    RDiv(f64),
+    /// `t ^ c`.
+    Pow(f64),
+    /// `c ^ t`.
+    RPow(f64),
+    /// `exp(t)`.
+    Exp,
+    /// `log(t)`, the natural logarithm.
+    Ln,
+    /// `1 / (1 + exp(-t))`, the logistic-regression link.
+    Sigmoid,
 }
 
-macro_rules! elementwise_op {
-    ($(#[$doc:meta])* $name:ident, $op:tt) => {
-        $(#[$doc])*
-        ///
-        /// # Panics
-        /// Panics if the shapes differ.
-        pub fn $name(&self, other: &DenseMatrix) -> DenseMatrix {
-            assert_eq!(
-                self.shape(),
-                other.shape(),
-                concat!("DenseMatrix::", stringify!($name), ": shape mismatch")
-            );
-            let mut out = self.clone();
-            for (v, &o) in out.as_mut_slice().iter_mut().zip(other.as_slice()) {
-                #[allow(clippy::assign_op_pattern)]
-                {
-                    *v = *v $op o;
-                }
-            }
-            out
+impl ScalarOp {
+    /// `f(x)` for one entry.
+    #[inline]
+    pub fn apply(self, x: f64) -> f64 {
+        match self {
+            ScalarOp::Add(c) => x + c,
+            ScalarOp::Sub(c) => x - c,
+            ScalarOp::RSub(c) => c - x,
+            ScalarOp::Mul(c) => x * c,
+            ScalarOp::Div(c) => x / c,
+            ScalarOp::RDiv(c) => c / x,
+            // One multiply is markedly faster than `powf` for the
+            // ubiquitous square.
+            ScalarOp::Pow(2.0) => x * x,
+            ScalarOp::Pow(c) => x.powf(c),
+            ScalarOp::RPow(c) => c.powf(x),
+            ScalarOp::Exp => x.exp(),
+            ScalarOp::Ln => x.ln(),
+            ScalarOp::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         }
-    };
+    }
+
+    /// Overwrites every entry of `xs` with `f(x)`, bit-identical to
+    /// [`ScalarOp::apply`] per entry. The operator is matched once per
+    /// call, not per entry, so each arm is its own straight loop.
+    pub fn apply_in_place(self, xs: &mut [f64]) {
+        fn each(xs: &mut [f64], f: impl Fn(f64) -> f64) {
+            for v in xs {
+                *v = f(*v);
+            }
+        }
+        use ScalarOp::*;
+        match self {
+            Add(c) => each(xs, |x| Add(c).apply(x)),
+            Sub(c) => each(xs, |x| Sub(c).apply(x)),
+            RSub(c) => each(xs, |x| RSub(c).apply(x)),
+            Mul(c) => each(xs, |x| Mul(c).apply(x)),
+            Div(c) => each(xs, |x| Div(c).apply(x)),
+            RDiv(c) => each(xs, |x| RDiv(c).apply(x)),
+            // The square gets its own loop, so its multiply is not behind
+            // a per-entry test of the exponent.
+            Pow(2.0) => each(xs, |x| Pow(2.0).apply(x)),
+            Pow(c) => each(xs, |x| Pow(c).apply(x)),
+            RPow(c) => each(xs, |x| RPow(c).apply(x)),
+            Exp => each(xs, |x| Exp.apply(x)),
+            Ln => each(xs, |x| Ln.apply(x)),
+            Sigmoid => each(xs, |x| Sigmoid.apply(x)),
+        }
+    }
+
+    /// Variant tag and operand bits: the identity `Eq` and `Hash` use.
+    fn key(self) -> (u8, u64) {
+        match self {
+            ScalarOp::Add(c) => (0, c.to_bits()),
+            ScalarOp::Sub(c) => (1, c.to_bits()),
+            ScalarOp::RSub(c) => (2, c.to_bits()),
+            ScalarOp::Mul(c) => (3, c.to_bits()),
+            ScalarOp::Div(c) => (4, c.to_bits()),
+            ScalarOp::RDiv(c) => (5, c.to_bits()),
+            ScalarOp::Pow(c) => (6, c.to_bits()),
+            ScalarOp::RPow(c) => (7, c.to_bits()),
+            ScalarOp::Exp => (8, 0),
+            ScalarOp::Ln => (9, 0),
+            ScalarOp::Sigmoid => (10, 0),
+        }
+    }
+}
+
+impl PartialEq for ScalarOp {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for ScalarOp {}
+
+impl std::hash::Hash for ScalarOp {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
 }
 
 impl DenseMatrix {
-    scalar_op!(
-        /// Adds the scalar `x` to every entry (`T + x`).
-        scalar_add, +
-    );
-    scalar_op!(
-        /// Subtracts the scalar `x` from every entry (`T - x`).
-        scalar_sub, -
-    );
-    scalar_op!(
-        /// Multiplies every entry by the scalar `x` (`T * x`).
-        scalar_mul, *
-    );
-    scalar_op!(
-        /// Divides every entry by the scalar `x` (`T / x`).
-        scalar_div, /
-    );
-
-    /// Computes `x - T` entry-wise (scalar on the left of a non-commutative op).
-    pub fn scalar_rsub(&self, x: f64) -> DenseMatrix {
+    /// `f(T)`: the scalar operator applied to every entry.
+    pub fn apply(&self, op: ScalarOp) -> DenseMatrix {
         let mut out = self.clone();
-        for v in out.as_mut_slice() {
-            *v = x - *v;
-        }
-        out
-    }
-
-    /// Computes `x / T` entry-wise.
-    pub fn scalar_rdiv(&self, x: f64) -> DenseMatrix {
-        let mut out = self.clone();
-        for v in out.as_mut_slice() {
-            *v = x / *v;
-        }
-        out
-    }
-
-    /// Raises every entry to the power `x` (`T ^ x`, element-wise).
-    pub fn scalar_pow(&self, x: f64) -> DenseMatrix {
-        // `powi` is markedly faster for the ubiquitous square.
-        let mut out = self.clone();
-        if x == 2.0 {
-            for v in out.as_mut_slice() {
-                *v = *v * *v;
-            }
-        } else {
-            for v in out.as_mut_slice() {
-                *v = v.powf(x);
-            }
-        }
+        op.apply_in_place(out.as_mut_slice());
         out
     }
 
@@ -115,37 +146,55 @@ impl DenseMatrix {
         }
     }
 
-    /// Element-wise natural exponential (`exp(T)`).
-    pub fn exp(&self) -> DenseMatrix {
-        self.map(f64::exp)
+    /// `f(T, X)` entry by entry, for a same-shape `X`: the element-wise
+    /// matrix ⊘ matrix operators.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn zip_map(&self, other: &DenseMatrix, f: impl Fn(f64, f64) -> f64) -> DenseMatrix {
+        assert_eq!(
+            self.shape(),
+            other.shape(),
+            "DenseMatrix::zip_map: shape mismatch"
+        );
+        let mut out = self.clone();
+        for (v, &o) in out.as_mut_slice().iter_mut().zip(other.as_slice()) {
+            *v = f(*v, o);
+        }
+        out
     }
 
-    /// Element-wise natural logarithm (`log(T)`).
-    pub fn ln(&self) -> DenseMatrix {
-        self.map(f64::ln)
+    /// Element-wise sum `T + X`.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn add(&self, other: &DenseMatrix) -> DenseMatrix {
+        self.zip_map(other, |a, b| a + b)
     }
 
-    /// Element-wise sigmoid `1 / (1 + exp(-t))`, the logistic-regression link.
-    pub fn sigmoid(&self) -> DenseMatrix {
-        self.map(|t| 1.0 / (1.0 + (-t).exp()))
+    /// Element-wise difference `T - X`.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn sub(&self, other: &DenseMatrix) -> DenseMatrix {
+        self.zip_map(other, |a, b| a - b)
     }
 
-    elementwise_op!(
-        /// Element-wise sum `T + X`.
-        add, +
-    );
-    elementwise_op!(
-        /// Element-wise difference `T - X`.
-        sub, -
-    );
-    elementwise_op!(
-        /// Element-wise (Hadamard) product `T * X`.
-        mul_elem, *
-    );
-    elementwise_op!(
-        /// Element-wise quotient `T / X`.
-        div_elem, /
-    );
+    /// Element-wise (Hadamard) product `T * X`.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn mul_elem(&self, other: &DenseMatrix) -> DenseMatrix {
+        self.zip_map(other, |a, b| a * b)
+    }
+
+    /// Element-wise quotient `T / X`.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn div_elem(&self, other: &DenseMatrix) -> DenseMatrix {
+        self.zip_map(other, |a, b| a / b)
+    }
 
     /// In-place element-wise sum.
     ///
@@ -193,12 +242,7 @@ impl DenseMatrix {
     /// # Panics
     /// Panics if the shapes differ.
     pub fn eq_indicator(&self, other: &DenseMatrix, tol: f64) -> DenseMatrix {
-        assert_eq!(self.shape(), other.shape(), "eq_indicator: shape mismatch");
-        let mut out = self.clone();
-        for (v, &o) in out.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *v = if (*v - o).abs() <= tol { 1.0 } else { 0.0 };
-        }
-        out
+        self.zip_map(other, |v, o| if (v - o).abs() <= tol { 1.0 } else { 0.0 })
     }
 }
 
@@ -213,28 +257,50 @@ mod tests {
     #[test]
     fn scalar_ops() {
         let m = sample();
-        assert_eq!(m.scalar_add(1.0).as_slice(), &[2.0, -1.0, 4.0, 5.0]);
-        assert_eq!(m.scalar_sub(1.0).as_slice(), &[0.0, -3.0, 2.0, 3.0]);
-        assert_eq!(m.scalar_mul(2.0).as_slice(), &[2.0, -4.0, 6.0, 8.0]);
-        assert_eq!(m.scalar_div(2.0).as_slice(), &[0.5, -1.0, 1.5, 2.0]);
-        assert_eq!(m.scalar_rsub(0.0).as_slice(), &[-1.0, 2.0, -3.0, -4.0]);
-        assert_eq!(m.scalar_rdiv(12.0).get(1, 0), 4.0);
+        let apply = |op| m.apply(op);
+        assert_eq!(apply(ScalarOp::Add(1.0)).as_slice(), &[2.0, -1.0, 4.0, 5.0]);
+        assert_eq!(apply(ScalarOp::Sub(1.0)).as_slice(), &[0.0, -3.0, 2.0, 3.0]);
+        assert_eq!(apply(ScalarOp::Mul(2.0)).as_slice(), &[2.0, -4.0, 6.0, 8.0]);
+        assert_eq!(apply(ScalarOp::Div(2.0)).as_slice(), &[0.5, -1.0, 1.5, 2.0]);
+        assert_eq!(
+            apply(ScalarOp::RSub(0.0)).as_slice(),
+            &[-1.0, 2.0, -3.0, -4.0]
+        );
+        assert_eq!(apply(ScalarOp::RDiv(12.0)).get(1, 0), 4.0);
+        assert_eq!(
+            apply(ScalarOp::RPow(2.0)).as_slice(),
+            &[2.0, 0.25, 8.0, 16.0]
+        );
+        // An op's identity is its variant and operand bits.
+        assert_eq!(ScalarOp::Mul(f64::NAN), ScalarOp::Mul(f64::NAN));
+        assert_ne!(ScalarOp::Mul(0.0), ScalarOp::Mul(-0.0));
+        assert_ne!(ScalarOp::Pow(2.0), ScalarOp::RPow(2.0));
+        let set: std::collections::HashSet<_> = [ScalarOp::Exp, ScalarOp::Exp].into();
+        assert_eq!(set.len(), 1);
     }
 
     #[test]
     fn pow_and_square() {
         let m = sample();
-        assert_eq!(m.scalar_pow(2.0).as_slice(), &[1.0, 4.0, 9.0, 16.0]);
-        let cubed = m.scalar_pow(3.0);
+        assert_eq!(
+            m.apply(ScalarOp::Pow(2.0)).as_slice(),
+            &[1.0, 4.0, 9.0, 16.0]
+        );
+        let cubed = m.apply(ScalarOp::Pow(3.0));
         assert!((cubed.get(1, 1) - 64.0).abs() < 1e-12);
     }
 
     #[test]
     fn scalar_functions() {
         let m = DenseMatrix::from_rows(&[&[0.0, 1.0]]);
-        assert!((m.exp().get(0, 1) - std::f64::consts::E).abs() < 1e-12);
-        assert!((m.exp().ln().get(0, 1) - 1.0).abs() < 1e-12);
-        assert!((m.sigmoid().get(0, 0) - 0.5).abs() < 1e-12);
+        let e = m.apply(ScalarOp::Exp);
+        assert!((e.get(0, 1) - std::f64::consts::E).abs() < 1e-12);
+        assert!((e.apply(ScalarOp::Ln).get(0, 1) - 1.0).abs() < 1e-12);
+        assert!((m.apply(ScalarOp::Sigmoid).get(0, 0) - 0.5).abs() < 1e-12);
+        // The slice kernel and the per-entry value agree bit for bit.
+        let mut xs = [0.5, -3.0, 7.25];
+        ScalarOp::Sigmoid.apply_in_place(&mut xs);
+        assert_eq!(xs[1].to_bits(), ScalarOp::Sigmoid.apply(-3.0).to_bits());
     }
 
     #[test]

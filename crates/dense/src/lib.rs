@@ -34,6 +34,7 @@ pub mod simd;
 mod slicing;
 mod vecops;
 
+pub use arith::ScalarOp;
 pub use error::{DenseError, Result};
 pub use matmul::tall_block_rows;
 pub use matrix::DenseMatrix;

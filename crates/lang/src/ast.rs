@@ -1,5 +1,7 @@
 //! The abstract syntax tree for the R-like LA subset.
 
+use morpheus_dense::ScalarOp;
+
 /// Element-wise / matrix binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
@@ -17,6 +19,43 @@ pub enum BinOp {
     MatMul,
     /// `==` (element-wise equality indicator, like R).
     Eq,
+}
+
+impl BinOp {
+    /// `a op b` on two scalars: `^` is always `powf`, squares included.
+    pub(crate) fn on_scalars(self, a: f64, b: f64) -> f64 {
+        match self {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul | BinOp::MatMul => a * b,
+            BinOp::Div => a / b,
+            BinOp::Pow => a.powf(b),
+            BinOp::Eq => {
+                if a == b {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+        }
+    }
+
+    /// The element-wise operator `T op c` (`scalar_left == false`) or
+    /// `c op T` is. `%*%` with a scalar recycles to `*`, as in R. `==` has
+    /// none: its matrix form is an indicator, not a scalar map.
+    pub(crate) fn with_scalar(self, c: f64, scalar_left: bool) -> Option<ScalarOp> {
+        Some(match (self, scalar_left) {
+            (BinOp::Add, _) => ScalarOp::Add(c),
+            (BinOp::Sub, false) => ScalarOp::Sub(c),
+            (BinOp::Sub, true) => ScalarOp::RSub(c),
+            (BinOp::Mul | BinOp::MatMul, _) => ScalarOp::Mul(c),
+            (BinOp::Div, false) => ScalarOp::Div(c),
+            (BinOp::Div, true) => ScalarOp::RDiv(c),
+            (BinOp::Pow, false) => ScalarOp::Pow(c),
+            (BinOp::Pow, true) => ScalarOp::RPow(c),
+            (BinOp::Eq, _) => return None,
+        })
+    }
 }
 
 /// Built-in unary LA functions.
@@ -66,6 +105,16 @@ impl UnaryFn {
             "materialize" => UnaryFn::Materialize,
             _ => return None,
         })
+    }
+
+    /// The element-wise operator of `exp`, `log` and `sigmoid`.
+    pub(crate) fn scalar_op(self) -> Option<ScalarOp> {
+        match self {
+            UnaryFn::Exp => Some(ScalarOp::Exp),
+            UnaryFn::Log => Some(ScalarOp::Ln),
+            UnaryFn::Sigmoid => Some(ScalarOp::Sigmoid),
+            _ => None,
+        }
     }
 
     /// The surface name.

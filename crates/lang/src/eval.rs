@@ -19,7 +19,7 @@
 use crate::ast::{BinOp, Expr, Program, Stmt, UnaryFn};
 use crate::token::LangError;
 use morpheus_core::{LinearOperand, Matrix, PlannedMatrix};
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -248,14 +248,7 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
     use BinOp::*;
     use Value::*;
     match (op, l, r) {
-        // ---- scalar ⊘ scalar -------------------------------------------
-        (Add, Scalar(a), Scalar(b)) => Ok(Scalar(a + b)),
-        (Sub, Scalar(a), Scalar(b)) => Ok(Scalar(a - b)),
-        (Mul, Scalar(a), Scalar(b)) => Ok(Scalar(a * b)),
-        (Div, Scalar(a), Scalar(b)) => Ok(Scalar(a / b)),
-        (Pow, Scalar(a), Scalar(b)) => Ok(Scalar(a.powf(*b))),
-        (MatMul, Scalar(a), Scalar(b)) => Ok(Scalar(a * b)),
-        (Eq, Scalar(a), Scalar(b)) => Ok(Scalar(if a == b { 1.0 } else { 0.0 })),
+        (op, &Scalar(a), &Scalar(b)) => Ok(Scalar(op.on_scalars(a, b))),
 
         // `==` with exactly one scalar operand compares element-wise
         // against the scalar, like R's recycling.
@@ -272,33 +265,15 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
             })))
         }
 
-        // `%*%` with one scalar operand behaves like R's scalar recycling:
-        // treat it as element-wise scaling.
-        (MatMul, Scalar(_), _) | (MatMul, _, Scalar(_)) => eval_bin(Mul, l, r),
-
-        // ---- normalized ⊘ scalar: the §3.3.1 rewrites -------------------
-        (Add, Normalized(t), &Scalar(x)) | (Add, &Scalar(x), Normalized(t)) => {
-            Ok(Normalized(t.scalar_add(x)))
+        // ---- matrix ⊘ scalar: one element-wise operator, applied by the
+        // §3.3.1 rewrite `f(T) → (f(S), K, f(R))` on normalized values.
+        // `%*%` with a scalar operand recycles to `*`, as in R.
+        (op, m, &Scalar(x)) | (op, &Scalar(x), m) => {
+            let f = op
+                .with_scalar(x, matches!(l, Scalar(_)))
+                .expect("`==` is handled above");
+            Ok(apply_scalar_op(f, m))
         }
-        (Sub, Normalized(t), &Scalar(x)) => Ok(Normalized(t.scalar_sub(x))),
-        (Sub, &Scalar(x), Normalized(t)) => Ok(Normalized(t.scalar_rsub(x))),
-        (Mul, Normalized(t), &Scalar(x)) | (Mul, &Scalar(x), Normalized(t)) => {
-            Ok(Normalized(t.scalar_mul(x)))
-        }
-        (Div, Normalized(t), &Scalar(x)) => Ok(Normalized(t.scalar_div(x))),
-        (Div, &Scalar(x), Normalized(t)) => Ok(Normalized(t.scalar_rdiv(x))),
-        (Pow, Normalized(t), &Scalar(x)) => Ok(Normalized(t.scalar_pow(x))),
-        (Pow, &Scalar(x), Normalized(t)) => Ok(Normalized(t.map(move |v| x.powf(v)))),
-
-        // ---- dense ⊘ scalar ---------------------------------------------
-        (Add, Dense(m), &Scalar(x)) | (Add, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_add(x))),
-        (Sub, Dense(m), &Scalar(x)) => Ok(Dense(m.scalar_sub(x))),
-        (Sub, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_rsub(x))),
-        (Mul, Dense(m), &Scalar(x)) | (Mul, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_mul(x))),
-        (Div, Dense(m), &Scalar(x)) => Ok(Dense(m.scalar_div(x))),
-        (Div, &Scalar(x), Dense(m)) => Ok(Dense(m.scalar_rdiv(x))),
-        (Pow, Dense(m), &Scalar(x)) => Ok(Dense(m.scalar_pow(x))),
-        (Pow, &Scalar(x), Dense(m)) => Ok(Dense(m.map(move |v| x.powf(v)))),
 
         // ---- matrix multiplication: LMM / RMM / DMM rewrites ------------
         (MatMul, Normalized(t), Dense(x)) => {
@@ -331,18 +306,7 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
             if a.shape() != b.shape() {
                 return Err(shape_err(op_name(op), a.shape(), b.shape()));
             }
-            Ok(Dense(match op {
-                Add => a.add(b),
-                Sub => a.sub(b),
-                Mul => a.mul_elem(b),
-                Div => a.div_elem(b),
-                Pow => elementwise_pow(a, b),
-                // Exact comparison, as in R: the K-Means assignment
-                // `D == rowMin(D) %*% ones(1, k)` relies on bitwise-equal
-                // copies of the minimum.
-                Eq => a.eq_indicator(b, 0.0),
-                MatMul => unreachable!("handled above"),
-            }))
+            Ok(Dense(zip_dense(op, a, b)))
         }
 
         // ---- non-factorizable: normalized ⊘ matrix (§3.3.7) -------------
@@ -350,17 +314,9 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
             if t.shape() != b.shape() {
                 return Err(shape_err(op_name(op), t.shape(), b.shape()));
             }
-            let bm = Matrix::Dense(b.clone());
-            let out = match op {
-                Add => t.add_matrix(&bm),
-                Sub => t.sub_matrix(&bm),
-                Mul => t.mul_elem_matrix(&bm),
-                Div => t.div_elem_matrix(&bm),
-                Pow => Matrix::Dense(elementwise_pow(&t.materialize().to_dense(), b)),
-                Eq => Matrix::Dense(t.materialize().to_dense().eq_indicator(b, 0.0)),
-                MatMul => unreachable!("handled above"),
-            };
-            Ok(Dense(out.to_dense()))
+            Ok(Dense(
+                t.elementwise_fallback(|m| zip_dense(op, &m.to_dense(), b)),
+            ))
         }
         (op, Dense(a), Normalized(t)) => {
             if a.shape() != t.shape() {
@@ -377,12 +333,34 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
     }
 }
 
-fn elementwise_pow(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let mut out = a.clone();
-    for (v, &e) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *v = v.powf(e);
+/// `a op b` entry by entry for two same-shape dense matrices.
+fn zip_dense(op: BinOp, a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+    match op {
+        BinOp::Add => a.add(b),
+        BinOp::Sub => a.sub(b),
+        BinOp::Mul => a.mul_elem(b),
+        BinOp::Div => a.div_elem(b),
+        BinOp::Pow => a.zip_map(b, f64::powf),
+        // Exact comparison, as in R: the K-Means assignment
+        // `D == rowMin(D) %*% ones(1, k)` relies on bitwise-equal copies
+        // of the minimum.
+        BinOp::Eq => a.eq_indicator(b, 0.0),
+        BinOp::MatMul => unreachable!("matrix products are not element-wise"),
     }
-    out
+}
+
+/// `f(v)` for any value: a normalized matrix through its planner, a dense
+/// one through the dense kernel, and a scalar as `eval_bin`'s scalar arm
+/// would compute it (`^` as `powf`, squares included).
+pub(crate) fn apply_scalar_op(f: ScalarOp, v: &Value) -> Value {
+    match v {
+        &Value::Scalar(x) => Value::Scalar(match f {
+            ScalarOp::Pow(c) => x.powf(c),
+            f => f.apply(x),
+        }),
+        Value::Dense(m) => Value::Dense(m.apply(f)),
+        Value::Normalized(t) => Value::Normalized(t.apply(f)),
+    }
 }
 
 fn op_name(op: BinOp) -> &'static str {
@@ -400,10 +378,8 @@ fn op_name(op: BinOp) -> &'static str {
 pub(crate) fn eval_call(f: UnaryFn, v: &Arc<Value>) -> Result<Arc<Value>, LangError> {
     use UnaryFn::*;
     Ok(Arc::new(match (f, &**v) {
-        // Scalar fast paths.
-        (Exp, Value::Scalar(x)) => Value::Scalar(x.exp()),
-        (Log, Value::Scalar(x)) => Value::Scalar(x.ln()),
-        (Sigmoid, Value::Scalar(x)) => Value::Scalar(1.0 / (1.0 + (-x).exp())),
+        // Element-wise functions: one operator for every kind of value.
+        (Exp | Log | Sigmoid, v) => apply_scalar_op(f.scalar_op().expect("element-wise"), v),
         (Sum | Transpose, Value::Scalar(_)) => return Ok(Arc::clone(v)),
         (f, Value::Scalar(_)) => {
             return Err(LangError::Type(format!(
@@ -414,9 +390,6 @@ pub(crate) fn eval_call(f: UnaryFn, v: &Arc<Value>) -> Result<Arc<Value>, LangEr
 
         // Normalized: every call routes through a rewrite.
         (Transpose, Value::Normalized(t)) => Value::Normalized(t.transpose()),
-        (Exp, Value::Normalized(t)) => Value::Normalized(t.exp()),
-        (Log, Value::Normalized(t)) => Value::Normalized(t.ln()),
-        (Sigmoid, Value::Normalized(t)) => Value::Normalized(t.map(|x| 1.0 / (1.0 + (-x).exp()))),
         (RowSums, Value::Normalized(t)) => Value::Dense(t.row_sums()),
         (RowMin, Value::Normalized(t)) => Value::Dense(t.row_min()),
         (ColSums, Value::Normalized(t)) => Value::Dense(t.col_sums()),
@@ -428,9 +401,6 @@ pub(crate) fn eval_call(f: UnaryFn, v: &Arc<Value>) -> Result<Arc<Value>, LangEr
 
         // Dense.
         (Transpose, Value::Dense(m)) => Value::Dense(m.transpose()),
-        (Exp, Value::Dense(m)) => Value::Dense(m.exp()),
-        (Log, Value::Dense(m)) => Value::Dense(m.ln()),
-        (Sigmoid, Value::Dense(m)) => Value::Dense(m.sigmoid()),
         (RowSums, Value::Dense(m)) => Value::Dense(m.row_sums()),
         (RowMin, Value::Dense(m)) => Value::Dense(m.row_min()),
         (ColSums, Value::Dense(m)) => Value::Dense(m.col_sums()),
@@ -572,7 +542,7 @@ mod tests {
     #[test]
     fn elementwise_with_regular_matrix_materializes() {
         let (tn, td) = fixture();
-        let expected = td.scalar_mul(2.0);
+        let expected = td.apply(ScalarOp::Mul(2.0));
         for strategy in strategies() {
             let mut env = Env::new();
             env.bind("T", planned(&tn, strategy));

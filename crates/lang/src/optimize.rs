@@ -92,11 +92,8 @@ fn opt_expr(expr: &Expr) -> Expr {
             // Constant folding through scalar-safe functions.
             if let Expr::Number(v) = arg {
                 let folded = match f {
-                    UnaryFn::Exp => Some(v.exp()),
-                    UnaryFn::Log => Some(v.ln()),
-                    UnaryFn::Sigmoid => Some(1.0 / (1.0 + (-v).exp())),
                     UnaryFn::Sum | UnaryFn::Transpose => Some(v),
-                    _ => None,
+                    f => f.scalar_op().map(|op| op.apply(v)),
                 };
                 if let Some(out) = folded {
                     return Expr::Number(out);
@@ -111,21 +108,7 @@ fn opt_expr(expr: &Expr) -> Expr {
             let r = opt_expr(rhs);
             // Constant folding.
             if let (Expr::Number(a), Expr::Number(b)) = (&l, &r) {
-                let v = match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul | BinOp::MatMul => a * b,
-                    BinOp::Div => a / b,
-                    BinOp::Pow => a.powf(*b),
-                    BinOp::Eq => {
-                        if a == b {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                };
-                return Expr::Number(v);
+                return Expr::Number(op.on_scalars(*a, *b));
             }
             // Identity / annihilator simplifications with scalar literals.
             match (op, &l, &r) {

@@ -15,11 +15,14 @@
 //!    loop-invariant factors are evaluated once instead of per use.
 //! 2. **Element-wise fusion** — adjacent scalar-operator links
 //!    (`T*2 + 1`, `1 + exp(..)`, `-x`, `sigmoid(..)`) are folded into one
-//!    fused node. On dense and scalar values the whole chain runs as a
-//!    single pass (one allocation instead of one per link); on normalized
-//!    values the chain replays through the per-operator planner link by
-//!    link, so routing decisions — and therefore numerics — are exactly
-//!    the interpreter's.
+//!    fused node holding a list of [`ScalarOp`] values. The interpreter
+//!    builds and applies the very same values, so there is no second
+//!    dispatch to keep in step. On dense values the whole chain runs as
+//!    a single pass (one allocation instead of one per link). Scalar
+//!    values replay it link by link as the interpreter computes them.
+//!    Normalized values replay it link by link through the per-operator
+//!    planner, so routing decisions — and therefore numerics — are
+//!    exactly the interpreter's.
 //! 3. **Plan cache** — a plan depends on the program alone, never on the
 //!    values it runs against, so plans are memoized process-wide under a
 //!    key of the parsed program (statement structure, names and literal
@@ -31,11 +34,12 @@
 //! binds, as in the interpreter.
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnaryFn};
-use crate::eval::{constant_matrix, eval_bin, eval_call, expect_scalar, unshare, Env, Value};
+use crate::eval::{
+    apply_scalar_op, constant_matrix, eval_bin, eval_call, expect_scalar, unshare, Env, Value,
+};
 use crate::optimize::optimize;
 use crate::token::LangError;
-use morpheus_core::PlannedMatrix;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -51,122 +55,9 @@ const PLAN_CACHE_CAPACITY: usize = 1024;
 // The plan IR: a hash-consed DAG with fused scalar chains
 // ---------------------------------------------------------------------
 
-/// One link of a fused element-wise chain, with the scalar operand baked
-/// in. Application mirrors the interpreter's dispatch exactly: on scalar
-/// values the `(op, scalar, scalar)` arm of `eval_bin`, on dense values
-/// the `DenseMatrix` scalar kernels (including their `x^2 → x*x` special
-/// case), and on normalized values the corresponding `PlannedMatrix`
-/// closure operator.
-#[derive(Debug, Clone, Copy)]
-enum ScalarStep {
-    /// `x + c`.
-    AddC(f64),
-    /// `x - c`.
-    SubC(f64),
-    /// `c - x`.
-    RsubC(f64),
-    /// `x * c` (also `-x` as `x * -1` and `%*%` with a scalar literal).
-    MulC(f64),
-    /// `x / c`.
-    DivC(f64),
-    /// `c / x`.
-    RdivC(f64),
-    /// `x ^ c`.
-    PowC(f64),
-    /// `c ^ x`.
-    RpowC(f64),
-    /// `exp(x)`.
-    Exp,
-    /// `log(x)`.
-    Log,
-    /// `sigmoid(x)`.
-    Sigmoid,
-}
-
-impl ScalarStep {
-    /// A hashable identity: variant code plus the operand's bit pattern.
-    fn code_bits(self) -> (u8, u64) {
-        match self {
-            ScalarStep::AddC(c) => (0, c.to_bits()),
-            ScalarStep::SubC(c) => (1, c.to_bits()),
-            ScalarStep::RsubC(c) => (2, c.to_bits()),
-            ScalarStep::MulC(c) => (3, c.to_bits()),
-            ScalarStep::DivC(c) => (4, c.to_bits()),
-            ScalarStep::RdivC(c) => (5, c.to_bits()),
-            ScalarStep::PowC(c) => (6, c.to_bits()),
-            ScalarStep::RpowC(c) => (7, c.to_bits()),
-            ScalarStep::Exp => (8, 0),
-            ScalarStep::Log => (9, 0),
-            ScalarStep::Sigmoid => (10, 0),
-        }
-    }
-
-    /// The step on a scalar value — the `(op, Scalar, Scalar)` arms of
-    /// `eval_bin` (`^` is always `powf` there, with no square special
-    /// case).
-    fn apply_scalar(self, x: f64) -> f64 {
-        match self {
-            ScalarStep::AddC(c) => x + c,
-            ScalarStep::SubC(c) => x - c,
-            ScalarStep::RsubC(c) => c - x,
-            ScalarStep::MulC(c) => x * c,
-            ScalarStep::DivC(c) => x / c,
-            ScalarStep::RdivC(c) => c / x,
-            ScalarStep::PowC(c) => x.powf(c),
-            ScalarStep::RpowC(c) => c.powf(x),
-            ScalarStep::Exp => x.exp(),
-            ScalarStep::Log => x.ln(),
-            ScalarStep::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
-    /// The step on one matrix element. Identical to [`Self::apply_scalar`]
-    /// except `^2`, which the dense and sparse scalar-pow kernels compute
-    /// as `x * x` — the fused pass must match them bit for bit.
-    fn apply_elem(self, x: f64) -> f64 {
-        match self {
-            ScalarStep::PowC(2.0) => x * x,
-            other => other.apply_scalar(x),
-        }
-    }
-
-    /// The step on a planned normalized matrix: exactly the call the
-    /// interpreter's dispatch would have made, so per-operator routing
-    /// (and with it bit-identity) is preserved.
-    fn apply_planned(self, t: &PlannedMatrix) -> PlannedMatrix {
-        match self {
-            ScalarStep::AddC(c) => t.scalar_add(c),
-            ScalarStep::SubC(c) => t.scalar_sub(c),
-            ScalarStep::RsubC(c) => t.scalar_rsub(c),
-            ScalarStep::MulC(c) => t.scalar_mul(c),
-            ScalarStep::DivC(c) => t.scalar_div(c),
-            ScalarStep::RdivC(c) => t.scalar_rdiv(c),
-            ScalarStep::PowC(c) => t.scalar_pow(c),
-            ScalarStep::RpowC(c) => t.map(move |v| c.powf(v)),
-            ScalarStep::Exp => t.exp(),
-            ScalarStep::Log => t.ln(),
-            ScalarStep::Sigmoid => t.map(|x| 1.0 / (1.0 + (-x).exp())),
-        }
-    }
-}
-
-impl PartialEq for ScalarStep {
-    fn eq(&self, other: &Self) -> bool {
-        self.code_bits() == other.code_bits()
-    }
-}
-
-impl Eq for ScalarStep {}
-
-impl Hash for ScalarStep {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.code_bits().hash(state);
-    }
-}
-
 /// A DAG node. Variables are interned (`u32` indices into
 /// [`ScriptPlan::vars`]), literals carry their bit pattern so the node is
-/// hashable, and fused chains keep their base plus the step list.
+/// hashable, and fused chains keep their base plus the operator list.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum NodeKind {
     /// A literal, as `f64` bits.
@@ -181,8 +72,9 @@ enum NodeKind {
     Zeros(usize, usize),
     /// `ones(r, c)`.
     Ones(usize, usize),
-    /// A fused element-wise chain over a base node.
-    Fused(usize, Box<[ScalarStep]>),
+    /// A fused element-wise chain over a base node: the operators in
+    /// application order, each with its scalar operand baked in.
+    Fused(usize, Box<[ScalarOp]>),
 }
 
 #[derive(Debug, Clone)]
@@ -313,7 +205,7 @@ impl Lowering {
     }
 
     /// Appends one step to `base`, extending an existing fused chain.
-    fn step_onto(&mut self, base: usize, step: ScalarStep) -> usize {
+    fn step_onto(&mut self, base: usize, step: ScalarOp) -> usize {
         let kind = match &self.nodes[base].kind {
             NodeKind::Fused(inner, steps) => {
                 let mut all = steps.to_vec();
@@ -336,15 +228,13 @@ impl Lowering {
             // same way (IEEE multiplication is commutative bitwise).
             Expr::Neg(inner) => {
                 let base = self.lower_expr(inner);
-                self.step_onto(base, ScalarStep::MulC(-1.0))
+                self.step_onto(base, ScalarOp::Mul(-1.0))
             }
             Expr::Call(f, arg) => {
                 let base = self.lower_expr(arg);
-                match f {
-                    UnaryFn::Exp => self.step_onto(base, ScalarStep::Exp),
-                    UnaryFn::Log => self.step_onto(base, ScalarStep::Log),
-                    UnaryFn::Sigmoid => self.step_onto(base, ScalarStep::Sigmoid),
-                    _ => self.intern(NodeKind::Call(*f, base)),
+                match f.scalar_op() {
+                    Some(op) => self.step_onto(base, op),
+                    None => self.intern(NodeKind::Call(*f, base)),
                 }
             }
             Expr::Zeros(r, c) => {
@@ -362,18 +252,10 @@ impl Lowering {
                 // scalar link (`%*%` with a scalar recycles to `*`, as in
                 // the interpreter). `==` is never fused: its matrix form
                 // is an indicator build, not a scalar chain.
-                let step = match (op, self.literal(l), self.literal(r)) {
-                    (BinOp::Add, _, Some(c)) => Some((l, ScalarStep::AddC(c))),
-                    (BinOp::Add, Some(c), _) => Some((r, ScalarStep::AddC(c))),
-                    (BinOp::Sub, _, Some(c)) => Some((l, ScalarStep::SubC(c))),
-                    (BinOp::Sub, Some(c), _) => Some((r, ScalarStep::RsubC(c))),
-                    (BinOp::Mul | BinOp::MatMul, _, Some(c)) => Some((l, ScalarStep::MulC(c))),
-                    (BinOp::Mul | BinOp::MatMul, Some(c), _) => Some((r, ScalarStep::MulC(c))),
-                    (BinOp::Div, _, Some(c)) => Some((l, ScalarStep::DivC(c))),
-                    (BinOp::Div, Some(c), _) => Some((r, ScalarStep::RdivC(c))),
-                    (BinOp::Pow, _, Some(c)) => Some((l, ScalarStep::PowC(c))),
-                    (BinOp::Pow, Some(c), _) => Some((r, ScalarStep::RpowC(c))),
-                    _ => None,
+                let step = match (self.literal(l), self.literal(r)) {
+                    (_, Some(c)) => op.with_scalar(c, false).map(|s| (l, s)),
+                    (Some(c), None) => op.with_scalar(c, true).map(|s| (r, s)),
+                    (None, None) => None,
                 };
                 match step {
                     Some((base, s)) => self.step_onto(base, s),
@@ -856,22 +738,20 @@ fn eval_node(
     Ok(value)
 }
 
-fn apply_fused(steps: &[ScalarStep], base: &Value) -> Value {
+fn apply_fused(steps: &[ScalarOp], base: &Value) -> Value {
     match base {
-        &Value::Scalar(x) => Value::Scalar(steps.iter().fold(x, |acc, s| s.apply_scalar(acc))),
         // Dense: the whole chain in one pass — one allocation instead of
         // one per link, bit-identical per element to the chained kernels.
-        Value::Dense(m) => {
-            Value::Dense(m.map(|x| steps.iter().fold(x, |acc, s| s.apply_elem(acc))))
-        }
-        // Normalized: replay link by link through the per-operator
-        // planner, so routing decisions match the interpreter exactly.
-        Value::Normalized(t) => {
+        Value::Dense(m) => Value::Dense(m.map(|x| steps.iter().fold(x, |acc, op| op.apply(acc)))),
+        // Scalars link by link as the interpreter computes them;
+        // normalized values link by link through the per-operator planner,
+        // so routing decisions match the interpreter exactly.
+        _ => {
             let (first, rest) = steps.split_first().expect("a fused chain has a link");
-            let out = rest.iter().fold(first.apply_planned(t), |current, s| {
-                s.apply_planned(&current)
-            });
-            Value::Normalized(out)
+            rest.iter()
+                .fold(apply_scalar_op(*first, base), |current, &op| {
+                    apply_scalar_op(op, &current)
+                })
         }
     }
 }
@@ -882,7 +762,9 @@ mod tests {
     use crate::eval::eval_program;
     use crate::parser::parse;
     use morpheus_core::cost::OpKind;
-    use morpheus_core::{Decision, LinearOperand, MachineProfile, NormalizedMatrix, Strategy};
+    use morpheus_core::{
+        Decision, LinearOperand, MachineProfile, NormalizedMatrix, PlannedMatrix, Strategy,
+    };
     use std::sync::atomic::AtomicUsize;
 
     /// Plans without touching the process-wide cache, whose counters the

@@ -15,7 +15,7 @@
 //! claims beyond the vector-only prior work.
 
 use morpheus_core::LinearOperand;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 
 /// Multiplicative-update GNMF.
 #[derive(Debug, Clone)]
@@ -84,11 +84,11 @@ impl Gnmf {
         for _ in 0..self.max_iter {
             // H = H * (Tᵀ W) / (H crossprod(W))
             let num_h = t.t_lmm(&w); // d x r — factorized
-            let den_h = h.matmul(&w.crossprod()).scalar_add(EPS);
+            let den_h = h.matmul(&w.crossprod()).apply(ScalarOp::Add(EPS));
             h = h.mul_elem(&num_h.div_elem(&den_h));
             // W = W * (T H) / (W crossprod(H))
             let num_w = t.lmm(&h); // n x r — factorized
-            let den_w = w.matmul(&h.crossprod()).scalar_add(EPS);
+            let den_w = w.matmul(&h.crossprod()).apply(ScalarOp::Add(EPS));
             w = w.mul_elem(&num_w.div_elem(&den_w));
         }
         GnmfModel { w, h }

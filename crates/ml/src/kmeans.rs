@@ -19,7 +19,7 @@
 //! tie-breaking).
 
 use morpheus_core::LinearOperand;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 
 /// LA-formulated K-Means.
 #[derive(Debug, Clone)]
@@ -91,8 +91,8 @@ impl KMeans {
         let mut inertia = 0.0;
         for _ in 0..self.max_iter {
             // D = D_T 1 + 1 colSums(C²) − 2 T C, an n x k distance matrix.
-            let c2 = c.scalar_pow(2.0).col_sums(); // 1 x k
-            let mut d = two_t.lmm(&c).scalar_mul(-1.0); // −2 T C
+            let c2 = c.apply(ScalarOp::Pow(2.0)).col_sums(); // 1 x k
+            let mut d = two_t.lmm(&c).apply(ScalarOp::Mul(-1.0)); // −2 T C
             d.add_assign(&dt.replicate_cols(self.k));
             d.add_assign(&c2.replicate_rows(n));
             // A = one-hot argmin per row (ties toward lowest index).

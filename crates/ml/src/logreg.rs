@@ -18,7 +18,7 @@
 //! paper's Algorithm 4 without any algorithm-specific rewriting.
 
 use morpheus_core::LinearOperand;
-use morpheus_dense::DenseMatrix;
+use morpheus_dense::{DenseMatrix, ScalarOp};
 
 /// Gradient-descent logistic regression, following the paper's script.
 #[derive(Debug, Clone)]
@@ -132,14 +132,14 @@ impl LogisticRegressionGd {
 
 /// Predicts class probabilities `σ(T w)` for a fitted model.
 pub fn predict_proba<M: LinearOperand>(t: &M, w: &DenseMatrix) -> DenseMatrix {
-    t.lmm(w).sigmoid()
+    t.lmm(w).apply(ScalarOp::Sigmoid)
 }
 
 /// Like [`predict_proba`], but written into a caller-provided buffer of
 /// `t.nrows()` slots so a scoring hot path can reuse one allocation per
 /// batch. Bit-identical to [`predict_proba`]: the margin comes from
-/// [`LinearOperand::lmm_into`] (itself bit-identical to `lmm`) and the
-/// sigmoid below is the same expression `DenseMatrix::sigmoid` applies.
+/// [`LinearOperand::lmm_into`] (itself bit-identical to `lmm`) and
+/// [`sigmoid_in_place`] runs the kernel of `DenseMatrix::apply(ScalarOp::Sigmoid)`.
 ///
 /// # Panics
 /// Panics if `w` is not `d x 1` or `out.len() != t.nrows()`.
@@ -149,12 +149,11 @@ pub fn predict_proba_into<M: LinearOperand>(t: &M, w: &DenseMatrix, out: &mut [f
     sigmoid_in_place(out);
 }
 
-/// The logistic link over a slice of margins, in place — the expression
-/// `DenseMatrix::sigmoid` applies, for callers that already hold `T w`.
+/// The logistic link over a slice of margins, in place — the kernel
+/// `DenseMatrix::apply(ScalarOp::Sigmoid)` runs, for callers that already
+/// hold `T w`.
 pub fn sigmoid_in_place(margins: &mut [f64]) {
-    for v in margins.iter_mut() {
-        *v = 1.0 / (1.0 + (-*v).exp());
-    }
+    ScalarOp::Sigmoid.apply_in_place(margins);
 }
 
 impl LogisticModel {

@@ -1,8 +1,10 @@
 //! Element-wise arithmetic on CSR matrices.
 //!
-//! Scalar operations that preserve zeros (`*`, `/` by non-zero, `^` with
-//! positive exponent) stay sparse; operations that do not (`+ x`, `exp`)
-//! must densify — the `Matrix` enum in `morpheus-core` makes that call.
+//! A scalar op `f` keeps a table sparse exactly when `f(0)` is `±0`: the
+//! implicit zeros then read `+0.0` and only the stored values change
+//! ([`CsrMatrix::map_nnz`]). Any other `f` (`+ 1`, `/ 0`, `* inf`, `exp`)
+//! must reach the implicit zeros too, so the result is dense.
+//! `morpheus_core::Matrix::apply` applies that one rule.
 
 use crate::CsrMatrix;
 
@@ -11,33 +13,13 @@ impl CsrMatrix {
     ///
     /// Correct as a full element-wise map **only when** `f(0) == 0`; callers
     /// needing general maps should densify first (see
-    /// `morpheus_core::Matrix::map`).
+    /// `morpheus_core::Matrix::apply`).
     pub fn map_nnz(&self, f: impl Fn(f64) -> f64) -> CsrMatrix {
         let mut out = self.clone();
         for v in out.values_mut() {
             *v = f(*v);
         }
         out
-    }
-
-    /// Multiplies every entry by a scalar, preserving sparsity.
-    pub fn scalar_mul(&self, x: f64) -> CsrMatrix {
-        self.map_nnz(|v| v * x)
-    }
-
-    /// Divides every entry by a scalar, preserving sparsity.
-    pub fn scalar_div(&self, x: f64) -> CsrMatrix {
-        self.map_nnz(|v| v / x)
-    }
-
-    /// Raises every stored entry to the power `x` (zero-preserving for
-    /// `x > 0`).
-    pub fn scalar_pow(&self, x: f64) -> CsrMatrix {
-        if x == 2.0 {
-            self.map_nnz(|v| v * v)
-        } else {
-            self.map_nnz(|v| v.powf(x))
-        }
     }
 
     /// Element-wise sum of two CSR matrices (sorted two-pointer merge).
@@ -88,13 +70,14 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if the shapes differ.
     pub fn sub(&self, other: &CsrMatrix) -> CsrMatrix {
-        self.add(&other.scalar_mul(-1.0))
+        self.add(&other.map_nnz(|v| -v))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morpheus_dense::ScalarOp;
 
     fn sp() -> CsrMatrix {
         CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, -3.0)]).unwrap()
@@ -103,10 +86,13 @@ mod tests {
     #[test]
     fn zero_preserving_scalar_ops() {
         let m = sp();
-        assert_eq!(m.scalar_mul(2.0).to_dense(), m.to_dense().scalar_mul(2.0));
-        assert_eq!(m.scalar_div(2.0).to_dense(), m.to_dense().scalar_div(2.0));
-        assert_eq!(m.scalar_pow(2.0).to_dense(), m.to_dense().scalar_pow(2.0));
-        assert_eq!(m.scalar_pow(3.0).get(1, 1), -27.0);
+        for op in [ScalarOp::Mul(2.0), ScalarOp::Div(2.0), ScalarOp::Pow(2.0)] {
+            assert_eq!(
+                m.map_nnz(|v| op.apply(v)).to_dense(),
+                m.to_dense().apply(op)
+            );
+        }
+        assert_eq!(m.map_nnz(|v| ScalarOp::Pow(3.0).apply(v)).get(1, 1), -27.0);
     }
 
     #[test]

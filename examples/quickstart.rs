@@ -40,8 +40,10 @@ fn main() {
     let t = tn.materialize();
 
     // --- Element-wise scalar ops stay normalized (closure) -------------
-    let doubled = tn.scalar_mul(2.0);
-    assert!(doubled.materialize().approx_eq(&t.scalar_mul(2.0), 1e-12));
+    let doubled = tn.apply(ScalarOp::Mul(2.0));
+    assert!(doubled
+        .materialize()
+        .approx_eq(&t.apply(ScalarOp::Mul(2.0)), 1e-12));
     println!("scalar ops        : factorized == materialized ✓");
 
     // --- Aggregations ---------------------------------------------------

@@ -82,7 +82,7 @@ pub mod prelude {
         NormalizedMatrix, PlannedMatrix, Result as MorpheusResult, Strategy,
     };
     pub use morpheus_data::synth::{MnJoinSpec, PkFkSpec, StarSpec};
-    pub use morpheus_dense::DenseMatrix;
+    pub use morpheus_dense::{DenseMatrix, ScalarOp};
     pub use morpheus_lang::{
         eval_program, parse, plan_program, run_program, Env, ScriptPlan, Value,
     };

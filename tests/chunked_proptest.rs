@@ -63,8 +63,8 @@ proptest! {
         prop_assert!(lmm.approx_eq(&d.matmul(&x), 1e-10));
         prop_assert!(t_lmm.approx_eq(&d.t_matmul(&y), 1e-10));
         prop_assert!(crossprod.approx_eq(&d.crossprod(), 1e-9));
-        prop_assert!(scaled.approx_eq(&m.scalar_mul(2.5), 1e-12));
-        prop_assert!(squared.approx_eq(&m.scalar_pow(2.0), 1e-12));
+        prop_assert!(scaled.approx_eq(&m.apply(ScalarOp::Mul(2.5)), 1e-12));
+        prop_assert!(squared.approx_eq(&m.apply(ScalarOp::Pow(2.0)), 1e-12));
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn per_op_decisions_diverge_and_stay_bit_identical() {
     let x = Matrix::Dense(DenseMatrix::from_fn(tn.rows(), tn.cols(), |i, j| {
         (i * 31 + j * 17) as f64
     }));
-    let ew = planned.add_matrix(&x);
+    let ew = planned.elementwise_fallback(|t| t.add(&x));
 
     let decisions = log.lock().unwrap().clone();
     assert_eq!(decisions.len(), 2);

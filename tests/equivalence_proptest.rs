@@ -98,14 +98,14 @@ fn check_all_ops(tn: &NormalizedMatrix) {
     let tol = 1e-9;
 
     // Scalar ops.
-    prop_assert_mat(&tn.scalar_mul(2.5).materialize(), &tm.scalar_mul(2.5), tol);
-    prop_assert_mat(
-        &tn.scalar_add(-1.5).materialize(),
-        &tm.scalar_add(-1.5),
-        tol,
-    );
-    prop_assert_mat(&tn.scalar_pow(2.0).materialize(), &tm.scalar_pow(2.0), tol);
-    prop_assert_mat(&tn.exp().materialize(), &tm.exp(), tol);
+    for op in [
+        ScalarOp::Mul(2.5),
+        ScalarOp::Add(-1.5),
+        ScalarOp::Pow(2.0),
+        ScalarOp::Exp,
+    ] {
+        prop_assert_mat(&tn.apply(op).materialize(), &tm.apply(op), tol);
+    }
 
     // Aggregations.
     assert!(tn.row_sums().approx_eq(&tm.row_sums(), tol));
@@ -186,16 +186,16 @@ proptest! {
     fn scalar_op_chains_stay_closed(tn in arb_star()) {
         // ((2T + 1)^2) / 4 computed entirely in normalized land.
         let chained = tn
-            .scalar_mul(2.0)
-            .scalar_add(1.0)
-            .scalar_pow(2.0)
-            .scalar_div(4.0);
+            .apply(ScalarOp::Mul(2.0))
+            .apply(ScalarOp::Add(1.0))
+            .apply(ScalarOp::Pow(2.0))
+            .apply(ScalarOp::Div(4.0));
         let expected = tn
             .materialize()
-            .scalar_mul(2.0)
-            .scalar_add(1.0)
-            .scalar_pow(2.0)
-            .scalar_div(4.0);
+            .apply(ScalarOp::Mul(2.0))
+            .apply(ScalarOp::Add(1.0))
+            .apply(ScalarOp::Pow(2.0))
+            .apply(ScalarOp::Div(4.0));
         prop_assert!(chained.materialize().approx_eq(&expected, 1e-9));
     }
 

@@ -178,7 +178,7 @@ fn gnmf_script_runs_factorized_and_matches_native() {
     // The paper's Algorithm 8/16 as a script: multiplicative updates with
     // the transposed-LMM `t(T) %*% W` and the LMM `T %*% H`.
     let ds = PkFkSpec::from_ratios(6.0, 1.0, 20, 3, 13).generate();
-    let tn = ds.tn.scalar_add(2.0); // NMF needs non-negative data
+    let tn = ds.tn.apply(ScalarOp::Add(2.0)); // NMF needs non-negative data
     let (n, d, r) = (tn.rows(), tn.cols(), 2usize);
     let script = r#"
         for (i in 1:5) {

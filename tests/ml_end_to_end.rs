@@ -89,7 +89,7 @@ fn gnmf_identical_on_factorized_and_materialized() {
         seed: 4,
     }
     .generate();
-    let nonneg = ds.tn.scalar_add(2.0); // stays normalized
+    let nonneg = ds.tn.apply(ScalarOp::Add(2.0)); // stays normalized
     let tm = nonneg.materialize();
     let g = Gnmf::new(2, 8);
     let mf = g.fit(&nonneg);

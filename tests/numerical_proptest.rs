@@ -2,7 +2,7 @@
 //! must reconstruct their inputs and solvers must produce true solutions,
 //! over randomized well- and ill-conditioned matrices.
 
-use morpheus::dense::DenseMatrix;
+use morpheus::dense::{DenseMatrix, ScalarOp};
 use morpheus::linalg::{
     cholesky, eigen_sym, ginv, ginv_sym_psd, householder_qr, lstsq, lu_decompose, solve, solve_spd,
     svd,
@@ -71,7 +71,7 @@ proptest! {
         // Least squares via QR matches the normal equations when the Gram
         // matrix is well-conditioned.
         let mut gram = a.crossprod();
-        gram.add_assign(&DenseMatrix::identity(n).scalar_mul(1e-9));
+        gram.add_assign(&DenseMatrix::identity(n).apply(ScalarOp::Mul(1e-9)));
         let b = mat(m, 1, seed ^ 0x2222);
         if let (Ok(x_qr), Ok(x_ne)) = (lstsq(&a, &b), solve(&gram, &a.t_matmul(&b))) {
             prop_assert!(x_qr.approx_eq(&x_ne, 1e-4));
