@@ -143,42 +143,18 @@ impl Matrix {
     // Element-wise matrix operators (non-factorizable group)
     // ---------------------------------------------------------------
 
-    /// Element-wise sum `T + X`.
+    /// Element-wise sum `T + X`: sparse when both are, otherwise dense,
+    /// densifying only a sparse operand.
     ///
     /// # Panics
     /// Panics if the shapes differ.
     pub fn add(&self, other: &Matrix) -> Matrix {
         match (self, other) {
             (Matrix::Sparse(a), Matrix::Sparse(b)) => Matrix::Sparse(a.add(b)),
-            _ => Matrix::Dense(self.to_dense().add(&other.to_dense())),
+            (Matrix::Dense(a), Matrix::Dense(b)) => Matrix::Dense(a.add(b)),
+            (Matrix::Dense(a), Matrix::Sparse(b)) => Matrix::Dense(a.add(&b.to_dense())),
+            (Matrix::Sparse(a), Matrix::Dense(b)) => Matrix::Dense(a.to_dense().add(b)),
         }
-    }
-
-    /// Element-wise difference `T - X`.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        match (self, other) {
-            (Matrix::Sparse(a), Matrix::Sparse(b)) => Matrix::Sparse(a.sub(b)),
-            _ => Matrix::Dense(self.to_dense().sub(&other.to_dense())),
-        }
-    }
-
-    /// Element-wise (Hadamard) product `T * X`.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn mul_elem(&self, other: &Matrix) -> Matrix {
-        Matrix::Dense(self.to_dense().mul_elem(&other.to_dense()))
-    }
-
-    /// Element-wise quotient `T / X`.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn div_elem(&self, other: &Matrix) -> Matrix {
-        Matrix::Dense(self.to_dense().div_elem(&other.to_dense()))
     }
 
     // ---------------------------------------------------------------
@@ -512,10 +488,6 @@ mod tests {
         let s = sparse();
         assert!(d.add(&s).approx_eq(&d.apply(ScalarOp::Mul(2.0)), 1e-15));
         assert!(s.add(&s).is_sparse());
-        assert!(s.sub(&s).nnz() == 0);
-        assert!(d
-            .mul_elem(&s)
-            .approx_eq(&d.apply(ScalarOp::Pow(2.0)), 1e-15));
     }
 
     #[test]
@@ -543,6 +515,18 @@ mod tests {
         for other in [&ds, &sd, &ss] {
             assert!(dd.approx_eq(other, 1e-12));
         }
+        // `x · S` accumulates `0 · inf` like the dense product: NaN, not 0.
+        let t = DenseMatrix::from_rows(&[&[f64::INFINITY, 0.0], &[0.0, 2.0]]);
+        let (td, ts) = (
+            Matrix::Dense(t.clone()),
+            Matrix::Sparse(CsrMatrix::from_dense(&t)),
+        );
+        let x = DenseMatrix::from_rows(&[&[0.0, 1.0]]);
+        let want = td.dense_matmul(&x);
+        assert!(want.get(0, 0).is_nan());
+        assert!(same_values(&ts.dense_matmul(&x), &want));
+        let xm = Matrix::Dense(x);
+        assert!(same_values(&xm.matmul(&ts).to_dense(), &want));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! redundancy to exploit — the paper's counter-example fills `X` with unique
 //! entries so that every output entry is distinct. There is therefore no
 //! rewrite here: the operator runs on the materialized `T`
-//! (`t.materialize().add(&x)`), and [`crate::PlannedMatrix`] routes it
+//! (`t.materialize().to_dense().add(&x)`), and [`crate::PlannedMatrix`] routes it
 //! through `elementwise_fallback`, which only decides whether that join is
 //! memoized. It exists so that the operator set stays total (any LA script
 //! keeps running), which is part of the closure story even though no
@@ -18,11 +18,12 @@ mod tests {
 
     /// `f` run through the planner's §3.3.7 fallback, on either route,
     /// equals `f` on the materialized `T`.
-    fn assert_routes_match(tn: &NormalizedMatrix, f: impl Fn(&Matrix) -> Matrix) {
+    fn assert_routes_match(tn: &NormalizedMatrix, f: impl Fn(&DenseMatrix) -> DenseMatrix) {
+        let f = |t: &Matrix| f(&t.to_dense());
         let expected = f(&tn.materialize());
         for strategy in [Strategy::AlwaysFactorize, Strategy::AlwaysMaterialize] {
             let planned = PlannedMatrix::with_strategy(tn.clone(), strategy);
-            assert!(planned.elementwise_fallback(&f).approx_eq(&expected, 1e-12));
+            assert!(planned.elementwise_fallback(f).approx_eq(&expected, 1e-12));
         }
     }
 
@@ -31,17 +32,13 @@ mod tests {
         let tn = figure2();
         let (n, d) = tn.shape();
         // X with all-unique entries: the paper's no-redundancy witness.
-        let x = Matrix::Dense(DenseMatrix::from_fn(n, d, |i, j| {
-            ((i * d + j) * (n * d)) as f64
-        }));
+        let x = DenseMatrix::from_fn(n, d, |i, j| ((i * d + j) * (n * d)) as f64);
         assert_routes_match(&tn, |t| t.add(&x));
         assert_routes_match(&tn, |t| t.sub(&x));
         assert_routes_match(&tn, |t| t.mul_elem(&x));
-        let ones = Matrix::Dense(DenseMatrix::ones(n, d));
-        assert!(tn
-            .materialize()
-            .div_elem(&ones)
-            .approx_eq(&tn.materialize(), 1e-12));
+        let ones = DenseMatrix::ones(n, d);
+        let t = tn.materialize().to_dense();
+        assert!(t.div_elem(&ones).approx_eq(&t, 1e-12));
         assert_routes_match(&tn, |t| t.div_elem(&ones));
     }
 
@@ -49,7 +46,7 @@ mod tests {
     fn transposed_elementwise_ops() {
         let tn = figure2().transpose();
         let (n, d) = tn.shape();
-        let x = Matrix::Dense(DenseMatrix::from_fn(n, d, |i, j| (i + j) as f64));
+        let x = DenseMatrix::from_fn(n, d, |i, j| (i + j) as f64);
         assert_routes_match(&tn, |t| t.add(&x));
     }
 }

@@ -222,24 +222,38 @@ impl KeyColumn {
     pub fn t_spmm_dense(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(x.rows(), self.rows(), "Kᵀ x: x has the wrong height");
         let (start, src) = self.by_key();
-        by_rows(self.table_rows, x.cols(), x.len(), |c, orow| {
-            let rows = src[start[c]..start[c + 1]].iter().map(|&s| s as usize);
-            match orow {
-                [o] => rows.for_each(|s| *o += x.as_slice()[s]),
-                _ => rows.for_each(|s| orow.iter_mut().zip(x.row(s)).for_each(|(o, &v)| *o += v)),
+        let m = x.cols();
+        let mut out = DenseMatrix::zeros(self.table_rows, m);
+        let ex = Runtime::executor().gated(x.len());
+        ex.par_rows(out.as_mut_slice(), m, |c0, band| {
+            for (orow, c) in band.chunks_mut(m).zip(c0..) {
+                let rows = src[start[c]..start[c + 1]].iter().map(|&s| s as usize);
+                match orow {
+                    [o] => rows.for_each(|s| *o += x.as_slice()[s]),
+                    _ => {
+                        rows.for_each(|s| orow.iter_mut().zip(x.row(s)).for_each(|(o, &v)| *o += v))
+                    }
+                }
             }
-        })
+        });
+        out
     }
 
     /// `x K`: entry `(i, c)` sums, ascending, row `i` of `x` at the rows
     /// with key `c`. Panics unless `x` has `rows()` columns.
     pub fn dense_spmm(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(x.cols(), self.rows(), "x K: x has the wrong width");
-        by_rows(x.rows(), self.table_rows, x.len(), |i, orow| {
-            for (&c, &v) in self.keys.iter().zip(x.row(i)) {
-                orow[c as usize] += v;
+        let m = self.table_rows;
+        let mut out = DenseMatrix::zeros(x.rows(), m);
+        let ex = Runtime::executor().gated(x.len());
+        ex.par_rows(out.as_mut_slice(), m, |i0, band| {
+            for (orow, i) in band.chunks_mut(m).zip(i0..) {
+                for (&c, &v) in self.keys.iter().zip(x.row(i)) {
+                    orow[c as usize] += v;
+                }
             }
-        })
+        });
+        out
     }
 
     /// `colSums(K)` as a `1 x table_rows` row: how many logical rows
@@ -332,21 +346,4 @@ impl KeyColumn {
 
 pub(super) fn keyed_part(k: KeyColumn, table: Matrix) -> AttributePart {
     AttributePart::new(Indicator::Rows(Arc::new(k)), table)
-}
-
-/// An `n x m` result whose row `i` is accumulated by `f(i, row)`,
-/// in bands on the shared runtime once `work` clears the parallelism gate.
-/// Each output row has one writer, so any worker count gives the same bits.
-fn by_rows(n: usize, m: usize, work: usize, f: impl Fn(usize, &mut [f64]) + Sync) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(n, m);
-    if !out.is_empty() {
-        let ex = Runtime::executor().gated(work);
-        let band = ex.grain(n);
-        ex.par_chunks_mut(out.as_mut_slice(), band * m, |bi, chunk| {
-            for (orow, i) in chunk.chunks_mut(m).zip(bi * band..) {
-                f(i, orow);
-            }
-        });
-    }
-    out
 }

@@ -22,14 +22,14 @@
 //! way the per-element order is ascending k within fixed row blocks,
 //! blocks combined in ascending order — a function of the shape alone,
 //! independent of worker count and ISA — so the parallel kernels agree
-//! with the single-threaded path **bit for bit** (and `Executor::new(1)`
-//! reproduces the full-pool results exactly).
+//! with the single-threaded path **bit for bit** (and
+//! `Runtime::set_threads(1)` reproduces the full-pool results exactly).
 //!
-//! Every hot kernel has a `*_with(&Executor)` variant for per-call thread
-//! control; the plain methods draw workers from [`Runtime::executor`], which
+//! Every kernel draws its workers from [`Runtime::executor`], which
 //! already accounts for threads claimed by enclosing parallel sections
 //! (e.g. the chunked backend), so the two levels compose without
-//! oversubscription.
+//! oversubscription; small products stay on the caller
+//! ([`Executor::gated`]).
 
 use crate::simd::{self, GemmBand, GemmIsa, MatSrc};
 use crate::DenseMatrix;
@@ -96,8 +96,7 @@ fn t_matvec(a: &[f64], d: usize, x: &[f64], ex: &Executor) -> Vec<f64> {
     let ex = ex.gated(n * d);
     let h = tall_block_rows(1);
     if n < 2 * h {
-        let band = ex.grain(d);
-        ex.par_chunks_mut(&mut out, band, |bi, chunk| axpy(0..n, bi * band, chunk));
+        ex.par_rows(&mut out, 1, |j0, chunk| axpy(0..n, j0, chunk));
     } else {
         reduce_row_blocks(&mut out, n, h, &ex, |rows, part| axpy(rows, 0, part));
     }
@@ -139,7 +138,7 @@ fn tall_t_gemm(
     let h = tall_block_rows(p);
     if n < 2 * h {
         let (at, bs) = views(0..n);
-        gemm_driver(at, bs, out, d, n, p, tri_upper, ex);
+        gemm_driver(at, bs, out, n, p, tri_upper, ex);
         return;
     }
     let isa = GemmIsa::active();
@@ -158,15 +157,13 @@ fn tall_t_gemm(
 }
 
 /// Packs `b`, then runs the packed-panel GEMM band-parallel on `ex`:
-/// `out[r, :] += Σ_kk a(i0 + r, kk) * b(kk, :)` for the `m x n` output.
-/// `tri_upper` skips tiles entirely below the diagonal (the symmetric
-/// drivers mirror afterwards).
-#[allow(clippy::too_many_arguments)]
+/// `out[r, :] += Σ_kk a(r, kk) * b(kk, :)` for the row-major output with
+/// `n` columns. `tri_upper` skips tiles entirely below the diagonal (the
+/// symmetric drivers mirror afterwards).
 fn gemm_driver(
     a: MatSrc<'_>,
     b: MatSrc<'_>,
     out: &mut [f64],
-    m: usize,
     k: usize,
     n: usize,
     tri_upper: bool,
@@ -174,12 +171,11 @@ fn gemm_driver(
 ) {
     let isa = GemmIsa::active();
     let packed = simd::pack_b(b, k, n);
-    let band = ex.grain(m);
-    ex.par_chunks_mut(out, band * n, |bi, chunk| {
+    ex.par_rows(out, n, |i0, chunk| {
         GemmBand {
             a,
             b: &packed,
-            i0: bi * band,
+            i0,
             tri_upper,
         }
         .run(isa, chunk);
@@ -192,14 +188,6 @@ impl DenseMatrix {
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
-        self.matmul_with(other, &Runtime::executor())
-    }
-
-    /// [`DenseMatrix::matmul`] with an explicit executor.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul_with(&self, other: &DenseMatrix, ex: &Executor) -> DenseMatrix {
         assert_eq!(
             self.cols(),
             other.rows(),
@@ -215,20 +203,20 @@ impl DenseMatrix {
             // Matrix-vector products degrade the ikj kernel to length-1
             // inner loops; route through the contiguous dot-product kernel
             // (this is the hot path of every GLM iteration).
-            return DenseMatrix::col_vector(&self.matvec_with(other.as_slice(), ex));
+            return DenseMatrix::col_vector(&self.matvec(other.as_slice()));
         }
         if m == 1 {
             // One output row: packing all of B (zero-padded to NR panels)
             // costs as much as the product itself. Stream B exactly once
             // with a contiguous axpy per input row instead — this is
             // `colSums(K) * B` in the factorized column-sum rewrite.
-            return DenseMatrix::row_vector(&other.vecmat_with(self.as_slice(), ex));
+            return DenseMatrix::row_vector(&other.vecmat(self.as_slice()));
         }
         let mut out = DenseMatrix::zeros(m, n);
         if m == 0 || n == 0 || k == 0 {
             return out;
         }
-        let ex = ex.gated(m * k * n);
+        let ex = Runtime::executor().gated(m * k * n);
         let a = MatSrc {
             data: self.as_slice(),
             rs: k,
@@ -239,24 +227,16 @@ impl DenseMatrix {
             rs: n,
             cs: 1,
         };
-        gemm_driver(a, b, out.as_mut_slice(), m, k, n, false, &ex);
+        gemm_driver(a, b, out.as_mut_slice(), k, n, false, &ex);
         out
     }
 
-    /// Matrix-vector product `self * x`, returning a column vector.
+    /// Matrix-vector product `self * x`, returning a column vector. Output
+    /// rows are independent dot products, parallelized over row bands.
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.matvec_with(x, &Runtime::executor())
-    }
-
-    /// [`DenseMatrix::matvec`] with an explicit executor; output rows are
-    /// independent dot products, parallelized over row bands.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec_with(&self, x: &[f64], ex: &Executor) -> Vec<f64> {
         assert_eq!(
             x.len(),
             self.cols(),
@@ -266,36 +246,22 @@ impl DenseMatrix {
         );
         let (m, k) = self.shape();
         let mut out = vec![0.0; m];
-        if m == 0 {
-            return out;
-        }
-        let ex = ex.gated(m * k);
-        let band = ex.grain(m);
         let a = self.as_slice();
-        ex.par_chunks_mut(&mut out, band, |bi, chunk| {
-            let i0 = bi * band;
-            for (r, o) in chunk.iter_mut().enumerate() {
-                let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-                *o = simd::dot(row, x);
+        let ex = Runtime::executor().gated(m * k);
+        ex.par_rows(&mut out, 1, |i0, chunk| {
+            for (o, i) in chunk.iter_mut().zip(i0..) {
+                *o = simd::dot(&a[i * k..(i + 1) * k], x);
             }
         });
         out
     }
 
-    /// Vector-matrix product `x^T * self`, returning a row vector.
+    /// Vector-matrix product `x^T * self`, returning a row vector: the
+    /// tall reduction `selfᵀ x`, bit-identical at any worker count.
     ///
     /// # Panics
     /// Panics if `x.len() != self.rows()`.
     pub fn vecmat(&self, x: &[f64]) -> Vec<f64> {
-        self.vecmat_with(x, &Runtime::executor())
-    }
-
-    /// [`DenseMatrix::vecmat`] with an explicit executor: the tall
-    /// reduction `selfᵀ x`, bit-identical at any worker count.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.rows()`.
-    pub fn vecmat_with(&self, x: &[f64], ex: &Executor) -> Vec<f64> {
         assert_eq!(
             x.len(),
             self.rows(),
@@ -303,7 +269,7 @@ impl DenseMatrix {
             x.len(),
             self.rows()
         );
-        t_matvec(self.as_slice(), self.cols(), x, ex)
+        t_matvec(self.as_slice(), self.cols(), x, &Runtime::executor())
     }
 
     /// Matrix transpose `T^t`.
@@ -327,14 +293,7 @@ impl DenseMatrix {
     }
 
     /// The cross-product `crossprod(T) = T^t * T` (the Gram matrix of the
-    /// columns), exploiting symmetry: only the upper triangle is computed and
-    /// then mirrored, saving roughly half the arithmetic — exactly the saving
-    /// the paper's "efficient" rewrite (Algorithm 2) relies on.
-    pub fn crossprod(&self) -> DenseMatrix {
-        self.crossprod_with(&Runtime::executor())
-    }
-
-    /// [`DenseMatrix::crossprod`] with an explicit executor.
+    /// columns), exploiting symmetry.
     ///
     /// The packed kernel reads the left operand through a transposed view
     /// (`rs = 1, cs = d`) and skips register tiles entirely below the
@@ -346,13 +305,13 @@ impl DenseMatrix {
     /// ascending row order within a block, blocks combined in ascending
     /// order, regardless of the worker count. The triangle is mirrored
     /// after the combine.
-    pub fn crossprod_with(&self, ex: &Executor) -> DenseMatrix {
+    pub fn crossprod(&self) -> DenseMatrix {
         let (n, d) = self.shape();
         let mut out = DenseMatrix::zeros(d, d);
         if d == 0 || n == 0 {
             return out;
         }
-        let ex = ex.gated(n * d * (d + 1) / 2);
+        let ex = Runtime::executor().gated(n * d * (d + 1) / 2);
         let data = self.as_slice();
         tall_t_gemm(data, d, data, d, n, true, out.as_mut_slice(), &ex);
         let o = out.as_mut_slice();
@@ -365,27 +324,21 @@ impl DenseMatrix {
     }
 
     /// The outer cross-product `tcrossprod(T) = T * T^t` (Gram matrix of the
-    /// rows), exploiting symmetry.
+    /// rows), exploiting symmetry: the packed kernel reads the right
+    /// operand through a transposed view, skips register tiles entirely
+    /// below the diagonal, and the upper triangle is mirrored afterwards.
     pub fn tcrossprod(&self) -> DenseMatrix {
-        self.tcrossprod_with(&Runtime::executor())
-    }
-
-    /// [`DenseMatrix::tcrossprod`] with an explicit executor; the packed
-    /// kernel reads the right operand through a transposed view, skips
-    /// register tiles entirely below the diagonal, and the upper triangle
-    /// is mirrored afterwards.
-    pub fn tcrossprod_with(&self, ex: &Executor) -> DenseMatrix {
         let (n, d) = self.shape();
         let mut out = DenseMatrix::zeros(n, n);
         if n == 0 {
             return out;
         }
-        let ex = ex.gated(n * (n + 1) / 2 * d.max(1));
+        let ex = Runtime::executor().gated(n * (n + 1) / 2 * d.max(1));
         let data = self.as_slice();
         if d > 0 {
             let a = MatSrc { data, rs: d, cs: 1 };
             let b = MatSrc { data, rs: 1, cs: d };
-            gemm_driver(a, b, out.as_mut_slice(), n, d, n, true, &ex);
+            gemm_driver(a, b, out.as_mut_slice(), d, n, true, &ex);
         }
         let o = out.as_mut_slice();
         for i in 0..n {
@@ -397,14 +350,6 @@ impl DenseMatrix {
     }
 
     /// `self^t * other` without materializing the transpose.
-    ///
-    /// # Panics
-    /// Panics if `self.rows() != other.rows()`.
-    pub fn t_matmul(&self, other: &DenseMatrix) -> DenseMatrix {
-        self.t_matmul_with(other, &Runtime::executor())
-    }
-
-    /// [`DenseMatrix::t_matmul`] with an explicit executor.
     ///
     /// A tall reduction over the shared row dimension: once `self` spans
     /// two row blocks of [`tall_block_rows`]`(p)` rows, each block
@@ -418,7 +363,7 @@ impl DenseMatrix {
     ///
     /// # Panics
     /// Panics if `self.rows() != other.rows()`.
-    pub fn t_matmul_with(&self, other: &DenseMatrix, ex: &Executor) -> DenseMatrix {
+    pub fn t_matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(
             self.rows(),
             other.rows(),
@@ -428,8 +373,9 @@ impl DenseMatrix {
         );
         let (n, d) = self.shape();
         let p = other.cols();
+        let ex = Runtime::executor();
         if p == 1 {
-            return DenseMatrix::col_vector(&t_matvec(self.as_slice(), d, other.as_slice(), ex));
+            return DenseMatrix::col_vector(&t_matvec(self.as_slice(), d, other.as_slice(), &ex));
         }
         let mut out = DenseMatrix::zeros(d, p);
         if d == 0 || p == 0 || n == 0 {
@@ -441,20 +387,12 @@ impl DenseMatrix {
         out
     }
 
-    /// `self * other^t` without materializing the transpose.
+    /// `self * other^t` without materializing the transpose; output rows
+    /// are independent, parallelized over row bands.
     ///
     /// # Panics
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_t(&self, other: &DenseMatrix) -> DenseMatrix {
-        self.matmul_t_with(other, &Runtime::executor())
-    }
-
-    /// [`DenseMatrix::matmul_t`] with an explicit executor; output rows are
-    /// independent, parallelized over row bands.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_t_with(&self, other: &DenseMatrix, ex: &Executor) -> DenseMatrix {
         assert_eq!(
             self.cols(),
             other.cols(),
@@ -468,10 +406,10 @@ impl DenseMatrix {
         if m == 0 || n == 0 {
             return out;
         }
-        let ex = ex.gated(m * n * k.max(1));
         if k == 0 {
             return out;
         }
+        let ex = Runtime::executor().gated(m * n * k);
         let a = MatSrc {
             data: self.as_slice(),
             rs: k,
@@ -482,7 +420,7 @@ impl DenseMatrix {
             rs: 1,
             cs: k,
         };
-        gemm_driver(a, b, out.as_mut_slice(), m, k, n, false, &ex);
+        gemm_driver(a, b, out.as_mut_slice(), k, n, false, &ex);
         out
     }
 }
@@ -574,29 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_kernels_are_bit_identical_to_serial() {
-        // Larger than any band/parallel threshold games: exercise the
-        // banded paths directly with explicit executors.
-        let m = big(71, 23, 7);
-        let x = big(23, 9, 11);
-        let v: Vec<f64> = (0..23).map(|i| (i as f64) * 0.5 - 3.0).collect();
-        let w: Vec<f64> = (0..71).map(|i| ((i * 13) % 7) as f64 - 2.0).collect();
-        let y = big(71, 9, 13);
-        let z = big(44, 23, 17);
-        let serial = Executor::serial();
-        for threads in [2, 3, 8] {
-            let par = Executor::new(threads);
-            assert_eq!(m.matmul_with(&x, &par), m.matmul_with(&x, &serial));
-            assert_eq!(m.matvec_with(&v, &par), m.matvec_with(&v, &serial));
-            assert_eq!(m.vecmat_with(&w, &par), m.vecmat_with(&w, &serial));
-            assert_eq!(m.crossprod_with(&par), m.crossprod_with(&serial));
-            assert_eq!(m.tcrossprod_with(&par), m.tcrossprod_with(&serial));
-            assert_eq!(m.t_matmul_with(&y, &par), m.t_matmul_with(&y, &serial));
-            assert_eq!(m.matmul_t_with(&z, &par), m.matmul_t_with(&z, &serial));
-        }
-    }
-
-    #[test]
     fn zero_weights_propagate_nan_and_inf_like_the_gemm_path() {
         // `0 · ±inf` and `0 · NaN` are NaN on every route of `Tᵀ x`: the
         // vector kernel accumulates zero weights instead of skipping them,
@@ -608,11 +523,10 @@ mod tests {
             let mut x = vec![1.0; n];
             x[0] = 0.0;
             x[n - 1] = 0.0;
-            let serial = Executor::serial();
-            let by_vec = t.vecmat_with(&x, &serial);
-            let by_col = t.t_matmul_with(&DenseMatrix::col_vector(&x), &serial);
+            let by_vec = t.vecmat(&x);
+            let by_col = t.t_matmul(&DenseMatrix::col_vector(&x));
             let wide = DenseMatrix::from_fn(n, 2, |i, _| x[i]);
-            let by_gemm = t.t_matmul_with(&wide, &serial);
+            let by_gemm = t.t_matmul(&wide);
             for (j, &v) in by_vec.iter().enumerate() {
                 assert_eq!(v.is_nan(), j > 0, "n={n} column {j}: {v}");
                 assert!(by_col.get(j, 0) == v || by_col.get(j, 0).is_nan() && v.is_nan());
@@ -631,6 +545,38 @@ mod tests {
             (0..m.cols()).map(|k| m.get(i, k) * x.get(k, j)).sum()
         });
         assert!(m.matmul(&x).approx_eq(&naive, 1e-10));
+    }
+
+    #[test]
+    fn parallel_kernels_are_bit_identical_to_serial() {
+        // Drop the gate so every kernel takes its banded path; the worker
+        // count and threshold change scheduling only, never results.
+        Runtime::set_par_threshold(1);
+        let m = big(71, 23, 7);
+        let x = big(23, 9, 11);
+        let v: Vec<f64> = (0..23).map(|i| (i as f64) * 0.5 - 3.0).collect();
+        let w: Vec<f64> = (0..71).map(|i| ((i * 13) % 7) as f64 - 2.0).collect();
+        let y = big(71, 9, 13);
+        let z = big(44, 23, 17);
+        let run = || {
+            (
+                m.matmul(&x),
+                m.matvec(&v),
+                m.vecmat(&w),
+                m.crossprod(),
+                m.tcrossprod(),
+                m.t_matmul(&y),
+                m.matmul_t(&z),
+            )
+        };
+        let configured = Runtime::threads();
+        Runtime::set_threads(1);
+        let serial = run();
+        for threads in [2, 3, 8] {
+            Runtime::set_threads(threads);
+            assert_eq!(run(), serial, "{threads} workers");
+        }
+        Runtime::set_threads(configured);
     }
 
     #[test]

@@ -252,18 +252,10 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
 
         // `==` with exactly one scalar operand compares element-wise
         // against the scalar, like R's recycling.
-        (Eq, Dense(m), &Scalar(x)) | (Eq, &Scalar(x), Dense(m)) => {
-            Ok(Dense(m.map(move |v| if v == x { 1.0 } else { 0.0 })))
-        }
-        (Eq, Normalized(t), &Scalar(x)) | (Eq, &Scalar(x), Normalized(t)) => {
-            Ok(Dense(t.materialize().to_dense().map(move |v| {
-                if v == x {
-                    1.0
-                } else {
-                    0.0
-                }
-            })))
-        }
+        (Eq, Dense(m), &Scalar(x)) | (Eq, &Scalar(x), Dense(m)) => Ok(Dense(eq_scalar(m, x))),
+        (Eq, Normalized(t), &Scalar(x)) | (Eq, &Scalar(x), Normalized(t)) => Ok(Dense(
+            t.elementwise_fallback(|m| eq_scalar(&m.to_dense(), x)),
+        )),
 
         // ---- matrix ⊘ scalar: one element-wise operator, applied by the
         // §3.3.1 rewrite `f(T) → (f(S), K, f(R))` on normalized values.
@@ -322,15 +314,24 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
             if a.shape() != t.shape() {
                 return Err(shape_err(op_name(op), a.shape(), t.shape()));
             }
-            eval_bin(op, l, &Dense(t.materialize().to_dense()))
+            Ok(Dense(
+                t.elementwise_fallback(|m| zip_dense(op, a, &m.to_dense())),
+            ))
         }
         (op, Normalized(a), Normalized(b)) => {
             if a.shape() != b.shape() {
                 return Err(shape_err(op_name(op), a.shape(), b.shape()));
             }
-            eval_bin(op, l, &Dense(b.materialize().to_dense()))
+            Ok(Dense(b.elementwise_fallback(|mb| {
+                a.elementwise_fallback(|ma| zip_dense(op, &ma.to_dense(), &mb.to_dense()))
+            })))
         }
     }
+}
+
+/// 1 where `m` equals `x` exactly, 0 elsewhere (R's `m == x`).
+fn eq_scalar(m: &DenseMatrix, x: f64) -> DenseMatrix {
+    m.map(move |v| if v == x { 1.0 } else { 0.0 })
 }
 
 /// `a op b` entry by entry for two same-shape dense matrices.

@@ -890,6 +890,40 @@ mod tests {
     }
 
     #[test]
+    fn normalized_elementwise_operands_route_through_the_planner() {
+        // §3.3.7: each normalized operand of a matrix ⊘ matrix operator or
+        // of `==` against a scalar is one routed fallback decision, on
+        // either side, in both evaluators; the result equals the same
+        // script on the materialized join.
+        let t = pkfk(24, 3, 6, 4);
+        let x = DenseMatrix::from_fn(24, 7, |i, j| (i * 7 + j) as f64 * 0.25 - 3.0);
+        let is_fallback = |op: &OpKind| matches!(op, OpKind::ElementwiseFallback);
+        let joined = Value::Dense(t.materialize().to_dense());
+        type Run = fn(&str, &mut Env) -> Result<Value, LangError>;
+        for (src, want) in [
+            ("T + X", 1),
+            ("X + T", 1),
+            ("X * T", 1),
+            ("T == 0", 1),
+            ("0 == T", 1),
+            ("T - T", 2),
+        ] {
+            for run in [run_interp as Run, run_planned] {
+                let (p, n) = counting(t.clone(), Strategy::AlwaysMaterialize, is_fallback);
+                let mut env = Env::new();
+                env.bind("T", Value::Normalized(p));
+                env.bind("X", Value::Dense(x.clone()));
+                let got = run(src, &mut env).unwrap();
+                assert_eq!(n.load(Ordering::Relaxed), want, "{src}");
+                let mut env = Env::new();
+                env.bind("T", joined.clone());
+                env.bind("X", Value::Dense(x.clone()));
+                assert_eq!(bits(&got), bits(&run(src, &mut env).unwrap()), "{src}");
+            }
+        }
+    }
+
+    #[test]
     fn for_loop_parity_bitwise() {
         let src = "w = zeros(4, 1)\nfor (i in 1:3) {\n  p = Y / (1 + exp(Y * (X %*% w)))\n  w = w + 0.01 * (t(X) %*% p)\n}\nw";
         let x = DenseMatrix::from_fn(6, 4, |i, j| ((i * 5 + j * 3) % 7) as f64 * 0.2 - 0.5);

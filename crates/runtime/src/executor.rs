@@ -24,16 +24,6 @@ pub struct Executor {
     threads: usize,
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-}
-
 /// Unwraps a mutex that can only be poisoned if a stride panicked — in
 /// which case [`pool::broadcast`] already re-threw before results are
 /// read, so recovering the inner value is always sound here.
@@ -65,7 +55,7 @@ impl Executor {
     }
 
     /// A single-threaded executor: everything runs inline on the caller.
-    pub fn serial() -> Self {
+    pub(crate) fn serial() -> Self {
         Self::new(1)
     }
 
@@ -225,6 +215,33 @@ impl Executor {
         });
     }
 
+    /// Splits the row-major `out` (rows of `row_len` elements) into bands
+    /// of [`Executor::grain`]`(rows)` rows and applies `body(i0, band)` to
+    /// each, distributing bands round-robin like
+    /// [`Executor::par_chunks_mut`]. `i0` is the index of the band's first
+    /// output row, so a body that writes each of its rows from that row's
+    /// index alone gives the same bits at any worker count. A no-op on
+    /// empty output.
+    ///
+    /// Bodies walk their rows as `band.chunks_mut(row_len).zip(i0..)`:
+    /// zipping with the bounded `i0..i0 + rows` instead measured up to
+    /// 1.4x slower on the indicator's `Kᵀ X` (2-vCPU x86-64, release + LTO).
+    ///
+    /// # Panics
+    /// Panics if `out` is non-empty and `row_len == 0`.
+    pub fn par_rows<T, F>(&self, out: &mut [T], row_len: usize, body: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        if out.is_empty() {
+            return;
+        }
+        assert!(row_len > 0, "par_rows: row_len must be positive");
+        let band = self.grain(out.len() / row_len);
+        self.par_chunks_mut(out, band * row_len, |bi, chunk| body(bi * band, chunk));
+    }
+
     /// Runs two closures concurrently (as two strides of one pool job:
     /// the caller starts on the first while an idle worker may take the
     /// second) and returns both results.
@@ -353,8 +370,31 @@ mod tests {
     }
 
     #[test]
-    fn default_has_at_least_one_thread() {
-        assert!(Executor::default().threads() >= 1);
+    fn par_rows_hands_each_band_its_rows() {
+        // 23 rows of 3: bands of grain(23) rows, the last one shorter.
+        for threads in [1, 4] {
+            let ex = Executor::new(threads);
+            let mut data = vec![0usize; 23 * 3];
+            let heights = Mutex::new(Vec::new());
+            ex.par_rows(&mut data, 3, |i0, band| {
+                assert_eq!(band.len() % 3, 0);
+                lock_slot(&heights).push((i0, band.len() / 3));
+                for (row, i) in band.chunks_mut(3).zip(i0..) {
+                    row.fill(i);
+                }
+            });
+            assert!(data.chunks(3).enumerate().all(|(i, row)| row == [i; 3]));
+            let mut heights = into_ok(heights);
+            heights.sort_unstable();
+            let band = ex.grain(23);
+            let want: Vec<_> = (0..23)
+                .step_by(band)
+                .map(|i| (i, band.min(23 - i)))
+                .collect();
+            assert_eq!(heights, want);
+        }
+        // Empty output: no band runs, whatever the row length.
+        Executor::new(4).par_rows(&mut [0.0f64; 0], 0, |_, _| unreachable!());
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   in its own section, so dispatch degrades gracefully when workers are
 //!   busy and nested sections can never deadlock (see the `pool` module
 //!   docs for the invariants).
-//! * Kernels obtain an executor with [`Runtime::executor`]; callers that
-//!   want explicit control pass their own [`Executor`] to the `*_with`
-//!   kernel variants instead.
+//! * Kernels obtain an executor with [`Runtime::executor`]; they take no
+//!   executor argument, so the worker count is set only through
+//!   [`Runtime::set_threads`]. Output-row-parallel kernels split their
+//!   output into bands with [`Executor::par_rows`].
 //! * Tiny kernels skip the pool entirely: [`Executor::gated`] caps a
 //!   section to the caller thread when its work estimate is below the
 //!   process-wide threshold ([`runtime::DEFAULT_PAR_THRESHOLD`], which

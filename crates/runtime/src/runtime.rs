@@ -69,8 +69,8 @@ impl Runtime {
         (Self::threads() / claim::current()).max(1)
     }
 
-    /// An executor sized to [`Runtime::available`] — the default executor
-    /// every kernel uses when the caller does not pass one explicitly.
+    /// An executor sized to [`Runtime::available`] — the executor every
+    /// kernel runs on.
     pub fn executor() -> Executor {
         Executor::new(Self::available())
     }

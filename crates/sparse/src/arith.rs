@@ -64,14 +64,6 @@ impl CsrMatrix {
         }
         CsrMatrix::from_raw_unchecked(self.rows(), self.cols(), indptr, indices, values)
     }
-
-    /// Element-wise difference `self - other`.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn sub(&self, other: &CsrMatrix) -> CsrMatrix {
-        self.add(&other.map_nnz(|v| -v))
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +96,6 @@ mod tests {
         // cancellations drop stored entries
         assert_eq!(s.get(0, 2), 0.0);
         assert_eq!(s.nnz(), 2);
-        assert_eq!(a.sub(&b).to_dense(), a.to_dense().sub(&b.to_dense()));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::CsrMatrix;
 use morpheus_dense::{simd, DenseMatrix};
-use morpheus_runtime::{Executor, Runtime};
+use morpheus_runtime::Runtime;
 
 /// Flop estimate for products that stream `a`'s non-zeros against rows of
 /// `b`: nnz(a) × the average `b`-row density it multiplies into. Crude but
@@ -103,21 +103,13 @@ impl CsrMatrix {
         touched.clear();
     }
 
-    /// Sparse × dense product `self * x` → dense.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != x.rows()`.
-    pub fn spmm_dense(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.spmm_dense_with(x, &Runtime::executor())
-    }
-
-    /// [`CsrMatrix::spmm_dense`] with an explicit executor: CSR rows map to
+    /// Sparse × dense product `self * x` → dense. CSR rows map to
     /// independent output rows, parallelized over row bands with the serial
     /// per-row accumulation order preserved (bit-identical to one thread).
     ///
     /// # Panics
     /// Panics if `self.cols() != x.rows()`.
-    pub fn spmm_dense_with(&self, x: &DenseMatrix, ex: &Executor) -> DenseMatrix {
+    pub fn spmm_dense(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(
             self.cols(),
             x.rows(),
@@ -129,32 +121,23 @@ impl CsrMatrix {
         );
         let m = self.rows();
         let n = x.cols();
-        let ex = ex.gated(self.nnz() * n.max(1));
+        let ex = Runtime::executor().gated(self.nnz() * n.max(1));
         if n == 1 {
             // Vector fast path: one fused scalar accumulation per non-zero.
             let xs = x.as_slice();
             let mut sums = vec![0.0; m];
-            if m > 0 {
-                let band = ex.grain(m);
-                ex.par_chunks_mut(&mut sums, band, |bi, chunk| {
-                    let i0 = bi * band;
-                    for (li, o) in chunk.iter_mut().enumerate() {
-                        let (cols, vals) = self.row(i0 + li);
-                        *o = simd::dot_indexed(vals, cols, xs);
-                    }
-                });
-            }
+            ex.par_rows(&mut sums, 1, |i0, chunk| {
+                for (o, i) in chunk.iter_mut().zip(i0..) {
+                    let (cols, vals) = self.row(i);
+                    *o = simd::dot_indexed(vals, cols, xs);
+                }
+            });
             return DenseMatrix::col_vector(&sums);
         }
         let mut out = DenseMatrix::zeros(m, n);
-        if m == 0 || n == 0 {
-            return out;
-        }
-        let band = ex.grain(m);
-        ex.par_chunks_mut(out.as_mut_slice(), band * n, |bi, chunk| {
-            let i0 = bi * band;
-            for (li, orow) in chunk.chunks_mut(n).enumerate() {
-                let (cols, vals) = self.row(i0 + li);
+        ex.par_rows(out.as_mut_slice(), n, |i0, chunk| {
+            for (orow, i) in chunk.chunks_mut(n).zip(i0..) {
+                let (cols, vals) = self.row(i);
                 for (&c, &v) in cols.iter().zip(vals) {
                     let xrow = x.row(c);
                     for (o, &xv) in orow.iter_mut().zip(xrow) {
@@ -169,14 +152,6 @@ impl CsrMatrix {
     /// Transposed sparse × dense product `selfᵀ * x` → dense, computed by
     /// scattering rows of `x` — the transpose is never materialized.
     ///
-    /// # Panics
-    /// Panics if `self.rows() != x.rows()`.
-    pub fn t_spmm_dense(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.t_spmm_dense_with(x, &Runtime::executor())
-    }
-
-    /// [`CsrMatrix::t_spmm_dense`] with an explicit executor.
-    ///
     /// Output rows are scatter-written (row `i` of `x` lands on output row
     /// `c` for every non-zero `(i, c)`), so the parallel path runs the
     /// two-pass scheme: `CsrMatrix::column_buckets` regroups the
@@ -187,7 +162,7 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics if `self.rows() != x.rows()`.
-    pub fn t_spmm_dense_with(&self, x: &DenseMatrix, ex: &Executor) -> DenseMatrix {
+    pub fn t_spmm_dense(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(
             self.rows(),
             x.rows(),
@@ -201,7 +176,7 @@ impl CsrMatrix {
         if d == 0 || n == 0 || self.nnz() == 0 {
             return out;
         }
-        let ex = ex.gated(self.nnz() * n);
+        let ex = Runtime::executor().gated(self.nnz() * n);
         if ex.threads() <= 1 {
             // Serial scatter: no counting pass, no bucket allocation.
             let o = out.as_mut_slice();
@@ -229,23 +204,20 @@ impl CsrMatrix {
             return out;
         }
         let (offsets, src_rows, src_vals) = self.column_buckets();
-        let band = ex.grain(d);
         if n == 1 {
             let xs = x.as_slice();
-            ex.par_chunks_mut(out.as_mut_slice(), band, |bi, chunk| {
-                let c0 = bi * band;
-                for (lc, o) in chunk.iter_mut().enumerate() {
-                    for s in offsets[c0 + lc]..offsets[c0 + lc + 1] {
+            ex.par_rows(out.as_mut_slice(), 1, |c0, chunk| {
+                for (o, c) in chunk.iter_mut().zip(c0..) {
+                    for s in offsets[c]..offsets[c + 1] {
                         *o += src_vals[s] * xs[src_rows[s]];
                     }
                 }
             });
             return out;
         }
-        ex.par_chunks_mut(out.as_mut_slice(), band * n, |bi, chunk| {
-            let c0 = bi * band;
-            for (lc, orow) in chunk.chunks_mut(n).enumerate() {
-                for s in offsets[c0 + lc]..offsets[c0 + lc + 1] {
+        ex.par_rows(out.as_mut_slice(), n, |c0, chunk| {
+            for (orow, c) in chunk.chunks_mut(n).zip(c0..) {
+                for s in offsets[c]..offsets[c + 1] {
                     let xrow = x.row(src_rows[s]);
                     let v = src_vals[s];
                     for (o, &xv) in orow.iter_mut().zip(xrow) {
@@ -260,25 +232,16 @@ impl CsrMatrix {
     /// Dense × sparse product `x * self` → dense.
     ///
     /// Iterates the sparse matrix row-wise and scatters into the output:
-    /// `out[i, c] += x[i, k] * self[k, c]`.
+    /// `out[i, c] += x[i, k] * self[k, c]`, zero weights included, so a
+    /// `0 · ±inf` or `0 · NaN` term reads NaN as in the dense product.
+    /// The scatter stays *within* each output row, and output rows depend
+    /// on exactly one row of `x` — so rows are independent and
+    /// parallelize over bands directly, each preserving the serial
+    /// k-ascending accumulation order (bit-identical to one thread).
     ///
     /// # Panics
     /// Panics if `x.cols() != self.rows()`.
     pub fn dense_spmm(&self, x: &DenseMatrix) -> DenseMatrix {
-        self.dense_spmm_with(x, &Runtime::executor())
-    }
-
-    /// [`CsrMatrix::dense_spmm`] with an explicit executor.
-    ///
-    /// The scatter stays *within* each output row (`orow[c] += …`), and
-    /// output rows depend on exactly one row of `x` — so rows are
-    /// independent and parallelize over bands directly, each preserving
-    /// the serial k-ascending accumulation order (bit-identical to one
-    /// thread).
-    ///
-    /// # Panics
-    /// Panics if `x.cols() != self.rows()`.
-    pub fn dense_spmm_with(&self, x: &DenseMatrix, ex: &Executor) -> DenseMatrix {
         assert_eq!(
             x.cols(),
             self.rows(),
@@ -291,20 +254,11 @@ impl CsrMatrix {
         let m = x.rows();
         let n = self.cols();
         let mut out = DenseMatrix::zeros(m, n);
-        if m == 0 || n == 0 {
-            return out;
-        }
         // Upper bound: every dense row streams all non-zeros of `self`.
-        let ex = ex.gated(m.saturating_mul(self.nnz()));
-        let band = ex.grain(m);
-        ex.par_chunks_mut(out.as_mut_slice(), band * n, |bi, chunk| {
-            let i0 = bi * band;
-            for (li, orow) in chunk.chunks_mut(n).enumerate() {
-                let xrow = x.row(i0 + li);
-                for (k, &xv) in xrow.iter().enumerate() {
-                    if xv == 0.0 {
-                        continue;
-                    }
+        let ex = Runtime::executor().gated(m.saturating_mul(self.nnz()));
+        ex.par_rows(out.as_mut_slice(), n, |i0, chunk| {
+            for (orow, i) in chunk.chunks_mut(n).zip(i0..) {
+                for (k, &xv) in x.row(i).iter().enumerate() {
                     let (cols, vals) = self.row(k);
                     for (&c, &v) in cols.iter().zip(vals) {
                         orow[c] += xv * v;
@@ -320,14 +274,6 @@ impl CsrMatrix {
     /// Gustavson's algorithm with a dense accumulator row and a touched-column
     /// list, so each output row costs O(flops + |touched|).
     ///
-    /// # Panics
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn spgemm(&self, other: &CsrMatrix) -> CsrMatrix {
-        self.spgemm_with(other, &Runtime::executor())
-    }
-
-    /// [`CsrMatrix::spgemm`] with an explicit executor.
-    ///
     /// The output's sparsity structure is unknown upfront, so the parallel
     /// path is two-pass: row bands first compute their exact output rows
     /// (Gustavson into private buffers — the counting pass that yields
@@ -339,7 +285,7 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics if `self.cols() != other.rows()`.
-    pub fn spgemm_with(&self, other: &CsrMatrix, ex: &Executor) -> CsrMatrix {
+    pub fn spgemm(&self, other: &CsrMatrix) -> CsrMatrix {
         assert_eq!(
             self.cols(),
             other.rows(),
@@ -351,7 +297,7 @@ impl CsrMatrix {
         );
         let m = self.rows();
         let n = other.cols();
-        let ex = ex.gated(sparse_product_work(self, other));
+        let ex = Runtime::executor().gated(sparse_product_work(self, other));
         if ex.threads() <= 1 || m <= 1 {
             let mut acc = vec![0.0f64; n];
             let mut touched: Vec<usize> = Vec::new();
@@ -425,18 +371,13 @@ impl CsrMatrix {
     ///
     /// Accumulates outer products of the sparse rows into the upper triangle,
     /// then mirrors — the same symmetry saving as the dense kernel.
-    pub fn crossprod_dense(&self) -> DenseMatrix {
-        self.crossprod_dense_with(&Runtime::executor())
-    }
-
-    /// [`CsrMatrix::crossprod_dense`] with an explicit executor.
     ///
-    /// This kernel scatters row outer-products into the output, so workers
-    /// own disjoint bands of output rows; each streams over all non-zeros
-    /// but accumulates only the entries whose leading column falls in its
+    /// The outer products are scattered into the output, so workers own
+    /// disjoint bands of output rows; each streams over all non-zeros but
+    /// accumulates only the entries whose leading column falls in its
     /// band. Per-element accumulation order equals the serial kernel, so
     /// parallel results are bit-identical to one thread.
-    pub fn crossprod_dense_with(&self, ex: &Executor) -> DenseMatrix {
+    pub fn crossprod_dense(&self) -> DenseMatrix {
         let d = self.cols();
         let mut out = DenseMatrix::zeros(d, d);
         if d == 0 || self.nnz() == 0 {
@@ -444,18 +385,17 @@ impl CsrMatrix {
         }
         // Work per row of the triangle is irregular; nnz² / rows (i.e. the
         // self-product estimate) is a crude but serviceable fma count.
-        let ex = ex.gated(sparse_product_work(self, self));
-        let band = ex.grain(d);
-        ex.par_chunks_mut(out.as_mut_slice(), band * d, |bi, chunk| {
-            let c0 = bi * band;
-            let rows_in_band = chunk.len() / d;
+        let ex = Runtime::executor().gated(sparse_product_work(self, self));
+        ex.par_rows(out.as_mut_slice(), d, |c0, chunk| {
+            let band = c0..c0 + chunk.len() / d;
             for i in 0..self.rows() {
                 let (cols, vals) = self.row(i);
                 for (p, (&ci, &vi)) in cols.iter().zip(vals).enumerate() {
-                    if ci < c0 || ci >= c0 + rows_in_band {
+                    if !band.contains(&ci) {
                         continue;
                     }
-                    let orow = &mut chunk[(ci - c0) * d..(ci - c0 + 1) * d];
+                    let r = ci - c0;
+                    let orow = &mut chunk[r * d..(r + 1) * d];
                     for (&cj, &vj) in cols[p..].iter().zip(&vals[p..]) {
                         orow[cj] += vi * vj;
                     }
@@ -476,14 +416,6 @@ impl CsrMatrix {
     /// Used for the off-diagonal blocks `P = Rᵀ (Kᵀ S)` of the cross-product
     /// rewrites when both operands are sparse.
     ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn t_spgemm_dense(&self, other: &CsrMatrix) -> DenseMatrix {
-        self.t_spgemm_dense_with(other, &Runtime::executor())
-    }
-
-    /// [`CsrMatrix::t_spgemm_dense`] with an explicit executor.
-    ///
     /// Scatter-written like [`CsrMatrix::t_spmm_dense`] (output row `ca`
     /// collects every input row where `self` has a non-zero in column
     /// `ca`), and parallelized the same way: the counting pass buckets
@@ -493,7 +425,7 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics if the row counts differ.
-    pub fn t_spgemm_dense_with(&self, other: &CsrMatrix, ex: &Executor) -> DenseMatrix {
+    pub fn t_spgemm_dense(&self, other: &CsrMatrix) -> DenseMatrix {
         assert_eq!(
             self.rows(),
             other.rows(),
@@ -507,7 +439,7 @@ impl CsrMatrix {
         if d1 == 0 || d2 == 0 || self.nnz() == 0 || other.nnz() == 0 {
             return out;
         }
-        let ex = ex.gated(sparse_product_work(self, other));
+        let ex = Runtime::executor().gated(sparse_product_work(self, other));
         if ex.threads() <= 1 {
             let o = out.as_mut_slice();
             for i in 0..self.rows() {
@@ -523,11 +455,9 @@ impl CsrMatrix {
             return out;
         }
         let (offsets, src_rows, src_vals) = self.column_buckets();
-        let band = ex.grain(d1);
-        ex.par_chunks_mut(out.as_mut_slice(), band * d2, |bi, chunk| {
-            let c0 = bi * band;
-            for (lc, orow) in chunk.chunks_mut(d2).enumerate() {
-                for s in offsets[c0 + lc]..offsets[c0 + lc + 1] {
+        ex.par_rows(out.as_mut_slice(), d2, |c0, chunk| {
+            for (orow, ca) in chunk.chunks_mut(d2).zip(c0..) {
+                for s in offsets[ca]..offsets[ca + 1] {
                     let i = src_rows[s];
                     let va = src_vals[s];
                     let (bcols, bvals) = other.row(i);
@@ -640,56 +570,49 @@ mod tests {
         CsrMatrix::from_triplets(rows, cols, &trips).unwrap()
     }
 
+    /// `f` at one worker, then at `threads` workers. Drops the gate so
+    /// these small shapes take the parallel paths; the worker count and
+    /// threshold change scheduling only, never results.
+    fn one_then<R>(threads: usize, f: impl Fn() -> R) -> (R, R) {
+        Runtime::set_par_threshold(1);
+        let configured = Runtime::threads();
+        Runtime::set_threads(1);
+        let serial = f();
+        Runtime::set_threads(threads);
+        let par = f();
+        Runtime::set_threads(configured);
+        (serial, par)
+    }
+
     #[test]
     fn parallel_sparse_kernels_bit_identical_to_serial() {
-        use morpheus_runtime::Executor;
-        // Drop the gate so these small shapes actually exercise the
-        // parallel paths (scheduling only — any test asserting equality
-        // is threshold-independent, so the global override is safe).
-        Runtime::set_par_threshold(1);
         let a = pseudo_sparse(37, 19);
         let x = dn(19, 4);
-        let serial = Executor::serial();
         for threads in [2, 3, 8] {
-            let par = Executor::new(threads);
-            assert_eq!(a.spmm_dense_with(&x, &par), a.spmm_dense_with(&x, &serial));
-            assert_eq!(
-                a.crossprod_dense_with(&par),
-                a.crossprod_dense_with(&serial)
-            );
+            let (serial, par) = one_then(threads, || (a.spmm_dense(&x), a.crossprod_dense()));
+            assert_eq!(par, serial, "{threads} workers");
         }
     }
 
     #[test]
     fn parallel_scatter_kernels_bit_identical_to_serial() {
-        use morpheus_runtime::Executor;
-        Runtime::set_par_threshold(1);
         let a = pseudo_sparse(37, 19);
         let y = dn(37, 4);
         let yv = dn(37, 1);
         let xd = dn(5, 37);
         let b = pseudo_sparse(19, 23);
         let bt = pseudo_sparse(37, 11);
-        let serial = Executor::serial();
         for threads in [2, 3, 8] {
-            let par = Executor::new(threads);
-            assert_eq!(
-                a.t_spmm_dense_with(&y, &par),
-                a.t_spmm_dense_with(&y, &serial)
-            );
-            assert_eq!(
-                a.t_spmm_dense_with(&yv, &par),
-                a.t_spmm_dense_with(&yv, &serial)
-            );
-            assert_eq!(
-                a.dense_spmm_with(&xd, &par),
-                a.dense_spmm_with(&xd, &serial)
-            );
-            assert_eq!(a.spgemm_with(&b, &par), a.spgemm_with(&b, &serial));
-            assert_eq!(
-                a.t_spgemm_dense_with(&bt, &par),
-                a.t_spgemm_dense_with(&bt, &serial)
-            );
+            let (serial, par) = one_then(threads, || {
+                (
+                    a.t_spmm_dense(&y),
+                    a.t_spmm_dense(&yv),
+                    a.dense_spmm(&xd),
+                    a.spgemm(&b),
+                    a.t_spgemm_dense(&bt),
+                )
+            });
+            assert_eq!(par, serial, "{threads} workers");
         }
     }
 
@@ -698,12 +621,9 @@ mod tests {
         // The banded two-pass SpGEMM must produce the identical CSR
         // structure (indptr/indices/values), including dropped
         // cancellation zeros, not merely the same dense content.
-        use morpheus_runtime::Executor;
-        Runtime::set_par_threshold(1);
         let a = pseudo_sparse(37, 19);
         let b = pseudo_sparse(19, 23);
-        let serial = a.spgemm_with(&b, &Executor::serial());
-        let par = a.spgemm_with(&b, &Executor::new(4));
+        let (serial, par) = one_then(4, || a.spgemm(&b));
         assert_eq!(par.indptr(), serial.indptr());
         assert_eq!(par.indices(), serial.indices());
         assert_eq!(par.values(), serial.values());

@@ -6,8 +6,10 @@
 //! `t_spgemm_dense`) must reproduce the serial results — for SpGEMM the
 //! exact CSR structure — and chunk-level parallelism composed over
 //! kernel-level parallelism (oversubscription) must stay deterministic.
-//! Worker counts deliberately exceed the resident pool so dispatch under
-//! oversubscription is exercised too. The SIMD determinism contract gets
+//! Kernels take no executor: each comparison runs the plain methods at
+//! one worker and at k workers, and the nested tests open an outer
+//! section wider than the pool so dispatch under oversubscription is
+//! exercised too. The SIMD determinism contract gets
 //! the same treatment: the AVX2 GEMM microkernel must match the scalar
 //! FMA microkernel bit for bit on every tile-remainder shape, and the
 //! fixed-lane reductions must not move with the worker count or the
@@ -149,6 +151,83 @@ fn as_usize(k: &KeyColumn) -> Vec<usize> {
     k.keys().iter().map(|&c| c as usize).collect()
 }
 
+/// `f` run at one worker, then at `threads` workers, under one hold of
+/// the runtime settings.
+fn one_then<R>(threads: usize, f: impl Fn() -> R) -> (R, R) {
+    let settings = RuntimeSettings::hold();
+    settings.set_threads(1);
+    let serial = f();
+    settings.set_threads(threads);
+    (serial, f())
+}
+
+/// Every dense product kernel at `threads` workers equals one worker, bit
+/// for bit: exact equality, not approx_eq.
+fn check_dense_kernels(a: &DenseMatrix, seed: u64, cols: usize, threads: usize) -> TestCaseResult {
+    let (rows, inner) = a.shape();
+    let b = mat(inner, cols, seed ^ 0xA5A5);
+    let v = mat(inner, 1, seed ^ 0x77).into_vec();
+    let w = mat(rows, 1, seed ^ 0x99).into_vec();
+    let y = mat(rows, cols, seed ^ 0x1234);
+    let z = mat(cols, inner, seed ^ 0x4321);
+    let (serial, par) = one_then(threads, || {
+        (
+            a.matmul(&b),
+            a.matvec(&v),
+            a.vecmat(&w),
+            a.crossprod(),
+            a.tcrossprod(),
+            a.t_matmul(&y),
+            a.matmul_t(&z),
+        )
+    });
+    prop_assert_eq!(par.0, serial.0);
+    prop_assert_eq!(par.1, serial.1);
+    prop_assert_eq!(par.2, serial.2);
+    prop_assert_eq!(par.3, serial.3);
+    prop_assert_eq!(par.4, serial.4);
+    prop_assert_eq!(par.5, serial.5);
+    prop_assert_eq!(par.6, serial.6);
+    Ok(())
+}
+
+/// The row-parallel sparse kernels at `threads` workers equal one worker.
+fn check_sparse_kernels(s: &CsrMatrix, x: &DenseMatrix, threads: usize) -> TestCaseResult {
+    let (serial, par) = one_then(threads, || (s.spmm_dense(x), s.crossprod_dense()));
+    prop_assert_eq!(par.0, serial.0);
+    prop_assert_eq!(par.1, serial.1);
+    Ok(())
+}
+
+/// The scatter kernels at `threads` workers equal one worker; for SpGEMM
+/// the full CSR structure must match, not just the dense content — exact
+/// per-row extents include cancellation drops.
+fn check_scatter_kernels(s: &CsrMatrix, width: usize, seed: u64, threads: usize) -> TestCaseResult {
+    let (rows, cols) = s.shape();
+    let y = mat(rows, width, seed ^ 0x0FF1);
+    let yv = mat(rows, 1, seed ^ 0x2CE);
+    let xd = mat(width, rows, seed ^ 0xC0DE);
+    let b = sparse(cols, (seed % 13) as usize + 1, seed ^ 0x1DEA);
+    let b2 = sparse(rows, width + 2, seed ^ 0xF00D);
+    let (serial, par) = one_then(threads, || {
+        (
+            s.t_spmm_dense(&y),
+            s.t_spmm_dense(&yv),
+            s.dense_spmm(&xd),
+            s.spgemm(&b),
+            s.t_spgemm_dense(&b2),
+        )
+    });
+    prop_assert_eq!(par.0, serial.0);
+    prop_assert_eq!(par.1, serial.1);
+    prop_assert_eq!(par.2, serial.2);
+    prop_assert_eq!(par.3.indptr(), serial.3.indptr());
+    prop_assert_eq!(par.3.indices(), serial.3.indices());
+    prop_assert_eq!(par.3.values(), serial.3.values());
+    prop_assert_eq!(par.4, serial.4);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -220,22 +299,7 @@ proptest! {
         threads in 2usize..6,
         seed in any::<u64>(),
     ) {
-        let a = mat(rows, inner, seed);
-        let b = mat(inner, cols, seed ^ 0xA5A5);
-        let v = mat(inner, 1, seed ^ 0x77).into_vec();
-        let w = mat(rows, 1, seed ^ 0x99).into_vec();
-        let serial = Executor::serial();
-        let par = Executor::new(threads);
-        // Bit-for-bit: exact equality, not approx_eq.
-        prop_assert_eq!(a.matmul_with(&b, &par), a.matmul_with(&b, &serial));
-        prop_assert_eq!(a.matvec_with(&v, &par), a.matvec_with(&v, &serial));
-        prop_assert_eq!(a.vecmat_with(&w, &par), a.vecmat_with(&w, &serial));
-        prop_assert_eq!(a.crossprod_with(&par), a.crossprod_with(&serial));
-        prop_assert_eq!(a.tcrossprod_with(&par), a.tcrossprod_with(&serial));
-        let y = mat(rows, cols, seed ^ 0x1234);
-        prop_assert_eq!(a.t_matmul_with(&y, &par), a.t_matmul_with(&y, &serial));
-        let z = mat(cols, inner, seed ^ 0x4321);
-        prop_assert_eq!(a.matmul_t_with(&z, &par), a.matmul_t_with(&z, &serial));
+        check_dense_kernels(&mat(rows, inner, seed), seed, cols, threads)?;
     }
 
     #[test]
@@ -261,23 +325,25 @@ proptest! {
         Runtime::set_par_threshold(1);
         // Held from the reference on, so it really runs with SIMD on.
         let settings = RuntimeSettings::hold();
-        let reference = |a: &DenseMatrix, x: &DenseMatrix| {
-            let ex = Executor::serial();
+        let reduce = |a: &DenseMatrix, x: &DenseMatrix| {
             (
-                bits(a.t_matmul_with(x, &ex).as_slice()),
-                bits(a.crossprod_with(&ex).as_slice()),
-                bits(&a.vecmat_with(x.col(0).as_slice(), &ex)),
+                bits(a.t_matmul(x).as_slice()),
+                bits(a.crossprod().as_slice()),
+                bits(&a.vecmat(x.col(0).as_slice())),
             )
         };
-        let want = reference(&a, &x);
+        settings.set_threads(1);
+        let want = reduce(&a, &x);
         for threads in [2usize, 3, 8] {
-            let ex = Executor::new(threads);
-            prop_assert_eq!(&bits(a.t_matmul_with(&x, &ex).as_slice()), &want.0);
-            prop_assert_eq!(&bits(a.crossprod_with(&ex).as_slice()), &want.1);
-            prop_assert_eq!(&bits(&a.vecmat_with(x.col(0).as_slice(), &ex)), &want.2);
+            settings.set_threads(threads);
+            let got = reduce(&a, &x);
+            prop_assert_eq!(&got.0, &want.0);
+            prop_assert_eq!(&got.1, &want.1);
+            prop_assert_eq!(&got.2, &want.2);
         }
+        settings.set_threads(1);
         settings.set_simd(false);
-        let gated = reference(&a, &x);
+        let gated = reduce(&a, &x);
         drop(settings);
         prop_assert_eq!(&gated, &want);
 
@@ -358,11 +424,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let s = sparse(rows, cols, seed);
-        let x = mat(cols, width, seed ^ 0xBEEF);
-        let serial = Executor::serial();
-        let par = Executor::new(threads);
-        prop_assert_eq!(s.spmm_dense_with(&x, &par), s.spmm_dense_with(&x, &serial));
-        prop_assert_eq!(s.crossprod_dense_with(&par), s.crossprod_dense_with(&serial));
+        check_sparse_kernels(&s, &mat(cols, width, seed ^ 0xBEEF), threads)?;
     }
 
     #[test]
@@ -378,37 +440,7 @@ proptest! {
         // exercise the parallel paths (scheduling only — results are
         // threshold-independent).
         Runtime::set_par_threshold(1);
-        let s = sparse(rows, cols, seed);
-        let y = mat(rows, width, seed ^ 0x0FF1);
-        let yv = mat(rows, 1, seed ^ 0x2CE);
-        let xd = mat(width, rows, seed ^ 0xC0DE);
-        let b = sparse(cols, (seed % 13) as usize + 1, seed ^ 0x1DEA);
-        let b2 = sparse(rows, width + 2, seed ^ 0xF00D);
-        let serial = Executor::serial();
-        let par = Executor::new(threads);
-        prop_assert_eq!(
-            s.t_spmm_dense_with(&y, &par),
-            s.t_spmm_dense_with(&y, &serial)
-        );
-        prop_assert_eq!(
-            s.t_spmm_dense_with(&yv, &par),
-            s.t_spmm_dense_with(&yv, &serial)
-        );
-        prop_assert_eq!(
-            s.dense_spmm_with(&xd, &par),
-            s.dense_spmm_with(&xd, &serial)
-        );
-        // SpGEMM: the full CSR structure must match, not just the dense
-        // content — exact per-row extents include cancellation drops.
-        let sp_par = s.spgemm_with(&b, &par);
-        let sp_serial = s.spgemm_with(&b, &serial);
-        prop_assert_eq!(sp_par.indptr(), sp_serial.indptr());
-        prop_assert_eq!(sp_par.indices(), sp_serial.indices());
-        prop_assert_eq!(sp_par.values(), sp_serial.values());
-        prop_assert_eq!(
-            s.t_spgemm_dense_with(&b2, &par),
-            s.t_spgemm_dense_with(&b2, &serial)
-        );
+        check_scatter_kernels(&sparse(rows, cols, seed), width, seed, threads)?;
     }
 
     #[test]
@@ -426,12 +458,13 @@ proptest! {
         // governing the rest of this binary.
         Runtime::set_par_threshold(1);
         let settings = RuntimeSettings::hold();
-        settings.set_threads(4);
         let s = sparse(rows, cols, seed);
         let y = mat(rows, 3, seed ^ 0xAB);
         let b = sparse(cols, 5, seed ^ 0xCD);
-        let t_expect = s.t_spmm_dense_with(&y, &Executor::serial());
-        let sp_expect = s.spgemm_with(&b, &Executor::serial());
+        settings.set_threads(1);
+        let t_expect = s.t_spmm_dense(&y);
+        let sp_expect = s.spgemm(&b);
+        settings.set_threads(4);
         let replicas = Executor::new(outer).map(outer, |_| (s.t_spmm_dense(&y), s.spgemm(&b)));
         drop(settings);
         for (t, sp) in replicas {
@@ -607,21 +640,6 @@ proptest! {
             prop_assert_eq!(base.3.get(i, 0), max);
         }
     }
-
-    #[test]
-    fn one_thread_executor_reproduces_default_results(
-        rows in 1usize..40,
-        cols in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        // The plain methods (Runtime-sized) must compute the same bits as
-        // an explicit 1-thread executor — parallelism is pure scheduling.
-        let a = mat(rows, cols, seed);
-        let b = mat(cols, rows, seed ^ 0xD00D);
-        let serial = Executor::serial();
-        prop_assert_eq!(a.matmul(&b), a.matmul_with(&b, &serial));
-        prop_assert_eq!(a.crossprod(), a.crossprod_with(&serial));
-    }
 }
 
 /// With no failpoints configured, a healthy parallel run must leave every
@@ -641,9 +659,11 @@ fn unfaulted_runs_leave_every_fault_counter_at_zero() {
     settings.set_threads(4);
     let product = a.matmul(&b);
     let cp = a.crossprod();
+    settings.set_threads(1);
+    let serial = (a.matmul(&b), a.crossprod());
     drop(settings);
-    assert_eq!(product, a.matmul_with(&b, &Executor::serial()));
-    assert_eq!(cp, a.crossprod_with(&Executor::serial()));
+    assert_eq!(product, serial.0);
+    assert_eq!(cp, serial.1);
     let stats = faults::stats();
     assert_eq!(
         stats,
