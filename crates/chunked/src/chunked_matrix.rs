@@ -14,7 +14,7 @@
 
 use crate::spill::{self, SpillFile};
 use crate::LinearOperand;
-use morpheus_core::{Matrix, NormalizedMatrix};
+use morpheus_core::{KeyColumn, Matrix, NormalizedMatrix};
 use morpheus_dense::{DenseMatrix, ScalarOp};
 use morpheus_linalg::ginv_sym_psd;
 use morpheus_runtime::Runtime;
@@ -274,6 +274,23 @@ impl LinearOperand for ChunkedMatrix {
             c.t_matmul_dense(&xi)
         });
         let mut acc = DenseMatrix::zeros(self.cols, x.cols());
+        for p in parts {
+            acc.add_assign(&p);
+        }
+        acc
+    }
+
+    fn t_lmm_indicator(&self, a: &KeyColumn) -> DenseMatrix {
+        // Tᵀ A = Σ chunks Cᵢᵀ Aᵢ: group sums per chunk, chunk-ordered reduce.
+        assert_eq!(
+            a.rows(),
+            self.rows,
+            "t_lmm_indicator: A has the wrong height"
+        );
+        let offsets = self.chunk_row_offsets();
+        let parts =
+            self.map_chunks(|c, i| c.t_lmm_indicator(&a.slice_rows(offsets[i]..offsets[i + 1])));
+        let mut acc = DenseMatrix::zeros(self.cols, a.table_rows());
         for p in parts {
             acc.add_assign(&p);
         }

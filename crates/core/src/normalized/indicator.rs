@@ -216,15 +216,30 @@ impl KeyColumn {
         out
     }
 
-    /// `Kᵀ x`: row `c` sums, ascending, the rows of `x` with key `c` — one
-    /// segmented reduce over the grouping by key. Panics unless `x` has
-    /// `rows()` rows.
+    /// `Kᵀ x`: row `c` sums, ascending, the rows of `x` with key `c`.
+    /// Panics unless `x` has `rows()` rows.
+    ///
+    /// One thread scatters `x` in row order, reading it once; in parallel,
+    /// disjoint output bands replay their groups from the grouping by key.
+    /// Each output row adds the same rows in the same order either way, so
+    /// the result does not depend on the worker count.
     pub fn t_spmm_dense(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(x.rows(), self.rows(), "Kᵀ x: x has the wrong height");
-        let (start, src) = self.by_key();
         let m = x.cols();
         let mut out = DenseMatrix::zeros(self.table_rows, m);
+        if m == 0 {
+            return out;
+        }
         let ex = Runtime::executor().gated(x.len());
+        if ex.threads() <= 1 {
+            let o = out.as_mut_slice();
+            for (row, &c) in x.as_slice().chunks_exact(m).zip(&self.keys) {
+                let c = c as usize * m;
+                o[c..c + m].iter_mut().zip(row).for_each(|(o, &v)| *o += v);
+            }
+            return out;
+        }
+        let (start, src) = self.by_key();
         ex.par_rows(out.as_mut_slice(), m, |c0, band| {
             for (orow, c) in band.chunks_mut(m).zip(c0..) {
                 let rows = src[start[c]..start[c + 1]].iter().map(|&s| s as usize);
@@ -256,6 +271,48 @@ impl KeyColumn {
         out
     }
 
+    /// `Kᵀ m` as group sums for either representation of `m`: row `c`
+    /// sums, ascending, the rows of `m` with key `c`, and only the entries
+    /// `m` stores are added, so a non-finite row of `m` reaches only the
+    /// row of its own key. Panics unless `m` has `rows()` rows.
+    pub fn group_sums(&self, m: &Matrix) -> DenseMatrix {
+        match m {
+            Matrix::Dense(d) => self.t_spmm_dense(d),
+            Matrix::Sparse(s) => self.csr().t_spgemm_dense(s),
+        }
+    }
+
+    /// `m K` as group sums over the columns of `m`: column `c` sums,
+    /// ascending, the columns of `m` with key `c`, adding only the entries
+    /// `m` stores. Panics unless `m` has `rows()` columns.
+    pub(crate) fn col_group_sums(&self, m: &Matrix) -> DenseMatrix {
+        match m {
+            Matrix::Dense(d) => self.dense_spmm(d),
+            Matrix::Sparse(_) => m.matmul(&self.to_sparse()).to_dense(),
+        }
+    }
+
+    /// The indicator of the logical rows `range`, over the same base rows.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past `rows()`.
+    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> KeyColumn {
+        Self::from_keys(self.keys[range].to_vec(), self.table_rows)
+    }
+
+    /// `K` as a dense `rows x table_rows` one-hot matrix.
+    pub fn to_dense(&self) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(self.rows(), self.table_rows);
+        for (row, &c) in out
+            .as_mut_slice()
+            .chunks_mut(self.table_rows.max(1))
+            .zip(&self.keys)
+        {
+            row[c as usize] = 1.0;
+        }
+        out
+    }
+
     /// `colSums(K)` as a `1 x table_rows` row: how many logical rows
     /// reference each base row.
     pub fn col_sums(&self) -> DenseMatrix {
@@ -270,9 +327,32 @@ impl KeyColumn {
     /// Panics if the logical row counts differ.
     pub fn pair_counts(&self, other: &KeyColumn) -> CsrMatrix {
         assert_eq!(self.rows(), other.rows(), "Kᵀ L: row counts differ");
-        let pair = |(&a, &b): (&u32, &u32)| (a as usize, b as usize, 1.0);
-        let pairs: Vec<_> = self.keys.iter().zip(&other.keys).map(pair).collect();
-        CsrMatrix::from_triplets(self.table_rows, other.table_rows, &pairs).expect("keys in range")
+        // Row `a` counts the keys `other` gives the rows of group `a`: a
+        // Gustavson pass over the grouping by key, O(rows + nnz log).
+        let (start, src) = self.by_key();
+        let mut count = vec![0u32; other.table_rows];
+        let mut indptr = Vec::with_capacity(self.table_rows + 1);
+        let (mut indices, mut values) = (Vec::new(), Vec::new());
+        indptr.push(0);
+        for w in start.windows(2) {
+            let first = indices.len();
+            for &i in &src[w[0]..w[1]] {
+                let b = other.keys[i as usize] as usize;
+                if count[b] == 0 {
+                    indices.push(b);
+                }
+                count[b] += 1;
+            }
+            indices[first..].sort_unstable();
+            values.extend(
+                indices[first..]
+                    .iter()
+                    .map(|&b| f64::from(std::mem::take(&mut count[b]))),
+            );
+            indptr.push(indices.len());
+        }
+        let (rows, cols) = (self.table_rows, other.table_rows);
+        CsrMatrix::from_raw(rows, cols, indptr, indices, values).expect("sorted in-range counts")
     }
 
     /// `K G Kᵀ` for a `G` over the base rows: a part's Gram-matrix term.
@@ -282,9 +362,13 @@ impl KeyColumn {
 
     /// `K` as a general sparse operand, for the DMM blocks.
     pub(crate) fn to_sparse(&self) -> Matrix {
+        Matrix::Sparse(self.csr())
+    }
+
+    fn csr(&self) -> CsrMatrix {
         let (n, keys) = (self.rows(), self.wide_keys());
         let k = CsrMatrix::from_raw(n, self.table_rows, (0..=n).collect(), keys, vec![1.0; n]);
-        Matrix::Sparse(k.expect("one in-range entry per row"))
+        k.expect("one in-range entry per row")
     }
 
     fn csr_t(&self) -> CsrMatrix {

@@ -19,6 +19,12 @@
 //! [`NormalizedMatrix::lmm_rows_from_partials`] finishes any row selection
 //! with the same per-element expression sequence as the full rewrite.
 //!
+//! [`NormalizedMatrix::t_lmm_indicator`] is `Tᵀ A` for a one-hot `A`
+//! given by its keys (K-Means' centroid update): a segmented reduce
+//! `Aᵀ Bᵢ` for an identity part and `(Kᵢᵀ A)ᵀ Bᵢ` over the pair counts
+//! `Kᵢᵀ A` for a keyed part, which then costs `O(n + nnz(Kᵢᵀ A)·dᵢ)`
+//! instead of the `O(n·dᵢ·k)` of `t_lmm` on the one-hot `A`.
+//!
 //! Transposed forms (appendix A): `Tᵀ X → (Xᵀ T)ᵀ` and `X Tᵀ → (T Xᵀ)ᵀ`,
 //! which dispatch back onto the untransposed rewrites.
 //!
@@ -29,7 +35,7 @@
 //! Partials are always combined in part order, so results are identical to
 //! the sequential rewrite.
 
-use super::{Indicator, NormalizedMatrix};
+use super::{Indicator, KeyColumn, NormalizedMatrix};
 use crate::Matrix;
 use morpheus_dense::DenseMatrix;
 use morpheus_runtime::Runtime;
@@ -74,6 +80,53 @@ impl NormalizedMatrix {
         } else {
             self.t_lmm_raw(x)
         }
+    }
+
+    /// `Tᵀ A` for the `rows() x a.table_rows()` indicator `A` of `a`, as
+    /// group sums: column `c` sums the rows of `T` keyed `c`, so a
+    /// non-finite row reaches only its own group. Where `t_lmm` on the
+    /// one-hot `A` costs `O(n·dᵢ·k)` per part, an identity part here is
+    /// one segmented reduce `Aᵀ Bᵢ` and a keyed part is `(Kᵢᵀ A)ᵀ Bᵢ`
+    /// over the `n_Rᵢ x k` pair counts `Kᵢᵀ A`: `O(n + nnz(Kᵢᵀ A)·dᵢ)`.
+    /// A transposed view sums the columns of each `Bᵢ` by key and
+    /// gathers the sums through `Iᵢ`, the LMM rewrite's order.
+    ///
+    /// # Panics
+    /// Panics if `a.rows() != self.rows()`.
+    pub fn t_lmm_indicator(&self, a: &KeyColumn) -> DenseMatrix {
+        assert_eq!(
+            a.rows(),
+            self.rows(),
+            "t_lmm_indicator: A has {} rows for a {}x{} normalized matrix",
+            a.rows(),
+            self.rows(),
+            self.cols()
+        );
+        if self.transposed {
+            // (Tᵀ)ᵀ A = T A = Σᵢ Iᵢ (Bᵢ Aᵢ), Aᵢ the keys of part i's columns.
+            let offsets = self.col_offsets();
+            let partials = Runtime::executor().map(self.parts.len(), |i| {
+                let ai = a.slice_rows(offsets[i]..offsets[i + 1]);
+                ai.col_group_sums(&self.parts[i].table)
+            });
+            let mut out = DenseMatrix::zeros(self.n_rows, a.table_rows());
+            for (p, partial) in self.parts.iter().zip(&partials) {
+                p.indicator
+                    .apply_add_into(partial, out.as_mut_slice(), self.n_rows);
+            }
+            return out;
+        }
+        // Aᵀ T = [Aᵀ I₀B₀, …, Aᵀ I_qB_q] side by side, then transposed.
+        let blocks = Runtime::executor().map(self.parts.len(), |i| {
+            let p = &self.parts[i];
+            match (&p.indicator, &p.table) {
+                (Indicator::Identity, _) => a.group_sums(&p.table),
+                (Indicator::Rows(k), Matrix::Dense(b)) => k.pair_counts(a).t_spmm_dense(b),
+                (Indicator::Rows(k), Matrix::Sparse(b)) => k.pair_counts(a).t_spgemm_dense(b),
+            }
+        });
+        let refs: Vec<&DenseMatrix> = blocks.iter().collect();
+        DenseMatrix::hstack_all(&refs).transpose()
     }
 
     /// Right matrix multiplication `X T` (`X` is `m x rows()` dense).

@@ -15,7 +15,7 @@
 //!
 //! without a line changing — the paper's generality and closure desiderata.
 
-use crate::Matrix;
+use crate::{KeyColumn, Matrix};
 use morpheus_dense::{DenseMatrix, ScalarOp};
 use morpheus_linalg::{ginv_sym, ginv_sym_psd};
 
@@ -23,6 +23,11 @@ use morpheus_linalg::{ginv_sym, ginv_sym_psd};
 ///
 /// Parameter matrices (`X`, weight vectors, centroid matrices, …) are always
 /// small and dense; the data matrix implementing this trait may be anything.
+/// One operator goes beyond Table 1: [`LinearOperand::t_lmm_indicator`],
+/// `Tᵀ A` for a one-hot `A` held as its key column (K-Means' centroid
+/// update). Every operand in this workspace computes it as group sums, so
+/// that neither `A` nor the `O(n·d·k)` product is formed and a non-finite
+/// row stays in its group; the trait default is the one-hot product.
 pub trait LinearOperand {
     /// Number of data rows (examples).
     fn nrows(&self) -> usize;
@@ -52,6 +57,29 @@ pub trait LinearOperand {
 
     /// Transposed left multiplication `Tᵀ X` (no transpose materialized).
     fn t_lmm(&self, x: &DenseMatrix) -> DenseMatrix;
+
+    /// `Tᵀ A` for the `nrows() x a.table_rows()` indicator `A` of `a` (a
+    /// one-hot row per data row, such as K-Means' assignment), defined as
+    /// group sums: column `c` sums the data rows keyed `c`, so a
+    /// non-finite row reaches only its own group. The materialized,
+    /// factorized, planned and chunked operands all compute it that way,
+    /// without building `A`; they may round differently from
+    /// [`LinearOperand::t_lmm`] on the one-hot `A`, but not by more than
+    /// the two summation orders allow.
+    ///
+    /// The default runs `t_lmm` on the dense one-hot `A`, so there a
+    /// non-finite row also reaches every other group through `0 · x`.
+    ///
+    /// # Panics
+    /// Panics if `a.rows() != self.nrows()`.
+    fn t_lmm_indicator(&self, a: &KeyColumn) -> DenseMatrix {
+        assert_eq!(
+            a.rows(),
+            self.nrows(),
+            "t_lmm_indicator: A has the wrong height"
+        );
+        self.t_lmm(&a.to_dense())
+    }
 
     /// Right matrix multiplication `X T`.
     fn rmm(&self, x: &DenseMatrix) -> DenseMatrix;
@@ -102,6 +130,10 @@ impl LinearOperand for Matrix {
 
     fn t_lmm(&self, x: &DenseMatrix) -> DenseMatrix {
         self.t_matmul_dense(x)
+    }
+
+    fn t_lmm_indicator(&self, a: &KeyColumn) -> DenseMatrix {
+        a.group_sums(self).transpose()
     }
 
     fn rmm(&self, x: &DenseMatrix) -> DenseMatrix {
@@ -184,6 +216,10 @@ impl LinearOperand for crate::NormalizedMatrix {
 
     fn t_lmm(&self, x: &DenseMatrix) -> DenseMatrix {
         crate::NormalizedMatrix::t_lmm(self, x)
+    }
+
+    fn t_lmm_indicator(&self, a: &KeyColumn) -> DenseMatrix {
+        crate::NormalizedMatrix::t_lmm_indicator(self, a)
     }
 
     fn rmm(&self, x: &DenseMatrix) -> DenseMatrix {

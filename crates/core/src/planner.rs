@@ -33,7 +33,7 @@
 //! logging, and the ablation benches.
 
 use crate::cost::{estimate_op, OpKind, PlanEstimate};
-use crate::{DecisionRule, LinearOperand, MachineProfile, Matrix, NormalizedMatrix};
+use crate::{DecisionRule, KeyColumn, LinearOperand, MachineProfile, Matrix, NormalizedMatrix};
 use morpheus_dense::{DenseMatrix, ScalarOp};
 use std::sync::{Arc, OnceLock};
 
@@ -574,6 +574,13 @@ impl<S: Store> LinearOperand for Planned<S> {
 
     fn t_lmm(&self, x: &DenseMatrix) -> DenseMatrix {
         self.run(OpKind::TLmm { m: x.cols() }, |t| t.t_lmm(x), |m| m.t_lmm(x))
+    }
+
+    /// One decision, priced as the `t_lmm` on the one-hot `A` that the
+    /// group sums replace.
+    fn t_lmm_indicator(&self, a: &KeyColumn) -> DenseMatrix {
+        let op = OpKind::TLmm { m: a.table_rows() };
+        self.run(op, |t| t.t_lmm_indicator(a), |m| m.t_lmm_indicator(a))
     }
 
     fn rmm(&self, x: &DenseMatrix) -> DenseMatrix {

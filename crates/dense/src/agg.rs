@@ -52,25 +52,6 @@ impl DenseMatrix {
         DenseMatrix::col_vector(&maxs)
     }
 
-    /// Index of the minimum entry in each row (ties broken toward the lowest
-    /// index), used to validate K-Means assignment matrices.
-    pub fn row_argmin(&self) -> Vec<usize> {
-        self.row_iter()
-            .map(|r| {
-                r.iter()
-                    .enumerate()
-                    .fold((0usize, f64::INFINITY), |(bi, bv), (i, &v)| {
-                        if v < bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    })
-                    .0
-            })
-            .collect()
-    }
-
     /// Frobenius norm `sqrt(sum(T^2))`.
     pub fn frobenius_norm(&self) -> f64 {
         simd::dot(self.as_slice(), self.as_slice()).sqrt()
@@ -117,15 +98,6 @@ mod tests {
         let t = m();
         assert_eq!(t.row_min().as_slice(), &[1.0, -4.0]);
         assert_eq!(t.row_max().as_slice(), &[3.0, 5.0]);
-        assert_eq!(t.row_argmin(), vec![0, 0]);
-        let t2 = DenseMatrix::from_rows(&[&[3.0, 1.0, 2.0]]);
-        assert_eq!(t2.row_argmin(), vec![1]);
-    }
-
-    #[test]
-    fn argmin_breaks_ties_low() {
-        let t = DenseMatrix::from_rows(&[&[1.0, 1.0, 1.0]]);
-        assert_eq!(t.row_argmin(), vec![0]);
     }
 
     #[test]

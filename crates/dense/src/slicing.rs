@@ -137,36 +137,6 @@ impl DenseMatrix {
         DenseMatrix::from_vec(rows, cols, data).expect("vstack_all: internal shape error")
     }
 
-    /// Replicates a column vector across `k` columns:
-    /// `v * 1_{1 x k}` in the paper's notation.
-    ///
-    /// # Panics
-    /// Panics if `self` is not a column vector.
-    pub fn replicate_cols(&self, k: usize) -> DenseMatrix {
-        assert_eq!(self.cols(), 1, "replicate_cols: expected a column vector");
-        let mut out = DenseMatrix::zeros(self.rows(), k);
-        for i in 0..self.rows() {
-            let v = self.get(i, 0);
-            for o in out.row_mut(i) {
-                *o = v;
-            }
-        }
-        out
-    }
-
-    /// Replicates a row vector across `n` rows: `1_{n x 1} * v`.
-    ///
-    /// # Panics
-    /// Panics if `self` is not a row vector.
-    pub fn replicate_rows(&self, n: usize) -> DenseMatrix {
-        assert_eq!(self.rows(), 1, "replicate_rows: expected a row vector");
-        let mut out = DenseMatrix::zeros(n, self.cols());
-        for i in 0..n {
-            out.row_mut(i).copy_from_slice(self.row(0));
-        }
-        out
-    }
-
     /// Scales row `i` by `weights[i]` (`diag(w) * T`).
     ///
     /// # Panics
@@ -268,15 +238,6 @@ mod tests {
             DenseMatrix::hstack_all(&[&left, &t.slice_cols(1..2), &t.slice_cols(2..3)]),
             t
         );
-    }
-
-    #[test]
-    fn replication_matches_ones_product() {
-        let v = DenseMatrix::col_vector(&[1.0, 2.0]);
-        let rep = v.replicate_cols(3);
-        assert_eq!(rep, v.matmul(&DenseMatrix::ones(1, 3)));
-        let r = DenseMatrix::row_vector(&[1.0, 2.0]);
-        assert_eq!(r.replicate_rows(2), DenseMatrix::ones(2, 1).matmul(&r));
     }
 
     #[test]

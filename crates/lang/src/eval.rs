@@ -20,6 +20,7 @@ use crate::ast::{BinOp, Expr, Program, Stmt, UnaryFn};
 use crate::token::LangError;
 use morpheus_core::{LinearOperand, Matrix, PlannedMatrix};
 use morpheus_dense::{DenseMatrix, ScalarOp};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -254,7 +255,7 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
         // against the scalar, like R's recycling.
         (Eq, Dense(m), &Scalar(x)) | (Eq, &Scalar(x), Dense(m)) => Ok(Dense(eq_scalar(m, x))),
         (Eq, Normalized(t), &Scalar(x)) | (Eq, &Scalar(x), Normalized(t)) => Ok(Dense(
-            t.elementwise_fallback(|m| eq_scalar(&m.to_dense(), x)),
+            t.elementwise_fallback(|m| eq_scalar(&dense_of(m), x)),
         )),
 
         // ---- matrix ⊘ scalar: one element-wise operator, applied by the
@@ -307,7 +308,7 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
                 return Err(shape_err(op_name(op), t.shape(), b.shape()));
             }
             Ok(Dense(
-                t.elementwise_fallback(|m| zip_dense(op, &m.to_dense(), b)),
+                t.elementwise_fallback(|m| zip_dense(op, &dense_of(m), b)),
             ))
         }
         (op, Dense(a), Normalized(t)) => {
@@ -315,7 +316,7 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
                 return Err(shape_err(op_name(op), a.shape(), t.shape()));
             }
             Ok(Dense(
-                t.elementwise_fallback(|m| zip_dense(op, a, &m.to_dense())),
+                t.elementwise_fallback(|m| zip_dense(op, a, &dense_of(m))),
             ))
         }
         (op, Normalized(a), Normalized(b)) => {
@@ -323,10 +324,17 @@ pub(crate) fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, LangErr
                 return Err(shape_err(op_name(op), a.shape(), b.shape()));
             }
             Ok(Dense(b.elementwise_fallback(|mb| {
-                a.elementwise_fallback(|ma| zip_dense(op, &ma.to_dense(), &mb.to_dense()))
+                a.elementwise_fallback(|ma| zip_dense(op, &dense_of(ma), &dense_of(mb)))
             })))
         }
     }
+}
+
+/// The values of a join the §3.3.7 fallback handed over: the memoized
+/// dense join borrowed, a sparse one densified.
+fn dense_of(m: &Matrix) -> Cow<'_, DenseMatrix> {
+    m.as_dense()
+        .map_or_else(|| Cow::Owned(m.to_dense()), Cow::Borrowed)
 }
 
 /// 1 where `m` equals `x` exactly, 0 elsewhere (R's `m == x`).
@@ -417,7 +425,7 @@ pub(crate) fn eval_call(f: UnaryFn, v: &Arc<Value>) -> Result<Arc<Value>, LangEr
 mod tests {
     use super::*;
     use crate::parser::{parse, parse_expr};
-    use morpheus_core::{DecisionRule, NormalizedMatrix, Strategy};
+    use morpheus_core::{AttributePart, DecisionRule, NormalizedMatrix, Strategy};
 
     /// Every routing strategy: each test that binds a normalized matrix
     /// runs under all four, since routing must never change a result
@@ -542,17 +550,33 @@ mod tests {
 
     #[test]
     fn elementwise_with_regular_matrix_materializes() {
+        // The §3.3.7 arms, on a join of dense tables (whose memoized join
+        // the fallback borrows) and of CSR tables (densified): same values.
         let (tn, td) = fixture();
-        let expected = td.apply(ScalarOp::Mul(2.0));
-        for strategy in strategies() {
-            let mut env = Env::new();
-            env.bind("T", planned(&tn, strategy));
-            env.bind("X", Value::Dense(td.clone()));
-            let v = eval_program(&parse("T + X").unwrap(), &mut env).unwrap();
-            assert!(
-                v.as_dense().unwrap().approx_eq(&expected, 1e-12),
-                "{strategy:?}"
-            );
+        let csr = |p: &AttributePart| {
+            AttributePart::new(p.indicator().clone(), p.table().to_csr().into())
+        };
+        let sparse =
+            NormalizedMatrix::try_from_parts(tn.parts().iter().map(csr).collect()).unwrap();
+        for (src, expected) in [
+            ("T + X", td.apply(ScalarOp::Mul(2.0))),
+            ("X - T", DenseMatrix::zeros(6, 5)),
+            ("T * T", td.mul_elem(&td)),
+            ("T == 0.1", td.map(|v| if v == 0.1 { 1.0 } else { 0.0 })),
+        ] {
+            for (t, strategy) in [&tn, &sparse]
+                .into_iter()
+                .flat_map(|t| strategies().map(|s| (t, s)))
+            {
+                let mut env = Env::new();
+                env.bind("T", planned(t, strategy));
+                env.bind("X", Value::Dense(td.clone()));
+                let v = eval_program(&parse(src).unwrap(), &mut env).unwrap();
+                assert!(
+                    v.as_dense().unwrap().approx_eq(&expected, 1e-12),
+                    "'{src}' under {strategy:?}"
+                );
+            }
         }
     }
 

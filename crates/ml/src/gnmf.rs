@@ -15,7 +15,7 @@
 //! claims beyond the vector-only prior work.
 
 use morpheus_core::LinearOperand;
-use morpheus_dense::{DenseMatrix, ScalarOp};
+use morpheus_dense::DenseMatrix;
 
 /// Multiplicative-update GNMF.
 #[derive(Debug, Clone)]
@@ -84,14 +84,24 @@ impl Gnmf {
         for _ in 0..self.max_iter {
             // H = H * (Tᵀ W) / (H crossprod(W))
             let num_h = t.t_lmm(&w); // d x r — factorized
-            let den_h = h.matmul(&w.crossprod()).apply(ScalarOp::Add(EPS));
-            h = h.mul_elem(&num_h.div_elem(&den_h));
+            let den_h = h.matmul(&w.crossprod());
+            update(&mut h, &num_h, &den_h);
             // W = W * (T H) / (W crossprod(H))
             let num_w = t.lmm(&h); // n x r — factorized
-            let den_w = w.matmul(&h.crossprod()).apply(ScalarOp::Add(EPS));
-            w = w.mul_elem(&num_w.div_elem(&den_w));
+            let den_w = w.matmul(&h.crossprod());
+            update(&mut w, &num_w, &den_w);
         }
         GnmfModel { w, h }
+    }
+}
+
+/// One multiplicative update in place, `f = f * (num / (den + EPS))`
+/// element by element: the expression of the matrix form, without its
+/// three temporaries.
+fn update(f: &mut DenseMatrix, num: &DenseMatrix, den: &DenseMatrix) {
+    let terms = num.as_slice().iter().zip(den.as_slice());
+    for (x, (&n, &d)) in f.as_mut_slice().iter_mut().zip(terms) {
+        *x *= n / (d + EPS);
     }
 }
 
@@ -114,6 +124,7 @@ impl GnmfModel {
 mod tests {
     use super::*;
     use morpheus_core::{Matrix, NormalizedMatrix};
+    use morpheus_dense::ScalarOp;
 
     /// Non-negative PK-FK fixture (NMF needs non-negative data).
     fn fixture() -> (NormalizedMatrix, Matrix) {
@@ -144,6 +155,32 @@ mod tests {
         let mm = g.fit(&t);
         assert!(planned.w.approx_eq(&mm.w, 1e-7));
         assert!(planned.h.approx_eq(&mm.h, 1e-7));
+    }
+
+    /// The in-place update against the matrix expression it replaced,
+    /// `H * ((Tᵀ W) / (H crossprod(W) + EPS))` with its temporaries.
+    #[test]
+    fn in_place_updates_match_the_matrix_expression() {
+        let (tn, t) = fixture();
+        let g = Gnmf::new(3, 10);
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        fn reference<M: LinearOperand>(g: &Gnmf, t: &M) -> GnmfModel {
+            let (mut w, mut h) = g.init(t.nrows(), t.ncols());
+            for _ in 0..g.max_iter {
+                let den_h = h.matmul(&w.crossprod()).apply(ScalarOp::Add(EPS));
+                h = h.mul_elem(&t.t_lmm(&w).div_elem(&den_h));
+                let den_w = w.matmul(&h.crossprod()).apply(ScalarOp::Add(EPS));
+                w = w.mul_elem(&t.lmm(&h).div_elem(&den_w));
+            }
+            GnmfModel { w, h }
+        }
+        for (got, want) in [
+            (g.fit(&tn), reference(&g, &tn)),
+            (g.fit(&t), reference(&g, &t)),
+        ] {
+            assert_eq!(bits(&got.w), bits(&want.w));
+            assert_eq!(bits(&got.h), bits(&want.h));
+        }
     }
 
     #[test]

@@ -17,8 +17,22 @@
 //! factorizes too. Assignment ties are broken toward the lowest centroid
 //! index (equivalent to the paper's `D == rowMin(D)` with deterministic
 //! tie-breaking).
+//!
+//! `A` is never built. Each step computes `Y = T C` once and makes one
+//! pass over it: per element `(−2·y_ij + D_T[i]) + colSums(C²)[j]`, then
+//! the row's argmin, its distance and the cluster counts. Scaling by 2 is
+//! exact, so this is bit for bit the distance of `−(2T) C + D_T + c2`.
+//! `Tᵀ A` is a group sum, [`LinearOperand::t_lmm_indicator`]: column `c`
+//! sums the rows assigned to `c`. On normalized data an entity part is one
+//! segmented reduce and an attribute part `Bᵢᵀ (Kᵢᵀ A)` goes through the
+//! `n_Rᵢ x k` pair counts `Kᵢᵀ A`, never through an `n x k` matrix.
+//!
+//! The initial centroids are `k` data rows, spread evenly (`c·n/k` for
+//! centroid `c`), taken by the same group sum: each seed row is a group of
+//! its own and every other row falls into one extra group, which is
+//! dropped — so seeding factorizes too.
 
-use morpheus_core::LinearOperand;
+use morpheus_core::{KeyColumn, LinearOperand};
 use morpheus_dense::{DenseMatrix, ScalarOp};
 
 /// LA-formulated K-Means.
@@ -47,18 +61,23 @@ impl KMeans {
         Self { k, max_iter }
     }
 
-    /// Deterministic initial centroids: the first `k` distinct data rows
-    /// of the materialized matrix would break factorization, so instead we
-    /// seed from `Tᵀ E` where `E` picks every `n/k`-th unit row — an LMM,
-    /// hence factorized.
+    /// Deterministic initial centroids: centroid `c` is data row `c·n/k`.
+    /// Reading rows out of the materialized matrix would break
+    /// factorization, so they come from one group sum instead — each
+    /// distinct seed row a group, all other rows one extra group that is
+    /// discarded.
     fn init_centroids<M: LinearOperand>(&self, t: &M) -> DenseMatrix {
         let n = t.nrows();
-        let mut e = DenseMatrix::zeros(n, self.k);
-        for c in 0..self.k {
-            let row = (c * n.max(1)) / self.k.max(1);
-            e.set(row.min(n - 1), c, 1.0);
+        let seeds: Vec<usize> = (0..self.k).map(|c| c * n / self.k).collect();
+        let mut rows = seeds.clone();
+        rows.dedup(); // seeds ascend; they repeat only when k > n
+        let mut keys = vec![rows.len(); n];
+        for (g, &r) in rows.iter().enumerate() {
+            keys[r] = g;
         }
-        t.t_lmm(&e) // d x k: column c is data row `row` — a real data point
+        let groups = KeyColumn::new(&keys, rows.len() + 1).expect("keys within the groups");
+        let sums = t.t_lmm_indicator(&groups); // d x (distinct seeds + 1)
+        DenseMatrix::from_fn(t.ncols(), self.k, |j, c| sums.get(j, keys[seeds[c]]))
     }
 
     /// Runs Lloyd iterations on any [`LinearOperand`] data matrix.
@@ -82,40 +101,41 @@ impl KMeans {
             (t.ncols(), self.k),
             "kmeans: initial centroids must be d x k"
         );
-        let n = t.nrows();
+        let k = self.k;
         // Pre-compute rowSums(T²) — factorized through squared() + row_sums().
         let dt = t.squared().row_sums(); // n x 1
-        let two_t = t.scale(2.0); // stays normalized on normalized input
         let mut c = c0.clone();
-        let mut assignments = vec![0usize; n];
+        let mut assignments = vec![0usize; t.nrows()];
         let mut inertia = 0.0;
         for _ in 0..self.max_iter {
-            // D = D_T 1 + 1 colSums(C²) − 2 T C, an n x k distance matrix.
-            let c2 = c.apply(ScalarOp::Pow(2.0)).col_sums(); // 1 x k
-            let mut d = two_t.lmm(&c).apply(ScalarOp::Mul(-1.0)); // −2 T C
-            d.add_assign(&dt.replicate_cols(self.k));
-            d.add_assign(&c2.replicate_rows(n));
-            // A = one-hot argmin per row (ties toward lowest index).
-            assignments = d.row_argmin();
-            inertia = assignments
-                .iter()
-                .enumerate()
-                .map(|(i, &j)| d.get(i, j))
-                .sum::<f64>();
-            let mut a = DenseMatrix::zeros(n, self.k);
-            for (i, &j) in assignments.iter().enumerate() {
-                a.set(i, j, 1.0);
+            let c2 = c.apply(ScalarOp::Pow(2.0)).col_sums().into_vec(); // 1 x k
+            let y = t.lmm(&c); // T C, n x k
+
+            // D = D_T 1 + 1 colSums(C²) − 2 T C, one row at a time: the
+            // argmin (ties toward the lowest index, selected without a
+            // branch), its distance and the cluster counts.
+            let mut counts = vec![0usize; k];
+            inertia = 0.0;
+            let rows = y.as_slice().chunks_exact(k).zip(dt.as_slice());
+            for (a, (yrow, &dti)) in assignments.iter_mut().zip(rows) {
+                let (mut best, mut best_d) = (0, f64::INFINITY);
+                for (j, (&yij, &c2j)) in yrow.iter().zip(&c2).enumerate() {
+                    let d = (-2.0 * yij + dti) + c2j;
+                    let lt = d < best_d;
+                    best = if lt { j } else { best };
+                    best_d = if lt { d } else { best_d };
+                }
+                *a = best;
+                counts[best] += 1;
+                inertia += (-2.0 * yrow[best] + dti) + c2[best];
             }
             // C = (Tᵀ A) / colSums(A) columns; empty clusters keep their
             // previous centroid (a common Lloyd convention).
-            let counts = a.col_sums();
-            let num = t.t_lmm(&a); // d x k
-            for col in 0..self.k {
-                let cnt = counts.get(0, col);
-                if cnt > 0.0 {
-                    for row in 0..num.rows() {
-                        c.set(row, col, num.get(row, col) / cnt);
-                    }
+            let a = KeyColumn::new(&assignments, k).expect("assignments below k");
+            let num = t.t_lmm_indicator(&a); // d x k
+            for (col, &cnt) in counts.iter().enumerate().filter(|&(_, &cnt)| cnt > 0) {
+                for row in 0..num.rows() {
+                    c.set(row, col, num.get(row, col) / cnt as f64);
                 }
             }
         }
@@ -201,6 +221,19 @@ mod tests {
         for v in model.centroids.as_slice() {
             assert!(v.is_finite());
         }
+    }
+
+    #[test]
+    fn assignment_ties_go_to_the_lowest_index() {
+        // Centroids 0 and 2 coincide, as do 1 and 3: every row is equally
+        // far from both of a pair and must join the lower one.
+        use morpheus_core::Matrix;
+        let t = Matrix::Dense(DenseMatrix::from_rows(&[&[0.0], &[0.2], &[4.0], &[4.5]]));
+        let c0 = DenseMatrix::from_rows(&[&[0.0, 4.0, 0.0, 4.0]]);
+        let model = KMeans::new(4, 1).fit_from(&t, &c0);
+        assert_eq!(model.assignments, vec![0, 0, 1, 1]);
+        // The emptied centroids keep their place.
+        assert_eq!(model.centroids.as_slice(), &[0.1, 4.25, 0.0, 4.0]);
     }
 
     #[test]

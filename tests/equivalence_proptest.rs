@@ -2,9 +2,13 @@
 //! matrices of every join shape, every factorized operator must equal its
 //! materialized counterpart — the paper's core correctness claim
 //! ("our rewrites do not alter the outputs of the operators", §3.7).
+//! The group sums `Tᵀ A` of an indicator `A` are checked against `t_lmm`
+//! on the one-hot `A`, with CSR tables too, and for a NaN on every route.
 
+use morpheus::chunked::{ChunkedMatrix, PlannedChunkedMatrix};
+use morpheus::core::{AttributePart, KeyColumn};
 use morpheus::prelude::*;
-use morpheus_core::Matrix;
+use morpheus_core::{Matrix, Strategy as Route};
 use proptest::prelude::*;
 use proptest::Strategy; // shadow the prelude's planner Strategy enum
 
@@ -136,6 +140,58 @@ fn check_all_ops(tn: &NormalizedMatrix) {
         assert!(tt.col_sums().approx_eq(&mt.col_sums(), tol));
         assert!(tt.crossprod().approx_eq(&mt.crossprod(), 1e-8));
     }
+
+    check_group_sums(tn);
+    check_group_sums(&sparsified(tn));
+}
+
+/// The same join with every base table stored as CSR, the entries below
+/// 0.5 in magnitude dropped.
+fn sparsified(tn: &NormalizedMatrix) -> NormalizedMatrix {
+    let parts = tn.parts().iter().map(|p| {
+        let kept = p
+            .table()
+            .to_dense()
+            .map(|v| if v.abs() < 0.5 { 0.0 } else { v });
+        AttributePart::new(p.indicator().clone(), CsrMatrix::from_dense(&kept).into())
+    });
+    NormalizedMatrix::try_from_parts(parts.collect()).unwrap()
+}
+
+/// `k` interleaved groups over `rows` rows: row `i` has key `(7i + 3) % k`.
+fn groups(rows: usize, k: usize) -> KeyColumn {
+    let keys: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % k).collect();
+    KeyColumn::new(&keys, k).unwrap()
+}
+
+/// `Tᵀ A` as group sums, on `tn` and its transposed view, against
+/// `t_lmm` on the one-hot `A`. Both add the same at most `n` terms per
+/// entry in other orders (a keyed part scales a base row by its pair
+/// count instead of adding it that often); with entries in `[-1, 1)` and
+/// `n < 100` they agree within 1e-12. `k = 1` is `colSums(T)ᵀ`; with
+/// `n + 2` groups some are empty, and their columns are exactly zero.
+fn check_group_sums(tn: &NormalizedMatrix) {
+    for t in [tn.clone(), tn.transpose()] {
+        let tm = t.materialize();
+        let n = t.rows();
+        for k in [1, 3, n + 2] {
+            let a = groups(n, k);
+            let want = tm.t_matmul_dense(&a.to_dense());
+            let f = t.t_lmm_indicator(&a);
+            assert!(f.approx_eq(&want, 1e-12), "factorized {f:?} vs {want:?}");
+            let m = LinearOperand::t_lmm_indicator(&tm, &a);
+            assert!(m.approx_eq(&want, 1e-12), "materialized {m:?} vs {want:?}");
+            if k == 1 {
+                assert!(f.approx_eq(&t.col_sums().transpose(), 1e-12));
+            }
+            for c in (0..k).filter(|&c| !a.keys().contains(&(c as u32))) {
+                assert!(
+                    (0..f.rows()).all(|j| f.get(j, c).to_bits() == 0),
+                    "empty group {c}"
+                );
+            }
+        }
+    }
 }
 
 fn prop_assert_mat(a: &Matrix, b: &Matrix, tol: f64) {
@@ -224,5 +280,100 @@ proptest! {
         let f = a.dmm(&b).to_dense();
         let m = a.materialize().to_dense().matmul(&b.materialize().to_dense());
         prop_assert!(f.approx_eq(&m, 1e-8));
+    }
+}
+
+/// `tn` with entry `(row, 0)` of part `part`'s table set to NaN, in the
+/// table's own storage.
+fn with_nan(tn: &NormalizedMatrix, part: usize, row: usize) -> NormalizedMatrix {
+    let parts = tn.parts().iter().enumerate().map(|(i, p)| {
+        let mut t = p.table().to_dense();
+        if i == part {
+            t.set(row, 0, f64::NAN);
+        }
+        let table = match p.table() {
+            Matrix::Dense(_) => t.into(),
+            Matrix::Sparse(_) => CsrMatrix::from_dense(&t).into(),
+        };
+        AttributePart::new(p.indicator().clone(), table)
+    });
+    NormalizedMatrix::try_from_parts(parts.collect()).unwrap()
+}
+
+/// A NaN in one base row reaches, on every route, only the groups of the
+/// join rows that carry it: each route matches the group sums of the
+/// dense join, NaN exactly where they are NaN, elsewhere within 1e-12.
+#[test]
+fn group_sums_keep_a_nan_in_its_own_groups_on_every_route() {
+    let pkfk = PkFkSpec::from_ratios(4.0, 1.0, 5, 3, 1).generate().tn;
+    let star = StarSpec {
+        n_s: 24,
+        d_s: 2,
+        tables: vec![(6, 3), (4, 2)],
+        seed: 2,
+    }
+    .generate()
+    .tn;
+    let mn = MnJoinSpec {
+        n_s: 12,
+        n_r: 10,
+        d_s: 2,
+        d_r: 3,
+        n_u: 4,
+        seed: 3,
+    }
+    .generate()
+    .tn;
+    for (tn, part, row) in [
+        (pkfk, 0, 3),
+        (sparsified(&star), 1, 1),
+        (star, 2, 0),
+        (mn.clone(), 0, 0),
+        (sparsified(&mn), 1, 2),
+    ] {
+        let t = with_nan(&tn, part, row);
+        let tm = t.materialize();
+        let dense = tm.to_dense();
+        let a = groups(t.rows(), 4);
+        let mut want = DenseMatrix::zeros(t.cols(), 4);
+        for (i, &c) in a.keys().iter().enumerate() {
+            for j in 0..t.cols() {
+                want.set(j, c as usize, want.get(j, c as usize) + dense.get(i, j));
+            }
+        }
+        let nan = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.is_nan()).collect::<Vec<_>>();
+        let hit = nan(&want).iter().filter(|&&v| v).count();
+        assert!(
+            hit > 0 && hit < 4,
+            "the NaN must reach some groups but not all"
+        );
+        let planned = |s| PlannedMatrix::with_strategy(t.clone(), s);
+        let chunked = |s| PlannedChunkedMatrix::with_strategy(t.clone(), 5, s);
+        let routes = [
+            ("factorized", t.t_lmm_indicator(&a)),
+            ("materialized", LinearOperand::t_lmm_indicator(&tm, &a)),
+            (
+                "planned F",
+                planned(Route::AlwaysFactorize).t_lmm_indicator(&a),
+            ),
+            (
+                "planned M",
+                planned(Route::AlwaysMaterialize).t_lmm_indicator(&a),
+            ),
+            ("chunked", ChunkedMatrix::new(&tm, 5).t_lmm_indicator(&a)),
+            (
+                "chunked F",
+                chunked(Route::AlwaysFactorize).t_lmm_indicator(&a),
+            ),
+            (
+                "chunked M",
+                chunked(Route::AlwaysMaterialize).t_lmm_indicator(&a),
+            ),
+        ];
+        for (route, got) in routes {
+            assert_eq!(nan(&got), nan(&want), "{route}: NaN pattern");
+            let finite = |m: &DenseMatrix| m.map(|v| if v.is_nan() { 0.0 } else { v });
+            assert!(finite(&got).approx_eq(&finite(&want), 1e-12), "{route}");
+        }
     }
 }

@@ -80,6 +80,34 @@ fn kmeans_identical_on_all_backends() {
 }
 
 #[test]
+fn kmeans_identical_on_all_backends_for_sparse_star_and_mn() {
+    let star = morpheus::data::realsim::by_name("Movies")
+        .unwrap()
+        .generate(0.0005, 9)
+        .tn;
+    let mn = MnJoinSpec {
+        n_s: 60,
+        n_r: 50,
+        d_s: 3,
+        d_r: 4,
+        n_u: 8,
+        seed: 10,
+    }
+    .generate()
+    .tn;
+    assert!(star.parts().iter().all(|p| p.table().is_sparse()));
+    let km = KMeans::new(4, 6);
+    for tn in [star, mn] {
+        let (tm, adaptive, cn, cm) = backends(&tn);
+        let m_ref = km.fit(&tn);
+        for m in [km.fit(&tm), km.fit(&adaptive), km.fit(&cn), km.fit(&cm)] {
+            assert_eq!(m.assignments, m_ref.assignments);
+            assert!(m.centroids.approx_eq(&m_ref.centroids, 1e-8));
+        }
+    }
+}
+
+#[test]
 fn gnmf_identical_on_factorized_and_materialized() {
     // GNMF needs non-negative data: use the star generator output shifted.
     let ds = StarSpec {

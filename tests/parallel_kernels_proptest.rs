@@ -23,7 +23,7 @@ mod common;
 
 use common::{bits, RuntimeSettings};
 use morpheus::chunked::ChunkedMatrix;
-use morpheus::core::{KeyColumn, LinearOperand};
+use morpheus::core::{KeyColumn, LinearOperand, Strategy as Route};
 use morpheus::dense::simd::{self, GemmBand, GemmIsa, MatSrc};
 use morpheus::dense::tall_block_rows;
 use morpheus::prelude::*;
@@ -256,10 +256,15 @@ proptest! {
             settings.set_threads(threads);
             let got = (k.spmm_dense(&x), k.t_spmm_dense(&y), k.dense_spmm(&z));
             let want = (csr.spmm_dense(&x), csr.t_spmm_dense(&y), csr.dense_spmm(&z));
+            let s = sparse(n.max(1), width.max(1), seed ^ 0x77).slice_rows(0..n);
+            let sums = (k.group_sums(&y.clone().into()), k.group_sums(&s.clone().into()));
+            let want_sums = (csr.t_spmm_dense(&y), csr.t_spgemm_dense(&s));
             drop(settings);
             prop_assert_eq!(bits(got.0.as_slice()), bits(want.0.as_slice()));
             prop_assert_eq!(bits(got.1.as_slice()), bits(want.1.as_slice()));
             prop_assert_eq!(bits(got.2.as_slice()), bits(want.2.as_slice()));
+            prop_assert_eq!(bits(sums.0.as_slice()), bits(want_sums.0.as_slice()));
+            prop_assert_eq!(bits(sums.1.as_slice()), bits(want_sums.1.as_slice()));
         }
         prop_assert_eq!(k.col_sums(), csr.col_sums());
         prop_assert_eq!(k.pair_counts(&k2), csr.transpose().spgemm(&csr_indicator(&fk2, hit + 1)));
@@ -639,6 +644,70 @@ proptest! {
             prop_assert_eq!(base.2.get(i, 0), min);
             prop_assert_eq!(base.3.get(i, 0), max);
         }
+    }
+}
+
+/// `Tᵀ A` as group sums is fixed by shape on every route — factorized
+/// (PK-FK, star and M:N, dense and CSR tables, and a transposed view),
+/// materialized, planned and chunked: bit for bit the same at 1, 2 and 8
+/// workers and with the SIMD gate off.
+#[test]
+fn group_sums_bit_identical_across_workers_and_simd() {
+    Runtime::set_par_threshold(1);
+    let n = 400;
+    let csr = |rows, cols, seed| Matrix::Sparse(sparse(rows, cols, seed));
+    let joins = [
+        NormalizedMatrix::pk_fk(
+            hostile(n, 6, 1).into(),
+            &keys(n, 40, 2),
+            mat(40, 9, 3).into(),
+        ),
+        NormalizedMatrix::star(
+            csr(n, 5, 4),
+            vec![
+                (keys(n, 30, 5), csr(30, 7, 6)),
+                (keys(n, 12, 7), mat(12, 3, 8).into()),
+            ],
+        ),
+        NormalizedMatrix::mn_join(
+            mat(50, 4, 9).into(),
+            &keys(n, 50, 10),
+            mat(60, 5, 11).into(),
+            &keys(n, 60, 12),
+        ),
+        NormalizedMatrix::mn_join(
+            csr(50, 4, 13),
+            &keys(n, 50, 14),
+            csr(60, 5, 15),
+            &keys(n, 60, 16),
+        ),
+    ];
+    for tn in joins {
+        let tm = tn.materialize();
+        let tt = tn.transpose();
+        let a = KeyColumn::new(&keys(n, 7, 17), 7).unwrap();
+        let at = KeyColumn::new(&keys(tt.rows(), 3, 18), 3).unwrap();
+        let run = || {
+            let planned = |s| PlannedMatrix::with_strategy(tn.clone(), s);
+            [
+                tn.t_lmm_indicator(&a),
+                tt.t_lmm_indicator(&at),
+                LinearOperand::t_lmm_indicator(&tm, &a),
+                planned(Route::AlwaysFactorize).t_lmm_indicator(&a),
+                planned(Route::AlwaysMaterialize).t_lmm_indicator(&a),
+                ChunkedMatrix::new(&tm, 64).t_lmm_indicator(&a),
+            ]
+            .map(|m| bits(m.as_slice()))
+        };
+        let settings = RuntimeSettings::hold();
+        settings.set_threads(1);
+        let serial = run();
+        for threads in [2, 8] {
+            settings.set_threads(threads);
+            assert_eq!(run(), serial, "{threads} workers");
+        }
+        settings.set_simd(false);
+        assert_eq!(run(), serial, "SIMD off");
     }
 }
 
