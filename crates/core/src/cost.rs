@@ -323,9 +323,10 @@ impl PartDims {
 /// Register-tile dims of the packed-panel GEMM microkernel
 /// (`morpheus_dense::simd::{MR, NR}` — mirrored here because `core` sits
 /// below `dense` in the crate DAG). The kernel computes whole `MR x NR`
-/// output tiles, zero-padding the remainder, so narrow products execute
-/// up to `NR / 1` times their nominal flop count and the estimate has to
-/// price the padded shape the hardware actually runs.
+/// output tiles: remainder columns are masked on load and store, not
+/// staged, but the masked lanes still issue their FMAs, so narrow
+/// products execute up to `NR / 1` times their nominal flop count and the
+/// estimate has to price the padded shape the hardware actually runs.
 const GEMM_MR: f64 = 4.0;
 const GEMM_NR: f64 = 8.0;
 const GEMM_KC: f64 = 256.0;
@@ -350,12 +351,13 @@ fn dense_mm_ns(p: &MachineProfile, rows: f64, k: f64, m: f64) -> f64 {
     // Beyond the tile flops, the kernel moves memory the tier rate does
     // not see: the output is re-read and re-written once per KC block of
     // the inner dimension (dominant when `k` is short relative to the
-    // output — the `B Bᵀ` shape), and both operands are packed once
-    // (streaming-rate copies). Short-`k` products are traffic-bound, not
+    // output — the `B Bᵀ` shape), and the right operand is packed once
+    // into zero-padded panels (a streaming-rate copy; the left operand is
+    // read in place). Short-`k` products are traffic-bound, not
     // flop-bound, and a flop-only estimate underprices them severely.
     let kc_passes = (k / GEMM_KC).ceil().max(1.0);
     let out_traffic = er * ec * kc_passes * p.ew_ns;
-    let pack = (er * k + k * ec) * p.sum_ns;
+    let pack = k * ec * p.sum_ns;
     er * k * ec * p.dense_flop_ns(ws) + out_traffic + pack
 }
 
@@ -407,15 +409,16 @@ fn sym_product_ns(p: &MachineProfile, part: &PartDims, gram: bool) -> f64 {
 
 /// ns of a dense symmetric `out x out` product with inner dimension `k`
 /// through the triangular packed-panel driver: the computed-tile
-/// triangle, plus the costs unique to the symmetric kernels — one pack
-/// source is read against the storage grain (the transposed view of the
-/// same table), and the mirror pass copies the computed triangle across
+/// triangle, plus the costs unique to the symmetric kernels — one
+/// operand is read against the storage grain (the transposed view of the
+/// same table: packed as B by `tcrossprod`, read in place as A by
+/// `crossprod`), and the mirror pass copies the computed triangle across
 /// the diagonal with strided access on one side.
 fn sym_mm_ns(p: &MachineProfile, out: f64, k: f64) -> f64 {
     let tri = syrk_tile_fraction(out) * dense_mm_ns(p, out, k, out) * p.syrk_factor;
-    let strided_pack = out * k * (p.gather_ns - p.sum_ns).max(0.0);
+    let strided_read = out * k * (p.gather_ns - p.sum_ns).max(0.0);
     let mirror = 0.5 * out * out * (p.gather_ns + p.ew_ns);
-    tri + strided_pack + mirror
+    tri + strided_read + mirror
 }
 
 /// Everything [`estimate_op`] needs about a normalized matrix.
@@ -749,7 +752,7 @@ fn crossprod_f(p: &MachineProfile, s: &Shape) -> f64 {
             // earlier part, the entity table in a PK-FK join) through the
             // other indicator transposed, then a transpose-product on
             // base-table rows: apply(n, dᵢ) + nⱼ dᵢ dⱼ. The t_matmul
-            // driver packs its A source column-strided (against the
+            // driver reads its A source column-strided (against the
             // storage grain), so it carries the same measured premium
             // over plain blocked GEMM as the symmetric kernels.
             let rows = pi.rows.min(pj.rows);

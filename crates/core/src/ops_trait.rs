@@ -16,7 +16,7 @@
 //! without a line changing — the paper's generality and closure desiderata.
 
 use crate::{KeyColumn, Matrix};
-use morpheus_dense::{DenseMatrix, ScalarOp};
+use morpheus_dense::{simd, DenseMatrix, ScalarOp};
 use morpheus_linalg::{ginv_sym, ginv_sym_psd};
 
 /// The operator set of Table 1, as consumed by LA-written ML algorithms.
@@ -90,6 +90,16 @@ pub trait LinearOperand {
     /// `rowSums(T)` as an `n x 1` vector.
     fn row_sums(&self) -> DenseMatrix;
 
+    /// `rowSums(T ^ 2)` as an `n x 1` vector (K-Means' squared row
+    /// norms). The default is `self.squared().row_sums()`; an override
+    /// must return the same bits without having to form `T ^ 2`.
+    fn row_sums_squared(&self) -> DenseMatrix
+    where
+        Self: Sized,
+    {
+        self.squared().row_sums()
+    }
+
     /// `colSums(T)` as a `1 x d` vector.
     fn col_sums(&self) -> DenseMatrix;
 
@@ -146,6 +156,25 @@ impl LinearOperand for Matrix {
 
     fn row_sums(&self) -> DenseMatrix {
         Matrix::row_sums(self)
+    }
+
+    /// Squares one row at a time into a reused buffer and sums it with
+    /// `row_sums`' lanes, so it is bit for bit the default without the
+    /// `n x d` copy. A sparse row squares its stored values only, as
+    /// `squared` keeps the matrix sparse.
+    fn row_sums_squared(&self) -> DenseMatrix {
+        let mut buf = Vec::with_capacity(self.cols());
+        let mut sum_sq = |row: &[f64]| {
+            buf.clear();
+            buf.extend_from_slice(row);
+            ScalarOp::Pow(2.0).apply_in_place(&mut buf);
+            simd::sum(&buf)
+        };
+        let sums: Vec<f64> = match self {
+            Matrix::Dense(m) => m.row_iter().map(sum_sq).collect(),
+            Matrix::Sparse(m) => (0..m.rows()).map(|i| sum_sq(m.row(i).1)).collect(),
+        };
+        DenseMatrix::col_vector(&sums)
     }
 
     fn col_sums(&self) -> DenseMatrix {
@@ -309,6 +338,43 @@ mod tests {
         assert_eq!(tn.ncols(), t.ncols());
         assert_eq!(tn.row_sums(), LinearOperand::row_sums(&t));
         assert_eq!(tn.col_sums(), LinearOperand::col_sums(&t));
+    }
+
+    #[test]
+    fn matrix_row_sums_squared_is_bitwise_the_default() {
+        use morpheus_sparse::CsrMatrix;
+        let same = |a: &DenseMatrix, b: &DenseMatrix| {
+            a.shape() == b.shape()
+                && a.as_slice()
+                    .iter()
+                    .zip(b.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan())
+        };
+        // Rows on both sides of the lane cutover, with a NaN row, ±inf
+        // rows, an all-zero row and a zero-column table.
+        for (n, d) in [(7, 3), (7, 40), (5, 0)] {
+            let mut t = DenseMatrix::from_fn(n, d, |i, j| {
+                if (i + j) % 3 == 0 {
+                    0.0
+                } else {
+                    ((i * 7 + j * 3) % 11) as f64 * 0.37 - 1.5
+                }
+            });
+            if d > 0 {
+                t.set(1, d - 1, f64::NAN);
+                t.set(2, 0, f64::INFINITY);
+                t.set(3, d / 2, f64::NEG_INFINITY);
+                for j in 0..d {
+                    t.set(4, j, 0.0);
+                }
+            }
+            let csr = CsrMatrix::from_dense(&t);
+            for m in [Matrix::Dense(t), Matrix::Sparse(csr)] {
+                let fused = m.row_sums_squared();
+                assert!(same(&fused, &m.squared().row_sums()), "{n}x{d}");
+                assert_eq!(fused.shape(), (n, 1));
+            }
+        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Every matrix-matrix product in this module — `matmul`, `crossprod`,
 //! `tcrossprod`, `t_matmul`, `matmul_t` — bottoms out in the packed-panel,
 //! register-blocked SIMD microkernel of [`crate::simd`]: the right operand
-//! is packed once into `KC x NR` column panels, each row band packs its
-//! left-operand tiles into `MR`-row panels, and an `MR x NR` register tile
-//! is updated with broadcast-FMA (AVX2 where detected, a bit-identical
-//! scalar-FMA microkernel with the SIMD gate off, plain multiply-add on
-//! hardware without FMA). Transposed drivers absorb their transpose into
-//! the packing strides, so no operand is ever materialized transposed.
+//! is packed once into `KC x NR` column panels, the left operand is read
+//! in place, and an `MR x NR` register tile is updated with broadcast-FMA
+//! (AVX2 where detected, a bit-identical scalar-FMA microkernel with the
+//! SIMD gate off, plain multiply-add on hardware without FMA). Transposed
+//! drivers absorb their transpose into the read strides, so no operand is
+//! ever materialized transposed.
 //!
 //! **Parallelism**: output rows are split into bands executed on the
 //! shared [`morpheus_runtime`] executor. Each output element is

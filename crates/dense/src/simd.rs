@@ -9,15 +9,18 @@
 //! * **B** is packed once per product into `KC x NR` column panels
 //!   ([`pack_b`]), zero-padded to a multiple of [`NR`] columns, shared
 //!   read-only by every row band.
-//! * **A** is packed per band and `KC` block into `MR`-row panels stored
-//!   k-major ([`GemmBand::run`]), so the microkernel streams both operands
-//!   contiguously. Packing reads through a strided [`MatSrc`] view, which
-//!   is how the transposed drivers (`t_matmul`, `matmul_t`, `crossprod`,
-//!   `tcrossprod`) reuse the identical kernel without materializing a
-//!   transpose.
+//! * **A** is read in place through its strided [`MatSrc`] view, so the
+//!   transposed drivers (`t_matmul`, `crossprod`: `rs = 1, cs = d`) need
+//!   no transpose and no per-tile pack; only a strided tile that feeds
+//!   many panels is copied first ([`GemmBand::run`]). `matmul_t` and
+//!   `tcrossprod` absorb their transpose in the B pack.
 //! * The microkernel computes an `MR x NR` register tile: with AVX2+FMA,
 //!   8 vector accumulators (4 rows x 2 lanes-of-4) updated by
-//!   broadcast-FMA per `k` step.
+//!   broadcast-FMA per `k` step. Edges run the same kernel: a short last
+//!   tile (fewer than [`MR`] rows) re-reads its last row and stores only
+//!   its real rows, and the column remainder (fewer than [`NR`] columns)
+//!   is loaded and stored through lane masks, so no tile is staged
+//!   (`MR = 4` and `NR = 8` for every shape).
 //!
 //! Three ISA levels implement the same tile contract ([`GemmIsa`]); which
 //! one runs is decided at runtime ([`GemmIsa::active`]) from CPU feature
@@ -29,7 +32,7 @@
 //! Within one [`GemmBand::run`], every output element is accumulated by a
 //! single fused-multiply-add (or multiply-add, for [`GemmIsa::Portable`])
 //! chain in ascending-`k` order, regardless of which tile computed it —
-//! full tiles, row/column remainder tiles, and band boundaries all replay
+//! full tiles, short or masked edge tiles, and band boundaries all replay
 //! the identical per-element chain. The tall drivers (`t_matmul`,
 //! `crossprod`) run one band per fixed row block of the input and add the
 //! block partials in ascending order, so a product's per-element order is
@@ -58,7 +61,9 @@
 
 // `std::arch` intrinsics are inherently unsafe to call; every unsafe
 // block in this module is a feature-gated intrinsic sequence reached only
-// after `is_x86_feature_detected!` confirms the ISA (see `GemmIsa`).
+// after `is_x86_feature_detected!` confirms the ISA (see `GemmIsa`). The
+// GEMM tile kernel's raw reads and masked stores also rely on the slice
+// bounds `GemmBand::run` asserts per tile (see `kern_tile_avx2`).
 #![allow(unsafe_code)]
 
 use morpheus_runtime::Runtime;
@@ -136,7 +141,7 @@ fn avx2_detected() -> bool {
 /// `(i, j)` lives at `data[i * rs + j * cs]`. `rs = row_len, cs = 1`
 /// views the matrix as stored; `rs = 1, cs = row_len` views its
 /// transpose — which is how every transposed product driver feeds the
-/// same packing routines.
+/// same B packing and in-place A reads.
 #[derive(Clone, Copy)]
 pub struct MatSrc<'a> {
     /// Backing row-major buffer.
@@ -218,83 +223,71 @@ impl GemmBand<'_> {
             return;
         }
         let rows = out_band.len() / n;
-        let k = self.b.k;
-        let panels = self.b.panels;
-        let mut apanel = [0.0f64; MR * KC];
-        let mut ctile = [0.0f64; MR * NR];
+        let (k, panels) = (self.b.k, self.b.panels);
+        let MatSrc { data, rs, cs } = self.a;
+        let mut acopy = [0.0f64; MR * KC];
         for kb in (0..k).step_by(KC) {
             let kc = KC.min(k - kb);
             let block = &self.b.data[panels * NR * kb..panels * NR * (kb + kc)];
             for it in (0..rows).step_by(MR) {
-                let mr = MR.min(rows - it);
-                if mr < MR {
-                    apanel[..kc * MR].fill(0.0);
-                }
-                // Pack the tile's A rows k-major: apanel[kk * MR + r].
-                for r in 0..mr {
-                    let row = self.i0 + it + r;
+                let (mr, row) = (MR.min(rows - it), self.i0 + it);
+                let jp_start = if self.tri_upper { row / NR } else { 0 };
+                // The tile's A, read in place: slicing to its last element
+                // asserts `base + (kc−1)·cs + (mr−1)·rs < data.len()`.
+                let base = row * rs + kb * cs;
+                let tile = &data[base..=base + (kc - 1) * cs + (mr - 1) * rs];
+                let (data, rs, cs) = if cs != 1 && panels.saturating_sub(jp_start) >= COPY_PANELS {
                     for kk in 0..kc {
-                        apanel[kk * MR + r] = self.a.at(row, kb + kk);
+                        for r in 0..mr {
+                            acopy[kk * MR + r] = tile[r * rs + kk * cs];
+                        }
                     }
-                }
-                let jp_start = if self.tri_upper {
-                    (self.i0 + it) / NR
+                    (&acopy[..(kc - 1) * MR + mr], 1, MR)
                 } else {
-                    0
+                    (tile, rs, cs)
                 };
+                let a = MatSrc { data, rs, cs };
                 for jp in jp_start..panels {
                     let nr = NR.min(n - jp * NR);
                     let c0 = it * n + jp * NR;
-                    if mr == MR && nr == NR {
-                        microkernel(
-                            isa,
-                            kc,
-                            &apanel,
-                            &block[jp * kc * NR..],
-                            &mut out_band[c0..],
-                            n,
-                        );
-                    } else {
-                        // Remainder tile: stage the valid C region in a
-                        // zero-padded MR x NR buffer, run the identical
-                        // kernel, and write the valid region back — the
-                        // per-element chains match the full-tile path
-                        // exactly.
-                        ctile.fill(0.0);
-                        for r in 0..mr {
-                            ctile[r * NR..r * NR + nr]
-                                .copy_from_slice(&out_band[c0 + r * n..c0 + r * n + nr]);
-                        }
-                        microkernel(isa, kc, &apanel, &block[jp * kc * NR..], &mut ctile, NR);
-                        for r in 0..mr {
-                            out_band[c0 + r * n..c0 + r * n + nr]
-                                .copy_from_slice(&ctile[r * NR..r * NR + nr]);
-                        }
-                    }
+                    // Asserts `c0 + (mr−1)·n + nr ≤ out_band.len()`.
+                    let c = &mut out_band[c0..c0 + (mr - 1) * n + nr];
+                    let bp = &block[jp * kc * NR..(jp + 1) * kc * NR];
+                    microkernel(isa, Tile { a, bp, mr, nr }, c, n);
                 }
             }
         }
     }
 }
 
-/// Dispatches one `MR x NR` tile update `C += A_panel * B_panel` to the
-/// ISA level's kernel. `c` holds the tile's top-left corner with row
-/// stride `ldc`; `ap` is k-major (`ap[kk * MR + r]`), `bp` panel-major
-/// (`bp[kk * NR + jl]`).
+/// Panels from which [`GemmBand::run`] copies a tile of A read against its
+/// grain (`cs ≠ 1`) k-major first: in place it is re-read per panel, and a
+/// power-of-two row stride (20 000 × 512 `crossprod`) crowds few L1 sets.
+const COPY_PANELS: usize = 16;
+
+/// One register tile's inputs: A's `mr` rows from the tile's first element
+/// (`(r, kk)` at `a.at(r, kk)`), a `kc x NR` panel-major B panel
+/// (`bp[kk * NR + jl]`, `kc = bp.len() / NR`), and its `nr` output columns.
+#[derive(Clone, Copy)]
+struct Tile<'t> {
+    a: MatSrc<'t>,
+    bp: &'t [f64],
+    mr: usize,
+    nr: usize,
+}
+
+/// Runs one tile update `C += A · B` (`c` ends at its last output; row stride `ldc`).
 #[inline]
-fn microkernel(isa: GemmIsa, kc: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    debug_assert!(c.len() >= (MR - 1) * ldc + NR);
+fn microkernel(isa: GemmIsa, t: Tile<'_>, c: &mut [f64], ldc: usize) {
+    debug_assert!((1..=MR).contains(&t.mr) && (1..=NR).contains(&t.nr) && !t.bp.is_empty());
     match isa {
         #[cfg(target_arch = "x86_64")]
-        GemmIsa::Avx2Fma => unsafe { kern_tile_avx2(kc, ap, bp, c, ldc) },
-        #[cfg(not(target_arch = "x86_64"))]
-        GemmIsa::Avx2Fma => kern_tile_scalar::<true>(kc, ap, bp, c, ldc),
+        GemmIsa::Avx2Fma => unsafe { kern_tile_avx2(t, c, ldc) },
         #[cfg(target_arch = "x86_64")]
-        GemmIsa::ScalarFma => unsafe { kern_tile_scalar_fma(kc, ap, bp, c, ldc) },
+        GemmIsa::ScalarFma => unsafe { kern_tile_scalar_fma(t, c, ldc) },
         #[cfg(not(target_arch = "x86_64"))]
-        GemmIsa::ScalarFma => kern_tile_scalar::<true>(kc, ap, bp, c, ldc),
-        GemmIsa::Portable => kern_tile_scalar::<false>(kc, ap, bp, c, ldc),
+        GemmIsa::Avx2Fma | GemmIsa::ScalarFma => kern_tile_scalar::<true>(t, c, ldc),
+        GemmIsa::Portable => kern_tile_scalar::<false>(t, c, ldc),
     }
 }
 
@@ -302,18 +295,16 @@ fn microkernel(isa: GemmIsa, kc: usize, ap: &[f64], bp: &[f64], c: &mut [f64], l
 /// reproduce (exactly, for the FMA levels). `FMA` selects fused
 /// (`f64::mul_add`) vs plain multiply-add accumulation.
 #[inline(always)]
-fn kern_tile_scalar<const FMA: bool>(kc: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize) {
-    for kk in 0..kc {
-        let arow = &ap[kk * MR..kk * MR + MR];
-        let brow = &bp[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let av = arow[r];
-            let crow = &mut c[r * ldc..r * ldc + NR];
-            for jl in 0..NR {
-                crow[jl] = if FMA {
-                    av.mul_add(brow[jl], crow[jl])
+fn kern_tile_scalar<const FMA: bool>(t: Tile<'_>, c: &mut [f64], ldc: usize) {
+    for (kk, brow) in t.bp.chunks_exact(NR).enumerate() {
+        for r in 0..t.mr {
+            let av = t.a.at(r, kk);
+            let crow = &mut c[r * ldc..r * ldc + t.nr];
+            for (cv, &bv) in crow.iter_mut().zip(brow) {
+                *cv = if FMA {
+                    av.mul_add(bv, *cv)
                 } else {
-                    crow[jl] + av * brow[jl]
+                    *cv + av * bv
                 };
             }
         }
@@ -325,41 +316,50 @@ fn kern_tile_scalar<const FMA: bool>(kc: usize, ap: &[f64], bp: &[f64], c: &mut 
 /// call. Callers must have verified `is_x86_feature_detected!("fma")`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn kern_tile_scalar_fma(kc: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize) {
-    kern_tile_scalar::<true>(kc, ap, bp, c, ldc);
+unsafe fn kern_tile_scalar_fma(t: Tile<'_>, c: &mut [f64], ldc: usize) {
+    kern_tile_scalar::<true>(t, c, ldc);
 }
 
 /// The AVX2+FMA tile kernel: 4 rows x 2 vectors of 4 accumulators, one
 /// broadcast-FMA pair per row per `k` step — the identical per-element
-/// chains as [`kern_tile_scalar::<true>`], four lanes at a time. Callers
-/// must have verified `avx2` and `fma` support.
+/// chains as [`kern_tile_scalar::<true>`], four lanes at a time; a short
+/// tile's missing rows repeat its last and are never stored. Callers must
+/// have verified `avx2` and `fma` support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_tile_avx2(kc: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize) {
+unsafe fn kern_tile_avx2(t: Tile<'_>, c: &mut [f64], ldc: usize) {
     use std::arch::x86_64::*;
-    let cp = c.as_mut_ptr();
-    // SAFETY: the dispatcher's debug-asserted bounds — c covers
-    // (MR-1)*ldc + NR elements, ap covers kc*MR, bp covers kc*NR.
+    let aoff: [usize; MR] = std::array::from_fn(|r| r.min(t.mr - 1) * t.a.rs);
+    let coff: [usize; MR] = std::array::from_fn(|r| r.min(t.mr - 1) * ldc);
+    let (ap, b0, cp) = (t.a.data.as_ptr(), t.bp.as_ptr(), c.as_mut_ptr());
+    // SAFETY: `run` slices `t.a.data` to end at the tile's last A element
+    // (`base + (kc−1)·cs + (mr−1)·rs < data.len()`), `c` at its last output
+    // (`c0 + (mr−1)·n + nr ≤ out_band.len()`) and `t.bp` to `kc · NR`. A is
+    // read at `kk·cs + min(r, mr−1)·rs` (`kk < kc`), B at `kk·NR + l`, C at
+    // `min(r, mr−1)·ldc + l` with lanes `l ≥ nr` masked off: all in bounds.
+    // A fully masked half may point past `c`, hence `wrapping_add`.
     unsafe {
+        let nr = _mm256_set1_epi64x(t.nr as i64);
+        let m0 = _mm256_cmpgt_epi64(nr, _mm256_setr_epi64x(0, 1, 2, 3));
+        let m1 = _mm256_cmpgt_epi64(nr, _mm256_setr_epi64x(4, 5, 6, 7));
         let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-        for (r, a) in acc.iter_mut().enumerate() {
-            a[0] = _mm256_loadu_pd(cp.add(r * ldc));
-            a[1] = _mm256_loadu_pd(cp.add(r * ldc + 4));
+        for (v, &o) in acc.iter_mut().zip(&coff) {
+            v[0] = _mm256_maskload_pd(cp.add(o), m0);
+            v[1] = _mm256_maskload_pd(cp.wrapping_add(o + 4), m1);
         }
-        let a0 = ap.as_ptr();
-        let b0 = bp.as_ptr();
-        for kk in 0..kc {
+        for kk in 0..t.bp.len() / NR {
             let bv0 = _mm256_loadu_pd(b0.add(kk * NR));
             let bv1 = _mm256_loadu_pd(b0.add(kk * NR + 4));
-            for (r, a) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a0.add(kk * MR + r));
-                a[0] = _mm256_fmadd_pd(av, bv0, a[0]);
-                a[1] = _mm256_fmadd_pd(av, bv1, a[1]);
+            let ak = ap.add(kk * t.a.cs);
+            for (v, &o) in acc.iter_mut().zip(&aoff) {
+                let av = _mm256_set1_pd(*ak.add(o));
+                v[0] = _mm256_fmadd_pd(av, bv0, v[0]);
+                v[1] = _mm256_fmadd_pd(av, bv1, v[1]);
             }
         }
-        for (r, a) in acc.iter().enumerate() {
-            _mm256_storeu_pd(cp.add(r * ldc), a[0]);
-            _mm256_storeu_pd(cp.add(r * ldc + 4), a[1]);
+        for (v, &o) in acc.iter().zip(&coff).take(t.mr) {
+            _mm256_maskstore_pd(cp.add(o), m0, v[0]);
+            _mm256_maskstore_pd(cp.wrapping_add(o + 4), m1, v[1]);
         }
     }
 }
@@ -704,37 +704,49 @@ mod tests {
         assert!((lane - serial).abs() < 1e-12);
     }
 
+    /// The row-major `rows x cols` matrix `m` stored as given, or stored
+    /// transposed: the buffer plus the `(rs, cs)` strides that view it as
+    /// `m` again.
+    fn stored(m: &[f64], rows: usize, cols: usize, transposed: bool) -> (Vec<f64>, usize, usize) {
+        if !transposed {
+            return (m.to_vec(), cols, 1);
+        }
+        let t = (0..rows * cols)
+            .map(|x| m[(x % rows) * cols + x / rows])
+            .collect();
+        (t, 1, rows)
+    }
+
+    /// The ISA levels this machine can run, Portable first.
+    fn isas() -> Vec<GemmIsa> {
+        let mut v = vec![GemmIsa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("fma") {
+            v.push(GemmIsa::ScalarFma);
+            if std::arch::is_x86_feature_detected!("avx2") {
+                v.push(GemmIsa::Avx2Fma);
+            }
+        }
+        v
+    }
+
+    fn assert_close(x: &[f64], y: &[f64], what: &str) {
+        for (x, y) in x.iter().zip(y) {
+            assert!(
+                (x - y).abs() <= 1e-12 * y.abs().max(1.0),
+                "{what}: {x} vs {y}"
+            );
+        }
+    }
+
     #[test]
     fn packed_gemm_levels_agree_on_remainder_shapes() {
         // Shapes straddling every tile boundary: m % MR, n % NR, k % KC
-        // all non-zero somewhere.
+        // all non-zero somewhere. Each operand is read plain and through a
+        // transposed view, which must give the same bits.
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (4, 8, 8), (5, 9, 17), (13, 300, 11)] {
             let a = series(m * k, 11);
             let b = series(k * n, 13);
-            let asrc = MatSrc {
-                data: &a,
-                rs: k,
-                cs: 1,
-            };
-            let bsrc = MatSrc {
-                data: &b,
-                rs: n,
-                cs: 1,
-            };
-            let run = |isa: GemmIsa| {
-                let packed = pack_b(bsrc, k, n);
-                let mut out = vec![0.0f64; m * n];
-                GemmBand {
-                    a: asrc,
-                    b: &packed,
-                    i0: 0,
-                    tri_upper: false,
-                }
-                .run(isa, &mut out);
-                out
-            };
-            let portable = run(GemmIsa::Portable);
-            // Naive reference.
             let mut naive = vec![0.0f64; m * n];
             for i in 0..m {
                 for j in 0..n {
@@ -745,22 +757,148 @@ mod tests {
                     naive[i * n + j] = acc;
                 }
             }
-            for (x, y) in portable.iter().zip(&naive) {
-                assert!(
-                    (x - y).abs() <= 1e-12 * y.abs().max(1.0),
+            let run = |isa: GemmIsa, ta: bool, tb: bool| {
+                let (ad, rs, cs) = stored(&a, m, k, ta);
+                let (bd, brs, bcs) = stored(&b, k, n, tb);
+                let packed = pack_b(
+                    MatSrc {
+                        data: &bd,
+                        rs: brs,
+                        cs: bcs,
+                    },
+                    k,
+                    n,
+                );
+                let mut out = vec![0.0f64; m * n];
+                GemmBand {
+                    a: MatSrc { data: &ad, rs, cs },
+                    b: &packed,
+                    i0: 0,
+                    tri_upper: false,
+                }
+                .run(isa, &mut out);
+                out
+            };
+            for isa in isas() {
+                let plain = run(isa, false, false);
+                assert_close(&plain, &naive, &format!("{isa:?} m={m} k={k} n={n}"));
+                for (ta, tb) in [(true, false), (false, true), (true, true)] {
+                    assert_eq!(
+                        run(isa, ta, tb),
+                        plain,
+                        "{isa:?} {ta} {tb} m={m} k={k} n={n}"
+                    );
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("fma")
+                && std::arch::is_x86_feature_detected!("avx2")
+            {
+                // The vector kernel must be BIT-identical to the scalar
+                // FMA microkernel, edge tiles included.
+                assert_eq!(
+                    run(GemmIsa::Avx2Fma, false, false),
+                    run(GemmIsa::ScalarFma, false, false),
                     "m={m} k={k} n={n}"
                 );
             }
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("fma") {
-                let scalar_fma = run(GemmIsa::ScalarFma);
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // The vector kernel must be BIT-identical to the
-                    // scalar FMA microkernel, remainder tiles included.
-                    assert_eq!(run(GemmIsa::Avx2Fma), scalar_fma, "m={m} k={k} n={n}");
-                }
-                for (x, y) in scalar_fma.iter().zip(&naive) {
-                    assert!((x - y).abs() <= 1e-12 * y.abs().max(1.0));
+        }
+    }
+
+    /// Every edge tile (`mr` in 1..=MR rows, `nr` in 1..=NR columns) of a
+    /// band that sits inside a larger output buffer: the in-place A reads
+    /// and the masked C stores stay inside their slices (NaN sentinels
+    /// on both sides of A and of the band survive), AVX2 equals scalar-FMA
+    /// bit for bit, and every level matches the naive loop, with
+    /// `tri_upper` leaving its skipped tiles untouched. The wide case
+    /// feeds [`COPY_PANELS`] panels, so the transposed view's tiles are
+    /// copied before the kernel reads them.
+    #[test]
+    fn gemm_band_edge_tiles_stay_in_bounds() {
+        const PAD: usize = 9;
+        // A signaling NaN: an FMA that reads it, even with a zero factor,
+        // returns it quieted, so a store through an unmasked lane that
+        // wrote back what it loaded still changes these bits.
+        let sentinel = f64::from_bits(0x7FF0_0000_0000_0001);
+        let k = KC + 3;
+        for mr in 1..=MR {
+            for nr in 1..=NR {
+                for full in [1, COPY_PANELS + 1] {
+                    // A full tile plus an `mr`-row tile, full panels plus an
+                    // `nr`-column one; the band starts at global row `NR`, so
+                    // `tri_upper` skips its first panel.
+                    let (i0, rows, n) = (NR, MR + mr, full * NR + nr);
+                    let a = series((i0 + rows) * k, 3);
+                    let b = series(k * n, 5);
+                    let c_init = series(rows * n, 7);
+                    let packed = pack_b(
+                        MatSrc {
+                            data: &b,
+                            rs: n,
+                            cs: 1,
+                        },
+                        k,
+                        n,
+                    );
+                    for tri_upper in [false, true] {
+                        let mut naive = c_init.clone();
+                        for i in 0..rows {
+                            let jp_start = if tri_upper {
+                                (i0 + i / MR * MR) / NR
+                            } else {
+                                0
+                            };
+                            for j in jp_start * NR..n {
+                                for kk in 0..k {
+                                    naive[i * n + j] += a[(i0 + i) * k + kk] * b[kk * n + j];
+                                }
+                            }
+                        }
+                        let mut results = Vec::new();
+                        for transposed in [false, true] {
+                            let (ad, rs, cs) = stored(&a, i0 + rows, k, transposed);
+                            let mut abuf = vec![sentinel; PAD];
+                            abuf.extend(&ad);
+                            abuf.extend([sentinel; PAD]);
+                            for isa in isas() {
+                                let mut buf = vec![sentinel; PAD];
+                                buf.extend(&c_init);
+                                buf.extend([sentinel; PAD]);
+                                GemmBand {
+                                    a: MatSrc {
+                                        data: &abuf[PAD..PAD + ad.len()],
+                                        rs,
+                                        cs,
+                                    },
+                                    b: &packed,
+                                    i0,
+                                    tri_upper,
+                                }
+                                .run(isa, &mut buf[PAD..PAD + rows * n]);
+                                let what = format!(
+                                    "{isa:?} mr={mr} nr={nr} tri={tri_upper} t={transposed}"
+                                );
+                                let (head, rest) = buf.split_at(PAD);
+                                let (band, tail) = rest.split_at(rows * n);
+                                assert!(
+                                    head.iter()
+                                        .chain(tail)
+                                        .all(|v| v.to_bits() == sentinel.to_bits()),
+                                    "{what}: sentinel overwritten"
+                                );
+                                assert_close(band, &naive, &what);
+                                results.push((isa, band.to_vec()));
+                            }
+                        }
+                        let fma: Vec<_> = results
+                            .iter()
+                            .filter(|(isa, _)| *isa != GemmIsa::Portable)
+                            .collect();
+                        assert!(
+                            fma.windows(2).all(|w| w[0].1 == w[1].1),
+                            "mr={mr} nr={nr} tri={tri_upper}"
+                        );
+                    }
                 }
             }
         }

@@ -102,8 +102,9 @@ impl KMeans {
             "kmeans: initial centroids must be d x k"
         );
         let k = self.k;
-        // Pre-compute rowSums(T²) — factorized through squared() + row_sums().
-        let dt = t.squared().row_sums(); // n x 1
+        // Pre-compute rowSums(T²): factorized through squared() +
+        // row_sums(), and row by row on a materialized T (no T² copy).
+        let dt = t.row_sums_squared(); // n x 1
         let mut c = c0.clone();
         let mut assignments = vec![0usize; t.nrows()];
         let mut inertia = 0.0;
