@@ -10,17 +10,15 @@
 //!   ([`pack_b`]), zero-padded to a multiple of [`NR`] columns, shared
 //!   read-only by every row band.
 //! * **A** is read in place through its strided [`MatSrc`] view, so the
-//!   transposed drivers (`t_matmul`, `crossprod`: `rs = 1, cs = d`) need
-//!   no transpose and no per-tile pack; only a strided tile that feeds
-//!   many panels is copied first ([`GemmBand::run`]). `matmul_t` and
-//!   `tcrossprod` absorb their transpose in the B pack.
+//!   transposed drivers (`t_matmul`, `crossprod`: `rs = 1, cs = d`) need no
+//!   transpose and no per-tile pack (except rows that crowd the L1 sets, see
+//!   [`GemmBand::run`]); `matmul_t`/`tcrossprod` transpose in the B pack.
 //! * The microkernel computes an `MR x NR` register tile: with AVX2+FMA,
 //!   8 vector accumulators (4 rows x 2 lanes-of-4) updated by
 //!   broadcast-FMA per `k` step. Edges run the same kernel: a short last
-//!   tile (fewer than [`MR`] rows) re-reads its last row and stores only
-//!   its real rows, and the column remainder (fewer than [`NR`] columns)
-//!   is loaded and stored through lane masks, so no tile is staged
-//!   (`MR = 4` and `NR = 8` for every shape).
+//!   tile (fewer than [`MR`] rows) re-reads its last row and stores only its
+//!   real rows, and the column remainder (fewer than [`NR`] columns) goes
+//!   through lane masks, so no tile is staged (`MR`, `NR` fixed).
 //!
 //! Three ISA levels implement the same tile contract ([`GemmIsa`]); which
 //! one runs is decided at runtime ([`GemmIsa::active`]) from CPU feature
@@ -61,9 +59,8 @@
 
 // `std::arch` intrinsics are inherently unsafe to call; every unsafe
 // block in this module is a feature-gated intrinsic sequence reached only
-// after `is_x86_feature_detected!` confirms the ISA (see `GemmIsa`). The
-// GEMM tile kernel's raw reads and masked stores also rely on the slice
-// bounds `GemmBand::run` asserts per tile (see `kern_tile_avx2`).
+// after `is_x86_feature_detected!` confirms the ISA (see `GemmIsa`); the
+// GEMM tile kernel also relies on the bounds `GemmBand::run` asserts.
 #![allow(unsafe_code)]
 
 use morpheus_runtime::Runtime;
@@ -218,12 +215,11 @@ pub struct GemmBand<'a> {
 impl GemmBand<'_> {
     /// Runs the band with the given ISA level's microkernel.
     pub fn run(&self, isa: GemmIsa, out_band: &mut [f64]) {
-        let n = self.b.n;
+        let &PackedB { k, n, panels, .. } = self.b;
         if n == 0 {
             return;
         }
         let rows = out_band.len() / n;
-        let (k, panels) = (self.b.k, self.b.panels);
         let MatSrc { data, rs, cs } = self.a;
         let mut acopy = [0.0f64; MR * KC];
         for kb in (0..k).step_by(KC) {
@@ -232,21 +228,18 @@ impl GemmBand<'_> {
             for it in (0..rows).step_by(MR) {
                 let (mr, row) = (MR.min(rows - it), self.i0 + it);
                 let jp_start = if self.tri_upper { row / NR } else { 0 };
-                // The tile's A, read in place: slicing to its last element
-                // asserts `base + (kc−1)·cs + (mr−1)·rs < data.len()`.
+                // A read in place; asserts `base + (kc−1)·cs + (mr−1)·rs < data.len()`.
                 let base = row * rs + kb * cs;
                 let tile = &data[base..=base + (kc - 1) * cs + (mr - 1) * rs];
-                let (data, rs, cs) = if cs != 1 && panels.saturating_sub(jp_start) >= COPY_PANELS {
+                let mut a = MatSrc { data: tile, rs, cs };
+                if cs % COPY_STRIDE == 0 && panels.saturating_sub(jp_start) >= COPY_PANELS {
                     for kk in 0..kc {
                         for r in 0..mr {
-                            acopy[kk * MR + r] = tile[r * rs + kk * cs];
+                            acopy[kk * MR + r] = a.at(r, kk);
                         }
                     }
-                    (&acopy[..(kc - 1) * MR + mr], 1, MR)
-                } else {
-                    (tile, rs, cs)
-                };
-                let a = MatSrc { data, rs, cs };
+                    (a.data, a.rs, a.cs) = (&acopy[..(kc - 1) * MR + mr], 1, MR);
+                }
                 for jp in jp_start..panels {
                     let nr = NR.min(n - jp * NR);
                     let c0 = it * n + jp * NR;
@@ -260,9 +253,10 @@ impl GemmBand<'_> {
     }
 }
 
-/// Panels from which [`GemmBand::run`] copies a tile of A read against its
-/// grain (`cs ≠ 1`) k-major first: in place it is re-read per panel, and a
-/// power-of-two row stride (20 000 × 512 `crossprod`) crowds few L1 sets.
+/// [`GemmBand::run`] copies a tile of A k-major first when its rows lie a
+/// multiple of `COPY_STRIDE` (1 KiB) apart, so in place they crowd ≤ 4 of 64
+/// L1 sets and are re-fetched per panel, and it feeds ≥ `COPY_PANELS` panels.
+const COPY_STRIDE: usize = 128;
 const COPY_PANELS: usize = 16;
 
 /// One register tile's inputs: A's `mr` rows from the tile's first element
@@ -298,22 +292,19 @@ fn microkernel(isa: GemmIsa, t: Tile<'_>, c: &mut [f64], ldc: usize) {
 fn kern_tile_scalar<const FMA: bool>(t: Tile<'_>, c: &mut [f64], ldc: usize) {
     for (kk, brow) in t.bp.chunks_exact(NR).enumerate() {
         for r in 0..t.mr {
-            let av = t.a.at(r, kk);
-            let crow = &mut c[r * ldc..r * ldc + t.nr];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = if FMA {
-                    av.mul_add(bv, *cv)
-                } else {
-                    *cv + av * bv
-                };
+            let x = t.a.at(r, kk);
+            for (cv, &y) in c[r * ldc..r * ldc + t.nr].iter_mut().zip(brow) {
+                *cv = if FMA { x.mul_add(y, *cv) } else { *cv + x * y };
             }
         }
     }
 }
 
 /// [`kern_tile_scalar`] compiled with the `fma` target feature, so
-/// `f64::mul_add` lowers to the hardware instruction instead of a libm
-/// call. Callers must have verified `is_x86_feature_detected!("fma")`.
+/// `f64::mul_add` lowers to the hardware instruction instead of a libm call.
+///
+/// # Safety
+/// The CPU supports `fma`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
 unsafe fn kern_tile_scalar_fma(t: Tile<'_>, c: &mut [f64], ldc: usize) {
@@ -321,10 +312,13 @@ unsafe fn kern_tile_scalar_fma(t: Tile<'_>, c: &mut [f64], ldc: usize) {
 }
 
 /// The AVX2+FMA tile kernel: 4 rows x 2 vectors of 4 accumulators, one
-/// broadcast-FMA pair per row per `k` step — the identical per-element
-/// chains as [`kern_tile_scalar::<true>`], four lanes at a time; a short
-/// tile's missing rows repeat its last and are never stored. Callers must
-/// have verified `avx2` and `fma` support.
+/// broadcast-FMA pair per row per `k` step — [`kern_tile_scalar::<true>`]'s
+/// per-element chains, four lanes at a time; a short tile's missing rows
+/// repeat its last and are never stored.
+///
+/// # Safety
+/// The CPU supports `avx2` and `fma`, and `t`, `c` end where
+/// [`GemmBand::run`] slices them (the bounds in the `SAFETY` comment below).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn kern_tile_avx2(t: Tile<'_>, c: &mut [f64], ldc: usize) {
@@ -357,9 +351,15 @@ unsafe fn kern_tile_avx2(t: Tile<'_>, c: &mut [f64], ldc: usize) {
                 v[1] = _mm256_fmadd_pd(av, bv1, v[1]);
             }
         }
+        // Full tiles store plainly: masked stores are microcoded on some AMD cores.
         for (v, &o) in acc.iter().zip(&coff).take(t.mr) {
-            _mm256_maskstore_pd(cp.add(o), m0, v[0]);
-            _mm256_maskstore_pd(cp.wrapping_add(o + 4), m1, v[1]);
+            if t.nr == NR {
+                _mm256_storeu_pd(cp.add(o), v[0]);
+                _mm256_storeu_pd(cp.add(o + 4), v[1]);
+            } else {
+                _mm256_maskstore_pd(cp.add(o), m0, v[0]);
+                _mm256_maskstore_pd(cp.wrapping_add(o + 4), m1, v[1]);
+            }
         }
     }
 }
@@ -810,9 +810,10 @@ mod tests {
     /// and the masked C stores stay inside their slices (NaN sentinels
     /// on both sides of A and of the band survive), AVX2 equals scalar-FMA
     /// bit for bit, and every level matches the naive loop, with
-    /// `tri_upper` leaving its skipped tiles untouched. The wide case
-    /// feeds [`COPY_PANELS`] panels, so the transposed view's tiles are
-    /// copied before the kernel reads them.
+    /// `tri_upper` leaving its skipped tiles untouched. The transposed
+    /// view stores A's rows [`COPY_STRIDE`] apart (sentinels in the gaps),
+    /// so the wide case, which feeds [`COPY_PANELS`] panels, copies its
+    /// tiles first and the narrow case reads them in place.
     #[test]
     fn gemm_band_edge_tiles_stay_in_bounds() {
         const PAD: usize = 9;
@@ -856,7 +857,15 @@ mod tests {
                         }
                         let mut results = Vec::new();
                         for transposed in [false, true] {
-                            let (ad, rs, cs) = stored(&a, i0 + rows, k, transposed);
+                            let (ad, rs, cs) = if transposed {
+                                let mut t = vec![sentinel; k * COPY_STRIDE];
+                                for (x, &v) in a.iter().enumerate() {
+                                    t[(x % k) * COPY_STRIDE + x / k] = v;
+                                }
+                                (t, 1, COPY_STRIDE)
+                            } else {
+                                (a.clone(), k, 1)
+                            };
                             let mut abuf = vec![sentinel; PAD];
                             abuf.extend(&ad);
                             abuf.extend([sentinel; PAD]);
