@@ -29,9 +29,9 @@ use morpheus_dense::DenseMatrix;
 use morpheus_runtime::Runtime;
 
 /// `aᵀ b` across all four representation pairings, returned dense. Every
-/// arm is transpose-free and band-parallel, including the scatter-written
-/// sparse ones (`t_spmm_dense` / `t_spgemm_dense` run a two-pass
-/// symbolic/numeric scheme above the work threshold).
+/// arm is transpose-free and parallel, including the scatter-written
+/// sparse ones (`t_spmm_dense` / `t_spgemm_dense` reduce fixed row
+/// blocks).
 fn t_cross(a: &Matrix, b: &Matrix) -> DenseMatrix {
     match (a, b) {
         (Matrix::Dense(x), Matrix::Dense(y)) => x.t_matmul(y),

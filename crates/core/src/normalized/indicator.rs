@@ -9,13 +9,12 @@
 //!
 //! Results are bitwise those of the CSR kernels on the same `K`: every
 //! value is `1.0`, so `o += 1.0 · x` and `o += x` round alike, and `Kᵀ X`
-//! sums each output row's sources in ascending row order, as the CSR
-//! scatter does.
+//! reduces the same fixed row blocks as the CSR scatter does.
 
 use crate::{AttributePart, CoreError, CoreResult, Matrix};
 use morpheus_dense::DenseMatrix;
 use morpheus_runtime::Runtime;
-use morpheus_sparse::CsrMatrix;
+use morpheus_sparse::{scatter_block_rows, CsrMatrix};
 use std::sync::{Arc, OnceLock};
 
 /// How a part's base table maps into the logical join output.
@@ -216,39 +215,29 @@ impl KeyColumn {
         out
     }
 
-    /// `Kᵀ x`: row `c` sums, ascending, the rows of `x` with key `c`.
-    /// Panics unless `x` has `rows()` rows.
+    /// `Kᵀ x`: row `c` sums the rows of `x` with key `c`. Panics unless
+    /// `x` has `rows()` rows.
     ///
-    /// One thread scatters `x` in row order, reading it once; in parallel,
-    /// disjoint output bands replay their groups from the grouping by key.
-    /// Each output row adds the same rows in the same order either way, so
-    /// the result does not depend on the worker count.
+    /// A tall reduction over the fixed row blocks of its CSR copy
+    /// ([`morpheus_sparse::scatter_block_rows`], one entry per row):
+    /// each block scatters its rows of `x` in ascending order into its own
+    /// partial, and the partials are summed in ascending block order. The
+    /// bits depend on the shape only, and equal the CSR kernel's on the
+    /// same `K`.
     pub fn t_spmm_dense(&self, x: &DenseMatrix) -> DenseMatrix {
         assert_eq!(x.rows(), self.rows(), "Kᵀ x: x has the wrong height");
         let m = x.cols();
         let mut out = DenseMatrix::zeros(self.table_rows, m);
-        if m == 0 {
-            return out;
-        }
+        let n = self.rows();
+        let h = scatter_block_rows(n, x.len(), out.len());
         let ex = Runtime::executor().gated(x.len());
-        if ex.threads() <= 1 {
-            let o = out.as_mut_slice();
-            for (row, &c) in x.as_slice().chunks_exact(m).zip(&self.keys) {
+        ex.reduce_row_blocks(out.as_mut_slice(), n, h, |rows, o| {
+            for (row, &c) in x.as_slice()[rows.start * m..rows.end * m]
+                .chunks_exact(m)
+                .zip(&self.keys[rows])
+            {
                 let c = c as usize * m;
                 o[c..c + m].iter_mut().zip(row).for_each(|(o, &v)| *o += v);
-            }
-            return out;
-        }
-        let (start, src) = self.by_key();
-        ex.par_rows(out.as_mut_slice(), m, |c0, band| {
-            for (orow, c) in band.chunks_mut(m).zip(c0..) {
-                let rows = src[start[c]..start[c + 1]].iter().map(|&s| s as usize);
-                match orow {
-                    [o] => rows.for_each(|s| *o += x.as_slice()[s]),
-                    _ => {
-                        rows.for_each(|s| orow.iter_mut().zip(x.row(s)).for_each(|(o, &v)| *o += v))
-                    }
-                }
             }
         });
         out
@@ -272,9 +261,10 @@ impl KeyColumn {
     }
 
     /// `Kᵀ m` as group sums for either representation of `m`: row `c`
-    /// sums, ascending, the rows of `m` with key `c`, and only the entries
-    /// `m` stores are added, so a non-finite row of `m` reaches only the
-    /// row of its own key. Panics unless `m` has `rows()` rows.
+    /// sums the rows of `m` with key `c`, ascending within the fixed row
+    /// blocks of [`KeyColumn::t_spmm_dense`], and only the entries `m`
+    /// stores are added, so a non-finite row of `m` reaches only the row
+    /// of its own key. Panics unless `m` has `rows()` rows.
     pub fn group_sums(&self, m: &Matrix) -> DenseMatrix {
         match m {
             Matrix::Dense(d) => self.t_spmm_dense(d),

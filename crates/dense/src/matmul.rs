@@ -16,9 +16,10 @@
 //! regardless of band or tile alignment. The tall reductions —
 //! `t_matmul`, `crossprod` and `vecmat`, whose k is the input's row
 //! count — go one step further once the input spans at least two fixed
-//! row blocks ([`tall_block_rows`]): each block reduces its own rows into
-//! a partial, and the partials are summed in ascending block order, so
-//! the input is streamed once instead of once per output band. Either
+//! row blocks ([`tall_block_rows`]): the runtime's
+//! [`Executor::reduce_row_blocks`] gives each block its own partial and
+//! sums the partials in ascending block order, so the input is streamed
+//! once instead of once per output band. Either
 //! way the per-element order is ascending k within fixed row blocks,
 //! blocks combined in ascending order — a function of the shape alone,
 //! independent of worker count and ISA — so the parallel kernels agree
@@ -46,37 +47,11 @@ pub fn tall_block_rows(width: usize) -> usize {
     (8 * width).max(1024)
 }
 
-/// Fills `out` with `Σ_b partial_b`, where `partial_b` is what `block`
-/// accumulates into a zeroed buffer of `out.len()` elements for rows
-/// `b·h .. min((b+1)·h, n)`. Blocks run in parallel on `ex`; the partials
-/// are summed in ascending block order, so the bits depend on `n` and `h`
-/// only.
-fn reduce_row_blocks(
-    out: &mut [f64],
-    n: usize,
-    h: usize,
-    ex: &Executor,
-    block: impl Fn(Range<usize>, &mut [f64]) + Sync,
-) {
-    let len = out.len();
-    let mut partials = vec![0.0f64; n.div_ceil(h) * len];
-    ex.par_chunks_mut(&mut partials, len, |b, part| {
-        block(b * h..((b + 1) * h).min(n), part)
-    });
-    let (first, rest) = partials.split_at(len);
-    out.copy_from_slice(first);
-    for part in rest.chunks_exact(len) {
-        for (o, &v) in out.iter_mut().zip(part) {
-            *o += v;
-        }
-    }
-}
-
 /// `aᵀ x` for a row-major `n x d` buffer `a` and an n-vector `x`: a
 /// contiguous axpy per input row (unfused multiply-add, ascending rows).
 /// Inputs shorter than two row blocks split the d outputs into bands;
-/// taller ones reduce fixed row blocks ([`reduce_row_blocks`]), so `a` is
-/// streamed once. Every `0 · ±inf` or `0 · NaN` term is accumulated.
+/// taller ones reduce fixed row blocks ([`Executor::reduce_row_blocks`]),
+/// so `a` is streamed once. Every `0 · ±inf` or `0 · NaN` term is accumulated.
 fn t_matvec(a: &[f64], d: usize, x: &[f64], ex: &Executor) -> Vec<f64> {
     let n = x.len();
     let mut out = vec![0.0; d];
@@ -98,7 +73,7 @@ fn t_matvec(a: &[f64], d: usize, x: &[f64], ex: &Executor) -> Vec<f64> {
     if n < 2 * h {
         ex.par_rows(&mut out, 1, |j0, chunk| axpy(0..n, j0, chunk));
     } else {
-        reduce_row_blocks(&mut out, n, h, &ex, |rows, part| axpy(rows, 0, part));
+        ex.reduce_row_blocks(&mut out, n, h, |rows, part| axpy(rows, 0, part));
     }
     out
 }
@@ -142,7 +117,7 @@ fn tall_t_gemm(
         return;
     }
     let isa = GemmIsa::active();
-    reduce_row_blocks(out, n, h, ex, |rows, part| {
+    ex.reduce_row_blocks(out, n, h, |rows, part| {
         let k = rows.len();
         let (at, bs) = views(rows);
         let packed = simd::pack_b(bs, k, p);

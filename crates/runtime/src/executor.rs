@@ -2,6 +2,7 @@
 //! the process-resident worker pool.
 
 use crate::{pool, Runtime};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A parallel executor backed by the resident worker pool.
@@ -242,6 +243,45 @@ impl Executor {
         self.par_chunks_mut(out, band * row_len, |bi, chunk| body(bi * band, chunk));
     }
 
+    /// Reduces the input rows `0..n` into the zeroed `out` in fixed row
+    /// blocks of `h` rows: block `b` runs `block(b·h .. min((b+1)·h, n),
+    /// partial)` into a zeroed private partial of `out.len()` elements,
+    /// the blocks run in parallel, and `out` becomes the partials summed
+    /// in ascending block order. An input shorter than two blocks is one
+    /// chain, run in place as `block(0..n, out)`; an empty `out` runs no
+    /// block. The bits depend on `n` and `h` only, never on the worker
+    /// count. This drives every tall reduction whose input rows scatter
+    /// into one small output: dense `Aᵀ X` and `crossprod`, CSR `Aᵀ X` and
+    /// `Aᵀ B`, and the key column's `Kᵀ X`.
+    ///
+    /// # Panics
+    /// Panics if `h == 0`.
+    pub fn reduce_row_blocks<F>(&self, out: &mut [f64], n: usize, h: usize, block: F)
+    where
+        F: Fn(Range<usize>, &mut [f64]) + Sync,
+    {
+        assert!(h > 0, "reduce_row_blocks: block height must be positive");
+        let len = out.len();
+        if len == 0 {
+            return;
+        }
+        if n < h.saturating_mul(2) {
+            block(0..n, out);
+            return;
+        }
+        let mut partials = vec![0.0f64; n.div_ceil(h) * len];
+        self.par_chunks_mut(&mut partials, len, |b, part| {
+            block(b * h..((b + 1) * h).min(n), part)
+        });
+        let (first, rest) = partials.split_at(len);
+        out.copy_from_slice(first);
+        for part in rest.chunks_exact(len) {
+            for (o, &v) in out.iter_mut().zip(part) {
+                *o += v;
+            }
+        }
+    }
+
     /// Runs two closures concurrently (as two strides of one pool job:
     /// the caller starts on the first while an idle worker may take the
     /// second) and returns both results.
@@ -321,7 +361,7 @@ mod tests {
     #[test]
     fn for_each_item_supports_mutable_borrows() {
         // The motivating use: unequal disjoint output pieces shipped as
-        // owned items (what the two-pass sparse kernels do).
+        // owned items (what the two-pass `spgemm` does).
         let mut data = vec![0usize; 10];
         let (a, rest) = data.split_at_mut(3);
         let (b, c) = rest.split_at_mut(5);
@@ -395,6 +435,50 @@ mod tests {
         }
         // Empty output: no band runs, whatever the row length.
         Executor::new(4).par_rows(&mut [0.0f64; 0], 0, |_, _| unreachable!());
+    }
+
+    #[test]
+    fn reduce_row_blocks_sums_fixed_blocks_in_ascending_order() {
+        // Block b adds `weights[b]` once per row; rows of one block scale
+        // its weight by the row count, so the partials are exact.
+        let weights = [1.0, 1e100, -1e100];
+        let block_of = |h: usize| {
+            move |rows: Range<usize>, part: &mut [f64]| {
+                for i in rows {
+                    part[0] += weights[i / h] / h as f64;
+                    part[1] += 1.0;
+                }
+            }
+        };
+        for threads in [1, 2, 8] {
+            let ex = Executor::new(threads);
+            // Three full blocks: ascending order gives (1 + 1e100) - 1e100
+            // = 0; descending would give (-1e100 + 1e100) + 1 = 1.
+            let mut out = [0.0; 2];
+            ex.reduce_row_blocks(&mut out, 12, 4, block_of(4));
+            assert_eq!(out, [0.0, 12.0], "{threads} workers");
+            // A ragged last block gets the rows left over.
+            let ranges = Mutex::new(Vec::new());
+            ex.reduce_row_blocks(&mut [0.0], 10, 4, |rows, _| {
+                lock_slot(&ranges).push(rows);
+            });
+            let mut ranges = into_ok(ranges);
+            ranges.sort_by_key(|r| r.start);
+            assert_eq!(ranges, [0..4, 4..8, 8..10]);
+            // Shorter than two blocks: one chain, in place, on `out`.
+            let mut out = [5.0, 0.0];
+            ex.reduce_row_blocks(&mut out, 7, 4, |rows, part| {
+                assert_eq!(rows, 0..7);
+                part[1] = part[0];
+            });
+            assert_eq!(out, [5.0, 5.0]);
+            // No rows: the single chain sees an empty range.
+            let mut out = [0.0];
+            ex.reduce_row_blocks(&mut out, 0, 4, |rows, _| assert!(rows.is_empty()));
+            assert_eq!(out, [0.0]);
+            // No output: no block runs.
+            ex.reduce_row_blocks(&mut [], 100, 4, |_, _| unreachable!());
+        }
     }
 
     #[test]

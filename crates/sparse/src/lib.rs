@@ -31,3 +31,4 @@ mod products;
 
 pub use csr::{CsrMatrix, Triplet};
 pub use error::{SparseError, SparseResult};
+pub use products::scatter_block_rows;

@@ -9,66 +9,60 @@
 //! ## Parallel scatter kernels
 //!
 //! The gather-style kernel (`spmm_dense`) parallelizes directly
-//! over independent output rows. The *scatter*-written kernels
-//! (`t_spmm_dense`, `t_spgemm_dense`, `spgemm`) cannot — several input
-//! rows write the same output row — so they run a **two-pass
-//! symbolic/numeric scheme** above the parallelism threshold:
+//! over independent output rows. The *scatter*-written kernels cannot —
+//! several input rows write the same output row:
 //!
-//! 1. a counting pass computes exact per-output-row extents (the column
-//!    buckets of the transposed access for `t_spmm_dense`/`t_spgemm_dense`;
-//!    exact per-row nnz for `spgemm`), then
-//! 2. disjoint output bands are filled in parallel, each band replaying
-//!    the serial per-element accumulation order.
+//! - `t_spmm_dense` and `t_spgemm_dense` (`Aᵀ X`, `Aᵀ B`) are tall
+//!   reductions. They scatter fixed input row blocks of
+//!   [`scatter_block_rows`] rows, each into a private partial, and sum
+//!   the partials in ascending block order
+//!   ([`morpheus_runtime::Executor::reduce_row_blocks`]). An input
+//!   shorter than two blocks is one plain scatter in ascending row order.
+//! - `spgemm` runs a **two-pass symbolic/numeric scheme**: row bands
+//!   compute their exact output rows into private buffers, then `indptr`
+//!   is assembled by prefix sum and the bands are placed in parallel.
 //!
-//! Because each output element is still accumulated by exactly one worker
-//! in input-row-ascending order, parallel results are **bit-for-bit
-//! identical** to one thread (property-tested in
-//! `tests/parallel_kernels_proptest.rs`).
+//! Either way each element's accumulation order is fixed by the shape
+//! alone, so parallel results are **bit-for-bit identical** to one thread
+//! (property-tested in `tests/parallel_kernels_proptest.rs`).
 
 use crate::CsrMatrix;
 use morpheus_dense::{simd, DenseMatrix};
 use morpheus_runtime::Runtime;
+use std::ops::Range;
 
 /// Flop estimate for products that stream `a`'s non-zeros against rows of
 /// `b`: nnz(a) × the average `b`-row density it multiplies into. Crude but
-/// serviceable for the parallelism gate; shared so the heuristic cannot
-/// drift between the kernels that use it.
+/// serviceable for the parallelism gate and `t_spgemm_dense`'s block
+/// height; shared so the heuristic cannot drift between the kernels that
+/// use it.
 fn sparse_product_work(a: &CsrMatrix, b: &CsrMatrix) -> usize {
     a.nnz().saturating_mul(b.nnz() / b.rows().max(1) + 1)
 }
 
-impl CsrMatrix {
-    /// The symbolic/numeric counting pass shared by the transposed scatter
-    /// kernels: per-column extents (`offsets`, length `cols + 1`) plus the
-    /// non-zeros regrouped by column — `rows[offsets[c]..offsets[c+1]]` /
-    /// `vals[..]` list the entries of column `c` in ascending row order,
-    /// which is exactly the serial kernels' per-element accumulation
-    /// order.
-    fn column_buckets(&self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        let d = self.cols();
-        let mut offsets = vec![0usize; d + 1];
-        for &c in self.indices() {
-            offsets[c + 1] += 1;
-        }
-        for c in 0..d {
-            offsets[c + 1] += offsets[c];
-        }
-        let nnz = self.nnz();
-        let mut rows = vec![0usize; nnz];
-        let mut vals = vec![0.0f64; nnz];
-        let mut fill = offsets.clone();
-        for i in 0..self.rows() {
-            let (cols, vs) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vs) {
-                let slot = fill[c];
-                fill[c] = slot + 1;
-                rows[slot] = i;
-                vals[slot] = v;
-            }
-        }
-        (offsets, rows, vals)
-    }
+/// Row-block height of a scatter-written `Aᵀ X` over `rows` input rows
+/// that read `reads` entries in all (`nnz(A) · p` for a dense `p`-wide
+/// `X`) into a partial of `partial_len` entries (`cols(A) · p`). A
+/// function of the shape only — never of the worker count — so the
+/// blocks, and with them the result bits, are fixed by the shape. At
+/// least 1024 rows, and tall enough that a block's partial is at most an
+/// eighth of what the block reads: `h ≥ 8 · partial_len · rows / reads`,
+/// which for `Aᵀ X` is `8 · cols(A) · rows / nnz(A)`. A one-hot indicator
+/// has `nnz = rows`, so the key column's `Kᵀ X` blocks exactly as its CSR
+/// copy does.
+///
+/// An input shorter than two blocks is one serial scatter at every worker
+/// count. That covers every input under 2048 rows and every wide one
+/// (`reads < 16 · partial_len`): an `Aᵀ X` with `nnz(A) < 16 · cols(A)`,
+/// or a key column with fewer than 16 rows per group.
+pub fn scatter_block_rows(rows: usize, reads: usize, partial_len: usize) -> usize {
+    (8 * partial_len)
+        .saturating_mul(rows)
+        .div_ceil(reads.max(1))
+        .max(1024)
+}
 
+impl CsrMatrix {
     /// One Gustavson output row of `self * other`, appended to
     /// `out_cols`/`out_vals` (sorted columns, exact zeros dropped). The
     /// single definition keeps the serial kernel and the banded parallel
@@ -153,12 +147,11 @@ impl CsrMatrix {
     /// scattering rows of `x` — the transpose is never materialized.
     ///
     /// Output rows are scatter-written (row `i` of `x` lands on output row
-    /// `c` for every non-zero `(i, c)`), so the parallel path runs the
-    /// two-pass scheme: `CsrMatrix::column_buckets` regroups the
-    /// non-zeros by output row, then disjoint output bands accumulate
-    /// their buckets in ascending input-row order — the serial kernel's
-    /// exact per-element order, so results are bit-identical to one
-    /// thread.
+    /// `c` for every non-zero `(i, c)`), so this is a tall reduction: each
+    /// fixed block of [`scatter_block_rows`] input rows scatters into its
+    /// own partial in ascending row order, and the partials are summed in
+    /// ascending block order. The bits depend on the shape only; an input
+    /// shorter than two blocks is one ascending-row scatter.
     ///
     /// # Panics
     /// Panics if `self.rows() != x.rows()`.
@@ -171,27 +164,21 @@ impl CsrMatrix {
             x.rows()
         );
         let n = x.cols();
-        let d = self.cols();
-        let mut out = DenseMatrix::zeros(d, n);
-        if d == 0 || n == 0 || self.nnz() == 0 {
-            return out;
-        }
-        let ex = Runtime::executor().gated(self.nnz() * n);
-        if ex.threads() <= 1 {
-            // Serial scatter: no counting pass, no bucket allocation.
-            let o = out.as_mut_slice();
+        let mut out = DenseMatrix::zeros(self.cols(), n);
+        self.scatter_rows(out.as_mut_slice(), self.nnz() * n, |rows, o| {
             if n == 1 {
-                // Vector fast path: scalar scatter per non-zero.
-                let xs = x.as_slice();
-                for (i, &xv) in xs.iter().enumerate() {
+                // Vector fast path: one scalar update per stored entry
+                // (the general loop's per-entry row slice made `Tᵀ r`
+                // about 2x slower).
+                for (i, &xv) in rows.clone().zip(&x.as_slice()[rows]) {
                     let (cols, vals) = self.row(i);
                     for (&c, &v) in cols.iter().zip(vals) {
                         o[c] += v * xv;
                     }
                 }
-                return out;
+                return;
             }
-            for i in 0..self.rows() {
+            for i in rows {
                 let (cols, vals) = self.row(i);
                 let xrow = x.row(i);
                 for (&c, &v) in cols.iter().zip(vals) {
@@ -201,32 +188,22 @@ impl CsrMatrix {
                     }
                 }
             }
-            return out;
-        }
-        let (offsets, src_rows, src_vals) = self.column_buckets();
-        if n == 1 {
-            let xs = x.as_slice();
-            ex.par_rows(out.as_mut_slice(), 1, |c0, chunk| {
-                for (o, c) in chunk.iter_mut().zip(c0..) {
-                    for s in offsets[c]..offsets[c + 1] {
-                        *o += src_vals[s] * xs[src_rows[s]];
-                    }
-                }
-            });
-            return out;
-        }
-        ex.par_rows(out.as_mut_slice(), n, |c0, chunk| {
-            for (orow, c) in chunk.chunks_mut(n).zip(c0..) {
-                for s in offsets[c]..offsets[c + 1] {
-                    let xrow = x.row(src_rows[s]);
-                    let v = src_vals[s];
-                    for (o, &xv) in orow.iter_mut().zip(xrow) {
-                        *o += v * xv;
-                    }
-                }
-            }
         });
         out
+    }
+
+    /// Runs the scatter `body(rows, partial)` of a `selfᵀ · _` product,
+    /// which reads `reads` entries in all, over `self`'s rows into the
+    /// zeroed `out`, in the fixed row blocks of [`scatter_block_rows`].
+    fn scatter_rows(
+        &self,
+        out: &mut [f64],
+        reads: usize,
+        body: impl Fn(Range<usize>, &mut [f64]) + Sync,
+    ) {
+        let h = scatter_block_rows(self.rows(), reads, out.len());
+        let ex = Runtime::executor().gated(reads);
+        ex.reduce_row_blocks(out, self.rows(), h, body);
     }
 
     /// Dense × sparse product `x * self` → dense.
@@ -418,10 +395,10 @@ impl CsrMatrix {
     ///
     /// Scatter-written like [`CsrMatrix::t_spmm_dense`] (output row `ca`
     /// collects every input row where `self` has a non-zero in column
-    /// `ca`), and parallelized the same way: the counting pass buckets
-    /// `self`'s non-zeros by column, then disjoint output bands replay
-    /// their buckets in ascending input-row order — bit-identical to one
-    /// thread.
+    /// `ca`), and reduced the same way: fixed blocks of
+    /// [`scatter_block_rows`] input rows, each scattered into its own
+    /// partial in ascending row order, partials summed in ascending block
+    /// order.
     ///
     /// # Panics
     /// Panics if the row counts differ.
@@ -433,34 +410,15 @@ impl CsrMatrix {
             self.rows(),
             other.rows()
         );
-        let d1 = self.cols();
         let d2 = other.cols();
-        let mut out = DenseMatrix::zeros(d1, d2);
-        if d1 == 0 || d2 == 0 || self.nnz() == 0 || other.nnz() == 0 {
-            return out;
-        }
-        let ex = Runtime::executor().gated(sparse_product_work(self, other));
-        if ex.threads() <= 1 {
-            let o = out.as_mut_slice();
-            for i in 0..self.rows() {
+        let mut out = DenseMatrix::zeros(self.cols(), d2);
+        let reads = sparse_product_work(self, other);
+        self.scatter_rows(out.as_mut_slice(), reads, |rows, o| {
+            for i in rows {
                 let (acols, avals) = self.row(i);
                 let (bcols, bvals) = other.row(i);
                 for (&ca, &va) in acols.iter().zip(avals) {
                     let orow = &mut o[ca * d2..(ca + 1) * d2];
-                    for (&cb, &vb) in bcols.iter().zip(bvals) {
-                        orow[cb] += va * vb;
-                    }
-                }
-            }
-            return out;
-        }
-        let (offsets, src_rows, src_vals) = self.column_buckets();
-        ex.par_rows(out.as_mut_slice(), d2, |c0, chunk| {
-            for (orow, ca) in chunk.chunks_mut(d2).zip(c0..) {
-                for s in offsets[ca]..offsets[ca + 1] {
-                    let i = src_rows[s];
-                    let va = src_vals[s];
-                    let (bcols, bvals) = other.row(i);
                     for (&cb, &vb) in bcols.iter().zip(bvals) {
                         orow[cb] += va * vb;
                     }

@@ -1,10 +1,11 @@
 //! Property-based validation of the shared parallel runtime: for random
 //! shapes and worker counts, the band-parallel dense/sparse kernels must
 //! agree with the single-threaded path **bit for bit** (each output
-//! element is accumulated by exactly one worker in the serial order), the
-//! two-pass scatter kernels (`t_spmm_dense`, `dense_spmm`, `spgemm`,
-//! `t_spgemm_dense`) must reproduce the serial results — for SpGEMM the
-//! exact CSR structure — and chunk-level parallelism composed over
+//! element is accumulated in an order fixed by the shape), the scatter
+//! kernels (`t_spmm_dense`, `dense_spmm`, `spgemm`, `t_spgemm_dense`,
+//! the key column's `Kᵀ X`) must reproduce the serial results — for
+//! SpGEMM the exact CSR structure, for the tall ones across row blocks
+//! too — and chunk-level parallelism composed over
 //! kernel-level parallelism (oversubscription) must stay deterministic.
 //! Kernels take no executor: each comparison runs the plain methods at
 //! one worker and at k workers, and the nested tests open an outer
@@ -27,6 +28,7 @@ use morpheus::core::{KeyColumn, LinearOperand, Strategy as Route};
 use morpheus::dense::simd::{self, GemmBand, GemmIsa, MatSrc};
 use morpheus::dense::tall_block_rows;
 use morpheus::prelude::*;
+use morpheus::sparse::scatter_block_rows;
 use proptest::prelude::*;
 
 fn mat(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
@@ -111,6 +113,12 @@ fn special_rows(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     m
 }
 
+/// [`special_rows`] with its finite values spread over the full mantissa,
+/// so sums of them change bits when their order changes.
+fn special_rows_full(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+    special_rows(rows, cols, seed).map(|v| if v.is_finite() { (v * 1e3).sin() } else { v })
+}
+
 /// `aᵀ x` by a naive ascending-row f64 loop, with `Σ |a_ik · x_ij|` per
 /// element: two summation orders of the same n terms differ by at most
 /// `n · ε · Σ |terms|`.
@@ -128,6 +136,65 @@ fn naive_t_matmul(a: &DenseMatrix, x: &DenseMatrix) -> (DenseMatrix, DenseMatrix
         }
     }
     (out, mag)
+}
+
+/// `aᵀ x` by a plain ascending-row scatter over the stored entries of `a`
+/// and the entries `x_row(i)` lists — the one-chain kernel's own order —
+/// with `Σ |a_ic · x_ij|` per element.
+fn naive_scatter(
+    a: &CsrMatrix,
+    p: usize,
+    x_row: impl Fn(usize) -> Vec<(usize, f64)>,
+) -> (DenseMatrix, DenseMatrix) {
+    let mut out = DenseMatrix::zeros(a.cols(), p);
+    let mut mag = DenseMatrix::zeros(a.cols(), p);
+    for i in 0..a.rows() {
+        let xi = x_row(i);
+        let (cols, vals) = a.row(i);
+        for (&c, &v) in cols.iter().zip(vals) {
+            for &(j, xv) in &xi {
+                let t = v * xv;
+                out.set(c, j, out.get(c, j) + t);
+                mag.set(c, j, mag.get(c, j) + t.abs());
+            }
+        }
+    }
+    (out, mag)
+}
+
+/// Every entry of row `i` of a dense `x`, for [`naive_scatter`].
+fn dense_row(x: &DenseMatrix) -> impl Fn(usize) -> Vec<(usize, f64)> + '_ {
+    move |i| x.row(i).iter().copied().enumerate().collect()
+}
+
+/// The stored entries of row `i` of a sparse `x`, for [`naive_scatter`].
+fn csr_row(x: &CsrMatrix) -> impl Fn(usize) -> Vec<(usize, f64)> + '_ {
+    move |i| {
+        let (cols, vals) = x.row(i);
+        cols.iter().copied().zip(vals.iter().copied()).collect()
+    }
+}
+
+/// `got` against a naive fold over the same `n` rows: the same value
+/// wherever the fold is not finite (a NaN or ±inf term reaches only its
+/// own output elements, and gives the same NaN or infinity in any order),
+/// and within `n · ε · Σ|terms|` of it elsewhere.
+fn within_naive(got: &DenseMatrix, naive: &(DenseMatrix, DenseMatrix), n: usize) -> TestCaseResult {
+    let (want, mag) = naive;
+    let eps = n as f64 * f64::EPSILON;
+    for ((&g, &w), &m) in got
+        .as_slice()
+        .iter()
+        .zip(want.as_slice())
+        .zip(mag.as_slice())
+    {
+        if w.is_finite() {
+            prop_assert!((g - w).abs() <= eps * m, "{} vs naive {}", g, w);
+        } else {
+            prop_assert_eq!(bits(&[g]), bits(&[w]));
+        }
+    }
+    Ok(())
 }
 
 /// The old CSR route of `select_rows`: walk the selected rows, number
@@ -440,10 +507,9 @@ proptest! {
         threads in 2usize..10,
         seed in any::<u64>(),
     ) {
-        // The scatter kernels run their two-pass symbolic/numeric scheme
-        // only above the work threshold; drop it so these small shapes
-        // exercise the parallel paths (scheduling only — results are
-        // threshold-independent).
+        // The scatter kernels run in parallel only above the work
+        // threshold; drop it so these small shapes exercise the parallel
+        // paths (scheduling only — results are threshold-independent).
         Runtime::set_par_threshold(1);
         check_scatter_kernels(&sparse(rows, cols, seed), width, seed, threads)?;
     }
@@ -644,6 +710,95 @@ proptest! {
             prop_assert_eq!(base.2.get(i, 0), min);
             prop_assert_eq!(base.3.get(i, 0), max);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn scatter_reductions_are_fixed_by_shape(
+        extra in 0usize..2500,
+        p_pick in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        // CSR `Aᵀ X` and `Aᵀ B`, the key column's `Kᵀ X` and group sums
+        // over n ≥ 2 row blocks (a narrow table: every height below is
+        // 1024 rows): bitwise fixed at 1, 2 and 8 workers, the key column
+        // bitwise its CSR copy, within the stated bound of a naive fold,
+        // and a NaN or ±inf row reaching only its own output rows.
+        let p = [1, 2, 5][p_pick];
+        let (n, d, hit) = (2500 + extra, 6, 20);
+        let a = sparse(n, d, seed);
+        let x = special_rows_full(n, p, seed ^ 0x5CA7);
+        let b = CsrMatrix::from_dense(&special_rows_full(n, p + 2, seed ^ 0xB0B));
+        let t = CsrMatrix::from_dense(&special_rows_full(n, d, seed ^ 0x7AB));
+        let fk = keys(n, hit, seed ^ 0xFC);
+        let k = KeyColumn::new(&fk, hit).unwrap();
+        let kc = csr_indicator(&fk, hit);
+        // `Aᵀ B` reads at least one entry of `b` per stored entry of `a`,
+        // so `nnz(a)` reads bound its height from above.
+        for h in [
+            scatter_block_rows(n, a.nnz() * p, d * p),
+            scatter_block_rows(n, a.nnz(), d * (p + 2)),
+            scatter_block_rows(n, n * p, hit * p),
+            scatter_block_rows(n, n, hit * d),
+        ] {
+            prop_assert!(n >= 2 * h, "n = {} spans one block of {}", n, h);
+        }
+        let run = || {
+            [
+                a.t_spmm_dense(&x),
+                a.t_spgemm_dense(&b),
+                k.t_spmm_dense(&x),
+                k.group_sums(&x.clone().into()),
+                k.group_sums(&t.clone().into()),
+                kc.t_spmm_dense(&x),
+                kc.t_spgemm_dense(&t),
+            ]
+        };
+        Runtime::set_par_threshold(1);
+        let settings = RuntimeSettings::hold();
+        settings.set_threads(1);
+        let want = run();
+        let want_bits = want.each_ref().map(|m| bits(m.as_slice()));
+        for threads in [2usize, 8] {
+            settings.set_threads(threads);
+            let got = run().map(|m| bits(m.as_slice()));
+            prop_assert!(got == want_bits, "{} workers", threads);
+        }
+        drop(settings);
+        // The key column is its CSR indicator, block for block.
+        prop_assert_eq!(&want_bits[2], &want_bits[5]);
+        prop_assert_eq!(&want_bits[3], &want_bits[5]);
+        prop_assert_eq!(&want_bits[4], &want_bits[6]);
+
+        within_naive(&want[0], &naive_scatter(&a, p, dense_row(&x)), n)?;
+        within_naive(&want[1], &naive_scatter(&a, p + 2, csr_row(&b)), n)?;
+        within_naive(&want[2], &naive_scatter(&kc, p, dense_row(&x)), n)?;
+        within_naive(&want[4], &naive_scatter(&kc, d, csr_row(&t)), n)?;
+        // The special rows n/3 and 2n/3 reach only the groups of their
+        // own keys; every other group stays finite.
+        let special = [fk[n / 3], fk[2 * n / 3]];
+        for (c, row) in want[2].as_slice().chunks(p).enumerate() {
+            let finite = row.iter().all(|v| v.is_finite());
+            prop_assert!(finite || special.contains(&c), "group {} not finite", c);
+        }
+        prop_assert!(want[2].as_slice().iter().any(|v| !v.is_finite()));
+
+        // One block short of two: the plain ascending-row scatter, bit
+        // for bit.
+        let m = 2 * scatter_block_rows(n, n * p, hit * p) - 1;
+        let (a1, x1, k1) = (a.slice_rows(0..m), x.slice_rows(0..m), k.slice_rows(0..m));
+        let (b1, t1, kc1) = (b.slice_rows(0..m), t.slice_rows(0..m), kc.slice_rows(0..m));
+        prop_assert!(m < 2 * scatter_block_rows(m, a1.nnz() * p, d * p));
+        let plain = |got: DenseMatrix, naive: (DenseMatrix, DenseMatrix)| {
+            bits(got.as_slice()) == bits(naive.0.as_slice())
+        };
+        prop_assert!(plain(a1.t_spmm_dense(&x1), naive_scatter(&a1, p, dense_row(&x1))));
+        prop_assert!(plain(a1.t_spgemm_dense(&b1), naive_scatter(&a1, p + 2, csr_row(&b1))));
+        prop_assert!(plain(k1.t_spmm_dense(&x1), naive_scatter(&kc1, p, dense_row(&x1))));
+        prop_assert!(plain(k1.group_sums(&t1.clone().into()), naive_scatter(&kc1, d, csr_row(&t1))));
     }
 }
 
