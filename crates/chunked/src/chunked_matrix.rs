@@ -1,27 +1,28 @@
 //! [`ChunkedMatrix`]: a regular matrix stored as row chunks, with every
 //! operator evaluated chunk-at-a-time — in parallel across resident
 //! chunks, or streamed with double-buffered prefetch once chunks spill
-//! to memory-mapped files.
+//! to files.
 //!
 //! Chunks are resident until the process-wide budget
 //! (`MORPHEUS_CHUNK_BYTES`, see [`crate::spill`]) is exhausted; dense
-//! chunks beyond it spill to mmap-backed files and fault in on access.
+//! chunks beyond it spill to files and are read back on access.
 //! Spilling and prefetch are pure execution details: every operator
 //! result is bit-identical to the fully-resident (in-memory) evaluation
 //! at any worker count, because chunk results are always combined in
 //! chunk-index order and the underlying kernels are themselves
-//! worker-count-invariant.
+//! worker-count-invariant. A spilled chunk that cannot be read back
+//! panics, naming its file (see [`ChunkedMatrix`]).
 
 use crate::spill::{self, SpillFile};
 use crate::LinearOperand;
 use morpheus_core::{KeyColumn, Matrix, NormalizedMatrix};
 use morpheus_dense::{DenseMatrix, ScalarOp};
 use morpheus_linalg::ginv_sym_psd;
-use morpheus_runtime::Runtime;
+use morpheus_runtime::{Executor, Runtime};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// One row chunk: resident in memory, or spilled to an mmap-backed file.
+/// One row chunk: resident in memory, or spilled to a file.
 #[derive(Debug, Clone)]
 enum ChunkStore {
     Resident(Matrix),
@@ -36,12 +37,31 @@ impl ChunkStore {
         }
     }
 
-    /// The chunk's values; for spilled chunks the copy out of the map is
-    /// the fault-in.
+    /// The chunk's values; a spilled chunk is read back from its file.
     fn load(&self) -> Cow<'_, Matrix> {
+        self.load_beside(&Executor::new(1), || ()).1
+    }
+
+    /// [`load`](Self::load) with `work` run beside a spilled chunk's read
+    /// ([`SpillFile::load_beside`]); a resident chunk just runs `work`.
+    /// The one place that reads a spill.
+    ///
+    /// # Panics
+    /// Panics with the file's name and the error if a spilled chunk
+    /// cannot be read back (its file was truncated, say): the
+    /// [`LinearOperand`] methods return values, not results.
+    fn load_beside<R: Send>(
+        &self,
+        ex: &Executor,
+        work: impl FnOnce() -> R + Send,
+    ) -> (R, Cow<'_, Matrix>) {
         match self {
-            ChunkStore::Resident(m) => Cow::Borrowed(m),
-            ChunkStore::Spilled(f) => Cow::Owned(Matrix::Dense(f.load())),
+            ChunkStore::Resident(m) => (work(), Cow::Borrowed(m)),
+            ChunkStore::Spilled(f) => {
+                let (r, loaded) = f.load_beside(ex, work);
+                let d = loaded.unwrap_or_else(|e| panic!("chunked: lost a spilled chunk: {e}"));
+                (r, Cow::Owned(Matrix::Dense(d)))
+            }
         }
     }
 
@@ -59,6 +79,12 @@ impl ChunkStore {
 /// A regular (materialized) matrix partitioned into row chunks — the "M"
 /// side of the ORE experiments, and the memoized join representation of
 /// the chunked planner route.
+///
+/// # Panics
+/// Every operator panics, naming the file and the I/O error, if a
+/// spilled chunk cannot be read back — its spill file was truncated
+/// under the handle, say. [`LinearOperand`] methods return values, so a
+/// lost chunk cannot surface as an error.
 #[derive(Debug, Clone)]
 pub struct ChunkedMatrix {
     chunks: Vec<ChunkStore>,
@@ -177,31 +203,28 @@ impl ChunkedMatrix {
     /// the *remaining* threads of enclosing parallel sections; once any
     /// chunk is spilled the walk turns into a stream with
     /// double-buffered prefetch: while chunk `i` computes on one
-    /// `par_join` stride, chunk `i+1` faults in on the
-    /// other, so at most two chunks are resident and the spill I/O
-    /// overlaps the compute. Inner kernels see the remaining thread
-    /// budget either way — the two parallelism levels compose without
-    /// oversubscription.
+    /// `par_join` stride, chunk `i+1` is read back on the other, and the
+    /// compute stride joins the read once it is done
+    /// ([`SpillFile::load_beside`]). At most two chunks are resident and
+    /// the spill I/O overlaps the compute. Inner kernels see the
+    /// remaining thread budget either way — the two parallelism levels
+    /// compose without oversubscription.
     fn map_chunks<R: Send>(&self, f: impl Fn(&Matrix, usize) -> R + Sync + Send) -> Vec<R> {
         let n = self.chunks.len();
         let ex = Runtime::executor();
         if self.n_spilled() == 0 {
-            return ex.map(n, |i| match &self.chunks[i] {
-                ChunkStore::Resident(m) => f(m, i),
-                ChunkStore::Spilled(s) => f(&Matrix::Dense(s.load()), i),
-            });
+            return ex.map(n, |i| f(&self.chunks[i].load(), i));
         }
         let mut out = Vec::with_capacity(n);
         let mut cur = self.chunks[0].load();
         for i in 0..n {
-            let (r, next) = ex.par_join(
-                || f(&cur, i),
-                || (i + 1 < n).then(|| self.chunks[i + 1].load()),
-            );
+            let Some(next) = self.chunks.get(i + 1) else {
+                out.push(f(&cur, i));
+                break;
+            };
+            let (r, nx) = next.load_beside(&ex, || f(&cur, i));
             out.push(r);
-            if let Some(nx) = next {
-                cur = nx;
-            }
+            cur = nx;
         }
         out
     }
@@ -496,6 +519,29 @@ mod tests {
         assert!(s
             .materialize()
             .approx_eq(&resident.scale(1.5).materialize(), 0.0));
+    }
+
+    #[test]
+    fn truncated_spill_panics_naming_the_file() {
+        // 2048 × 64 chunks span four read windows each.
+        let m = Matrix::Dense(DenseMatrix::from_fn(3 * 2048, 64, |i, j| {
+            (i * 64 + j) as f64
+        }));
+        let c = ChunkedMatrix::with_budget(&m, 2048, 0);
+        assert_eq!(c.n_spilled(), 3);
+        // Chunk 0 is read before the stream starts; chunk 1 is read by
+        // the `par_join` prefetch beside chunk 0's compute.
+        let ChunkStore::Spilled(f) = &c.chunks[1] else {
+            unreachable!("budget 0 spills every chunk")
+        };
+        let name = f.truncate(f.len_bytes() as u64 / 2).display().to_string();
+        let x = DenseMatrix::from_fn(64, 2, |i, j| (i + j) as f64);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.lmm(&x)))
+            .expect_err("a truncated spill must not load");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(msg.contains(&name), "{msg}");
     }
 
     #[test]

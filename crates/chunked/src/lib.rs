@@ -34,12 +34,14 @@
 //! paper's ORE prototype partitions it) is not implemented.
 //!
 //! Chunks are genuinely out-of-core: past a resident budget
-//! (`MORPHEUS_CHUNK_BYTES`) dense chunks spill to memory-mapped files in
+//! (`MORPHEUS_CHUNK_BYTES`) dense chunks spill to unlinked files in
 //! `MORPHEUS_SPILL_DIR` ([`spill`]), and operators stream over them with
-//! double-buffered prefetch — while chunk *i* computes, chunk *i + 1*
-//! faults in on a worker claimed from the same shared budget. Spill
-//! failures degrade to resident chunks (never wrong results), reported
-//! through the fault registry's degradation ladder.
+//! double-buffered prefetch — while chunk *i* computes, chunk *i + 1* is
+//! read back on a worker claimed from the same shared budget. Failed
+//! spill writes degrade to resident chunks (never wrong results),
+//! reported through the fault registry's degradation ladder. A spill file
+//! that cannot be read back (truncated under its handle) makes the
+//! operator panic with the file's name; see [`ChunkedMatrix`].
 //!
 //! Chunk-level parallelism claims workers from the shared
 //! `morpheus-runtime` budget, so the parallel dense/sparse kernels running

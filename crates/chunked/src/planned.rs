@@ -61,10 +61,9 @@ pub struct SpillCosts {
     /// Resident budget in bytes (`MORPHEUS_CHUNK_BYTES`); materialized
     /// bytes beyond it stream through spill files on every access.
     pub resident_budget_bytes: f64,
-    /// Calibrated ns per byte to fault a spilled chunk back in (mmap +
-    /// copy).
+    /// Calibrated ns per byte to read a spilled chunk back into memory.
     pub read_ns_per_byte: f64,
-    /// Calibrated ns per byte to write + rename + map a spill file.
+    /// Calibrated ns per byte to create, unlink and write a spill file.
     pub write_ns_per_byte: f64,
 }
 

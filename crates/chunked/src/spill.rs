@@ -1,12 +1,11 @@
-//! Memory-mapped spill files for out-of-core chunks.
+//! Spill files for out-of-core chunks.
 //!
-//! A [`SpillFile`] holds one dense chunk's values on disk and maps them
-//! read-only into the address space; [`SpillFile::load`] copies the
-//! mapped bytes back into a [`DenseMatrix`] — the copy *is* the fault-in,
-//! so a load costs one streaming pass and the chunk's pages can be
-//! reclaimed by the OS between operators. Spill files are written
-//! crash-safely (same-dir temp file + atomic rename): a crash mid-write
-//! can never leave a torn spill file behind a valid name.
+//! A [`SpillFile`] holds one dense chunk's values on disk behind an open
+//! handle. The file is unlinked as soon as it is created, so no spill file
+//! is ever visible in the directory, and none outlives the handle or the
+//! process, a crash included. [`SpillFile::load`] reads the values back
+//! with positioned reads into a fresh [`DenseMatrix`]: one streaming pass
+//! per load, and nothing of the chunk stays in memory between operators.
 //!
 //! Two process-wide knobs, each read once at first use:
 //!
@@ -16,32 +15,35 @@
 //!   system temp dir).
 //!
 //! Failure model: spilling is an *optimization* with a degradation rung,
-//! never a correctness hazard. Any I/O failure while establishing a
-//! spill file — injectable via the `spill.write` and `spill.map`
-//! failpoints — keeps the chunk resident in memory, notes
-//! [`Degradation::SpillFallback`], and leaves no file behind. Once a
-//! file is successfully mapped, loads are plain memory copies and cannot
-//! fail. On non-Unix targets spilling degrades to resident chunks the
-//! same way.
-
-// Spilling is raw-byte I/O plus a C-ABI `mmap`: the unsafe blocks are
-// (a) viewing an `&[f64]` as `&[u8]` and back (always-valid transmutes of
-// plain-old-data), and (b) the mmap/munmap calls themselves, checked
-// against the file length before the pointer is ever dereferenced.
-#![allow(unsafe_code)]
+//! never a correctness hazard. Any I/O failure while writing a spill file
+//! — injectable via the `spill.write` failpoint — keeps the chunk
+//! resident in memory and notes [`Degradation::SpillFallback`]. A load
+//! fails only if the file changed under its handle (truncated, say): it
+//! returns [`io::ErrorKind::UnexpectedEof`] naming the file, and the
+//! chunked matrix panics with that message (see
+//! [`ChunkedMatrix`](crate::ChunkedMatrix)). Empty chunks and non-Unix
+//! targets (no positioned reads in std) refuse to spill and stay
+//! resident the same way.
 
 use morpheus_dense::DenseMatrix;
 use morpheus_runtime::faults::{self, Degradation};
-use std::io;
+use morpheus_runtime::Executor;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Environment variable bounding the resident bytes of a chunked matrix.
 pub const CHUNK_BYTES_ENV: &str = "MORPHEUS_CHUNK_BYTES";
 
 /// Environment variable selecting the spill-file directory.
 pub const SPILL_DIR_ENV: &str = "MORPHEUS_SPILL_DIR";
+
+/// Bytes moved per write or read call, through a buffer on the stack.
+/// Inside a chunked pass, a heap buffer allocated per load made loads
+/// about 1.7× slower, and 64 KiB or 1 MiB windows about 10 % slower.
+const WINDOW_BYTES: usize = 256 << 10;
 
 /// The resident budget in bytes (`MORPHEUS_CHUNK_BYTES`), read once.
 /// Unset or unparseable means `u64::MAX`: chunks never spill and the
@@ -67,24 +69,25 @@ pub fn spill_dir() -> &'static PathBuf {
     })
 }
 
-/// One dense chunk spilled to a memory-mapped file.
+/// One dense chunk spilled to an unlinked file, kept by its open handle.
 #[derive(Debug)]
 pub struct SpillFile {
+    file: File,
+    /// The name the file was created under; it only labels errors.
     path: PathBuf,
-    map: Map,
     rows: usize,
     cols: usize,
 }
 
 impl SpillFile {
-    /// Writes `d`'s values to a fresh spill file (temp + atomic rename)
-    /// and maps it read-only. Fails — leaving no file behind — on any
-    /// I/O error, on empty matrices (nothing to map), and on non-Unix
-    /// targets.
+    /// Creates a spill file, unlinks it at once and writes `d`'s values
+    /// through it in native byte order, so [`load`](Self::load) restores
+    /// them bit for bit. Fails — leaving no file behind — on any I/O
+    /// error, on empty matrices, and on non-Unix targets.
     pub fn write(d: &DenseMatrix) -> io::Result<SpillFile> {
         let (rows, cols) = (d.rows(), d.cols());
-        if rows * cols == 0 {
-            return Err(io::Error::other("spill: empty chunk"));
+        if rows * cols == 0 || !cfg!(unix) {
+            return Err(io::Error::other("spill: empty chunk or non-Unix target"));
         }
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let path = spill_dir().join(format!(
@@ -92,33 +95,26 @@ impl SpillFile {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let values = d.as_slice();
-        // Same-process round-trip: native-endian raw bytes of the f64
-        // buffer, so load() restores bit-identical values.
-        let bytes: &[u8] = unsafe {
-            std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
-        };
-        let tmp = PathBuf::from(format!("{}.tmp.{}", path.display(), std::process::id()));
-        std::fs::write(&tmp, bytes).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)?;
+        std::fs::remove_file(&path)?;
+        let mut buf = [0u8; WINDOW_BYTES];
+        for values in d.as_slice().chunks(WINDOW_BYTES / 8) {
+            let bytes = &mut buf[..values.len() * 8];
+            for (b, v) in bytes.chunks_exact_mut(8).zip(values) {
+                b.copy_from_slice(&v.to_ne_bytes());
+            }
+            file.write_all(bytes)?;
+        }
         if faults::fire("spill.write").is_some() {
-            let _ = std::fs::remove_file(&tmp);
             return Err(io::Error::other("injected spill write failure"));
         }
-        std::fs::rename(&tmp, &path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })?;
-        if faults::fire("spill.map").is_some() {
-            let _ = std::fs::remove_file(&path);
-            return Err(io::Error::other("injected spill map failure"));
-        }
-        let map = Map::of_file(&path, bytes.len()).inspect_err(|_| {
-            let _ = std::fs::remove_file(&path);
-        })?;
         Ok(SpillFile {
+            file,
             path,
-            map,
             rows,
             cols,
         })
@@ -136,103 +132,76 @@ impl SpillFile {
 
     /// Bytes on disk.
     pub fn len_bytes(&self) -> usize {
-        self.map.len
+        self.rows * self.cols * 8
     }
 
-    /// Faults the chunk back in: one streaming copy of the mapped bytes
-    /// into a fresh [`DenseMatrix`]. Infallible once the map exists.
-    pub fn load(&self) -> DenseMatrix {
-        let n = self.rows * self.cols;
-        let mut values = vec![0.0f64; n];
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.map.ptr.cast::<f64>(), values.as_mut_ptr(), n);
-        }
-        DenseMatrix::from_vec(self.rows, self.cols, values)
-            .expect("spill: rows * cols matches the written buffer")
+    /// Reads the chunk back into a fresh [`DenseMatrix`], one streaming
+    /// pass of positioned reads; concurrent loads may share the handle.
+    ///
+    /// # Errors
+    /// Any read error, naming the file. A file that shrank under the
+    /// handle gives [`io::ErrorKind::UnexpectedEof`].
+    pub fn load(&self) -> io::Result<DenseMatrix> {
+        self.load_beside(&Executor::new(1), || ()).1
     }
-}
 
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        // Unlinking before Map::drop unmaps is fine: the mapping keeps
-        // the inode alive until munmap.
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// A read-only `mmap` of a whole file. Declared against the C ABI
-/// directly — this workspace builds without crates.io, and `libc` links
-/// implicitly on the supported Unix targets.
-#[derive(Debug)]
-struct Map {
-    ptr: *const u8,
-    len: usize,
-}
-
-// The mapping is read-only and never remapped after construction.
-unsafe impl Send for Map {}
-unsafe impl Sync for Map {}
-
-#[cfg(unix)]
-mod sys {
-    use std::ffi::c_void;
-    pub const PROT_READ: i32 = 0x1;
-    pub const MAP_SHARED: i32 = 0x01;
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-}
-
-impl Map {
-    #[cfg(unix)]
-    fn of_file(path: &std::path::Path, len: usize) -> io::Result<Map> {
-        use std::os::unix::io::AsRawFd;
-        let file = std::fs::File::open(path)?;
-        let actual = file.metadata()?.len();
-        if (actual as usize) < len {
-            return Err(io::Error::other(format!(
-                "spill: file shrank to {actual} bytes, expected {len}"
-            )));
-        }
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
+    /// [`load`](Self::load) with `work` run beside it on one `ex.par_join`
+    /// stride. The other stride reads windows from the start; the `work`
+    /// stride reads whichever are left once `work` returns, so a short
+    /// `work` does not idle behind the read.
+    pub(crate) fn load_beside<R: Send>(
+        &self,
+        ex: &Executor,
+        work: impl FnOnce() -> R + Send,
+    ) -> (R, io::Result<DenseMatrix>) {
+        let mut values = vec![0.0; self.rows * self.cols];
+        let windows = Mutex::new(values.chunks_mut(WINDOW_BYTES / 8).enumerate());
+        let read = || -> io::Result<()> {
+            let mut buf = [0u8; WINDOW_BYTES];
+            loop {
+                let next = windows
+                    .lock()
+                    .expect("spill: nothing panics while holding the window lock")
+                    .next();
+                let Some((k, dst)) = next else {
+                    return Ok(());
+                };
+                let bytes = &mut buf[..dst.len() * 8];
+                read_exact_at(&self.file, bytes, (k * WINDOW_BYTES) as u64).map_err(|e| {
+                    io::Error::new(e.kind(), format!("spill file {}: {e}", self.path.display()))
+                })?;
+                for (v, b) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *v = f64::from_ne_bytes(b.try_into().expect("8-byte chunk"));
+                }
+            }
         };
-        if ptr as usize == usize::MAX {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Map {
-            ptr: ptr.cast_const().cast::<u8>(),
-            len,
-        })
+        let ((r, mine), theirs) = ex.par_join(|| (work(), read()), read);
+        let loaded = mine.and(theirs).map(|()| {
+            DenseMatrix::from_vec(self.rows, self.cols, values)
+                .expect("spill: rows * cols matches the written buffer")
+        });
+        (r, loaded)
     }
 
-    #[cfg(not(unix))]
-    fn of_file(_path: &std::path::Path, _len: usize) -> io::Result<Map> {
-        Err(io::Error::other("spill: mmap unsupported on this target"))
+    /// Shrinks the file under the live handle, as another process could,
+    /// and returns the name it was created under.
+    #[cfg(test)]
+    pub(crate) fn truncate(&self, len: u64) -> &std::path::Path {
+        self.file.set_len(len).expect("truncate a spill file");
+        &self.path
     }
 }
 
-impl Drop for Map {
-    fn drop(&mut self) {
-        #[cfg(unix)]
-        unsafe {
-            sys::munmap(self.ptr.cast_mut().cast(), self.len);
-        }
+/// `FileExt::read_exact_at`: positioned, so loads need no shared cursor.
+/// std has it on Unix only; elsewhere [`SpillFile::write`] refuses, so
+/// this is never reached.
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    #[cfg(unix)]
+    return std::os::unix::fs::FileExt::read_exact_at(file, buf, offset);
+    #[cfg(not(unix))]
+    {
+        let _ = (file, buf, offset);
+        unreachable!("spill: write refuses on non-Unix targets")
     }
 }
 
@@ -266,7 +235,9 @@ pub fn io_rates() -> (f64, f64) {
         };
         let write_ns = t0.elapsed().as_nanos() as f64;
         let t1 = std::time::Instant::now();
-        let back = f.load();
+        let Ok(back) = f.load() else {
+            return FALLBACK;
+        };
         let read_ns = t1.elapsed().as_nanos() as f64;
         // Paranoia over rates only — a corrupt round-trip must never make
         // it into planning silently.
@@ -281,25 +252,37 @@ mod tests {
 
     #[test]
     fn round_trip_is_bit_identical() {
-        let d = DenseMatrix::from_fn(37, 5, |i, j| (i as f64 * 0.7 - j as f64) / 3.0);
+        // 70 000 values span three read windows, the last one partial.
+        let d = DenseMatrix::from_fn(14_000, 5, |i, j| (i as f64 * 0.7 - j as f64) / 3.0);
         let f = SpillFile::write(&d).expect("spill to temp dir");
-        assert_eq!(f.rows(), 37);
+        assert_eq!(f.rows(), 14_000);
         assert_eq!(f.cols(), 5);
-        assert_eq!(f.len_bytes(), 37 * 5 * 8);
-        let back = f.load();
+        assert_eq!(f.len_bytes(), 14_000 * 5 * 8);
+        assert_eq!(f.file.metadata().unwrap().len(), 14_000 * 5 * 8);
+        let back = f.load().unwrap();
         assert_eq!(back.as_slice(), d.as_slice());
-        // Load again: the map stays valid for the file's lifetime.
-        assert_eq!(f.load().as_slice(), d.as_slice());
+        // Load again: the handle stays readable for the file's lifetime.
+        assert_eq!(f.load().unwrap().as_slice(), d.as_slice());
     }
 
     #[test]
-    fn spill_file_is_removed_on_drop() {
+    fn no_spill_file_is_visible_once_write_returns() {
         let d = DenseMatrix::from_fn(8, 8, |i, j| (i + j) as f64);
         let f = SpillFile::write(&d).unwrap();
-        let path = f.path.clone();
-        assert!(path.exists());
-        drop(f);
-        assert!(!path.exists());
+        assert!(!f.path.exists(), "{} is still linked", f.path.display());
+        assert_eq!(f.load().unwrap().as_slice(), d.as_slice());
+    }
+
+    #[test]
+    fn truncated_file_is_an_eof_naming_the_file() {
+        let d = DenseMatrix::from_fn(2000, 64, |i, j| (i * 64 + j) as f64);
+        let f = SpillFile::write(&d).unwrap();
+        for len in [0, f.len_bytes() as u64 / 2] {
+            let name = f.truncate(len).display().to_string();
+            let err = f.load().expect_err("a truncated spill must not load");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert!(err.to_string().contains(&name), "{err}");
+        }
     }
 
     #[test]

@@ -44,8 +44,7 @@
 //! | `simd.detect` | AVX2 probe of the GEMM/reduction dispatch | any kind makes the probe report "no AVX2", demoting to the bit-identical scalar-FMA tier |
 //! | `plan.cache.lookup` / `plan.cache.insert` | inside the plan-cache lock | `panic` poisons the cache mutex; the next access recovers by clearing |
 //! | `planner.memo` | join-memo materialization closure | `panic` aborts the memoized join; the `OnceLock` stays empty and the next call recomputes |
-//! | `spill.write` | between the temp-file write and the atomic rename of a chunk spill file | `io_error`/`error` fail the spill; the chunk stays resident in memory (results unchanged, budget overrun) |
-//! | `spill.map` | after the rename, before the spill file is memory-mapped | any kind fails the mapping; the already-written file is removed and the chunk stays resident |
+//! | `spill.write` | after a chunk's values are written to its (already unlinked) spill file | `io_error`/`error` fail the spill; the handle closes and the chunk stays resident in memory (results unchanged, budget overrun) |
 //!
 //! Alongside the failpoints, this module owns the process-wide
 //! **degradation counters** ([`stats`]): every self-healing or fallback
@@ -437,7 +436,7 @@ pub enum Degradation {
     /// batch received a structured error (never a partial or corrupted
     /// response) and the scorer kept serving.
     ServeBatchAbort,
-    /// Spilling a chunk to disk failed (write, rename, or mmap); the
+    /// Spilling a chunk to disk failed (create, unlink or write); the
     /// chunk stays resident in memory. Results are identical — the
     /// resident budget is simply overrun.
     SpillFallback,

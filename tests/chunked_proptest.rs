@@ -137,10 +137,9 @@ proptest! {
         rows in 4usize..48,
         cols in 1usize..5,
         chunk in 1usize..12,
-        write_fail in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // Seeded chaos on the spill failpoints: whichever chunks fail to
+        // Seeded chaos on the spill failpoint: whichever chunks fail to
         // spill stay resident (counted as SpillFallback degradations) and
         // every result stays bit-identical to the clean resident build.
         let _guard = faults::exclusive();
@@ -152,8 +151,7 @@ proptest! {
         let clean_sum = LinearOperand::sum(&clean);
         let clean_crossprod = LinearOperand::crossprod(&clean);
 
-        let point = if write_fail { "spill.write=io_error" } else { "spill.map=error" };
-        faults::configure(&format!("{point}(0.5,seed={})", seed | 1)).unwrap();
+        faults::configure(&format!("spill.write=io_error(0.5,seed={})", seed | 1)).unwrap();
         let before = faults::stats().spill_fallbacks;
         let chaotic = ChunkedMatrix::with_budget(&m, chunk, 0);
         let degraded = faults::stats().spill_fallbacks - before;
